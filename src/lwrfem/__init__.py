@@ -30,7 +30,6 @@ from .linalg import (
     SingularMatrixError,
     lu_factorize,
     lu_solve,
-    mat_mul,
 )
 from .mesh import (
     DIRICHLET,

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .mesh import ERROR_RULE, FeFunction, element_values, sample_function
-from .stepping import StepDiagnostics
+from .stepping import StepDiagnostics, Trajectory
 
 
 class NonHalvingLadderError(ValueError):
@@ -41,9 +41,7 @@ def triple_norm_inf(
     return max(l2_error(rho, exact, diag.t) for rho, diag in trajectory)
 
 
-def run_error_inf(
-    trajectory: Sequence[tuple[FeFunction, StepDiagnostics]], exact: Callable
-) -> float:
+def run_error_inf(trajectory: Trajectory, exact: Callable) -> float:
     """Max error over every iterate of a run, pre-filter states included.
 
     Time-filtered runs produce two iterates per level (the backward
@@ -52,7 +50,7 @@ def run_error_inf(
     Coincides with triple_norm_inf for unfiltered runs.
     """
     worst = triple_norm_inf(trajectory, exact)
-    for state, t in getattr(trajectory, "intermediates", []):
+    for state, t in trajectory.intermediates:
         worst = max(worst, l2_error(state, exact, t))
     return worst
 
@@ -61,8 +59,8 @@ def run_error_inf(
 class TableRow:
     label: str
     resolution: float  # h or dt
-    error: float
-    rate: float | None  # None on the first row
+    error: float | None  # None for a failed rung
+    rate: float | None  # None on the first row and next to a failed rung
 
 
 @dataclass(frozen=True)
@@ -72,16 +70,18 @@ class ConvergenceTable:
 
 
 def convergence_table(
-    errors: Sequence[tuple[float, float]],
+    errors: Sequence[tuple[float, float | None]],
     labels: Sequence[str] | None = None,
     metadata: dict | None = None,
 ) -> ConvergenceTable:
-    """Build (resolution, error, rate) rows with rate = log2(e_prev / e)."""
-    if len(errors) < 2:
-        raise ValueError("need at least two rows to compute rates")
+    """Build (resolution, error, rate) rows with rate = log2(e_prev / e).
+
+    An error of None marks a failed rung: its row carries no error, and
+    no rate is taken across it.
+    """
     resolutions = [float(r) for r, _ in errors]
-    values = [float(e) for _, e in errors]
-    if any(e <= 0 for e in values):
+    values = [None if e is None else float(e) for _, e in errors]
+    if any(e <= 0 for e in values if e is not None):
         raise ValueError("errors must be strictly positive")
     for coarse, fine in zip(resolutions, resolutions[1:]):
         if abs(coarse / fine - 2.0) > 1e-6:
@@ -90,10 +90,12 @@ def convergence_table(
             )
     if labels is None:
         labels = [f"{r:g}" for r in resolutions]
-    rows = [TableRow(labels[0], resolutions[0], values[0], None)]
-    for i in range(1, len(values)):
-        rate = float(np.log2(values[i - 1] / values[i]))
-        rows.append(TableRow(labels[i], resolutions[i], values[i], rate))
+    rows = []
+    for i, (label, resolution, error) in enumerate(zip(labels, resolutions, values)):
+        rate = None
+        if i > 0 and error is not None and values[i - 1] is not None:
+            rate = float(np.log2(values[i - 1] / error))
+        rows.append(TableRow(label, resolution, error, rate))
     return ConvergenceTable(rows=tuple(rows), metadata=dict(metadata or {}))
 
 

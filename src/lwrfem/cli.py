@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .analysis import run_error_inf
+from .analysis import convergence_table, run_error_inf
 from .mesh import Mesh1D, build_mesh, evaluate
 from .scenarios import SCENARIOS, Scenario
 from .stepping import (
@@ -38,7 +38,6 @@ from .stepping import (
     NoConvergenceError,
     TimeGrid,
     Trajectory,
-    run_backward_euler,
     run_time_filtered,
 )
 
@@ -59,76 +58,37 @@ class MissingScenarioError(ConfigError):
     """No (or no known) scenario was named."""
 
 
-def _parse_bool_kind(text: str) -> str:
+def _parse_boundary_kind(text: str) -> str:
     kind = text.strip().lower()
     if kind not in ("periodic", "dirichlet"):
         raise ValueError(f"expected 'periodic' or 'dirichlet', got {text!r}")
     return kind
 
 
-def _parse_float_list(text) -> tuple[float, ...]:
-    if isinstance(text, (tuple, list)):
-        return tuple(float(v) for v in text)
-    items = [part.strip() for part in str(text).split(",") if part.strip()]
-    return tuple(float(v) for v in items)
+def _parse_float(text) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
 
 
-def _parse_int_list(text) -> tuple[int, ...]:
-    if isinstance(text, (tuple, list)):
-        return tuple(int(v) for v in text)
-    items = [part.strip() for part in str(text).split(",") if part.strip()]
-    return tuple(int(v) for v in items)
+def _parse_list(item: Callable) -> Callable:
+    """Parser of comma-separated values (or a sequence), each read by item."""
+
+    def parse(text) -> tuple:
+        parts = text if isinstance(text, (tuple, list)) else str(text).split(",")
+        return tuple(item(v) for v in parts if str(v).strip())
+
+    return parse
 
 
-# key -> converter; order fixes the header echo and flag registration
-KEY_PARSERS: dict[str, Callable] = {
-    "scenario": str,
-    "n_elements": int,
-    "degree": int,
-    "boundary_kind": _parse_bool_kind,
-    "v_f": float,
-    "rho_m": float,
-    "chi": float,
-    "deconv_order": int,
-    "gamma": float,
-    "delta_coeff": float,
-    "delta_exp": float,
-    "dt": float,
-    "t_final": float,
-    "newton_tol": float,
-    "newton_max_iter": int,
-    "algorithm": int,
-    "output_dir": str,
-    "space_min_elements": int,
-    "space_levels": int,
-    "dt_max": float,
-    "time_levels": int,
-    "chi_list": _parse_float_list,
-    "deconv_list": _parse_int_list,
-    "degree_list": _parse_int_list,
-    "study_times": _parse_float_list,
-    "jobs": int,
-}
-
-GLOBAL_DEFAULTS = {
-    "newton_tol": 1e-10,
-    "newton_max_iter": 25,
-    "output_dir": "out",
-    "space_min_elements": 6,
-    "space_levels": 6,
-    "dt_max": 0.1,
-    "time_levels": 5,
-    "chi_list": (0.0, 1.0),
-    "deconv_list": (),
-    "degree_list": (),
-    "study_times": (0.5, 1.0),
-    "jobs": 1,
-}
-
-
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, kw_only=True)
 class RunConfig:
-    """Fully resolved configuration for one command invocation."""
+    """Fully resolved configuration for one command invocation.
+
+    The field order fixes the header echo and the flag registration.
+    Fields without a default take theirs from the scenario.
+    """
 
     scenario: str
     n_elements: int
@@ -143,19 +103,19 @@ class RunConfig:
     delta_exp: float
     dt: float
     t_final: float
-    newton_tol: float
-    newton_max_iter: int
+    newton_tol: float = 1e-10
+    newton_max_iter: int = 25
     algorithm: int
-    output_dir: str
-    space_min_elements: int
-    space_levels: int
-    dt_max: float
-    time_levels: int
-    chi_list: tuple[float, ...]
-    deconv_list: tuple[int, ...]
-    degree_list: tuple[int, ...]
-    study_times: tuple[float, ...]
-    jobs: int
+    output_dir: str = "out"
+    space_min_elements: int = 6
+    space_levels: int = 6
+    dt_max: float = 0.1
+    time_levels: int = 5
+    chi_list: tuple[float, ...] = (0.0, 1.0)
+    deconv_list: tuple[int, ...] = ()
+    degree_list: tuple[int, ...] = ()
+    study_times: tuple[float, ...] = (0.5, 1.0)
+    jobs: int = 1
 
     def __post_init__(self) -> None:
         if self.delta_coeff < 0:
@@ -166,6 +126,18 @@ class RunConfig:
             raise ConfigTypeError(f"algorithm must be 1 or 2, got {self.algorithm}")
         if self.jobs < 1:
             raise ConfigTypeError("jobs must be at least 1")
+        if min(self.n_elements, self.space_min_elements) < 2:
+            raise ConfigTypeError("a mesh needs at least 2 elements")
+        if not {self.degree, *self.degree_list} <= {1, 2}:
+            raise ConfigTypeError("degree must be 1 or 2")
+        if not (self.dt > 0 and self.dt_max > 0):
+            raise ConfigTypeError("dt and dt_max must be positive")
+        if not self.newton_tol > 0:
+            raise ConfigTypeError("newton_tol must be positive")
+        try:
+            self.make_params(1.0)  # the model parameters' own domain checks
+        except ValueError as err:
+            raise ConfigTypeError(str(err)) from err
 
     def delta_for(self, h: float) -> float:
         return self.delta_coeff * h**self.delta_exp
@@ -184,7 +156,8 @@ class RunConfig:
             chi=self.chi,
             delta=self.delta_for(h),
             deconv_order=self.deconv_order,
-            gamma=self.gamma,
+            # backward Euler (algorithm 1) is the unfiltered case
+            gamma=self.gamma if self.algorithm == 2 else 0.0,
         )
 
     def header_line(self) -> str:
@@ -193,10 +166,28 @@ class RunConfig:
             value = getattr(self, key)
             if isinstance(value, tuple):
                 value = ",".join(_fmt(v) for v in value)
-            elif isinstance(value, float):
-                value = _fmt(value)
-            parts.append(f"{key}={value}")
+            parts.append(f"{key}={_fmt(value)}")
         return "# " + " ".join(parts)
+
+
+_TYPE_PARSERS = {
+    "str": str,
+    "int": int,
+    "float": _parse_float,
+    "tuple[int, ...]": _parse_list(int),
+    "tuple[float, ...]": _parse_list(_parse_float),
+}
+# key -> converter, in RunConfig field order
+KEY_PARSERS: dict[str, Callable] = {
+    field.name: _TYPE_PARSERS[field.type] for field in dataclasses.fields(RunConfig)
+} | {"boundary_kind": _parse_boundary_kind}
+
+
+def _time_grid(dt: float, t_final: float) -> TimeGrid:
+    try:
+        return TimeGrid.to_final_time(dt, t_final)
+    except ValueError as err:
+        raise ConfigTypeError(str(err)) from err
 
 
 def _fmt(value) -> str:
@@ -243,43 +234,24 @@ def parse_config(
             f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}"
         )
 
-    defaults = SCENARIOS[name]().defaults
-    values: dict = {"scenario": name}
-    for key in KEY_PARSERS:
-        if key == "scenario":
-            continue
-        if hasattr(defaults, key):
-            values[key] = getattr(defaults, key)
-        else:
-            values[key] = GLOBAL_DEFAULTS[key]
-
-    for key, (raw, lineno) in file_entries.items():
+    values = dict(SCENARIOS[name]().defaults)
+    entries = [(key, raw, f"line {n}: ") for key, (raw, n) in file_entries.items()]
+    entries += [(key, raw, "") for key, raw in overrides.items()]
+    for key, raw, where in entries:
         if key == "scenario":
             continue
         try:
             values[key] = KEY_PARSERS[key](raw)
         except (TypeError, ValueError) as err:
             raise ConfigTypeError(
-                f"line {lineno}: key {key!r}: cannot parse {raw!r} ({err})"
+                f"{where}key {key!r}: cannot parse {raw!r} ({err})"
             ) from err
-
-    for key, raw in overrides.items():
-        if key == "scenario":
-            continue
-        try:
-            values[key] = KEY_PARSERS[key](raw)
-        except (TypeError, ValueError) as err:
-            raise ConfigTypeError(f"key {key!r}: cannot parse {raw!r} ({err})") from err
-
-    return RunConfig(**values)
+    return RunConfig(scenario=name, **values)
 
 
 def _solve(config: RunConfig, mesh: Mesh1D, grid: TimeGrid) -> Trajectory:
-    scenario = config.get_scenario()
-    params = config.make_params(mesh.h)
-    runner = run_backward_euler if config.algorithm == 1 else run_time_filtered
-    return runner(
-        scenario, params, grid, mesh,
+    return run_time_filtered(
+        config.get_scenario(), config.make_params(mesh.h), grid, mesh,
         newton_tol=config.newton_tol, newton_max_iter=config.newton_max_iter,
     )
 
@@ -319,15 +291,13 @@ def _write_diagnostics(path: Path, config: RunConfig, trajectory: Trajectory) ->
 
 def cmd_run(config: RunConfig) -> tuple[list[Path], int]:
     """Single run: final-time profile plus per-step diagnostics."""
-    mesh = config.make_mesh()
-    grid = TimeGrid.to_final_time(config.dt, config.t_final)
-    trajectory = _solve(config, mesh, grid)
+    grid = _time_grid(config.dt, config.t_final)
+    trajectory = _solve(config, config.make_mesh(), grid)
     out = Path(config.output_dir)
-    scenario = config.get_scenario()
     profile = out / "profile.csv"
     diagnostics = out / "diagnostics.csv"
     final_state, final_diag = trajectory[-1]
-    _write_profile(profile, config, final_state, final_diag.t, scenario)
+    _write_profile(profile, config, final_state, final_diag.t, config.get_scenario())
     _write_diagnostics(diagnostics, config, trajectory)
     return [profile, diagnostics], 0
 
@@ -339,104 +309,78 @@ def _resolution_label(value: float) -> str:
     return f"{value:g}"
 
 
-def _run_ladder(
-    rungs: Sequence[tuple[str, float, Callable[[], float]]], jobs: int
-) -> list[tuple[str, float, float | None]]:
-    """Evaluate ladder rungs (label, resolution, error-fn), possibly in parallel.
+def _guarded_map(fns: Sequence[Callable], jobs: int, what: str) -> list:
+    """Call each fn, up to jobs at a time, in order of the results.
 
-    A rung that raises NoConvergenceError is marked failed (error None);
-    remaining rungs still run.
+    A call that raises NoConvergenceError is reported on stderr as
+    ``what: error`` and gives None; the remaining calls still run.
     """
 
-    def guarded(fn: Callable[[], float]) -> float | None:
+    def guarded(fn: Callable):
         try:
             return fn()
         except NoConvergenceError as err:
-            print(f"rung failed: {err}", file=sys.stderr)
+            print(f"{what}: {err}", file=sys.stderr)
             return None
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(guarded, fn) for _, _, fn in rungs]
-            errors = [f.result() for f in futures]
-    else:
-        errors = [guarded(fn) for _, _, fn in rungs]
-    return [
-        (label, resolution, error)
-        for (label, resolution, _), error in zip(rungs, errors)
-    ]
+    if jobs == 1:
+        return [guarded(fn) for fn in fns]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(guarded, fns))
 
 
 def _write_convergence(
     path: Path, config: RunConfig, results: list[tuple[str, float, float | None]]
 ) -> int:
+    table = convergence_table(
+        [(resolution, error) for _, resolution, error in results],
+        [label for label, _, _ in results],
+    )
     lines = ["resolution,h_or_dt,error_linf_l2,rate"]
-    failures = 0
-    prev: tuple[float, float] | None = None  # (resolution, error) of last success
-    for label, resolution, error in results:
-        if error is None:
-            failures += 1
-            lines.append(f"{label},{_fmt(resolution)},failed,")
-            prev = None
-            continue
-        rate = ""
-        if prev is not None and abs(prev[0] / resolution - 2.0) < 1e-6:
-            rate = _fmt(float(np.log2(prev[1] / error)))
-        lines.append(f"{label},{_fmt(resolution)},{_fmt(error)},{rate}")
-        prev = (resolution, error)
+    for row in table.rows:
+        error = "failed" if row.error is None else _fmt(row.error)
+        rate = "" if row.rate is None else _fmt(row.rate)
+        lines.append(f"{row.label},{_fmt(row.resolution)},{error},{rate}")
     _write_lines(path, config.header_line(), lines)
-    return failures
+    return sum(row.error is None for row in table.rows)
+
+
+def _ladder(
+    config: RunConfig, name: str, rungs: list[tuple[float, Mesh1D, TimeGrid]]
+) -> tuple[list[Path], int]:
+    """Run (resolution, mesh, grid) rungs and write their errors and rates."""
+    exact = config.get_scenario().exact_solution
+    if exact is None:
+        raise ConfigError(f"scenario {config.scenario!r} has no exact solution")
+
+    def rung(mesh: Mesh1D, grid: TimeGrid) -> Callable[[], float]:
+        return lambda: run_error_inf(_solve(config, mesh, grid), exact)
+
+    errors = _guarded_map(
+        [rung(mesh, grid) for _, mesh, grid in rungs], config.jobs, "rung failed"
+    )
+    results = [
+        (_resolution_label(resolution), resolution, error)
+        for (resolution, _, _), error in zip(rungs, errors)
+    ]
+    path = Path(config.output_dir) / name
+    return [path], _write_convergence(path, config, results)
 
 
 def cmd_convergence_space(config: RunConfig) -> tuple[list[Path], int]:
     """Halving ladder over the mesh width; writes a convergence CSV."""
-    scenario = config.get_scenario()
-    if scenario.exact_solution is None:
-        raise ConfigError(f"scenario {config.scenario!r} has no exact solution")
-    grid = TimeGrid.to_final_time(config.dt, config.t_final)
-
-    def make_rung(n: int) -> Callable[[], float]:
-        def rung() -> float:
-            mesh = config.make_mesh(n)
-            trajectory = _solve(config, mesh, grid)
-            return run_error_inf(trajectory, scenario.exact_solution)
-
-        return rung
-
-    rungs = []
-    for level in range(config.space_levels):
-        n = config.space_min_elements * 2**level
-        h = 1.0 / n
-        rungs.append((_resolution_label(h), h, make_rung(n)))
-    results = _run_ladder(rungs, config.jobs)
-    path = Path(config.output_dir) / "convergence_space.csv"
-    failures = _write_convergence(path, config, results)
-    return [path], failures
+    grid = _time_grid(config.dt, config.t_final)
+    sizes = [config.space_min_elements * 2**k for k in range(config.space_levels)]
+    rungs = [(1.0 / n, config.make_mesh(n), grid) for n in sizes]
+    return _ladder(config, "convergence_space.csv", rungs)
 
 
 def cmd_convergence_time(config: RunConfig) -> tuple[list[Path], int]:
     """Halving ladder over the time step; writes a convergence CSV."""
-    scenario = config.get_scenario()
-    if scenario.exact_solution is None:
-        raise ConfigError(f"scenario {config.scenario!r} has no exact solution")
     mesh = config.make_mesh()
-
-    def make_rung(dt: float) -> Callable[[], float]:
-        def rung() -> float:
-            grid = TimeGrid.to_final_time(dt, config.t_final)
-            trajectory = _solve(config, mesh, grid)
-            return run_error_inf(trajectory, scenario.exact_solution)
-
-        return rung
-
-    rungs = []
-    for level in range(config.time_levels):
-        dt = config.dt_max / 2**level
-        rungs.append((_resolution_label(dt), dt, make_rung(dt)))
-    results = _run_ladder(rungs, config.jobs)
-    path = Path(config.output_dir) / "convergence_time.csv"
-    failures = _write_convergence(path, config, results)
-    return [path], failures
+    steps = [config.dt_max / 2**k for k in range(config.time_levels)]
+    rungs = [(dt, mesh, _time_grid(dt, config.t_final)) for dt in steps]
+    return _ladder(config, "convergence_time.csv", rungs)
 
 
 def cmd_scenario_study(config: RunConfig) -> tuple[list[Path], int]:
@@ -447,62 +391,36 @@ def cmd_scenario_study(config: RunConfig) -> tuple[list[Path], int]:
         raise ConfigError("study_times must name at least one time")
     if times[0] < 0:
         raise ConfigError("study_times must be nonnegative")
-    deconv_values = config.deconv_list or (config.deconv_order,)
-    degree_values = config.degree_list or (config.degree,)
-
-    combos = [
-        (chi, n_dec, deg)
-        for deg in degree_values
-        for n_dec in deconv_values
+    indices = [_time_grid(config.dt, t).n_steps for t in times]
+    grid = _time_grid(config.dt, times[-1])
+    members = [
+        dataclasses.replace(config, chi=chi, deconv_order=n_dec, degree=deg)
+        for deg in config.degree_list or (config.degree,)
+        for n_dec in config.deconv_list or (config.deconv_order,)
         for chi in config.chi_list
     ]
 
-    def make_member(chi: float, n_dec: int, deg: int):
-        member_cfg = dataclasses.replace(
-            config, chi=chi, deconv_order=n_dec, degree=deg
-        )
+    def snapshots(member: RunConfig) -> Callable[[], list]:
+        def run() -> list:
+            trajectory = _solve(member, member.make_mesh(), grid)
+            return [trajectory[i] for i in indices]
 
-        def member() -> list[tuple[float, object]]:
-            mesh = member_cfg.make_mesh()
-            grid = TimeGrid.to_final_time(member_cfg.dt, times[-1])
-            trajectory = _solve(member_cfg, mesh, grid)
-            snapshots = []
-            for t in times:
-                index = min(int(round(t / grid.dt)), grid.n_steps)
-                state, diag = trajectory[index]
-                snapshots.append((diag.t, state))
-            return snapshots
+        return run
 
-        return member_cfg, member
-
-    members = [(combo, *make_member(*combo)) for combo in combos]
-
-    def guarded(fn):
-        try:
-            return fn()
-        except NoConvergenceError as err:
-            print(f"study member failed: {err}", file=sys.stderr)
-            return None
-
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            futures = [pool.submit(guarded, fn) for _, _, fn in members]
-            outputs = [f.result() for f in futures]
-    else:
-        outputs = [guarded(fn) for _, _, fn in members]
-
+    outputs = _guarded_map(
+        [snapshots(member) for member in members], config.jobs, "study member failed"
+    )
     paths: list[Path] = []
-    failures = 0
     out = Path(config.output_dir)
-    for ((chi, n_dec, deg), member_cfg, _), snapshots in zip(members, outputs):
-        if snapshots is None:
-            failures += 1
-            continue
-        for t, state in snapshots:
-            path = out / f"profile_chi{chi:g}_N{n_dec}_P{deg}_t{t:g}.csv"
-            _write_profile(path, member_cfg, state, t, scenario)
-            paths.append(path)
-    return paths, failures
+    for member, records in zip(members, outputs):
+        for state, diag in records or ():
+            name = (
+                f"profile_chi{member.chi:g}_N{member.deconv_order}"
+                f"_P{member.degree}_t{diag.t:g}.csv"
+            )
+            _write_profile(out / name, member, state, diag.t, scenario)
+            paths.append(out / name)
+    return paths, outputs.count(None)
 
 
 COMMANDS = {

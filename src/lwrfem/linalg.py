@@ -1,4 +1,4 @@
-"""Dense linear algebra kernel: LU solves and matrix products.
+"""Dense linear algebra kernel: checked LU factorization and solves.
 
 Matrices are plain 2-D float64 numpy arrays (row-major), vectors 1-D
 arrays.  Factorization is LAPACK getrf (partial pivoting) via scipy;
@@ -69,24 +69,10 @@ def lu_factorize(a: np.ndarray) -> LuFactorization:
 def lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve the dense system A x = b by LU with partial pivoting."""
     b = np.asarray(b, dtype=float)
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
-    if b.shape[0] != a.shape[0]:
+    factors = lu_factorize(a)
+    if b.shape[0] != factors.lu.shape[0]:
         raise DimensionMismatchError(
-            f"right-hand side length {b.shape[0]} does not match matrix size {a.shape[0]}"
+            f"right-hand side length {b.shape[0]} does not match matrix size "
+            f"{factors.lu.shape[0]}"
         )
-    return lu_factorize(a).solve(b)
-
-
-def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product A B with an explicit inner-dimension check."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionMismatchError("mat_mul expects 2-D operands")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionMismatchError(
-            f"inner dimensions disagree: {a.shape} x {b.shape}"
-        )
-    return a @ b
+    return factors.solve(b)

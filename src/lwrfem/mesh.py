@@ -161,9 +161,6 @@ class FeFunction:
                 f"got shape {self.coefficients.shape}"
             )
 
-    def copy(self) -> "FeFunction":
-        return FeFunction(self.mesh, self.coefficients.copy())
-
 
 def require_same_mesh(*functions: FeFunction) -> Mesh1D:
     mesh = functions[0].mesh
@@ -230,23 +227,33 @@ def interpolate(g: Callable, mesh: Mesh1D) -> FeFunction:
     return FeFunction(mesh, sample_function(g, mesh.dof_x))
 
 
+def scatter_matrix(mesh: Mesh1D, local: np.ndarray) -> np.ndarray:
+    """Sum element blocks local[e, i, j] (or one block for all) into a dense matrix."""
+    out = np.zeros((mesh.n_dofs, mesh.n_dofs))
+    np.add.at(out, (mesh.cell_dofs[:, :, None], mesh.cell_dofs[:, None, :]), local)
+    return out
+
+
+def load_vector(mesh: Mesh1D, values: np.ndarray) -> np.ndarray:
+    """Vector of (g, phi_i) from g's values at the assembly quadrature points."""
+    rule = ASSEMBLY_RULE
+    basis = shape_values(mesh.degree, rule.points)
+    local = mesh.h * np.einsum("q,eq,qi->ei", rule.weights, values, basis)
+    out = np.zeros(mesh.n_dofs)
+    np.add.at(out, mesh.cell_dofs, local)
+    return out
+
+
 def mass_matrix(mesh: Mesh1D) -> np.ndarray:
     """Assemble the mass matrix (phi_j, phi_i) with the assembly rule."""
     rule = ASSEMBLY_RULE
     basis = shape_values(mesh.degree, rule.points)
-    local = mesh.h * np.einsum("q,qi,qj->ij", rule.weights, basis, basis)
-    m = np.zeros((mesh.n_dofs, mesh.n_dofs))
-    np.add.at(m, (mesh.cell_dofs[:, :, None], mesh.cell_dofs[:, None, :]), local)
-    return m
+    return scatter_matrix(
+        mesh, mesh.h * np.einsum("q,qi,qj->ij", rule.weights, basis, basis)
+    )
 
 
 def l2_project(g: Callable, mesh: Mesh1D) -> FeFunction:
     """L2 projection of g onto the FE space: one mass-matrix solve."""
-    rule = ASSEMBLY_RULE
-    basis = shape_values(mesh.degree, rule.points)
-    xq = mesh.quad_points(rule)
-    gq = sample_function(g, xq)
-    local = mesh.h * np.einsum("q,eq,qi->ei", rule.weights, gq, basis)
-    rhs = np.zeros(mesh.n_dofs)
-    np.add.at(rhs, mesh.cell_dofs, local)
+    rhs = load_vector(mesh, sample_function(g, mesh.quad_points(ASSEMBLY_RULE)))
     return FeFunction(mesh, lu_solve(mass_matrix(mesh), rhs))

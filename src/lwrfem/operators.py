@@ -25,9 +25,11 @@ from .mesh import (
     FeFunction,
     Mesh1D,
     element_values,
+    load_vector,
     mass_matrix,
     require_same_mesh,
     sample_function,
+    scatter_matrix,
     shape_derivatives,
     shape_values,
 )
@@ -50,33 +52,22 @@ def assemble(mesh: Mesh1D) -> AssembledOperators:
     dbasis = shape_derivatives(mesh.degree, rule.points)
     w = rule.weights
 
-    m_loc = mesh.h * np.einsum("q,qi,qj->ij", w, basis, basis)
     s_loc = np.einsum("q,qi,qj->ij", w, dbasis, dbasis) / mesh.h
     # (dphi_j, phi_i): the element h and the 1/h of the derivative cancel.
     c_loc = np.einsum("q,qi,qj->ij", w, basis, dbasis)
-
-    n = mesh.n_dofs
-    m = np.zeros((n, n))
-    s = np.zeros((n, n))
-    c = np.zeros((n, n))
-    rows = mesh.cell_dofs[:, :, None]
-    cols = mesh.cell_dofs[:, None, :]
-    np.add.at(m, (rows, cols), m_loc)
-    np.add.at(s, (rows, cols), s_loc)
-    np.add.at(c, (rows, cols), c_loc)
-    return AssembledOperators(mesh=mesh, mass=m, stiffness=s, convection=c)
+    return AssembledOperators(
+        mesh=mesh,
+        mass=mass_matrix(mesh),
+        stiffness=scatter_matrix(mesh, s_loc),
+        convection=scatter_matrix(mesh, c_loc),
+    )
 
 
 def forcing_vector(f: Callable, t: float, mesh: Mesh1D) -> np.ndarray:
     """Load vector with entries (f(., t), phi_i) by quadrature."""
-    rule = ASSEMBLY_RULE
-    basis = shape_values(mesh.degree, rule.points)
-    xq = mesh.quad_points(rule)
-    fq = sample_function(lambda x: f(x, t), xq)
-    local = mesh.h * np.einsum("q,eq,qi->ei", rule.weights, fq, basis)
-    out = np.zeros(mesh.n_dofs)
-    np.add.at(out, mesh.cell_dofs, local)
-    return out
+    return load_vector(
+        mesh, sample_function(lambda x: f(x, t), mesh.quad_points(ASSEMBLY_RULE))
+    )
 
 
 def b_form(u: FeFunction, v: FeFunction, w: FeFunction) -> float:
@@ -92,14 +83,8 @@ def b_form(u: FeFunction, v: FeFunction, w: FeFunction) -> float:
 
 def b_residual(rho: FeFunction) -> np.ndarray:
     """Vector of b(rho, rho, phi_i); with u = v the integrand is rho rho' phi_i."""
-    mesh = rho.mesh
-    rule = ASSEMBLY_RULE
-    basis = shape_values(mesh.degree, rule.points)
-    uq, duq = element_values(rho, rule)
-    local = mesh.h * np.einsum("q,eq,qi->ei", rule.weights, uq * duq, basis)
-    out = np.zeros(mesh.n_dofs)
-    np.add.at(out, mesh.cell_dofs, local)
-    return out
+    uq, duq = element_values(rho, ASSEMBLY_RULE)
+    return load_vector(rho.mesh, uq * duq)
 
 
 def b_jacobian(rho: FeFunction) -> np.ndarray:
@@ -116,18 +101,4 @@ def b_jacobian(rho: FeFunction) -> np.ndarray:
     w = rule.weights
     local = np.einsum("q,eq,qj,qi->eij", w, uq, dbasis, basis)
     local += mesh.h * np.einsum("q,eq,qj,qi->eij", w, duq, basis, basis)
-    n = mesh.n_dofs
-    jac = np.zeros((n, n))
-    np.add.at(jac, (mesh.cell_dofs[:, :, None], mesh.cell_dofs[:, None, :]), local)
-    return jac
-
-
-__all__ = [
-    "AssembledOperators",
-    "assemble",
-    "forcing_vector",
-    "b_form",
-    "b_residual",
-    "b_jacobian",
-    "mass_matrix",
-]
+    return scatter_matrix(mesh, local)

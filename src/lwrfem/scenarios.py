@@ -28,25 +28,6 @@ RIGHT = "right"
 
 
 @dataclass(frozen=True)
-class ScenarioDefaults:
-    """Default discretization settings for a scenario."""
-
-    n_elements: int
-    degree: int
-    boundary_kind: str
-    v_f: float
-    rho_m: float
-    chi: float
-    deconv_order: int
-    gamma: float
-    algorithm: int
-    delta_coeff: float  # filter radius rule: delta = coeff * h**exponent
-    delta_exp: float
-    dt: float
-    t_final: float
-
-
-@dataclass(frozen=True)
 class Scenario:
     """One experiment: data, constrained ends, and defaults."""
 
@@ -57,7 +38,9 @@ class Scenario:
     right_constrained: bool
     forcing: Callable | None
     exact_solution: Callable | None
-    defaults: ScenarioDefaults
+    # default settings, keyed by configuration key (the CLI's RunConfig
+    # fields); delta follows the rule delta = delta_coeff * h**delta_exp
+    defaults: dict
 
     def constrained_ends(self) -> tuple[str, ...]:
         ends = []
@@ -100,7 +83,7 @@ def manufactured() -> Scenario:
         right_constrained=True,
         forcing=_manufactured_forcing,
         exact_solution=_manufactured_exact,
-        defaults=ScenarioDefaults(
+        defaults=dict(
             n_elements=100,
             degree=2,
             boundary_kind=DIRICHLET,
@@ -147,7 +130,7 @@ def rarefaction() -> Scenario:
         right_constrained=False,
         forcing=None,
         exact_solution=_rarefaction_exact,
-        defaults=ScenarioDefaults(
+        defaults=dict(
             n_elements=128,
             degree=1,
             boundary_kind=DIRICHLET,
@@ -193,7 +176,7 @@ def shock() -> Scenario:
         right_constrained=False,
         forcing=None,
         exact_solution=_shock_exact,
-        defaults=ScenarioDefaults(
+        defaults=dict(
             n_elements=128,
             degree=1,
             boundary_kind=DIRICHLET,

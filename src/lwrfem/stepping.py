@@ -32,7 +32,7 @@ evaluated implicitly at the new time level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -47,17 +47,13 @@ from .operators import (
     b_residual,
     forcing_vector,
 )
-from .scenarios import LEFT, RIGHT, Scenario
+from .scenarios import LEFT, Scenario
 
 
 class NoConvergenceError(RuntimeError):
     """Newton iteration failed to reach its tolerance."""
 
-    def __init__(self, message: str, *, residual_norm: float | None = None,
-                 step_index: int | None = None):
-        super().__init__(message)
-        self.residual_norm = residual_norm
-        self.step_index = step_index
+    step_index: int | None = None  # set by the marching loop
 
 
 @dataclass(frozen=True)
@@ -72,9 +68,9 @@ class ModelParams:
     gamma: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.v_f <= 0 or self.rho_m <= 0:
+        if not (self.v_f > 0 and self.rho_m > 0):
             raise ValueError("v_f and rho_m must be positive")
-        if self.chi < 0 or self.delta < 0 or self.deconv_order < 0:
+        if not (self.chi >= 0 and self.delta >= 0 and self.deconv_order >= 0):
             raise ValueError("chi, delta, and deconvolution order must be nonnegative")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
@@ -100,7 +96,14 @@ class TimeGrid:
 
     @classmethod
     def to_final_time(cls, dt: float, t_final: float) -> "TimeGrid":
-        n = int(round(t_final / dt))
+        """Grid ending at t_final, which must be a whole number of steps."""
+        if not dt > 0:
+            raise ValueError(f"dt must be positive, got {dt}")
+        n = round(t_final / dt)
+        if n < 0 or abs(n * dt - t_final) > 1e-9 * abs(t_final):
+            raise ValueError(
+                f"t_final = {t_final:g} is not a whole number of steps of dt = {dt:g}"
+            )
         return cls(dt=dt, n_steps=n, t_final=n * dt)
 
 
@@ -128,41 +131,36 @@ def newton_solve(
     guess: np.ndarray,
     tol: float = NEWTON_TOL,
     max_iter: int = NEWTON_MAX_ITER,
-) -> tuple[np.ndarray, int]:
-    """Full Newton iteration; returns (solution, iteration count).
+) -> tuple[np.ndarray, int, float]:
+    """Full Newton iteration; returns (solution, iterations, ||residual(guess)||).
 
     Stops once ||residual(x)|| <= tol * max(1, ||residual(guess)||); a
-    guess that already satisfies this returns with zero iterations.
+    guess that already satisfies this returns with zero iterations.  A
+    non-finite residual norm, at the guess or after any update, raises
+    NoConvergenceError.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     x = np.asarray(guess, dtype=float).copy()
     r = residual(x)
-    threshold = tol * max(1.0, float(np.linalg.norm(r)))
+    norm = r0 = float(np.linalg.norm(r))
+    threshold = tol * max(1.0, r0)
     iters = 0
-    while float(np.linalg.norm(r)) > threshold:
+    while norm > threshold or not np.isfinite(norm):
+        if not np.isfinite(norm):
+            raise NoConvergenceError(
+                f"non-finite Newton residual ({norm}) after {iters} iterations"
+            )
         if iters >= max_iter:
             raise NoConvergenceError(
                 f"no convergence after {max_iter} Newton iterations "
-                f"(residual {float(np.linalg.norm(r)):.3e})",
-                residual_norm=float(np.linalg.norm(r)),
+                f"(residual {norm:.3e})"
             )
         x += lu_solve(jacobian(x), -r)
         iters += 1
         r = residual(x)
-    return x, iters
-
-
-def constrained_dofs(scenario: Scenario, mesh: Mesh1D) -> tuple[tuple[int, str], ...]:
-    """(dof index, end name) pairs carrying Dirichlet data on this mesh."""
-    if mesh.boundary_kind != "dirichlet":
-        return ()
-    pairs = []
-    if scenario.left_constrained:
-        pairs.append((0, LEFT))
-    if scenario.right_constrained:
-        pairs.append((mesh.n_dofs - 1, RIGHT))
-    return tuple(pairs)
+        norm = float(np.linalg.norm(r))
+    return x, iters, r0
 
 
 def be_step(
@@ -189,9 +187,10 @@ def be_step(
     if scenario.forcing is not None:
         rhs = rhs + forcing_vector(scenario.forcing, t_next, mesh)
 
+    ends = scenario.constrained_ends() if mesh.boundary_kind == "dirichlet" else ()
     bcs = [
-        (i, scenario.boundary_data(end, t_next))
-        for i, end in constrained_dofs(scenario, mesh)
+        (0 if end == LEFT else mesh.n_dofs - 1, scenario.boundary_data(end, t_next))
+        for end in ends
     ]
 
     def residual(x: np.ndarray) -> np.ndarray:
@@ -207,15 +206,13 @@ def be_step(
             jac[i, i] = 1.0
         return jac
 
-    r0 = float(np.linalg.norm(residual(rho_prev.coefficients)))
     try:
-        coeffs, iters = newton_solve(
+        coeffs, iters, r0 = newton_solve(
             residual, jacobian, rho_prev.coefficients, newton_tol, newton_max_iter
         )
     except NoConvergenceError as err:
         raise NoConvergenceError(
-            f"backward Euler step to t = {t_next:.6g} failed: {err}",
-            residual_norm=err.residual_norm,
+            f"backward Euler step to t = {t_next:.6g} failed: {err}"
         ) from err
 
     rho_next = FeFunction(mesh, coeffs)
@@ -322,44 +319,6 @@ def _initial_record(
     )
 
 
-def run_backward_euler(
-    scenario: Scenario,
-    params: ModelParams,
-    grid: TimeGrid,
-    mesh: Mesh1D,
-    newton_tol: float = NEWTON_TOL,
-    newton_max_iter: int = NEWTON_MAX_ITER,
-    operators: AssembledOperators | None = None,
-    filter_ctx: FilterContext | None = None,
-) -> Trajectory:
-    """Backward Euler marching from the projected initial state."""
-    ops = operators if operators is not None else assemble(mesh)
-    ctx = (
-        filter_ctx
-        if filter_ctx is not None
-        else build_filter_context(ops, params.delta, params.deconv_order)
-    )
-    rho = l2_project(scenario.initial_condition, mesh)
-    trajectory = Trajectory([_initial_record(rho, params, ops, ctx)])
-    prev2: FeFunction | None = None
-    for n in range(1, grid.n_steps + 1):
-        try:
-            rho_next, diag = be_step(
-                rho, n * grid.dt, grid.dt, params, ops, ctx, scenario,
-                newton_tol, newton_max_iter,
-            )
-        except NoConvergenceError as err:
-            err.step_index = n
-            raise
-        diag.n = n
-        if n >= 2 and prev2 is not None:
-            diag.zeta_z = energy_z(rho_next, rho, prev2, ops)
-        trajectory.append((rho_next, diag))
-        prev2 = rho
-        rho = rho_next
-    return trajectory
-
-
 def run_time_filtered(
     scenario: Scenario,
     params: ModelParams,
@@ -370,7 +329,11 @@ def run_time_filtered(
     operators: AssembledOperators | None = None,
     filter_ctx: FilterContext | None = None,
 ) -> Trajectory:
-    """Backward Euler plus time filter; startup step is plain backward Euler."""
+    """Backward Euler plus time filter; startup step is plain backward Euler.
+
+    The filter is a post-step correction that vanishes at gamma = 0, so
+    this one loop also marches plain backward Euler.
+    """
     ops = operators if operators is not None else assemble(mesh)
     ctx = (
         filter_ctx
@@ -400,10 +363,19 @@ def run_time_filtered(
             diag.l2_norm = mass_norm(rho_new, ops)
             diag.energy_e = energy_e(rho_new, prev, ops)
         diag.n = n
-        diag.t = n * grid.dt
-        if n >= 2 and prev2 is not None:
+        if prev2 is not None:
             diag.zeta_z = energy_z(rho_new, prev, prev2, ops)
         trajectory.append((rho_new, diag))
         prev2 = prev
         prev = rho_new
     return trajectory
+
+
+def run_backward_euler(
+    scenario: Scenario, params: ModelParams, grid: TimeGrid, mesh: Mesh1D,
+    *args, **kwargs,
+) -> Trajectory:
+    """Backward Euler marching: run_time_filtered with the filter off (gamma = 0)."""
+    return run_time_filtered(
+        scenario, replace(params, gamma=0.0), grid, mesh, *args, **kwargs
+    )

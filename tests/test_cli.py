@@ -64,6 +64,17 @@ class TestParseConfig:
         with pytest.raises(MissingScenarioError):
             parse_config(None, {"scenario": "tsunami"})
 
+    def test_header_echo_order(self):
+        # the echo is compared byte for byte by downstream tools
+        assert parse_config(None, {"scenario": "shock"}).header_line() == (
+            "# scenario=shock n_elements=128 degree=1 boundary_kind=dirichlet v_f=1"
+            " rho_m=1 chi=1 deconv_order=0 gamma=0 delta_coeff=1 delta_exp=0.5"
+            " dt=0.0001 t_final=1 newton_tol=1e-10 newton_max_iter=25 algorithm=2"
+            " output_dir=out space_min_elements=6 space_levels=6"
+            " dt_max=0.10000000000000001 time_levels=5 chi_list=0,1 deconv_list="
+            " degree_list= study_times=0.5,1 jobs=1"
+        )
+
     def test_validation_of_derived_fields(self):
         with pytest.raises(ConfigTypeError):
             parse_config(None, {"scenario": "shock", "delta_exp": "1.5"})
@@ -188,25 +199,31 @@ class TestCommands:
         assert "rung failed" in capsys.readouterr().err
 
     def test_parallel_jobs_produce_identical_data(self, tmp_path):
-        rows = {}
-        for jobs in ("1", "2"):
-            cfg = parse_config(
-                None,
-                {
-                    "scenario": "manufactured",
-                    "time_levels": "2",
-                    "dt_max": "0.05",
-                    "t_final": "0.1",
-                    "n_elements": "16",
-                    "jobs": jobs,
-                    "output_dir": str(tmp_path / jobs),
-                },
-            )
-            files, failures = cmd_convergence_time(cfg)
-            assert failures == 0
-            # drop the header: it echoes the config, which includes `jobs`
-            rows[jobs] = files[0].read_text().splitlines()[1:]
-        assert rows["1"] == rows["2"]
+        cases = [
+            (cmd_convergence_time, {"scenario": "manufactured", "time_levels": "2",
+                                    "dt_max": "0.05", "t_final": "0.1"}),
+            (cmd_scenario_study, {"scenario": "shock", "chi_list": "0,0.5,1",
+                                  "study_times": "0.01,0.02", "dt": "0.001"}),
+        ]
+        for command, settings in cases:
+            rows = {}
+            for jobs in ("1", "2"):
+                cfg = parse_config(
+                    None,
+                    {
+                        **settings,
+                        "n_elements": "16",
+                        "jobs": jobs,
+                        "output_dir": str(tmp_path / command.__name__ / jobs),
+                    },
+                )
+                files, failures = command(cfg)
+                assert failures == 0
+                # drop the headers: they echo the config, which includes `jobs`
+                rows[jobs] = [
+                    (path.name, path.read_text().splitlines()[1:]) for path in files
+                ]
+            assert rows["1"] == rows["2"]
 
     def test_study_writes_profiles_and_damps_variation(self, tmp_path):
         cfg = parse_config(
@@ -237,6 +254,32 @@ class TestMain:
     def test_config_error_exit_code(self, capsys):
         assert main(["run", "--scenario", "nonexistent"]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--chi", "nan"],
+            ["run", "--v_f", "inf"],
+            ["study", "--chi_list", "0,nan"],
+            ["run", "--n_elements", "1"],
+            ["conv-space", "--space_min_elements", "1"],
+            ["run", "--degree", "3"],
+            ["study", "--degree_list", "1,3"],
+            ["run", "--dt", "0"],
+            ["run", "--gamma", "1"],
+            ["run", "--chi", "-1"],
+            ["run", "--newton_tol", "0"],
+            ["conv-time", "--dt_max", "-0.1"],
+            ["run", "--t_final", "0.00015", "--dt", "1e-4"],
+            ["study", "--study_times", "0.00015", "--dt", "1e-4"],
+        ],
+    )
+    def test_domain_errors_exit_2(self, tmp_path, capsys, argv):
+        code = main([*argv, "--scenario", "shock", "--output_dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("configuration error") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())  # nothing ran
 
     def test_successful_run_exit_code(self, tmp_path, capsys):
         code = main(

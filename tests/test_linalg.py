@@ -6,7 +6,6 @@ from lwrfem.linalg import (
     SingularMatrixError,
     lu_factorize,
     lu_solve,
-    mat_mul,
 )
 
 
@@ -62,22 +61,4 @@ def test_dimension_checks():
         lu_solve(np.ones((3, 2)), np.ones(3))
     with pytest.raises(DimensionMismatchError):
         lu_solve(np.eye(3), np.ones(4))
-    with pytest.raises(DimensionMismatchError):
-        mat_mul(np.ones((2, 3)), np.ones((2, 3)))
 
-
-def test_mat_mul_identity_and_hand_product(rng):
-    a = rng.standard_normal((4, 4))
-    assert np.allclose(mat_mul(a, np.eye(4)), a, atol=1e-15)
-    assert np.allclose(mat_mul(np.eye(4), a), a, atol=1e-15)
-    product = mat_mul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[5.0, 6.0], [7.0, 8.0]]))
-    assert np.allclose(product, [[19.0, 22.0], [43.0, 50.0]], atol=1e-13)
-
-
-def test_mat_mul_associative(rng):
-    for _ in range(20):
-        a, b, c = (rng.standard_normal((10, 10)) for _ in range(3))
-        left = mat_mul(mat_mul(a, b), c)
-        right = mat_mul(a, mat_mul(b, c))
-        scale = np.abs(left).max()
-        assert np.abs(left - right).max() <= 1e-12 * max(scale, 1.0)

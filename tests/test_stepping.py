@@ -55,25 +55,29 @@ class TestModelParamsAndGrid:
             TimeGrid(dt=0.1, n_steps=5, t_final=1.0)
         with pytest.raises(ValueError):
             TimeGrid(dt=-0.1, n_steps=5, t_final=-0.5)
+        # a final time between grid points is an error, not a silent t = 0.9
+        with pytest.raises(ValueError, match="whole number of steps"):
+            TimeGrid.to_final_time(0.3, 1.0)
+        assert TimeGrid.to_final_time(1e-4, 0.1).n_steps == 1000  # inexact in binary
 
 
 class TestNewtonSolve:
     def test_linear_system_one_iteration(self, rng):
         a = rng.standard_normal((6, 6)) + 4.0 * np.eye(6)
         b = rng.standard_normal(6)
-        x, iters = newton_solve(lambda x: a @ x - b, lambda x: a, np.zeros(6))
+        x, iters, _ = newton_solve(lambda x: a @ x - b, lambda x: a, np.zeros(6))
         assert iters == 1
         assert np.linalg.norm(a @ x - b) < 1e-9
 
     def test_root_guess_zero_iterations(self):
-        x, iters = newton_solve(
+        x, iters, _ = newton_solve(
             lambda x: x**2 - 4.0, lambda x: np.diag(2.0 * x), np.array([2.0])
         )
         assert iters == 0
         assert x[0] == 2.0
 
     def test_scalar_quadratic(self):
-        x, iters = newton_solve(
+        x, iters, _ = newton_solve(
             lambda x: x**2 - 4.0, lambda x: np.diag(2.0 * x), np.array([3.0])
         )
         assert iters <= 6
@@ -88,6 +92,18 @@ class TestNewtonSolve:
                 np.array([0.5]),
                 max_iter=5,
             )
+
+    @pytest.mark.parametrize(
+        "residual",
+        [
+            lambda x: np.full_like(x, np.nan),  # non-finite at the guess
+            lambda x: np.log(x),  # finite at the guess, NaN after the update
+        ],
+    )
+    def test_non_finite_residual_raises(self, residual):
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NoConvergenceError, match="non-finite"):
+                newton_solve(residual, lambda x: np.diag(1.0 / x), np.array([0.1, 5.0]))
 
     def test_singular_jacobian_propagates(self):
         with pytest.raises(SingularMatrixError):
