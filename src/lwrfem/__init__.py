@@ -59,6 +59,7 @@ from .stepping import (
     ModelParams,
     NoConvergenceError,
     StepDiagnostics,
+    Stepper,
     TimeGrid,
     be_step,
     diff_op,

@@ -15,8 +15,8 @@ CSV with one leading comment line echoing the full effective
 configuration; floats are printed with 17 significant digits so repeated
 runs are bit-identical.
 
-Exit codes: 0 success, 1 if any ladder rung or sweep member failed,
-2 on configuration errors.
+Exit codes: 0 success, 1 if the run or any ladder rung or sweep member
+failed, 2 on configuration errors.
 """
 
 from __future__ import annotations
@@ -134,6 +134,10 @@ class RunConfig:
             raise ConfigTypeError("dt and dt_max must be positive")
         if not self.newton_tol > 0:
             raise ConfigTypeError("newton_tol must be positive")
+        if min(self.time_levels, self.space_levels) < 1:
+            raise ConfigTypeError("time_levels and space_levels must be at least 1")
+        if not self.chi_list:
+            raise ConfigTypeError("chi_list must name at least one chi")
         try:
             self.make_params(1.0)  # the model parameters' own domain checks
         except ValueError as err:
@@ -292,7 +296,11 @@ def _write_diagnostics(path: Path, config: RunConfig, trajectory: Trajectory) ->
 def cmd_run(config: RunConfig) -> tuple[list[Path], int]:
     """Single run: final-time profile plus per-step diagnostics."""
     grid = _time_grid(config.dt, config.t_final)
-    trajectory = _solve(config, config.make_mesh(), grid)
+    [trajectory] = _guarded_map(
+        [lambda: _solve(config, config.make_mesh(), grid)], 1, "run failed"
+    )
+    if trajectory is None:
+        return [], 1
     out = Path(config.output_dir)
     profile = out / "profile.csv"
     diagnostics = out / "diagnostics.csv"

@@ -13,8 +13,8 @@ with F = (M + delta^2 S)^{-1} M, which telescopes to (I - F)^{N+1};
 the quadratic form of the stabilization term is then Pi^T S Pi.
 
 Everything here is dense: the filter inverse densifies the operator
-anyway, and precomputing F, Pi, and Pi^T S Pi once per (mesh, delta, N)
-makes each implicit step a plain dense solve.  On Dirichlet meshes the
+anyway, and precomputing Pi^T S Pi once per (mesh, delta, N) makes each
+implicit step a plain dense solve.  On Dirichlet meshes the
 filter equations are posed on all DOFs with natural boundary conditions
 (no rows are constrained), which keeps M + delta^2 S symmetric positive
 definite.
@@ -42,8 +42,6 @@ class FilterContext:
     delta: float
     deconv_order: int
     operators: AssembledOperators
-    filter_matrix: np.ndarray  # F = (M + delta^2 S)^{-1} M
-    fluctuation_matrix: np.ndarray  # Pi = I - D_N(F) F
     stabilization_base: np.ndarray  # Pi^T S Pi (scaled by chi delta^2 on use)
     filter_lu: LuFactorization  # factors of M + delta^2 S
 
@@ -51,7 +49,7 @@ class FilterContext:
 def build_filter_context(
     operators: AssembledOperators, delta: float, deconv_order: int
 ) -> FilterContext:
-    """Assemble and cache F, Pi, and Pi^T S Pi."""
+    """Factor M + delta^2 S and cache Pi^T S Pi, Pi = I - D_N(F) F."""
     if delta < 0:
         raise ValueError(f"filter radius must be nonnegative, got {delta}")
     if deconv_order < 0:
@@ -74,8 +72,6 @@ def build_filter_context(
         delta=float(delta),
         deconv_order=int(deconv_order),
         operators=operators,
-        filter_matrix=f,
-        fluctuation_matrix=pi,
         stabilization_base=pi.T @ s @ pi,
         filter_lu=lu,
     )
@@ -92,7 +88,7 @@ def deconvolve(ctx: FilterContext, ubar: FeFunction) -> FeFunction:
     """Van Cittert deconvolution D_N ubar, built iteratively.
 
     Accumulates sum_{n=0..N} (I - G)^n ubar by repeated filtering, so it
-    shares no code path with the cached fluctuation matrix.
+    shares no code path with the cached stabilization base.
     """
     _require_ctx_mesh(ctx, ubar)
     acc = ubar.coefficients.copy()

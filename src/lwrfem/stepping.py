@@ -24,6 +24,11 @@ since step 1's unknown rhohat^n equals I[rho^n].  The energy functional
 E and the curvature functional Z below are the quantities that make the
 filtered scheme's dissipation balance explicit.
 
+Both schemes march in one loop, ``run_time_filtered``.  A ``Stepper``
+holds what a run keeps constant (the operators, the stabilization, the
+linear part M/dt + v_f C + stab, the constrained rows); ``be_step`` adds
+the per-step work: the right-hand side, the boundary values and Newton.
+
 Dirichlet data is enforced by row replacement: constrained residual rows
 become rho_i - g(x_i, t^n) and the matching Jacobian rows become identity
 rows, so the same dense solve serves both boundary kinds.  Forcing is
@@ -37,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from .filtering import FilterContext, build_filter_context, stabilization_matrix
+from .filtering import build_filter_context, stabilization_matrix
 from .mesh import FeFunction, Mesh1D, MeshMismatchError, l2_project, require_same_mesh
 from .linalg import lu_solve
 from .operators import (
@@ -52,8 +57,6 @@ from .scenarios import LEFT, Scenario
 
 class NoConvergenceError(RuntimeError):
     """Newton iteration failed to reach its tolerance."""
-
-    step_index: int | None = None  # set by the marching loop
 
 
 @dataclass(frozen=True)
@@ -107,7 +110,7 @@ class TimeGrid:
         return cls(dt=dt, n_steps=n, t_final=n * dt)
 
 
-@dataclass
+@dataclass(frozen=True)
 class StepDiagnostics:
     """Per-step record: norms, energies, and solver effort."""
 
@@ -163,35 +166,53 @@ def newton_solve(
     return x, iters, r0
 
 
+@dataclass(frozen=True, eq=False)
+class Stepper:
+    """Everything constant over one run: built once, read by every step."""
+
+    scenario: Scenario
+    operators: AssembledOperators
+    stab: np.ndarray  # chi delta^2 Pi^T S Pi
+    linear_part: np.ndarray  # M/dt + v_f C + stab
+    constrained: tuple[tuple[int, str], ...]  # Dirichlet (row, end) pairs
+    nonlinear_coeff: float  # 2 v_f / rho_m
+    dt: float
+    newton_tol: float
+    newton_max_iter: int
+
+    @classmethod
+    def build(
+        cls, scenario: Scenario, params: ModelParams, dt: float, mesh: Mesh1D,
+        newton_tol: float = NEWTON_TOL, newton_max_iter: int = NEWTON_MAX_ITER,
+    ) -> "Stepper":
+        ops = assemble(mesh)
+        ctx = build_filter_context(ops, params.delta, params.deconv_order)
+        stab = stabilization_matrix(ctx, params.chi)
+        ends = scenario.constrained_ends() if mesh.boundary_kind == "dirichlet" else ()
+        return cls(
+            scenario=scenario, operators=ops, stab=stab,
+            linear_part=ops.mass / dt + params.v_f * ops.convection + stab,
+            constrained=tuple((0 if e == LEFT else mesh.n_dofs - 1, e) for e in ends),
+            nonlinear_coeff=2.0 * params.v_f / params.rho_m, dt=dt,
+            newton_tol=newton_tol, newton_max_iter=newton_max_iter,
+        )
+
+
 def be_step(
-    rho_prev: FeFunction,
-    t_next: float,
-    dt: float,
-    params: ModelParams,
-    operators: AssembledOperators,
-    filter_ctx: FilterContext,
-    scenario: Scenario,
-    newton_tol: float = NEWTON_TOL,
-    newton_max_iter: int = NEWTON_MAX_ITER,
-) -> tuple[FeFunction, StepDiagnostics]:
-    """One implicit step of the stabilized scheme from rho_prev to t_next."""
-    mesh = operators.mesh
+    stepper: Stepper, rho_prev: FeFunction, t_next: float
+) -> tuple[FeFunction, int, float]:
+    """One implicit step from rho_prev to t_next.
+
+    Returns the new state, its Newton iterations and ||residual(rho_prev)||.
+    """
+    mesh, scenario = stepper.operators.mesh, stepper.scenario
     if rho_prev.mesh is not mesh:
         raise MeshMismatchError("state does not live on the assembled mesh")
-    m = operators.mass
-    stab = stabilization_matrix(filter_ctx, params.chi)
-    nonlinear_coeff = 2.0 * params.v_f / params.rho_m
-
-    linear_part = m / dt + params.v_f * operators.convection + stab
-    rhs = (m @ rho_prev.coefficients) / dt
+    linear_part, nonlinear_coeff = stepper.linear_part, stepper.nonlinear_coeff
+    rhs = (stepper.operators.mass @ rho_prev.coefficients) / stepper.dt
     if scenario.forcing is not None:
         rhs = rhs + forcing_vector(scenario.forcing, t_next, mesh)
-
-    ends = scenario.constrained_ends() if mesh.boundary_kind == "dirichlet" else ()
-    bcs = [
-        (0 if end == LEFT else mesh.n_dofs - 1, scenario.boundary_data(end, t_next))
-        for end in ends
-    ]
+    bcs = [(i, scenario.boundary_data(end, t_next)) for i, end in stepper.constrained]
 
     def residual(x: np.ndarray) -> np.ndarray:
         r = linear_part @ x - nonlinear_coeff * b_residual(FeFunction(mesh, x)) - rhs
@@ -206,27 +227,9 @@ def be_step(
             jac[i, i] = 1.0
         return jac
 
-    try:
-        coeffs, iters, r0 = newton_solve(
-            residual, jacobian, rho_prev.coefficients, newton_tol, newton_max_iter
-        )
-    except NoConvergenceError as err:
-        raise NoConvergenceError(
-            f"backward Euler step to t = {t_next:.6g} failed: {err}"
-        ) from err
-
-    rho_next = FeFunction(mesh, coeffs)
-    diag = StepDiagnostics(
-        n=-1,
-        t=t_next,
-        l2_norm=mass_norm(rho_next, operators),
-        energy_e=energy_e(rho_next, rho_prev, operators),
-        zeta_z=0.0,
-        newton_iters=iters,
-        stab_dissipation=float(coeffs @ (stab @ coeffs)),
-        residual_scale=max(1.0, r0),
-    )
-    return rho_next, diag
+    coeffs, iters, r0 = newton_solve(residual, jacobian, rho_prev.coefficients,
+                                     stepper.newton_tol, stepper.newton_max_iter)
+    return FeFunction(mesh, coeffs), iters, r0
 
 
 def time_filter_step(
@@ -234,9 +237,7 @@ def time_filter_step(
 ) -> FeFunction:
     """Post-step correction rhohat - (gamma/2)(rhohat - 2 rho_n1 + rho_n2)."""
     mesh = require_same_mesh(rho_hat, rho_n1, rho_n2)
-    second_diff = (
-        rho_hat.coefficients - 2.0 * rho_n1.coefficients + rho_n2.coefficients
-    )
+    second_diff = rho_hat.coefficients - 2.0 * rho_n1.coefficients + rho_n2.coefficients
     return FeFunction(mesh, rho_hat.coefficients - 0.5 * gamma * second_diff)
 
 
@@ -295,79 +296,48 @@ class Trajectory(list):
     method iterates at t^n and error reporting may sample either.
     """
 
-    def __init__(self, *args):
-        super().__init__(*args)
+    def __init__(self):
+        super().__init__()
         self.intermediates: list[tuple[FeFunction, float]] = []
 
 
-def _initial_record(
-    rho0: FeFunction,
-    params: ModelParams,
-    operators: AssembledOperators,
-    filter_ctx: FilterContext,
-) -> tuple[FeFunction, StepDiagnostics]:
-    stab = stabilization_matrix(filter_ctx, params.chi)
-    c = rho0.coefficients
-    return rho0, StepDiagnostics(
-        n=0,
-        t=0.0,
-        l2_norm=mass_norm(rho0, operators),
-        energy_e=energy_e(rho0, rho0, operators),
-        zeta_z=0.0,
-        newton_iters=0,
-        stab_dissipation=float(c @ (stab @ c)),
-    )
-
-
 def run_time_filtered(
-    scenario: Scenario,
-    params: ModelParams,
-    grid: TimeGrid,
-    mesh: Mesh1D,
-    newton_tol: float = NEWTON_TOL,
-    newton_max_iter: int = NEWTON_MAX_ITER,
-    operators: AssembledOperators | None = None,
-    filter_ctx: FilterContext | None = None,
+    scenario: Scenario, params: ModelParams, grid: TimeGrid, mesh: Mesh1D,
+    newton_tol: float = NEWTON_TOL, newton_max_iter: int = NEWTON_MAX_ITER,
 ) -> Trajectory:
     """Backward Euler plus time filter; startup step is plain backward Euler.
 
     The filter is a post-step correction that vanishes at gamma = 0, so
-    this one loop also marches plain backward Euler.
+    this one loop also marches plain backward Euler.  Level 0 is the
+    projected initial condition, recorded like a step that took no
+    Newton iterations.
     """
-    ops = operators if operators is not None else assemble(mesh)
-    ctx = (
-        filter_ctx
-        if filter_ctx is not None
-        else build_filter_context(ops, params.delta, params.deconv_order)
-    )
-    rho = l2_project(scenario.initial_condition, mesh)
-    trajectory = Trajectory([_initial_record(rho, params, ops, ctx)])
-    prev = rho
-    prev2: FeFunction | None = None
-    for n in range(1, grid.n_steps + 1):
+    stepper = Stepper.build(scenario, params, grid.dt, mesh, newton_tol, newton_max_iter)
+    ops = stepper.operators
+    rho0 = l2_project(scenario.initial_condition, mesh)
+    trajectory = Trajectory()
+    for n in range(grid.n_steps + 1):
+        t = n * grid.dt
+        prev = trajectory[-1][0] if n else rho0
+        prev2 = trajectory[-2][0] if n >= 2 else None
         try:
-            rho_hat, diag = be_step(
-                prev, n * grid.dt, grid.dt, params, ops, ctx, scenario,
-                newton_tol, newton_max_iter,
-            )
+            rho_hat, iters, r0 = be_step(stepper, prev, t) if n else (rho0, 0, 0.0)
         except NoConvergenceError as err:
-            err.step_index = n
-            raise
-        if n == 1 or params.gamma == 0.0:
-            rho_new = rho_hat
-        else:
-            rho_new = time_filter_step(rho_hat, prev, prev2, params.gamma)
-            trajectory.intermediates.append((rho_hat, n * grid.dt))
-            # Diagnostics describe the accepted state; the dissipation of
-            # the step is the one exerted on rhohat = I[rho^n] in step 1.
-            diag.l2_norm = mass_norm(rho_new, ops)
-            diag.energy_e = energy_e(rho_new, prev, ops)
-        diag.n = n
-        if prev2 is not None:
-            diag.zeta_z = energy_z(rho_new, prev, prev2, ops)
-        trajectory.append((rho_new, diag))
-        prev2 = prev
-        prev = rho_new
+            raise NoConvergenceError(f"step {n} to t = {t:.6g} failed: {err}") from err
+        rho = rho_hat
+        if prev2 is not None and params.gamma != 0.0:
+            rho = time_filter_step(rho_hat, prev, prev2, params.gamma)
+            trajectory.intermediates.append((rho_hat, t))
+        # Diagnostics describe the accepted state; the dissipation of the
+        # step is the one exerted on rhohat = I[rho^n] in step 1.
+        c = rho_hat.coefficients
+        diag = StepDiagnostics(
+            n=n, t=t, l2_norm=mass_norm(rho, ops), energy_e=energy_e(rho, prev, ops),
+            zeta_z=0.0 if prev2 is None else energy_z(rho, prev, prev2, ops),
+            newton_iters=iters, stab_dissipation=float(c @ (stepper.stab @ c)),
+            residual_scale=max(1.0, r0),
+        )
+        trajectory.append((rho, diag))
     return trajectory
 
 

@@ -53,9 +53,7 @@ def time_ladders():
     """Errors/rates over dt for chi in {0, 1} and gamma in {0, 2/3}."""
     scenario = manufactured()
     mesh = build_mesh(0.0, 1.0, 100, 2, DIRICHLET)
-    ops = assemble(mesh)
     delta = 0.1 * np.sqrt(mesh.h)
-    ctx = build_filter_context(ops, delta, deconv_order=1)
     results = {}
     elapsed = {}
     for chi in (0.0, 1.0):
@@ -68,9 +66,7 @@ def time_ladders():
             max_iters = 0
             for n_steps in TIME_LADDER:
                 grid = TimeGrid.of_steps(1.0 / n_steps, n_steps)
-                trajectory = run_time_filtered(
-                    scenario, params, grid, mesh, operators=ops, filter_ctx=ctx
-                )
+                trajectory = run_time_filtered(scenario, params, grid, mesh)
                 errors.append(run_error_inf(trajectory, scenario.exact_solution))
                 max_iters = max(
                     max_iters, max(d.newton_iters for _, d in trajectory)
@@ -208,7 +204,6 @@ def test_criterion_04_unfiltered_energy_stability():
     for run in range(50):
         degree = 1 if run % 2 == 0 else 2
         mesh = build_mesh(0.0, 1.0, 32, degree, PERIODIC)
-        ops = assemble(mesh)
         params = ModelParams(
             chi=chis[run % 3],
             delta=np.sqrt(mesh.h),
@@ -219,9 +214,7 @@ def test_criterion_04_unfiltered_energy_stability():
             scenario, initial_condition=_random_fourier_series(rng)
         )
         grid = TimeGrid.of_steps(1e-3, 100)
-        trajectory = run_backward_euler(
-            case, params, grid, mesh, newton_tol=1e-12, operators=ops
-        )
+        trajectory = run_backward_euler(case, params, grid, mesh, newton_tol=1e-12)
         norms = np.array([d.l2_norm for _, d in trajectory])
         monotone_ok &= bool(np.all(norms[1:] <= norms[:-1] * (1.0 + 1e-10)))
         dissipated = 2.0 * grid.dt * sum(d.stab_dissipation for _, d in trajectory[1:])
@@ -242,7 +235,6 @@ def test_criterion_05_filtered_energy_stability():
     for run in range(50):
         degree = 2 if run % 2 == 0 else 1
         mesh = build_mesh(0.0, 1.0, 32, degree, PERIODIC)
-        ops = assemble(mesh)
         params = ModelParams(
             chi=chis[run % 3],
             delta=np.sqrt(mesh.h),
@@ -253,9 +245,7 @@ def test_criterion_05_filtered_energy_stability():
             scenario, initial_condition=_random_fourier_series(rng)
         )
         grid = TimeGrid.of_steps(1e-3, 100)
-        trajectory = run_time_filtered(
-            case, params, grid, mesh, newton_tol=1e-12, operators=ops
-        )
+        trajectory = run_time_filtered(case, params, grid, mesh, newton_tol=1e-12)
         norms = [d.l2_norm for _, d in trajectory]
         bounded_ok &= max(norms) <= 10.0 * (norms[0] + norms[1])
         energies = [d.energy_e for _, d in trajectory[1:]]
@@ -320,10 +310,7 @@ def test_criterion_07_one_step_two_step_equivalence():
     )
     newton_tol = 1e-10
     grid = TimeGrid.of_steps(0.02, 50)
-    trajectory = run_time_filtered(
-        scenario, params, grid, mesh, newton_tol=newton_tol,
-        operators=ops, filter_ctx=ctx,
-    )
+    trajectory = run_time_filtered(scenario, params, grid, mesh, newton_tol=newton_tol)
     stab = stabilization_matrix(ctx, params.chi)
     worst = 0.0
     for n in range(2, grid.n_steps + 1):
@@ -353,14 +340,13 @@ SHOCK_OVERSHOOT_FACTOR = 0.85
 def test_criterion_08_shock_damping():
     scenario = shock()
     mesh = build_mesh(0.0, 1.0, 128, 1, DIRICHLET)
-    ops = assemble(mesh)
     grid = TimeGrid.of_steps(1e-4, 10000)
     metrics = {}
     for chi in (0.0, 1.0):
         params = ModelParams(
             chi=chi, delta=np.sqrt(mesh.h), deconv_order=0, gamma=0.0
         )
-        trajectory = run_time_filtered(scenario, params, grid, mesh, operators=ops)
+        trajectory = run_time_filtered(scenario, params, grid, mesh)
         final = trajectory[-1][0]
         metrics[chi] = (total_variation(final), overshoot(final, 1.0 / 3.0))
     tv0, ov0 = metrics[0.0]
@@ -382,14 +368,13 @@ def test_criterion_08_shock_damping():
 def test_criterion_09_rarefaction_accuracy_ordering():
     scenario = rarefaction()
     mesh = build_mesh(0.0, 1.0, 128, 1, DIRICHLET)
-    ops = assemble(mesh)
     grid = TimeGrid.of_steps(1e-4, 10000)
     errors = {}
     for chi, order in [(1.0, 0), (1.0, 1), (0.0, 0)]:
         params = ModelParams(
             chi=chi, delta=np.sqrt(mesh.h), deconv_order=order, gamma=0.0
         )
-        trajectory = run_time_filtered(scenario, params, grid, mesh, operators=ops)
+        trajectory = run_time_filtered(scenario, params, grid, mesh)
         state, diag = trajectory[-1]
         errors[(chi, order)] = l2_error(state, scenario.exact_solution, diag.t)
     checks = {

@@ -272,14 +272,37 @@ class TestMain:
             ["conv-time", "--dt_max", "-0.1"],
             ["run", "--t_final", "0.00015", "--dt", "1e-4"],
             ["study", "--study_times", "0.00015", "--dt", "1e-4"],
+            ["conv-time", "--time_levels", "0", "--scenario", "manufactured"],
+            ["conv-space", "--space_levels", "-1", "--scenario", "manufactured"],
+            ["study", "--chi_list", ""],
         ],
     )
     def test_domain_errors_exit_2(self, tmp_path, capsys, argv):
-        code = main([*argv, "--scenario", "shock", "--output_dir", str(tmp_path)])
+        # the scenario defaults to shock; a later --scenario in argv wins
+        command, *flags = argv
+        code = main(
+            [command, "--scenario", "shock", *flags, "--output_dir", str(tmp_path)]
+        )
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("configuration error") and err.count("\n") == 1
         assert not list(tmp_path.iterdir())  # nothing ran
+
+    def test_failed_run_exits_1_with_one_line(self, tmp_path, capsys):
+        code = main(
+            [
+                "run",
+                "--scenario", "shock",
+                "--newton_max_iter", "0",
+                "--t_final", "0.001",
+                "--output_dir", str(tmp_path),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("run failed: step 1 to t = 0.0001 failed: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == "" and not list(tmp_path.iterdir())
 
     def test_successful_run_exit_code(self, tmp_path, capsys):
         code = main(

@@ -24,14 +24,20 @@ def setup():
 
 
 class TestFilterMatrix:
-    def test_defining_equation(self, setup):
+    def test_defining_equation(self, setup, rng):
+        # apply_filter solves (M + delta^2 S) ubar = M u
         mesh, ops, ctx = setup
-        lhs = (ops.mass + ctx.delta**2 * ops.stiffness) @ ctx.filter_matrix
-        assert np.abs(lhs - ops.mass).max() <= 1e-10 * np.abs(ops.mass).max()
+        for _ in range(10):
+            u = random_fe(mesh, rng)
+            ubar = apply_filter(ctx, u).coefficients
+            lhs = (ops.mass + ctx.delta**2 * ops.stiffness) @ ubar
+            rhs = ops.mass @ u.coefficients
+            assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(rhs).max()
 
     def test_fluctuation_kills_constants(self, setup):
         mesh, ops, ctx = setup
-        assert np.abs(ctx.fluctuation_matrix @ np.ones(mesh.n_dofs)).max() < 1e-12
+        base = ctx.stabilization_base
+        assert np.abs(base @ np.ones(mesh.n_dofs)).max() < 1e-12 * np.abs(base).max()
 
     def test_stabilization_base_symmetric_psd(self, setup, rng):
         mesh, ops, ctx = setup
@@ -115,12 +121,18 @@ class TestFluctuation:
         assert np.abs(fluctuation(ctx0, u).coefficients).max() < 1e-10
 
     def test_matrix_and_operator_paths_agree(self, setup, rng):
+        # u^T (Pi^T S Pi) v against the iterative fluctuation oracle
         mesh, ops, ctx = setup
         for _ in range(10):
-            u = random_fe(mesh, rng)
-            via_ops = fluctuation(ctx, u).coefficients
-            via_matrix = ctx.fluctuation_matrix @ u.coefficients
-            assert np.abs(via_ops - via_matrix).max() < 1e-11
+            u, v = random_fe(mesh, rng), random_fe(mesh, rng)
+            u_star, v_star = fluctuation(ctx, u), fluctuation(ctx, v)
+            via_ops = u_star.coefficients @ (ops.stiffness @ v_star.coefficients)
+            via_matrix = u.coefficients @ (ctx.stabilization_base @ v.coefficients)
+            scale = np.sqrt(
+                u_star.coefficients @ (ops.stiffness @ u_star.coefficients)
+                * (v_star.coefficients @ (ops.stiffness @ v_star.coefficients))
+            )
+            assert abs(via_matrix - via_ops) <= 1e-11 * scale
 
     def test_linearity(self, setup, rng):
         mesh, ops, ctx = setup

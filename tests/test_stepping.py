@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from lwrfem.analysis import l2_error, triple_norm_inf
-from lwrfem.filtering import build_filter_context
+from lwrfem.filtering import build_filter_context, stabilization_matrix
 from lwrfem.linalg import SingularMatrixError
 from lwrfem.mesh import DIRICHLET, PERIODIC, FeFunction, MeshMismatchError, build_mesh
-from lwrfem.operators import assemble
+from lwrfem.operators import assemble, b_residual, forcing_vector
 from lwrfem.scenarios import manufactured
 from lwrfem.stepping import (
     ModelParams,
     NoConvergenceError,
+    Stepper,
     TimeGrid,
     be_step,
     diff_op,
@@ -198,24 +199,57 @@ class TestEnergies:
 
 class TestBeStep:
     def test_constants_are_steady_states(self, periodic_setup):
-        mesh, ops = periodic_setup
+        mesh, _ = periodic_setup
         params = ModelParams(chi=0.7, delta=np.sqrt(mesh.h), deconv_order=1)
-        ctx = build_filter_context(ops, params.delta, params.deconv_order)
+        stepper = Stepper.build(unforced(manufactured()), params, 0.05, mesh)
         state = FeFunction(mesh, np.full(mesh.n_dofs, 0.42))
-        scenario = unforced(manufactured())
-        out, diag = be_step(state, 0.05, 0.05, params, ops, ctx, scenario)
+        out, iters, _ = be_step(stepper, state, 0.05)
         assert np.abs(out.coefficients - 0.42).max() < 1e-12
-        assert diag.newton_iters == 0
+        assert iters == 0
 
     def test_mass_norm_monotone_periodic_unforced(self, periodic_setup, rng):
         mesh, ops = periodic_setup
         params = ModelParams(chi=0.5, delta=np.sqrt(mesh.h), deconv_order=1)
-        ctx = build_filter_context(ops, params.delta, params.deconv_order)
-        scenario = unforced(manufactured())
+        stepper = Stepper.build(unforced(manufactured()), params, 0.01, mesh)
         for _ in range(10):
             state = smooth_periodic(mesh, rng)
-            out, _ = be_step(state, 0.01, 0.01, params, ops, ctx, scenario)
+            out, _, _ = be_step(stepper, state, 0.01)
             assert mass_norm(out, ops) <= mass_norm(state, ops) * (1 + 1e-12)
+
+    def test_state_on_another_mesh_rejected(self, periodic_setup, rng):
+        mesh, _ = periodic_setup
+        stepper = Stepper.build(unforced(manufactured()), ModelParams(), 0.01, mesh)
+        other = build_mesh(0.0, 1.0, 32, 1, PERIODIC)
+        with pytest.raises(MeshMismatchError):
+            be_step(stepper, smooth_periodic(other, rng), 0.01)
+
+    def test_stepper_holds_the_run_constants(self):
+        mesh = build_mesh(0.0, 1.0, 12, 2, DIRICHLET)
+        params = ModelParams(v_f=2.0, rho_m=4.0, chi=0.5, delta=0.2, deconv_order=1)
+        stepper = Stepper.build(manufactured(), params, 0.1, mesh)
+        ops = stepper.operators
+        ctx = build_filter_context(ops, params.delta, params.deconv_order)
+        stab = stabilization_matrix(ctx, params.chi)
+        assert np.array_equal(stepper.stab, stab)
+        assert np.array_equal(
+            stepper.linear_part, ops.mass / 0.1 + params.v_f * ops.convection + stab
+        )
+        assert stepper.nonlinear_coeff == 1.0
+        both_ends = dataclasses.replace(
+            manufactured(), left_constrained=True, right_constrained=True
+        )
+        rows = Stepper.build(both_ends, params, 0.1, mesh).constrained
+        assert rows == ((0, "left"), (mesh.n_dofs - 1, "right"))
+        periodic = build_mesh(0.0, 1.0, 12, 2, PERIODIC)
+        assert Stepper.build(both_ends, params, 0.1, periodic).constrained == ()
+
+    def test_newton_failure_names_step_and_time(self):
+        mesh = build_mesh(0.0, 1.0, 10, 1, DIRICHLET)
+        params = ModelParams(delta=0.1 * np.sqrt(mesh.h))
+        with pytest.raises(NoConvergenceError, match=r"^step 1 to t = 0\.05 failed: no "):
+            run_backward_euler(
+                manufactured(), params, TimeGrid.of_steps(0.05, 3), mesh, newton_max_iter=0
+            )
 
     def test_time_error_scales_first_order(self):
         # fixed final time, halved step: global error ratio near 2
@@ -327,13 +361,7 @@ class TestRunAlgorithm2:
         ctx = build_filter_context(ops, params.delta, params.deconv_order)
         grid = TimeGrid.of_steps(0.02, 25)
         newton_tol = 1e-10
-        trajectory = run_time_filtered(
-            scenario, params, grid, mesh, newton_tol=newton_tol,
-            operators=ops, filter_ctx=ctx,
-        )
-        from lwrfem.filtering import stabilization_matrix
-        from lwrfem.operators import b_residual, forcing_vector
-
+        trajectory = run_time_filtered(scenario, params, grid, mesh, newton_tol=newton_tol)
         stab = stabilization_matrix(ctx, params.chi)
         for n in range(2, grid.n_steps + 1):
             state_n = trajectory[n][0]
@@ -354,7 +382,6 @@ class TestRunAlgorithm2:
 
     def test_lemma7_boundedness_and_energy_monotonicity(self, rng):
         mesh = build_mesh(0.0, 1.0, 24, 1, PERIODIC)
-        ops = assemble(mesh)
         scenario = dataclasses.replace(
             unforced(manufactured()),
             initial_condition=lambda x: 0.5 * np.sin(2 * np.pi * np.asarray(x)),
@@ -363,7 +390,7 @@ class TestRunAlgorithm2:
             chi=0.5, delta=np.sqrt(mesh.h), deconv_order=0, gamma=2.0 / 3.0
         )
         grid = TimeGrid.of_steps(0.01, 60)
-        trajectory = run_time_filtered(scenario, params, grid, mesh, operators=ops)
+        trajectory = run_time_filtered(scenario, params, grid, mesh)
         norms = [diag.l2_norm for _, diag in trajectory]
         bound = 10.0 * (norms[0] + norms[1])
         assert max(norms) <= bound
