@@ -19,10 +19,7 @@ from .analysis import (
 from .filtering import (
     FilterContext,
     NegativeChiError,
-    apply_filter,
     build_filter_context,
-    deconvolve,
-    fluctuation,
     stabilization_matrix,
 )
 from .linalg import (
@@ -43,7 +40,6 @@ from .mesh import (
     TooFewElementsError,
     build_mesh,
     evaluate,
-    interpolate,
     l2_project,
 )
 from .operators import (
@@ -62,13 +58,10 @@ from .stepping import (
     Stepper,
     TimeGrid,
     be_step,
-    diff_op,
     energy_e,
     energy_z,
-    interp_op,
     mass_norm,
     newton_solve,
-    run_backward_euler,
     run_time_filtered,
     time_filter_step,
 )

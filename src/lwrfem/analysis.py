@@ -9,7 +9,7 @@ max-over-steps of these norms; every recorded step participates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -66,13 +66,11 @@ class TableRow:
 @dataclass(frozen=True)
 class ConvergenceTable:
     rows: tuple[TableRow, ...]
-    metadata: dict = field(default_factory=dict)
 
 
 def convergence_table(
     errors: Sequence[tuple[float, float | None]],
     labels: Sequence[str] | None = None,
-    metadata: dict | None = None,
 ) -> ConvergenceTable:
     """Build (resolution, error, rate) rows with rate = log2(e_prev / e).
 
@@ -96,7 +94,7 @@ def convergence_table(
         if i > 0 and error is not None and values[i - 1] is not None:
             rate = float(np.log2(values[i - 1] / error))
         rows.append(TableRow(label, resolution, error, rate))
-    return ConvergenceTable(rows=tuple(rows), metadata=dict(metadata or {}))
+    return ConvergenceTable(rows=tuple(rows))
 
 
 def total_variation(rho_h: FeFunction) -> float:

@@ -8,12 +8,12 @@ Subcommands:
     study       sweep chi (and optionally deconvolution order / degree),
                 writing density profiles at requested times
 
-Configuration is line-oriented ``key = value`` text with ``#`` comments;
-every key can also be given as a ``--key value`` flag, and flags override
-file values which override the scenario defaults.  All output files are
-CSV with one leading comment line echoing the full effective
-configuration; floats are printed with 17 significant digits so repeated
-runs are bit-identical.
+Configuration is line-oriented ``key = value`` text with ``#`` comments,
+each key at most once per file; every key can also be given as a
+``--key value`` flag, and flags override file values which override the
+scenario defaults.  All output files are CSV with one leading comment
+line echoing the full effective configuration; floats are printed with
+17 significant digits so repeated runs are bit-identical.
 
 Exit codes: 0 success, 1 if the run or any ladder rung or sweep member
 failed, 2 on configuration errors.
@@ -134,6 +134,8 @@ class RunConfig:
             raise ConfigTypeError("dt and dt_max must be positive")
         if not self.newton_tol > 0:
             raise ConfigTypeError("newton_tol must be positive")
+        if self.newton_max_iter < 0:
+            raise ConfigTypeError("newton_max_iter must be nonnegative")
         if min(self.time_levels, self.space_levels) < 1:
             raise ConfigTypeError("time_levels and space_levels must be at least 1")
         if not self.chi_list:
@@ -213,6 +215,10 @@ def read_config_file(path: str | Path) -> dict[str, tuple[str, int]]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in KEY_PARSERS:
             raise UnknownKeyError(f"line {lineno}: unknown key {key!r}")
+        if key in entries:
+            raise ConfigTypeError(
+                f"line {lineno}: key {key!r} repeats line {entries[key][1]}"
+            )
         entries[key] = (value, lineno)
     return entries
 

@@ -222,11 +222,6 @@ def sample_function(g: Callable, x: np.ndarray) -> np.ndarray:
     return flat.reshape(x.shape)
 
 
-def interpolate(g: Callable, mesh: Mesh1D) -> FeFunction:
-    """Nodal Lagrange interpolant of g (evaluated at the DOF nodes)."""
-    return FeFunction(mesh, sample_function(g, mesh.dof_x))
-
-
 def scatter_matrix(mesh: Mesh1D, local: np.ndarray) -> np.ndarray:
     """Sum element blocks local[e, i, j] (or one block for all) into a dense matrix."""
     out = np.zeros((mesh.n_dofs, mesh.n_dofs))

@@ -34,21 +34,12 @@ class Scenario:
     name: str
     initial_condition: Callable
     boundary_data: Callable  # g(end, t) for end in {"left", "right"}
-    left_constrained: bool
-    right_constrained: bool
+    constrained_ends: tuple[str, ...]  # the ends carrying Dirichlet data
     forcing: Callable | None
     exact_solution: Callable | None
     # default settings, keyed by configuration key (the CLI's RunConfig
     # fields); delta follows the rule delta = delta_coeff * h**delta_exp
     defaults: dict
-
-    def constrained_ends(self) -> tuple[str, ...]:
-        ends = []
-        if self.left_constrained:
-            ends.append(LEFT)
-        if self.right_constrained:
-            ends.append(RIGHT)
-        return tuple(ends)
 
 
 def _manufactured_exact(x, t):
@@ -79,8 +70,7 @@ def manufactured() -> Scenario:
         name="manufactured",
         initial_condition=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         boundary_data=_manufactured_boundary,
-        left_constrained=True,
-        right_constrained=True,
+        constrained_ends=(LEFT, RIGHT),
         forcing=_manufactured_forcing,
         exact_solution=_manufactured_exact,
         defaults=dict(
@@ -126,8 +116,7 @@ def rarefaction() -> Scenario:
         name="rarefaction",
         initial_condition=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         boundary_data=_rarefaction_boundary,
-        left_constrained=True,
-        right_constrained=False,
+        constrained_ends=(LEFT,),
         forcing=None,
         exact_solution=_rarefaction_exact,
         defaults=dict(
@@ -172,8 +161,7 @@ def shock() -> Scenario:
         name="shock",
         initial_condition=lambda x: np.full_like(np.asarray(x, dtype=float), one_third),
         boundary_data=_shock_boundary,
-        left_constrained=True,
-        right_constrained=False,
+        constrained_ends=(LEFT,),
         forcing=None,
         exact_solution=_shock_exact,
         defaults=dict(

@@ -20,11 +20,13 @@ one-step scheme in the three-level combinations
     I[u^n] = (3/2) u^n - u^{n-1} + (1/2) u^{n-2}   (interpolation)
     D[u^n] = (3/2) u^n - 2 u^{n-1} + (1/2) u^{n-2} (difference),
 
-since step 1's unknown rhohat^n equals I[rho^n].  The energy functional
-E and the curvature functional Z below are the quantities that make the
-filtered scheme's dissipation balance explicit.
+since step 1's unknown rhohat^n equals I[rho^n].  The solver never forms
+D or I; the test suite builds them to check that equivalence.  The
+energy functional E and the curvature functional Z below are the
+quantities that make the filtered scheme's dissipation balance explicit.
 
-Both schemes march in one loop, ``run_time_filtered``.  A ``Stepper``
+Both schemes march in one loop, ``run_time_filtered``: backward Euler is
+its gamma = 0 case, where the filter correction vanishes.  A ``Stepper``
 holds what a run keeps constant (the operators, the stabilization, the
 linear part M/dt + v_f C + stab, the constrained rows); ``be_step`` adds
 the per-step work: the right-hand side, the boundary values and Newton.
@@ -37,7 +39,7 @@ evaluated implicitly at the new time level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -85,17 +87,12 @@ class TimeGrid:
 
     dt: float
     n_steps: int
-    t_final: float
 
     def __post_init__(self) -> None:
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if abs(self.t_final - self.n_steps * self.dt) > 1e-12 * max(1.0, self.t_final):
-            raise ValueError("t_final must equal n_steps * dt")
-
-    @classmethod
-    def of_steps(cls, dt: float, n_steps: int) -> "TimeGrid":
-        return cls(dt=dt, n_steps=n_steps, t_final=dt * n_steps)
+        if not self.dt > 0:
+            raise ValueError(f"dt must be positive, got {self.dt}")
+        if self.n_steps < 0:
+            raise ValueError(f"n_steps must be nonnegative, got {self.n_steps}")
 
     @classmethod
     def to_final_time(cls, dt: float, t_final: float) -> "TimeGrid":
@@ -107,7 +104,7 @@ class TimeGrid:
             raise ValueError(
                 f"t_final = {t_final:g} is not a whole number of steps of dt = {dt:g}"
             )
-        return cls(dt=dt, n_steps=n, t_final=n * dt)
+        return cls(dt=dt, n_steps=n)
 
 
 @dataclass(frozen=True)
@@ -144,6 +141,8 @@ def newton_solve(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
     x = np.asarray(guess, dtype=float).copy()
     r = residual(x)
     norm = r0 = float(np.linalg.norm(r))
@@ -188,7 +187,7 @@ class Stepper:
         ops = assemble(mesh)
         ctx = build_filter_context(ops, params.delta, params.deconv_order)
         stab = stabilization_matrix(ctx, params.chi)
-        ends = scenario.constrained_ends() if mesh.boundary_kind == "dirichlet" else ()
+        ends = scenario.constrained_ends if mesh.boundary_kind == "dirichlet" else ()
         return cls(
             scenario=scenario, operators=ops, stab=stab,
             linear_part=ops.mass / dt + params.v_f * ops.convection + stab,
@@ -239,24 +238,6 @@ def time_filter_step(
     mesh = require_same_mesh(rho_hat, rho_n1, rho_n2)
     second_diff = rho_hat.coefficients - 2.0 * rho_n1.coefficients + rho_n2.coefficients
     return FeFunction(mesh, rho_hat.coefficients - 0.5 * gamma * second_diff)
-
-
-def diff_op(u_n: FeFunction, u_n1: FeFunction, u_n2: FeFunction) -> FeFunction:
-    """Three-level difference D[u^n] = (3/2)u^n - 2u^{n-1} + (1/2)u^{n-2}."""
-    mesh = require_same_mesh(u_n, u_n1, u_n2)
-    return FeFunction(
-        mesh,
-        1.5 * u_n.coefficients - 2.0 * u_n1.coefficients + 0.5 * u_n2.coefficients,
-    )
-
-
-def interp_op(u_n: FeFunction, u_n1: FeFunction, u_n2: FeFunction) -> FeFunction:
-    """Three-level interpolation I[u^n] = (3/2)u^n - u^{n-1} + (1/2)u^{n-2}."""
-    mesh = require_same_mesh(u_n, u_n1, u_n2)
-    return FeFunction(
-        mesh,
-        1.5 * u_n.coefficients - u_n1.coefficients + 0.5 * u_n2.coefficients,
-    )
 
 
 def mass_norm(u: FeFunction, operators: AssembledOperators) -> float:
@@ -340,12 +321,3 @@ def run_time_filtered(
         trajectory.append((rho, diag))
     return trajectory
 
-
-def run_backward_euler(
-    scenario: Scenario, params: ModelParams, grid: TimeGrid, mesh: Mesh1D,
-    *args, **kwargs,
-) -> Trajectory:
-    """Backward Euler marching: run_time_filtered with the filter off (gamma = 0)."""
-    return run_time_filtered(
-        scenario, replace(params, gamma=0.0), grid, mesh, *args, **kwargs
-    )

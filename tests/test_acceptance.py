@@ -25,15 +25,8 @@ from lwrfem.filtering import build_filter_context, stabilization_matrix
 from lwrfem.mesh import DIRICHLET, PERIODIC, build_mesh
 from lwrfem.operators import assemble, b_form, b_residual, forcing_vector
 from lwrfem.scenarios import manufactured, rarefaction, shock
-from lwrfem.stepping import (
-    ModelParams,
-    TimeGrid,
-    diff_op,
-    interp_op,
-    run_backward_euler,
-    run_time_filtered,
-)
-from conftest import fe_values_on_rule, integrate_elementwise, random_fe
+from lwrfem.stepping import ModelParams, TimeGrid, run_time_filtered
+from conftest import fe_values_on_rule, integrate_elementwise, random_fe, three_level_ops
 
 GAMMA_FILTER = 2.0 / 3.0
 TIME_LADDER = (10, 20, 40, 80, 160)  # steps over T = 1
@@ -65,7 +58,7 @@ def time_ladders():
             errors = []
             max_iters = 0
             for n_steps in TIME_LADDER:
-                grid = TimeGrid.of_steps(1.0 / n_steps, n_steps)
+                grid = TimeGrid(1.0 / n_steps, n_steps)
                 trajectory = run_time_filtered(scenario, params, grid, mesh)
                 errors.append(run_error_inf(trajectory, scenario.exact_solution))
                 max_iters = max(
@@ -84,7 +77,7 @@ def time_ladders():
 def space_ladders():
     """Errors/rates over h at T = 0.02, dt = 5e-6, for chi in {0, 1}."""
     scenario = manufactured()
-    grid = TimeGrid.of_steps(5e-6, 4000)
+    grid = TimeGrid(5e-6, 4000)
     results = {}
     elapsed = {}
     for chi in (0.0, 1.0):
@@ -96,7 +89,7 @@ def space_ladders():
             params = ModelParams(
                 chi=chi, delta=0.1 * np.sqrt(mesh.h), deconv_order=1, gamma=0.0
             )
-            trajectory = run_backward_euler(scenario, params, grid, mesh)
+            trajectory = run_time_filtered(scenario, params, grid, mesh)
             errors.append(run_error_inf(trajectory, scenario.exact_solution))
             max_iters = max(max_iters, max(d.newton_iters for _, d in trajectory))
         results[chi] = {
@@ -213,8 +206,8 @@ def test_criterion_04_unfiltered_energy_stability():
         case = dataclasses.replace(
             scenario, initial_condition=_random_fourier_series(rng)
         )
-        grid = TimeGrid.of_steps(1e-3, 100)
-        trajectory = run_backward_euler(case, params, grid, mesh, newton_tol=1e-12)
+        grid = TimeGrid(1e-3, 100)
+        trajectory = run_time_filtered(case, params, grid, mesh, newton_tol=1e-12)
         norms = np.array([d.l2_norm for _, d in trajectory])
         monotone_ok &= bool(np.all(norms[1:] <= norms[:-1] * (1.0 + 1e-10)))
         dissipated = 2.0 * grid.dt * sum(d.stab_dissipation for _, d in trajectory[1:])
@@ -244,7 +237,7 @@ def test_criterion_05_filtered_energy_stability():
         case = dataclasses.replace(
             scenario, initial_condition=_random_fourier_series(rng)
         )
-        grid = TimeGrid.of_steps(1e-3, 100)
+        grid = TimeGrid(1e-3, 100)
         trajectory = run_time_filtered(case, params, grid, mesh, newton_tol=1e-12)
         norms = [d.l2_norm for _, d in trajectory]
         bounded_ok &= max(norms) <= 10.0 * (norms[0] + norms[1])
@@ -309,13 +302,12 @@ def test_criterion_07_one_step_two_step_equivalence():
         chi=1.0, delta=delta, deconv_order=1, gamma=GAMMA_FILTER
     )
     newton_tol = 1e-10
-    grid = TimeGrid.of_steps(0.02, 50)
+    grid = TimeGrid(0.02, 50)
     trajectory = run_time_filtered(scenario, params, grid, mesh, newton_tol=newton_tol)
     stab = stabilization_matrix(ctx, params.chi)
     worst = 0.0
     for n in range(2, grid.n_steps + 1):
-        d = diff_op(trajectory[n][0], trajectory[n - 1][0], trajectory[n - 2][0])
-        i = interp_op(trajectory[n][0], trajectory[n - 1][0], trajectory[n - 2][0])
+        d, i = three_level_ops(trajectory[n][0], trajectory[n - 1][0], trajectory[n - 2][0])
         residual = (
             (ops.mass @ d.coefficients) / grid.dt
             + params.v_f * (ops.convection @ i.coefficients)
@@ -340,7 +332,7 @@ SHOCK_OVERSHOOT_FACTOR = 0.85
 def test_criterion_08_shock_damping():
     scenario = shock()
     mesh = build_mesh(0.0, 1.0, 128, 1, DIRICHLET)
-    grid = TimeGrid.of_steps(1e-4, 10000)
+    grid = TimeGrid(1e-4, 10000)
     metrics = {}
     for chi in (0.0, 1.0):
         params = ModelParams(
@@ -368,7 +360,7 @@ def test_criterion_08_shock_damping():
 def test_criterion_09_rarefaction_accuracy_ordering():
     scenario = rarefaction()
     mesh = build_mesh(0.0, 1.0, 128, 1, DIRICHLET)
-    grid = TimeGrid.of_steps(1e-4, 10000)
+    grid = TimeGrid(1e-4, 10000)
     errors = {}
     for chi, order in [(1.0, 0), (1.0, 1), (0.0, 0)]:
         params = ModelParams(

@@ -52,6 +52,12 @@ class TestParseConfig:
         with pytest.raises(UnknownKeyError, match="dleta_coeff"):
             parse_config(config, {})
 
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("scenario = shock\nchi = 0\n# comment\nchi = 1\n")
+        with pytest.raises(ConfigTypeError, match="line 4: key 'chi' repeats line 2"):
+            parse_config(config, {})
+
     def test_type_error_names_key_and_line(self, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("scenario = shock\n\nchi = banana\n")
@@ -275,6 +281,7 @@ class TestMain:
             ["conv-time", "--time_levels", "0", "--scenario", "manufactured"],
             ["conv-space", "--space_levels", "-1", "--scenario", "manufactured"],
             ["study", "--chi_list", ""],
+            ["run", "--newton_max_iter", "-1", "--t_final", "0.001"],
         ],
     )
     def test_domain_errors_exit_2(self, tmp_path, capsys, argv):
@@ -318,6 +325,20 @@ class TestMain:
         assert code == 0
         out = capsys.readouterr().out
         assert "profile.csv" in out and "diagnostics.csv" in out
+
+    def test_algorithm_1_is_backward_euler_whatever_gamma(self, tmp_path):
+        def rows(*flags):
+            out = tmp_path / "".join(flags)
+            argv = ["run", "--scenario", "manufactured", "--t_final", "0.1",
+                    *flags, "--output_dir", str(out)]
+            assert main(argv) == 0
+            # below the header, which echoes algorithm and gamma
+            return [(out / name).read_text().splitlines()[1:]
+                    for name in ("profile.csv", "diagnostics.csv")]
+
+        backward_euler = rows("--algorithm", "2", "--gamma", "0")
+        assert rows("--algorithm", "1", "--gamma", "0.5") == backward_euler
+        assert rows("--algorithm", "2", "--gamma", "0.5") != backward_euler
 
     def test_periodic_mesh_run(self, tmp_path):
         # periodic boundaries bypass the constrained rows entirely

@@ -1,18 +1,11 @@
 import numpy as np
 import pytest
 
-from lwrfem.filtering import (
-    NegativeChiError,
-    apply_filter,
-    build_filter_context,
-    deconvolve,
-    fluctuation,
-    stabilization_matrix,
-)
+from lwrfem.filtering import NegativeChiError, build_filter_context, stabilization_matrix
 from lwrfem.mesh import PERIODIC, FeFunction, build_mesh, l2_project
 from lwrfem.operators import assemble
 from lwrfem.stepping import mass_norm
-from conftest import fe_values_on_rule, integrate_elementwise, random_fe
+from conftest import FilterOracle, fe_values_on_rule, integrate_elementwise, random_fe
 
 
 @pytest.fixture(scope="module")
@@ -23,13 +16,19 @@ def setup():
     return mesh, ops, ctx
 
 
+@pytest.fixture(scope="module")
+def oracle(setup):
+    _, ops, ctx = setup
+    return FilterOracle(ops, ctx.delta, deconv_order=1)
+
+
 class TestFilterMatrix:
-    def test_defining_equation(self, setup, rng):
-        # apply_filter solves (M + delta^2 S) ubar = M u
+    def test_defining_equation(self, setup, oracle, rng):
+        # the oracle's filter solves (M + delta^2 S) ubar = M u
         mesh, ops, ctx = setup
         for _ in range(10):
             u = random_fe(mesh, rng)
-            ubar = apply_filter(ctx, u).coefficients
+            ubar = oracle.filter(u).coefficients
             lhs = (ops.mass + ctx.delta**2 * ops.stiffness) @ ubar
             rhs = ops.mass @ u.coefficients
             assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(rhs).max()
@@ -56,76 +55,76 @@ class TestFilterMatrix:
 
 
 class TestApplyFilter:
-    def test_preserves_constants_periodic(self, setup):
-        mesh, ops, ctx = setup
+    def test_preserves_constants_periodic(self, setup, oracle):
+        mesh, _, _ = setup
         c = FeFunction(mesh, np.full(mesh.n_dofs, 3.2))
-        assert np.abs(apply_filter(ctx, c).coefficients - 3.2).max() < 1e-12
+        assert np.abs(oracle.filter(c).coefficients - 3.2).max() < 1e-12
 
     def test_zero_radius_is_identity(self, setup, rng):
         mesh, ops, _ = setup
-        ctx0 = build_filter_context(ops, delta=0.0, deconv_order=1)
+        oracle0 = FilterOracle(ops, delta=0.0, deconv_order=1)
         u = random_fe(mesh, rng)
-        assert np.abs(apply_filter(ctx0, u).coefficients - u.coefficients).max() < 1e-11
+        assert np.abs(oracle0.filter(u).coefficients - u.coefficients).max() < 1e-11
 
     def test_sine_mode_attenuation_matches_symbol(self):
         # dense-solve path against the continuous transfer factor 1/(1 + delta^2 (2 pi)^2)
         mesh = build_mesh(0.0, 1.0, 64, 1, PERIODIC)
         ops = assemble(mesh)
-        ctx = build_filter_context(ops, delta=0.1, deconv_order=0)
+        oracle = FilterOracle(ops, delta=0.1, deconv_order=0)
         u = l2_project(lambda x: np.sin(2 * np.pi * x), mesh)
-        ubar = apply_filter(ctx, u)
+        ubar = oracle.filter(u)
         assert mass_norm(ubar, ops) < mass_norm(u, ops)
-        symbol = 1.0 / (1.0 + ctx.delta**2 * (2 * np.pi) ** 2)
+        symbol = 1.0 / (1.0 + oracle.delta**2 * (2 * np.pi) ** 2)
         diff = FeFunction(mesh, ubar.coefficients - symbol * u.coefficients)
         assert mass_norm(diff, ops) <= 0.01 * mass_norm(u, ops)
 
-    def test_contractive_in_mass_norm(self, setup, rng):
-        mesh, ops, ctx = setup
+    def test_contractive_in_mass_norm(self, setup, oracle, rng):
+        mesh, ops, _ = setup
         for _ in range(100):
             u = random_fe(mesh, rng)
-            assert mass_norm(apply_filter(ctx, u), ops) <= mass_norm(u, ops) * (1 + 1e-12)
+            assert mass_norm(oracle.filter(u), ops) <= mass_norm(u, ops) * (1 + 1e-12)
 
 
 class TestDeconvolve:
     def test_order_zero_is_identity(self, setup, rng):
         mesh, ops, _ = setup
-        ctx0 = build_filter_context(ops, delta=0.2, deconv_order=0)
+        oracle0 = FilterOracle(ops, delta=0.2, deconv_order=0)
         u = random_fe(mesh, rng)
-        assert np.allclose(deconvolve(ctx0, u).coefficients, u.coefficients, atol=1e-14)
+        assert np.allclose(oracle0.deconvolve(u).coefficients, u.coefficients, atol=1e-14)
 
-    def test_order_one_expansion(self, setup, rng):
+    def test_order_one_expansion(self, setup, oracle, rng):
         # D_1 ubar = 2 ubar - filter(ubar)
-        mesh, ops, ctx = setup
+        mesh, _, _ = setup
         ubar = random_fe(mesh, rng)
-        expected = 2.0 * ubar.coefficients - apply_filter(ctx, ubar).coefficients
-        assert np.allclose(deconvolve(ctx, ubar).coefficients, expected, atol=1e-12)
+        expected = 2.0 * ubar.coefficients - oracle.filter(ubar).coefficients
+        assert np.allclose(oracle.deconvolve(ubar).coefficients, expected, atol=1e-12)
 
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
     def test_constants_fixed_for_any_order(self, setup, order):
         mesh, ops, _ = setup
-        ctx = build_filter_context(ops, delta=0.3, deconv_order=order)
+        oracle = FilterOracle(ops, delta=0.3, deconv_order=order)
         c = FeFunction(mesh, np.full(mesh.n_dofs, -1.1))
-        assert np.abs(deconvolve(ctx, c).coefficients + 1.1).max() < 1e-11
+        assert np.abs(oracle.deconvolve(c).coefficients + 1.1).max() < 1e-11
 
 
 class TestFluctuation:
-    def test_constants_give_zero(self, setup):
-        mesh, ops, ctx = setup
+    def test_constants_give_zero(self, setup, oracle):
+        mesh, _, _ = setup
         c = FeFunction(mesh, np.full(mesh.n_dofs, 5.0))
-        assert np.abs(fluctuation(ctx, c).coefficients).max() < 1e-11
+        assert np.abs(oracle.fluctuation(c).coefficients).max() < 1e-11
 
     def test_zero_radius_gives_zero(self, setup, rng):
         mesh, ops, _ = setup
-        ctx0 = build_filter_context(ops, delta=0.0, deconv_order=2)
+        oracle0 = FilterOracle(ops, delta=0.0, deconv_order=2)
         u = random_fe(mesh, rng)
-        assert np.abs(fluctuation(ctx0, u).coefficients).max() < 1e-10
+        assert np.abs(oracle0.fluctuation(u).coefficients).max() < 1e-10
 
-    def test_matrix_and_operator_paths_agree(self, setup, rng):
+    def test_matrix_and_operator_paths_agree(self, setup, oracle, rng):
         # u^T (Pi^T S Pi) v against the iterative fluctuation oracle
         mesh, ops, ctx = setup
         for _ in range(10):
             u, v = random_fe(mesh, rng), random_fe(mesh, rng)
-            u_star, v_star = fluctuation(ctx, u), fluctuation(ctx, v)
+            u_star, v_star = oracle.fluctuation(u), oracle.fluctuation(v)
             via_ops = u_star.coefficients @ (ops.stiffness @ v_star.coefficients)
             via_matrix = u.coefficients @ (ctx.stabilization_base @ v.coefficients)
             scale = np.sqrt(
@@ -134,15 +133,15 @@ class TestFluctuation:
             )
             assert abs(via_matrix - via_ops) <= 1e-11 * scale
 
-    def test_linearity(self, setup, rng):
-        mesh, ops, ctx = setup
+    def test_linearity(self, setup, oracle, rng):
+        mesh, _, _ = setup
         u, v = random_fe(mesh, rng), random_fe(mesh, rng)
         a, b = 0.7, -1.3
         combo = FeFunction(mesh, a * u.coefficients + b * v.coefficients)
         expected = (
-            a * fluctuation(ctx, u).coefficients + b * fluctuation(ctx, v).coefficients
+            a * oracle.fluctuation(u).coefficients + b * oracle.fluctuation(v).coefficients
         )
-        assert np.abs(fluctuation(ctx, combo).coefficients - expected).max() < 1e-12
+        assert np.abs(oracle.fluctuation(combo).coefficients - expected).max() < 1e-12
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_higher_deconvolution_reduces_smooth_fluctuation(self, k):
@@ -151,8 +150,8 @@ class TestFluctuation:
         u = l2_project(lambda x: np.sin(2 * np.pi * k * x), mesh)
         norms = []
         for order in (0, 1):
-            ctx = build_filter_context(ops, delta=np.sqrt(mesh.h), deconv_order=order)
-            norms.append(mass_norm(fluctuation(ctx, u), ops))
+            oracle = FilterOracle(ops, delta=np.sqrt(mesh.h), deconv_order=order)
+            norms.append(mass_norm(oracle.fluctuation(u), ops))
         assert norms[1] <= norms[0]
 
 
@@ -166,14 +165,14 @@ class TestStabilizationMatrix:
         with pytest.raises(NegativeChiError):
             stabilization_matrix(ctx, -1.0)
 
-    def test_quadratic_form_matches_fluctuation_gradient_norm(self, setup, rng):
+    def test_quadratic_form_matches_fluctuation_gradient_norm(self, setup, oracle, rng):
         # oracle: quadrature of |d/dx fluctuation(u)|^2 via the operator path
         mesh, ops, ctx = setup
         chi = 0.8
         stab = stabilization_matrix(ctx, chi)
         for _ in range(10):
             u = random_fe(mesh, rng)
-            star = fluctuation(ctx, u)
+            star = oracle.fluctuation(u)
             _, dstar = fe_values_on_rule(star)
             expected = chi * ctx.delta**2 * integrate_elementwise(mesh, dstar * dstar)
             value = u.coefficients @ (stab @ u.coefficients)

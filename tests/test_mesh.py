@@ -12,7 +12,6 @@ from lwrfem.mesh import (
     TooFewElementsError,
     build_mesh,
     evaluate,
-    interpolate,
     l2_project,
     shape_values,
 )
@@ -73,12 +72,12 @@ class TestEvaluate:
 
     def test_p1_reproduces_linears(self):
         mesh = build_mesh(0.0, 1.0, 7, 1, DIRICHLET)
-        f = interpolate(lambda x: x, mesh)
+        f = FeFunction(mesh, mesh.dof_x)
         assert evaluate(f, 0.3) == pytest.approx(0.3, abs=1e-14)
 
     def test_p2_reproduces_quadratics(self):
         mesh = build_mesh(0.0, 1.0, 4, 2, DIRICHLET)
-        f = interpolate(lambda x: x**2, mesh)
+        f = FeFunction(mesh, mesh.dof_x**2)
         assert evaluate(f, 0.37) == pytest.approx(0.1369, abs=1e-14)
 
     @pytest.mark.parametrize("degree", [1, 2])
@@ -89,7 +88,7 @@ class TestEvaluate:
         def poly(x):
             return sum(c * np.asarray(x) ** k for k, c in enumerate(coeffs))
 
-        f = interpolate(poly, mesh)
+        f = FeFunction(mesh, poly(mesh.dof_x))
         xs = rng.uniform(0.0, 1.0, size=40)
         assert np.abs(np.asarray(evaluate(f, xs)) - poly(xs)).max() < 1e-13
 
@@ -152,5 +151,5 @@ class TestL2Project:
         mesh = build_mesh(0.0, 1.0, 12, degree, PERIODIC)
         exact = lambda x, t: g(x)
         proj_err = l2_error(l2_project(g, mesh), exact, 0.0)
-        interp_err = l2_error(interpolate(g, mesh), exact, 0.0)
+        interp_err = l2_error(FeFunction(mesh, g(mesh.dof_x)), exact, 0.0)
         assert proj_err <= interp_err + 1e-12

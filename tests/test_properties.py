@@ -10,11 +10,14 @@ import dataclasses
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from lwrfem.filtering import build_filter_context
+from lwrfem.filtering import build_filter_context, stabilization_matrix
 from lwrfem.mesh import DIRICHLET, PERIODIC, FeFunction, build_mesh
-from lwrfem.operators import assemble, b_form
+from lwrfem.operators import assemble, b_form, b_residual, forcing_vector
 from lwrfem.scenarios import manufactured
-from lwrfem.stepping import ModelParams, Stepper, TimeGrid, mass_norm, run_backward_euler
+from lwrfem.stepping import ModelParams, Stepper, TimeGrid, mass_norm, run_time_filtered
+from conftest import three_level_ops
+
+GAMMA_FILTER = 2.0 / 3.0
 
 PROPERTY_SETTINGS = settings(
     derandomize=True, deadline=None, max_examples=20, database=None
@@ -96,8 +99,8 @@ def test_unfiltered_energy_inequality(degree, n, chi, delta_coeff, order, n_step
         manufactured(), forcing=None, initial_condition=_fourier_series(seed)
     )
     params = ModelParams(chi=chi, delta=delta_coeff * np.sqrt(mesh.h), deconv_order=order)
-    grid = TimeGrid.of_steps(1e-3, n_steps)
-    trajectory = run_backward_euler(scenario, params, grid, mesh, newton_tol=1e-12)
+    grid = TimeGrid(1e-3, n_steps)
+    trajectory = run_time_filtered(scenario, params, grid, mesh, newton_tol=1e-12)
     norms = np.array([d.l2_norm for _, d in trajectory])
     dissipation = np.array([d.stab_dissipation for _, d in trajectory])
     assert norms[0] > 0.0
@@ -111,3 +114,60 @@ def test_unfiltered_energy_inequality(degree, n, chi, delta_coeff, order, n_step
     c = state.coefficients
     assert dissipation[-1] == float(c @ (stepper.stab @ c))
     assert norms[-1] == mass_norm(state, stepper.operators)
+
+
+@PROPERTY_SETTINGS
+@given(degree=degrees, n=st.integers(min_value=8, max_value=32),
+       chi=st.floats(min_value=0.0, max_value=1.0),
+       delta_coeff=st.floats(min_value=0.1, max_value=1.0),
+       order=st.integers(min_value=0, max_value=2),
+       n_steps=st.integers(min_value=2, max_value=20), seed=seeds)
+def test_filtered_energy_monotone(degree, n, chi, delta_coeff, order, n_steps, seed):
+    # criterion 5, step by step: at gamma = 2/3 on periodic unforced runs,
+    # E[u^n] - E[u^{n-1}] + Z[u^n] + dt (stab I[u^n], I[u^n]) = 0 up to the
+    # Newton tolerance, so E never grows from the first step on
+    mesh = build_mesh(0.0, 1.0, n, degree, PERIODIC)
+    scenario = dataclasses.replace(
+        manufactured(), forcing=None, initial_condition=_fourier_series(seed)
+    )
+    params = ModelParams(chi=chi, delta=delta_coeff * np.sqrt(mesh.h),
+                         deconv_order=order, gamma=GAMMA_FILTER)
+    grid = TimeGrid(1e-3, n_steps)
+    trajectory = run_time_filtered(scenario, params, grid, mesh, newton_tol=1e-12)
+    diags = [d for _, d in trajectory[1:]]
+    energy = np.array([d.energy_e for d in diags])
+    assert energy[0] > 0.0
+    assert np.all(energy[1:] <= energy[:-1] + 1e-10 * energy[0])
+    balance = np.array([
+        d.energy_e - prev.energy_e + d.zeta_z + grid.dt * d.stab_dissipation
+        for prev, d in zip(diags, diags[1:])
+    ])
+    assert np.abs(balance).max() <= 1e-10 * energy[0]
+
+
+@PROPERTY_SETTINGS
+@given(degree=degrees, n=n_elements, chi=st.floats(min_value=0.0, max_value=1.0),
+       delta=deltas, order=deconv_orders, dt=st.sampled_from([0.01, 0.02, 0.05]))
+def test_one_step_two_step_equivalence(degree, n, chi, delta, order, dt):
+    # criterion 7: the filtered states solve the one-step scheme in
+    # D[u^n] and I[u^n] on the forced Dirichlet problem, interior rows
+    scenario = manufactured()
+    mesh = build_mesh(0.0, 1.0, n, degree, DIRICHLET)
+    ops = assemble(mesh)
+    params = ModelParams(chi=chi, delta=delta, deconv_order=order, gamma=GAMMA_FILTER)
+    stab = stabilization_matrix(build_filter_context(ops, delta, order), chi)
+    newton_tol = 1e-10
+    grid = TimeGrid(dt, 6)
+    trajectory = run_time_filtered(scenario, params, grid, mesh, newton_tol=newton_tol)
+    for k in range(2, grid.n_steps + 1):
+        d, i = three_level_ops(trajectory[k][0], trajectory[k - 1][0],
+                               trajectory[k - 2][0])
+        residual = (
+            (ops.mass @ d.coefficients) / dt
+            + params.v_f * (ops.convection @ i.coefficients)
+            - (2.0 * params.v_f / params.rho_m) * b_residual(i)
+            + stab @ i.coefficients
+            - forcing_vector(scenario.forcing, k * dt, mesh)
+        )
+        allowed = 10.0 * newton_tol * trajectory[k][1].residual_scale
+        assert np.abs(residual[1:-1]).max() <= allowed

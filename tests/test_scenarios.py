@@ -31,7 +31,7 @@ class TestManufactured:
 
     def test_boundary_and_initial_data(self):
         sc = manufactured()
-        assert sc.constrained_ends() == (LEFT, RIGHT)
+        assert sc.constrained_ends == (LEFT, RIGHT)
         for t in np.linspace(0.0, 2.0, 20):
             assert sc.boundary_data(LEFT, t) == 0.0
             assert sc.boundary_data(RIGHT, t) == 0.0
@@ -67,7 +67,7 @@ class TestRarefaction:
 
     def test_initial_and_boundary_data(self):
         sc = rarefaction()
-        assert sc.constrained_ends() == (LEFT,)
+        assert sc.constrained_ends == (LEFT,)
         assert sc.boundary_data(LEFT, 0.5) == 0.47
         with pytest.raises(ValueError):
             sc.boundary_data(RIGHT, 0.5)
@@ -102,7 +102,7 @@ class TestShock:
 
     def test_initial_and_boundary_data(self):
         sc = shock()
-        assert sc.constrained_ends() == (LEFT,)
+        assert sc.constrained_ends == (LEFT,)
         assert sc.boundary_data(LEFT, 2.0) == 0.25
         x = np.linspace(0.01, 1.0, 50)
         assert np.abs(sc.initial_condition(x) - 1.0 / 3.0).max() < 1e-15
@@ -117,7 +117,7 @@ class TestRegistry:
     def test_exact_matches_boundary_at_constrained_ends(self, name):
         sc = SCENARIOS[name]()
         ends = {LEFT: 0.0, RIGHT: 1.0}
-        for end in sc.constrained_ends():
+        for end in sc.constrained_ends:
             for t in np.linspace(0.05, 1.0, 20):
                 g = sc.boundary_data(end, t)
                 assert sc.exact_solution(ends[end], t) == pytest.approx(g, abs=1e-12)

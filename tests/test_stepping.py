@@ -8,24 +8,21 @@ from lwrfem.filtering import build_filter_context, stabilization_matrix
 from lwrfem.linalg import SingularMatrixError
 from lwrfem.mesh import DIRICHLET, PERIODIC, FeFunction, MeshMismatchError, build_mesh
 from lwrfem.operators import assemble, b_residual, forcing_vector
-from lwrfem.scenarios import manufactured
+from lwrfem.scenarios import LEFT, RIGHT, manufactured
 from lwrfem.stepping import (
     ModelParams,
     NoConvergenceError,
     Stepper,
     TimeGrid,
     be_step,
-    diff_op,
     energy_e,
     energy_z,
-    interp_op,
     mass_norm,
     newton_solve,
-    run_backward_euler,
     run_time_filtered,
     time_filter_step,
 )
-from conftest import smooth_periodic
+from conftest import smooth_periodic, three_level_ops
 
 
 @pytest.fixture(scope="module")
@@ -52,10 +49,12 @@ class TestModelParamsAndGrid:
     def test_time_grid_consistency(self):
         grid = TimeGrid.to_final_time(0.1, 1.0)
         assert grid.n_steps == 10
-        with pytest.raises(ValueError):
-            TimeGrid(dt=0.1, n_steps=5, t_final=1.0)
-        with pytest.raises(ValueError):
-            TimeGrid(dt=-0.1, n_steps=5, t_final=-0.5)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            TimeGrid(dt=-0.1, n_steps=5)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            TimeGrid(dt=float("nan"), n_steps=5)
+        with pytest.raises(ValueError, match="n_steps must be nonnegative"):
+            TimeGrid(dt=0.1, n_steps=-1)
         # a final time between grid points is an error, not a silent t = 0.9
         with pytest.raises(ValueError, match="whole number of steps"):
             TimeGrid.to_final_time(0.3, 1.0)
@@ -106,6 +105,13 @@ class TestNewtonSolve:
             with pytest.raises(NoConvergenceError, match="non-finite"):
                 newton_solve(residual, lambda x: np.diag(1.0 / x), np.array([0.1, 5.0]))
 
+    def test_negative_max_iter_rejected(self):
+        with pytest.raises(ValueError, match="max_iter must be nonnegative"):
+            newton_solve(lambda x: x, lambda x: np.eye(1), np.ones(1), max_iter=-1)
+        # zero iterations stay legal: a guess that is no root fails to converge
+        with pytest.raises(NoConvergenceError):
+            newton_solve(lambda x: x, lambda x: np.eye(1), np.ones(1), max_iter=0)
+
     def test_singular_jacobian_propagates(self):
         with pytest.raises(SingularMatrixError):
             newton_solve(
@@ -119,16 +125,18 @@ class TestThreeLevelOps:
     def test_equal_arguments(self, periodic_setup, rng):
         mesh, _ = periodic_setup
         u = smooth_periodic(mesh, rng)
-        assert np.allclose(interp_op(u, u, u).coefficients, u.coefficients, atol=1e-15)
-        assert np.abs(diff_op(u, u, u).coefficients).max() < 1e-15
+        d, i = three_level_ops(u, u, u)
+        assert np.allclose(i.coefficients, u.coefficients, atol=1e-15)
+        assert np.abs(d.coefficients).max() < 1e-15
 
     def test_constant_arithmetic(self, periodic_setup):
         mesh, _ = periodic_setup
         c3 = FeFunction(mesh, np.full(mesh.n_dofs, 3.0))
         c2 = FeFunction(mesh, np.full(mesh.n_dofs, 2.0))
         c1 = FeFunction(mesh, np.full(mesh.n_dofs, 1.0))
-        assert np.allclose(interp_op(c3, c2, c1).coefficients, 3.0, atol=1e-15)
-        assert np.allclose(diff_op(c3, c2, c1).coefficients, 1.0, atol=1e-15)
+        d, i = three_level_ops(c3, c2, c1)
+        assert np.allclose(i.coefficients, 3.0, atol=1e-15)
+        assert np.allclose(d.coefficients, 1.0, atol=1e-15)
 
     def test_mesh_mismatch(self, rng):
         mesh_a = build_mesh(0.0, 1.0, 8, 1, PERIODIC)
@@ -136,7 +144,7 @@ class TestThreeLevelOps:
         u = smooth_periodic(mesh_a, rng)
         v = smooth_periodic(mesh_b, rng)
         with pytest.raises(MeshMismatchError):
-            diff_op(u, u, v)
+            three_level_ops(u, u, v)
 
     def test_three_level_product_identity(self, rng):
         # (3a/2 - 2b + c/2)(3a/2 - b + c/2) telescopes into energy terms
@@ -235,9 +243,7 @@ class TestBeStep:
             stepper.linear_part, ops.mass / 0.1 + params.v_f * ops.convection + stab
         )
         assert stepper.nonlinear_coeff == 1.0
-        both_ends = dataclasses.replace(
-            manufactured(), left_constrained=True, right_constrained=True
-        )
+        both_ends = dataclasses.replace(manufactured(), constrained_ends=(LEFT, RIGHT))
         rows = Stepper.build(both_ends, params, 0.1, mesh).constrained
         assert rows == ((0, "left"), (mesh.n_dofs - 1, "right"))
         periodic = build_mesh(0.0, 1.0, 12, 2, PERIODIC)
@@ -247,8 +253,8 @@ class TestBeStep:
         mesh = build_mesh(0.0, 1.0, 10, 1, DIRICHLET)
         params = ModelParams(delta=0.1 * np.sqrt(mesh.h))
         with pytest.raises(NoConvergenceError, match=r"^step 1 to t = 0\.05 failed: no "):
-            run_backward_euler(
-                manufactured(), params, TimeGrid.of_steps(0.05, 3), mesh, newton_max_iter=0
+            run_time_filtered(
+                manufactured(), params, TimeGrid(0.05, 3), mesh, newton_max_iter=0
             )
 
     def test_time_error_scales_first_order(self):
@@ -259,7 +265,7 @@ class TestBeStep:
         errors = []
         for dt in (0.05, 0.025):
             grid = TimeGrid.to_final_time(dt, 0.5)
-            trajectory = run_backward_euler(scenario, params, grid, mesh)
+            trajectory = run_time_filtered(scenario, params, grid, mesh)
             state, diag = trajectory[-1]
             errors.append(l2_error(state, scenario.exact_solution, diag.t))
         assert 1.7 < errors[0] / errors[1] < 2.3
@@ -268,9 +274,9 @@ class TestBeStep:
         scenario = manufactured()
         mesh = build_mesh(0.0, 1.0, 20, 2, DIRICHLET)
         params = ModelParams(delta=0.1 * np.sqrt(mesh.h), deconv_order=1)
-        grid = TimeGrid.of_steps(0.05, 10)
+        grid = TimeGrid(0.05, 10)
         for trajectory in (
-            run_backward_euler(scenario, params, grid, mesh),
+            run_time_filtered(scenario, params, grid, mesh),
             run_time_filtered(scenario, dataclasses.replace(params, gamma=2.0 / 3.0), grid, mesh),
         ):
             for state, diag in trajectory[1:]:
@@ -283,7 +289,7 @@ class TestRunAlgorithm1:
         scenario = manufactured()
         mesh = build_mesh(0.0, 1.0, 10, 1, DIRICHLET)
         params = ModelParams(delta=0.1 * np.sqrt(mesh.h))
-        trajectory = run_backward_euler(scenario, params, TimeGrid.of_steps(0.1, 0), mesh)
+        trajectory = run_time_filtered(scenario, params, TimeGrid(0.1, 0), mesh)
         assert len(trajectory) == 1
         assert np.abs(trajectory[0][0].coefficients).max() < 1e-12
 
@@ -295,8 +301,8 @@ class TestRunAlgorithm1:
             + 0.3 * np.cos(4 * np.pi * np.asarray(x)),
         )
         params = ModelParams(chi=1.0, delta=np.sqrt(mesh.h), deconv_order=1)
-        grid = TimeGrid.of_steps(0.01, 50)
-        trajectory = run_backward_euler(scenario, params, grid, mesh)
+        grid = TimeGrid(0.01, 50)
+        trajectory = run_time_filtered(scenario, params, grid, mesh)
         norms = np.array([diag.l2_norm for _, diag in trajectory])
         assert np.all(np.diff(norms) <= 1e-10 * norms[0])
         dissipation = sum(diag.stab_dissipation for _, diag in trajectory[1:])
@@ -308,25 +314,12 @@ class TestRunAlgorithm1:
         scenario = manufactured()
         mesh = build_mesh(0.0, 1.0, 100, 2, DIRICHLET)
         params = ModelParams(chi=0.0, delta=0.1 * np.sqrt(mesh.h), deconv_order=1)
-        trajectory = run_backward_euler(scenario, params, TimeGrid.of_steps(0.1, 10), mesh)
+        trajectory = run_time_filtered(scenario, params, TimeGrid(0.1, 10), mesh)
         error = triple_norm_inf(trajectory, scenario.exact_solution)
         assert error == pytest.approx(1.97e-2, rel=0.25)
 
 
 class TestRunAlgorithm2:
-    def test_gamma_zero_matches_backward_euler(self, rng):
-        mesh = build_mesh(0.0, 1.0, 16, 1, PERIODIC)
-        scenario = dataclasses.replace(
-            unforced(manufactured()),
-            initial_condition=lambda x: np.sin(2 * np.pi * np.asarray(x)),
-        )
-        params = ModelParams(chi=0.3, delta=np.sqrt(mesh.h), deconv_order=1, gamma=0.0)
-        grid = TimeGrid.of_steps(0.02, 20)
-        traj1 = run_backward_euler(scenario, params, grid, mesh)
-        traj2 = run_time_filtered(scenario, params, grid, mesh)
-        for (u1, _), (u2, _) in zip(traj1, traj2):
-            assert np.abs(u1.coefficients - u2.coefficients).max() < 1e-12
-
     def test_reference_error_and_rate_filtered(self):
         scenario = manufactured()
         mesh = build_mesh(0.0, 1.0, 100, 2, DIRICHLET)
@@ -335,7 +328,7 @@ class TestRunAlgorithm2:
         )
         errors = []
         for n_steps in (10, 20):
-            grid = TimeGrid.of_steps(1.0 / n_steps, n_steps)
+            grid = TimeGrid(1.0 / n_steps, n_steps)
             trajectory = run_time_filtered(scenario, params, grid, mesh)
             errors.append(triple_norm_inf(trajectory, scenario.exact_solution))
         assert errors[1] == pytest.approx(1.26e-3, rel=0.25)
@@ -345,7 +338,7 @@ class TestRunAlgorithm2:
         scenario = manufactured()
         mesh = build_mesh(0.0, 1.0, 10, 1, DIRICHLET)
         params = ModelParams(delta=0.1 * np.sqrt(mesh.h), gamma=2.0 / 3.0)
-        grid = TimeGrid.of_steps(0.1, 5)
+        grid = TimeGrid(0.1, 5)
         trajectory = run_time_filtered(scenario, params, grid, mesh)
         assert len(trajectory.intermediates) == grid.n_steps - 1  # none for startup
 
@@ -359,7 +352,7 @@ class TestRunAlgorithm2:
             chi=1.0, delta=0.1 * np.sqrt(mesh.h), deconv_order=1, gamma=2.0 / 3.0
         )
         ctx = build_filter_context(ops, params.delta, params.deconv_order)
-        grid = TimeGrid.of_steps(0.02, 25)
+        grid = TimeGrid(0.02, 25)
         newton_tol = 1e-10
         trajectory = run_time_filtered(scenario, params, grid, mesh, newton_tol=newton_tol)
         stab = stabilization_matrix(ctx, params.chi)
@@ -367,8 +360,7 @@ class TestRunAlgorithm2:
             state_n = trajectory[n][0]
             state_n1 = trajectory[n - 1][0]
             state_n2 = trajectory[n - 2][0]
-            d = diff_op(state_n, state_n1, state_n2)
-            i = interp_op(state_n, state_n1, state_n2)
+            d, i = three_level_ops(state_n, state_n1, state_n2)
             residual = (
                 (ops.mass @ d.coefficients) / grid.dt
                 + params.v_f * (ops.convection @ i.coefficients)
@@ -389,7 +381,7 @@ class TestRunAlgorithm2:
         params = ModelParams(
             chi=0.5, delta=np.sqrt(mesh.h), deconv_order=0, gamma=2.0 / 3.0
         )
-        grid = TimeGrid.of_steps(0.01, 60)
+        grid = TimeGrid(0.01, 60)
         trajectory = run_time_filtered(scenario, params, grid, mesh)
         norms = [diag.l2_norm for _, diag in trajectory]
         bound = 10.0 * (norms[0] + norms[1])
