@@ -13,8 +13,8 @@ from .analysis import (
     convergence_table,
     l2_error,
     overshoot,
+    run_error_inf,
     total_variation,
-    triple_norm_inf,
 )
 from .filtering import (
     FilterContext,

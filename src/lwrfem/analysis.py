@@ -4,18 +4,19 @@ The error norm is the L2 distance between a finite-element function and
 an exact solution, integrated with a 5-point Gauss rule (one order above
 the assembly rule so quadrature error stays below discretization error
 on the finest grids).  The run-level error is the discrete
-max-over-steps of these norms; every recorded step participates.
+max-over-steps of these norms, folded over a run's records as they
+arrive; every iterate participates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .mesh import ERROR_RULE, FeFunction, element_values, sample_function
-from .stepping import StepDiagnostics, Trajectory
+from .stepping import StepRecord
 
 
 class NonHalvingLadderError(ValueError):
@@ -34,25 +35,18 @@ def l2_error(rho_h: FeFunction, exact: Callable, t: float) -> float:
     return float(np.sqrt(max(value, 0.0)))
 
 
-def triple_norm_inf(
-    trajectory: Sequence[tuple[FeFunction, StepDiagnostics]], exact: Callable
-) -> float:
-    """max over recorded steps of ||rho_h^n - exact(., t^n)||."""
-    return max(l2_error(rho, exact, diag.t) for rho, diag in trajectory)
-
-
-def run_error_inf(trajectory: Trajectory, exact: Callable) -> float:
-    """Max error over every iterate of a run, pre-filter states included.
+def run_error_inf(steps: Iterable[StepRecord], exact: Callable) -> float:
+    """Max error over every iterate of a run's records, pre-filter states included.
 
     Time-filtered runs produce two iterates per level (the backward
     Euler state and its filtered correction); convergence reporting
     samples both, which is how the reference time-accuracy data behave.
-    Coincides with triple_norm_inf for unfiltered runs.
     """
-    worst = triple_norm_inf(trajectory, exact)
-    for state, t in trajectory.intermediates:
-        worst = max(worst, l2_error(state, exact, t))
-    return worst
+    return max(
+        l2_error(state, exact, diag.t)
+        for rho, diag, rho_hat in steps
+        for state in ((rho,) if rho_hat is rho else (rho, rho_hat))
+    )
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ import dataclasses
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -36,8 +36,8 @@ from .scenarios import SCENARIOS, Scenario
 from .stepping import (
     ModelParams,
     NoConvergenceError,
+    StepRecord,
     TimeGrid,
-    Trajectory,
     run_time_filtered,
 )
 
@@ -259,7 +259,7 @@ def parse_config(
     return RunConfig(scenario=name, **values)
 
 
-def _solve(config: RunConfig, mesh: Mesh1D, grid: TimeGrid) -> Trajectory:
+def _solve(config: RunConfig, mesh: Mesh1D, grid: TimeGrid) -> Iterator[StepRecord]:
     return run_time_filtered(
         config.get_scenario(), config.make_params(mesh.h), grid, mesh,
         newton_tol=config.newton_tol, newton_max_iter=config.newton_max_iter,
@@ -289,30 +289,44 @@ def _write_profile(
     _write_lines(path, config.header_line(), lines)
 
 
-def _write_diagnostics(path: Path, config: RunConfig, trajectory: Trajectory) -> None:
-    lines = ["n,t,l2_norm,energy_E,zeta_Z,newton_iters,stab_dissipation"]
-    for _, d in trajectory:
-        lines.append(
-            f"{d.n},{_fmt(d.t)},{_fmt(d.l2_norm)},{_fmt(d.energy_e)},"
-            f"{_fmt(d.zeta_z)},{d.newton_iters},{_fmt(d.stab_dissipation)}"
-        )
-    _write_lines(path, config.header_line(), lines)
+def _write_diagnostics(
+    path: Path, config: RunConfig, steps: Iterable[StepRecord]
+) -> StepRecord:
+    """Write a row per record as it arrives; returns the last record.  A run
+    that fails leaves neither the file nor the directories made for it."""
+    made = [d for d in (path.parent, *path.parent.parents) if not d.exists()]
+    path.parent.mkdir(parents=True, exist_ok=True)
+    partial = path.with_name(path.name + ".partial")  # renamed once complete
+    try:
+        with partial.open("w", encoding="utf-8") as out:
+            out.write(config.header_line() + "\n")
+            out.write("n,t,l2_norm,energy_E,zeta_Z,newton_iters,stab_dissipation\n")
+            for record in steps:
+                d = record[1]
+                out.write(f"{d.n},{_fmt(d.t)},{_fmt(d.l2_norm)},{_fmt(d.energy_e)},"
+                          f"{_fmt(d.zeta_z)},{d.newton_iters},{_fmt(d.stab_dissipation)}\n")
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        for directory in made:
+            directory.rmdir()
+        raise
+    partial.replace(path)
+    return record
 
 
 def cmd_run(config: RunConfig) -> tuple[list[Path], int]:
     """Single run: final-time profile plus per-step diagnostics."""
     grid = _time_grid(config.dt, config.t_final)
-    [trajectory] = _guarded_map(
-        [lambda: _solve(config, config.make_mesh(), grid)], 1, "run failed"
-    )
-    if trajectory is None:
-        return [], 1
     out = Path(config.output_dir)
-    profile = out / "profile.csv"
-    diagnostics = out / "diagnostics.csv"
-    final_state, final_diag = trajectory[-1]
+    profile, diagnostics = out / "profile.csv", out / "diagnostics.csv"
+    steps = _solve(config, config.make_mesh(), grid)
+    [final] = _guarded_map(
+        [lambda: _write_diagnostics(diagnostics, config, steps)], 1, "run failed"
+    )
+    if final is None:
+        return [], 1
+    final_state, final_diag, _ = final
     _write_profile(profile, config, final_state, final_diag.t, config.get_scenario())
-    _write_diagnostics(diagnostics, config, trajectory)
     return [profile, diagnostics], 0
 
 
@@ -416,8 +430,9 @@ def cmd_scenario_study(config: RunConfig) -> tuple[list[Path], int]:
 
     def snapshots(member: RunConfig) -> Callable[[], list]:
         def run() -> list:
-            trajectory = _solve(member, member.make_mesh(), grid)
-            return [trajectory[i] for i in indices]
+            steps = _solve(member, member.make_mesh(), grid)
+            kept = {d.n: (state, d) for state, d, _ in steps if d.n in indices}
+            return [kept[i] for i in indices]
 
         return run
 

@@ -25,11 +25,13 @@ D or I; the test suite builds them to check that equivalence.  The
 energy functional E and the curvature functional Z below are the
 quantities that make the filtered scheme's dissipation balance explicit.
 
-Both schemes march in one loop, ``run_time_filtered``: backward Euler is
-its gamma = 0 case, where the filter correction vanishes.  A ``Stepper``
-holds what a run keeps constant (the operators, the stabilization, the
-linear part M/dt + v_f C + stab, the constrained rows); ``be_step`` adds
-the per-step work: the right-hand side, the boundary values and Newton.
+Both schemes march in one loop, ``run_time_filtered``, a generator of
+the time levels that keeps only the two states the recurrence reads:
+backward Euler is its gamma = 0 case, where the filter correction
+vanishes.  A ``Stepper`` holds what a run keeps constant (the operators,
+the stabilization, the linear part M/dt + v_f C + stab, the constrained
+rows); ``be_step`` adds the per-step work: the right-hand side, the
+boundary values and Newton.
 
 Dirichlet data is enforced by row replacement: constrained residual rows
 become rho_i - g(x_i, t^n) and the matching Jacobian rows become identity
@@ -40,7 +42,7 @@ evaluated implicitly at the new time level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -77,6 +79,8 @@ class ModelParams:
             raise ValueError("v_f and rho_m must be positive")
         if not (self.chi >= 0 and self.delta >= 0 and self.deconv_order >= 0):
             raise ValueError("chi, delta, and deconvolution order must be nonnegative")
+        if not np.isfinite(self.delta * self.delta):  # the stabilization's delta^2
+            raise ValueError(f"delta^2 overflows for delta = {self.delta:g}")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
 
@@ -121,6 +125,8 @@ class StepDiagnostics:
     residual_scale: float = 1.0
 
 
+StepRecord = tuple[FeFunction, StepDiagnostics, FeFunction]  # rho^n, diag, rhohat^n
+
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 25
 
@@ -145,7 +151,8 @@ def newton_solve(
         raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
     x = np.asarray(guess, dtype=float).copy()
     r = residual(x)
-    norm = r0 = float(np.linalg.norm(r))
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite norms raise below
+        norm = r0 = float(np.linalg.norm(r))
     threshold = tol * max(1.0, r0)
     iters = 0
     while norm > threshold or not np.isfinite(norm):
@@ -161,7 +168,8 @@ def newton_solve(
         x += lu_solve(jacobian(x), -r)
         iters += 1
         r = residual(x)
-        norm = float(np.linalg.norm(r))
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm = float(np.linalg.norm(r))
     return x, iters, r0
 
 
@@ -268,56 +276,39 @@ def energy_z(
     return 0.75 * float(d @ (operators.mass @ d))
 
 
-class Trajectory(list):
-    """List of (state, diagnostics) per step, one entry per time level.
-
-    Filtered runs also stash the pre-filter backward Euler iterates in
-    ``intermediates`` as (state, t) pairs; the time filter is a
-    post-processing correction, so both its input and its output are
-    method iterates at t^n and error reporting may sample either.
-    """
-
-    def __init__(self):
-        super().__init__()
-        self.intermediates: list[tuple[FeFunction, float]] = []
-
-
 def run_time_filtered(
     scenario: Scenario, params: ModelParams, grid: TimeGrid, mesh: Mesh1D,
     newton_tol: float = NEWTON_TOL, newton_max_iter: int = NEWTON_MAX_ITER,
-) -> Trajectory:
+) -> Iterator[StepRecord]:
     """Backward Euler plus time filter; startup step is plain backward Euler.
 
-    The filter is a post-step correction that vanishes at gamma = 0, so
-    this one loop also marches plain backward Euler.  Level 0 is the
-    projected initial condition, recorded like a step that took no
-    Newton iterations.
+    Yields one StepRecord per level n = 0..n_steps as soon as it is
+    computed.  rhohat^n is rho^n itself where no filter applies: level 0,
+    the startup step, and gamma = 0, where the correction vanishes and this
+    one loop marches plain backward Euler.  Level 0 is the projected
+    initial condition, recorded like a step that took no Newton iterations.
     """
     stepper = Stepper.build(scenario, params, grid.dt, mesh, newton_tol, newton_max_iter)
     ops = stepper.operators
-    rho0 = l2_project(scenario.initial_condition, mesh)
-    trajectory = Trajectory()
+    # rho^{n-1} and rho^{n-2}; level 0 is its own predecessor
+    rho_n1, rho_n2 = l2_project(scenario.initial_condition, mesh), None
     for n in range(grid.n_steps + 1):
         t = n * grid.dt
-        prev = trajectory[-1][0] if n else rho0
-        prev2 = trajectory[-2][0] if n >= 2 else None
         try:
-            rho_hat, iters, r0 = be_step(stepper, prev, t) if n else (rho0, 0, 0.0)
+            rho_hat, iters, r0 = be_step(stepper, rho_n1, t) if n else (rho_n1, 0, 0.0)
         except NoConvergenceError as err:
             raise NoConvergenceError(f"step {n} to t = {t:.6g} failed: {err}") from err
         rho = rho_hat
-        if prev2 is not None and params.gamma != 0.0:
-            rho = time_filter_step(rho_hat, prev, prev2, params.gamma)
-            trajectory.intermediates.append((rho_hat, t))
+        if rho_n2 is not None and params.gamma != 0.0:
+            rho = time_filter_step(rho_hat, rho_n1, rho_n2, params.gamma)
         # Diagnostics describe the accepted state; the dissipation of the
         # step is the one exerted on rhohat = I[rho^n] in step 1.
         c = rho_hat.coefficients
         diag = StepDiagnostics(
-            n=n, t=t, l2_norm=mass_norm(rho, ops), energy_e=energy_e(rho, prev, ops),
-            zeta_z=0.0 if prev2 is None else energy_z(rho, prev, prev2, ops),
+            n=n, t=t, l2_norm=mass_norm(rho, ops), energy_e=energy_e(rho, rho_n1, ops),
+            zeta_z=0.0 if rho_n2 is None else energy_z(rho, rho_n1, rho_n2, ops),
             newton_iters=iters, stab_dissipation=float(c @ (stepper.stab @ c)),
             residual_scale=max(1.0, r0),
         )
-        trajectory.append((rho, diag))
-    return trajectory
-
+        rho_n1, rho_n2 = rho, (rho_n1 if n else None)
+        yield rho, diag, rho_hat

@@ -15,6 +15,7 @@ from lwrfem.mesh import (
     require_same_mesh,
 )
 from lwrfem.operators import AssembledOperators
+from lwrfem.stepping import StepDiagnostics, run_time_filtered
 
 
 def random_fe(mesh: Mesh1D, rng: np.random.Generator, scale: float = 1.0) -> FeFunction:
@@ -53,6 +54,11 @@ def simpson_l2_error(f: FeFunction, g, n_sub: int = 4001) -> float:
     from scipy.integrate import simpson
 
     return float(np.sqrt(max(simpson(diff * diff, x=xs), 0.0)))
+
+
+def march(*args, **kwargs) -> list[tuple[FeFunction, StepDiagnostics]]:
+    """(state, diagnostics) of every level of run_time_filtered, kept for indexing."""
+    return [(rho, diag) for rho, diag, _ in run_time_filtered(*args, **kwargs)]
 
 
 def three_level_ops(

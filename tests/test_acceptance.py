@@ -26,7 +26,9 @@ from lwrfem.mesh import DIRICHLET, PERIODIC, build_mesh
 from lwrfem.operators import assemble, b_form, b_residual, forcing_vector
 from lwrfem.scenarios import manufactured, rarefaction, shock
 from lwrfem.stepping import ModelParams, TimeGrid, run_time_filtered
-from conftest import fe_values_on_rule, integrate_elementwise, random_fe, three_level_ops
+from conftest import (
+    fe_values_on_rule, integrate_elementwise, march, random_fe, three_level_ops,
+)
 
 GAMMA_FILTER = 2.0 / 3.0
 TIME_LADDER = (10, 20, 40, 80, 160)  # steps over T = 1
@@ -59,10 +61,10 @@ def time_ladders():
             max_iters = 0
             for n_steps in TIME_LADDER:
                 grid = TimeGrid(1.0 / n_steps, n_steps)
-                trajectory = run_time_filtered(scenario, params, grid, mesh)
+                trajectory = list(run_time_filtered(scenario, params, grid, mesh))
                 errors.append(run_error_inf(trajectory, scenario.exact_solution))
                 max_iters = max(
-                    max_iters, max(d.newton_iters for _, d in trajectory)
+                    max_iters, max(d.newton_iters for _, d, _ in trajectory)
                 )
             results[(chi, gamma)] = {
                 "errors": errors,
@@ -89,9 +91,9 @@ def space_ladders():
             params = ModelParams(
                 chi=chi, delta=0.1 * np.sqrt(mesh.h), deconv_order=1, gamma=0.0
             )
-            trajectory = run_time_filtered(scenario, params, grid, mesh)
+            trajectory = list(run_time_filtered(scenario, params, grid, mesh))
             errors.append(run_error_inf(trajectory, scenario.exact_solution))
-            max_iters = max(max_iters, max(d.newton_iters for _, d in trajectory))
+            max_iters = max(max_iters, max(d.newton_iters for _, d, _ in trajectory))
         results[chi] = {
             "errors": errors,
             "rates": _rates(errors),
@@ -207,7 +209,7 @@ def test_criterion_04_unfiltered_energy_stability():
             scenario, initial_condition=_random_fourier_series(rng)
         )
         grid = TimeGrid(1e-3, 100)
-        trajectory = run_time_filtered(case, params, grid, mesh, newton_tol=1e-12)
+        trajectory = march(case, params, grid, mesh, newton_tol=1e-12)
         norms = np.array([d.l2_norm for _, d in trajectory])
         monotone_ok &= bool(np.all(norms[1:] <= norms[:-1] * (1.0 + 1e-10)))
         dissipated = 2.0 * grid.dt * sum(d.stab_dissipation for _, d in trajectory[1:])
@@ -238,7 +240,7 @@ def test_criterion_05_filtered_energy_stability():
             scenario, initial_condition=_random_fourier_series(rng)
         )
         grid = TimeGrid(1e-3, 100)
-        trajectory = run_time_filtered(case, params, grid, mesh, newton_tol=1e-12)
+        trajectory = march(case, params, grid, mesh, newton_tol=1e-12)
         norms = [d.l2_norm for _, d in trajectory]
         bounded_ok &= max(norms) <= 10.0 * (norms[0] + norms[1])
         energies = [d.energy_e for _, d in trajectory[1:]]
@@ -303,7 +305,7 @@ def test_criterion_07_one_step_two_step_equivalence():
     )
     newton_tol = 1e-10
     grid = TimeGrid(0.02, 50)
-    trajectory = run_time_filtered(scenario, params, grid, mesh, newton_tol=newton_tol)
+    trajectory = march(scenario, params, grid, mesh, newton_tol=newton_tol)
     stab = stabilization_matrix(ctx, params.chi)
     worst = 0.0
     for n in range(2, grid.n_steps + 1):
@@ -338,7 +340,7 @@ def test_criterion_08_shock_damping():
         params = ModelParams(
             chi=chi, delta=np.sqrt(mesh.h), deconv_order=0, gamma=0.0
         )
-        trajectory = run_time_filtered(scenario, params, grid, mesh)
+        trajectory = march(scenario, params, grid, mesh)
         final = trajectory[-1][0]
         metrics[chi] = (total_variation(final), overshoot(final, 1.0 / 3.0))
     tv0, ov0 = metrics[0.0]
@@ -366,7 +368,7 @@ def test_criterion_09_rarefaction_accuracy_ordering():
         params = ModelParams(
             chi=chi, delta=np.sqrt(mesh.h), deconv_order=order, gamma=0.0
         )
-        trajectory = run_time_filtered(scenario, params, grid, mesh)
+        trajectory = march(scenario, params, grid, mesh)
         state, diag = trajectory[-1]
         errors[(chi, order)] = l2_error(state, scenario.exact_solution, diag.t)
     checks = {

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from lwrfem import analysis
 from lwrfem.analysis import (
     NonHalvingLadderError,
     convergence_table,
     l2_error,
     overshoot,
+    run_error_inf,
     total_variation,
-    triple_norm_inf,
 )
 from lwrfem.mesh import DIRICHLET, PERIODIC, FeFunction, build_mesh, l2_project
 from lwrfem.operators import assemble
@@ -17,11 +18,12 @@ from conftest import random_fe
 
 
 def make_record(state, t):
+    """An unfiltered run's record: the pre-filter state is the state itself."""
     diag = StepDiagnostics(
         n=0, t=t, l2_norm=0.0, energy_e=0.0, zeta_z=0.0,
         newton_iters=0, stab_dissipation=0.0,
     )
-    return (state, diag)
+    return (state, diag, state)
 
 
 class TestL2Error:
@@ -58,14 +60,30 @@ class TestTripleNorm:
         f = random_fe(mesh, rng)
         exact = lambda x, t: np.zeros_like(x)
         trajectory = [make_record(f, 0.0)]
-        assert triple_norm_inf(trajectory, exact) == l2_error(f, exact, 0.0)
+        assert run_error_inf(trajectory, exact) == l2_error(f, exact, 0.0)
 
     def test_monotone_under_extension(self, rng):
         mesh = build_mesh(0.0, 1.0, 8, 1, DIRICHLET)
         exact = lambda x, t: np.zeros_like(x)
         trajectory = [make_record(random_fe(mesh, rng), 0.1 * n) for n in range(5)]
-        values = [triple_norm_inf(trajectory[: k + 1], exact) for k in range(5)]
+        values = [run_error_inf(trajectory[: k + 1], exact) for k in range(5)]
         assert all(b >= a for a, b in zip(values, values[1:]))
+
+    def test_pre_filter_states_count_once_each(self, rng, monkeypatch):
+        mesh = build_mesh(0.0, 1.0, 8, 1, DIRICHLET)
+        exact = lambda x, t: np.zeros_like(x)
+        small, large = random_fe(mesh, rng, 0.1), random_fe(mesh, rng, 10.0)
+        state, diag, _ = make_record(small, 0.1)
+        records = [make_record(small, 0.0), (state, diag, large)]
+        calls, measure = [], analysis.l2_error
+
+        def counted(*args):
+            calls.append(args)
+            return measure(*args)
+
+        monkeypatch.setattr(analysis, "l2_error", counted)
+        assert run_error_inf(records, exact) == measure(large, exact, 0.1)
+        assert len(calls) == 3  # one per distinct iterate
 
     def test_projected_exact_trajectory_scales_at_third_order(self):
         # replacing the solver output by the projected exact solution leaves
@@ -78,7 +96,7 @@ class TestTripleNorm:
                 make_record(l2_project(lambda x: sc.exact_solution(x, t), mesh), t)
                 for t in (0.25, 0.5, 0.75, 1.0)
             ]
-            values.append(triple_norm_inf(trajectory, sc.exact_solution))
+            values.append(run_error_inf(trajectory, sc.exact_solution))
         assert values[0] > 0.0
         assert values[0] / values[1] == pytest.approx(8.0, rel=0.2)
 

@@ -282,6 +282,9 @@ class TestMain:
             ["conv-space", "--space_levels", "-1", "--scenario", "manufactured"],
             ["study", "--chi_list", ""],
             ["run", "--newton_max_iter", "-1", "--t_final", "0.001"],
+            ["run", "--delta_coeff", "1e200", "--t_final", "0.001"],
+            ["conv-space", "--scenario", "manufactured", "--dt", "0.01", "--t_final",
+             "0.02", "--space_levels", "2", "--delta_coeff", "1e200"],
         ],
     )
     def test_domain_errors_exit_2(self, tmp_path, capsys, argv):
@@ -295,21 +298,26 @@ class TestMain:
         assert err.startswith("configuration error") and err.count("\n") == 1
         assert not list(tmp_path.iterdir())  # nothing ran
 
+    @pytest.mark.filterwarnings("error")  # a NumPy warning would be a second line
     def test_failed_run_exits_1_with_one_line(self, tmp_path, capsys):
-        code = main(
-            [
-                "run",
-                "--scenario", "shock",
-                "--newton_max_iter", "0",
-                "--t_final", "0.001",
-                "--output_dir", str(tmp_path),
-            ]
-        )
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.err.startswith("run failed: step 1 to t = 0.0001 failed: ")
-        assert captured.err.count("\n") == 1
-        assert captured.out == "" and not list(tmp_path.iterdir())
+        # no convergence, and a residual whose norm overflows; the second
+        # run's output directory does not exist yet
+        for flags, out in ((["--newton_max_iter", "0"], tmp_path),
+                           (["--v_f", "1e300"], tmp_path / "new")):
+            code = main(
+                [
+                    "run",
+                    "--scenario", "shock",
+                    *flags,
+                    "--t_final", "0.001",
+                    "--output_dir", str(out),
+                ]
+            )
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.err.startswith("run failed: step 1 to t = 0.0001 failed: ")
+            assert captured.err.count("\n") == 1
+            assert captured.out == "" and not list(tmp_path.iterdir())
 
     def test_successful_run_exit_code(self, tmp_path, capsys):
         code = main(

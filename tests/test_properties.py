@@ -14,8 +14,8 @@ from lwrfem.filtering import build_filter_context, stabilization_matrix
 from lwrfem.mesh import DIRICHLET, PERIODIC, FeFunction, build_mesh
 from lwrfem.operators import assemble, b_form, b_residual, forcing_vector
 from lwrfem.scenarios import manufactured
-from lwrfem.stepping import ModelParams, Stepper, TimeGrid, mass_norm, run_time_filtered
-from conftest import three_level_ops
+from lwrfem.stepping import ModelParams, Stepper, TimeGrid, mass_norm
+from conftest import march, three_level_ops
 
 GAMMA_FILTER = 2.0 / 3.0
 
@@ -100,7 +100,7 @@ def test_unfiltered_energy_inequality(degree, n, chi, delta_coeff, order, n_step
     )
     params = ModelParams(chi=chi, delta=delta_coeff * np.sqrt(mesh.h), deconv_order=order)
     grid = TimeGrid(1e-3, n_steps)
-    trajectory = run_time_filtered(scenario, params, grid, mesh, newton_tol=1e-12)
+    trajectory = march(scenario, params, grid, mesh, newton_tol=1e-12)
     norms = np.array([d.l2_norm for _, d in trajectory])
     dissipation = np.array([d.stab_dissipation for _, d in trajectory])
     assert norms[0] > 0.0
@@ -133,7 +133,7 @@ def test_filtered_energy_monotone(degree, n, chi, delta_coeff, order, n_steps, s
     params = ModelParams(chi=chi, delta=delta_coeff * np.sqrt(mesh.h),
                          deconv_order=order, gamma=GAMMA_FILTER)
     grid = TimeGrid(1e-3, n_steps)
-    trajectory = run_time_filtered(scenario, params, grid, mesh, newton_tol=1e-12)
+    trajectory = march(scenario, params, grid, mesh, newton_tol=1e-12)
     diags = [d for _, d in trajectory[1:]]
     energy = np.array([d.energy_e for d in diags])
     assert energy[0] > 0.0
@@ -158,7 +158,7 @@ def test_one_step_two_step_equivalence(degree, n, chi, delta, order, dt):
     stab = stabilization_matrix(build_filter_context(ops, delta, order), chi)
     newton_tol = 1e-10
     grid = TimeGrid(dt, 6)
-    trajectory = run_time_filtered(scenario, params, grid, mesh, newton_tol=newton_tol)
+    trajectory = march(scenario, params, grid, mesh, newton_tol=newton_tol)
     for k in range(2, grid.n_steps + 1):
         d, i = three_level_ops(trajectory[k][0], trajectory[k - 1][0],
                                trajectory[k - 2][0])

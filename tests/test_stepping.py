@@ -1,9 +1,10 @@
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
 
-from lwrfem.analysis import l2_error, triple_norm_inf
+from lwrfem.analysis import l2_error, run_error_inf
 from lwrfem.filtering import build_filter_context, stabilization_matrix
 from lwrfem.linalg import SingularMatrixError
 from lwrfem.mesh import DIRICHLET, PERIODIC, FeFunction, MeshMismatchError, build_mesh
@@ -22,7 +23,7 @@ from lwrfem.stepping import (
     run_time_filtered,
     time_filter_step,
 )
-from conftest import smooth_periodic, three_level_ops
+from conftest import march, smooth_periodic, three_level_ops
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +45,8 @@ class TestModelParamsAndGrid:
             ModelParams(chi=-1.0)
         with pytest.raises(ValueError):
             ModelParams(gamma=1.0)
+        with pytest.raises(ValueError, match="delta"):
+            ModelParams(delta=1e200)  # delta^2 overflows
         ModelParams(gamma=0.0)  # boundary value allowed
 
     def test_time_grid_consistency(self):
@@ -249,13 +252,22 @@ class TestBeStep:
         periodic = build_mesh(0.0, 1.0, 12, 2, PERIODIC)
         assert Stepper.build(both_ends, params, 0.1, periodic).constrained == ()
 
+    @pytest.mark.parametrize("gamma", [0.0, 2.0 / 3.0])
+    def test_stream_keeps_two_levels(self, gamma):
+        mesh = build_mesh(0.0, 1.0, 10, 1, DIRICHLET)
+        params = ModelParams(delta=0.1 * np.sqrt(mesh.h), gamma=gamma)
+        steps = run_time_filtered(manufactured(), params, TimeGrid(0.1, 5), mesh)
+        level_0 = weakref.ref(next(steps)[0])
+        next(steps)
+        assert level_0() is not None  # rho^{n-2} of the step to level 2
+        next(steps)
+        assert level_0() is None
+
     def test_newton_failure_names_step_and_time(self):
         mesh = build_mesh(0.0, 1.0, 10, 1, DIRICHLET)
         params = ModelParams(delta=0.1 * np.sqrt(mesh.h))
         with pytest.raises(NoConvergenceError, match=r"^step 1 to t = 0\.05 failed: no "):
-            run_time_filtered(
-                manufactured(), params, TimeGrid(0.05, 3), mesh, newton_max_iter=0
-            )
+            march(manufactured(), params, TimeGrid(0.05, 3), mesh, newton_max_iter=0)
 
     def test_time_error_scales_first_order(self):
         # fixed final time, halved step: global error ratio near 2
@@ -265,7 +277,7 @@ class TestBeStep:
         errors = []
         for dt in (0.05, 0.025):
             grid = TimeGrid.to_final_time(dt, 0.5)
-            trajectory = run_time_filtered(scenario, params, grid, mesh)
+            trajectory = march(scenario, params, grid, mesh)
             state, diag = trajectory[-1]
             errors.append(l2_error(state, scenario.exact_solution, diag.t))
         assert 1.7 < errors[0] / errors[1] < 2.3
@@ -276,8 +288,8 @@ class TestBeStep:
         params = ModelParams(delta=0.1 * np.sqrt(mesh.h), deconv_order=1)
         grid = TimeGrid(0.05, 10)
         for trajectory in (
-            run_time_filtered(scenario, params, grid, mesh),
-            run_time_filtered(scenario, dataclasses.replace(params, gamma=2.0 / 3.0), grid, mesh),
+            march(scenario, params, grid, mesh),
+            march(scenario, dataclasses.replace(params, gamma=2.0 / 3.0), grid, mesh),
         ):
             for state, diag in trajectory[1:]:
                 assert abs(state.coefficients[0]) <= 1e-12
@@ -289,7 +301,7 @@ class TestRunAlgorithm1:
         scenario = manufactured()
         mesh = build_mesh(0.0, 1.0, 10, 1, DIRICHLET)
         params = ModelParams(delta=0.1 * np.sqrt(mesh.h))
-        trajectory = run_time_filtered(scenario, params, TimeGrid(0.1, 0), mesh)
+        trajectory = march(scenario, params, TimeGrid(0.1, 0), mesh)
         assert len(trajectory) == 1
         assert np.abs(trajectory[0][0].coefficients).max() < 1e-12
 
@@ -302,7 +314,7 @@ class TestRunAlgorithm1:
         )
         params = ModelParams(chi=1.0, delta=np.sqrt(mesh.h), deconv_order=1)
         grid = TimeGrid(0.01, 50)
-        trajectory = run_time_filtered(scenario, params, grid, mesh)
+        trajectory = march(scenario, params, grid, mesh)
         norms = np.array([diag.l2_norm for _, diag in trajectory])
         assert np.all(np.diff(norms) <= 1e-10 * norms[0])
         dissipation = sum(diag.stab_dissipation for _, diag in trajectory[1:])
@@ -314,8 +326,8 @@ class TestRunAlgorithm1:
         scenario = manufactured()
         mesh = build_mesh(0.0, 1.0, 100, 2, DIRICHLET)
         params = ModelParams(chi=0.0, delta=0.1 * np.sqrt(mesh.h), deconv_order=1)
-        trajectory = run_time_filtered(scenario, params, TimeGrid(0.1, 10), mesh)
-        error = triple_norm_inf(trajectory, scenario.exact_solution)
+        steps = run_time_filtered(scenario, params, TimeGrid(0.1, 10), mesh)
+        error = run_error_inf(steps, scenario.exact_solution)  # unfiltered: one iterate per level
         assert error == pytest.approx(1.97e-2, rel=0.25)
 
 
@@ -329,8 +341,10 @@ class TestRunAlgorithm2:
         errors = []
         for n_steps in (10, 20):
             grid = TimeGrid(1.0 / n_steps, n_steps)
-            trajectory = run_time_filtered(scenario, params, grid, mesh)
-            errors.append(triple_norm_inf(trajectory, scenario.exact_solution))
+            errors.append(max(  # over the filtered states only
+                l2_error(state, scenario.exact_solution, diag.t)
+                for state, diag in march(scenario, params, grid, mesh)
+            ))
         assert errors[1] == pytest.approx(1.26e-3, rel=0.25)
         assert np.log2(errors[0] / errors[1]) == pytest.approx(1.95, abs=0.15)
 
@@ -339,8 +353,10 @@ class TestRunAlgorithm2:
         mesh = build_mesh(0.0, 1.0, 10, 1, DIRICHLET)
         params = ModelParams(delta=0.1 * np.sqrt(mesh.h), gamma=2.0 / 3.0)
         grid = TimeGrid(0.1, 5)
-        trajectory = run_time_filtered(scenario, params, grid, mesh)
-        assert len(trajectory.intermediates) == grid.n_steps - 1  # none for startup
+        filtered = sum(
+            rho_hat is not rho for rho, _, rho_hat in run_time_filtered(scenario, params, grid, mesh)
+        )
+        assert filtered == grid.n_steps - 1  # none for startup
 
     def test_one_step_equivalent_scheme_residual(self):
         # substituting the two-step solution into the combined scheme's
@@ -354,7 +370,7 @@ class TestRunAlgorithm2:
         ctx = build_filter_context(ops, params.delta, params.deconv_order)
         grid = TimeGrid(0.02, 25)
         newton_tol = 1e-10
-        trajectory = run_time_filtered(scenario, params, grid, mesh, newton_tol=newton_tol)
+        trajectory = march(scenario, params, grid, mesh, newton_tol=newton_tol)
         stab = stabilization_matrix(ctx, params.chi)
         for n in range(2, grid.n_steps + 1):
             state_n = trajectory[n][0]
@@ -382,7 +398,7 @@ class TestRunAlgorithm2:
             chi=0.5, delta=np.sqrt(mesh.h), deconv_order=0, gamma=2.0 / 3.0
         )
         grid = TimeGrid(0.01, 60)
-        trajectory = run_time_filtered(scenario, params, grid, mesh)
+        trajectory = march(scenario, params, grid, mesh)
         norms = [diag.l2_norm for _, diag in trajectory]
         bound = 10.0 * (norms[0] + norms[1])
         assert max(norms) <= bound
