@@ -29,14 +29,14 @@ Both schemes march in one loop, ``run_time_filtered``, a generator of
 the time levels that keeps only the two states the recurrence reads:
 backward Euler is its gamma = 0 case, where the filter correction
 vanishes.  A ``Stepper`` holds what a run keeps constant (the operators,
-the stabilization, the linear part M/dt + v_f C + stab, the constrained
-rows); ``be_step`` adds the per-step work: the right-hand side, the
-boundary values and Newton.
+the stabilization, the linear part M/dt + v_f C + stab, each constrained
+row with its Dirichlet value g(t)); ``be_step`` adds the per-step work:
+the right-hand side, the boundary values and Newton.
 
-Dirichlet data is enforced by row replacement: constrained residual rows
-become rho_i - g(x_i, t^n) and the matching Jacobian rows become identity
-rows, so the same dense solve serves both boundary kinds.  Forcing is
-evaluated implicitly at the new time level.
+Dirichlet data is enforced by row replacement: the residual row of the
+constrained end's node becomes rho_i - g(t^n) and the matching Jacobian
+row an identity row, so the same dense solve serves both boundary kinds.
+Forcing is evaluated implicitly at the new time level.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import numpy as np
 
 from .filtering import build_filter_context, stabilization_matrix
 from .mesh import FeFunction, Mesh1D, MeshMismatchError, l2_project, require_same_mesh
-from .linalg import lu_solve
+from .linalg import SingularMatrixError, lu_solve
 from .operators import (
     AssembledOperators,
     assemble,
@@ -181,7 +181,7 @@ class Stepper:
     operators: AssembledOperators
     stab: np.ndarray  # chi delta^2 Pi^T S Pi
     linear_part: np.ndarray  # M/dt + v_f C + stab
-    constrained: tuple[tuple[int, str], ...]  # Dirichlet (row, end) pairs
+    constrained: tuple[tuple[int, Callable], ...]  # Dirichlet (row, g) pairs
     nonlinear_coeff: float  # 2 v_f / rho_m
     dt: float
     newton_tol: float
@@ -195,11 +195,13 @@ class Stepper:
         ops = assemble(mesh)
         ctx = build_filter_context(ops, params.delta, params.deconv_order)
         stab = stabilization_matrix(ctx, params.chi)
-        ends = scenario.constrained_ends if mesh.boundary_kind == "dirichlet" else ()
+        dirichlet = scenario.dirichlet if mesh.boundary_kind == "dirichlet" else {}
         return cls(
             scenario=scenario, operators=ops, stab=stab,
             linear_part=ops.mass / dt + params.v_f * ops.convection + stab,
-            constrained=tuple((0 if e == LEFT else mesh.n_dofs - 1, e) for e in ends),
+            constrained=tuple(
+                (0 if end == LEFT else mesh.n_dofs - 1, g) for end, g in dirichlet.items()
+            ),
             nonlinear_coeff=2.0 * params.v_f / params.rho_m, dt=dt,
             newton_tol=newton_tol, newton_max_iter=newton_max_iter,
         )
@@ -219,7 +221,7 @@ def be_step(
     rhs = (stepper.operators.mass @ rho_prev.coefficients) / stepper.dt
     if scenario.forcing is not None:
         rhs = rhs + forcing_vector(scenario.forcing, t_next, mesh)
-    bcs = [(i, scenario.boundary_data(end, t_next)) for i, end in stepper.constrained]
+    bcs = [(i, g(t_next)) for i, g in stepper.constrained]
 
     def residual(x: np.ndarray) -> np.ndarray:
         r = linear_part @ x - nonlinear_coeff * b_residual(FeFunction(mesh, x)) - rhs
@@ -287,6 +289,8 @@ def run_time_filtered(
     the startup step, and gamma = 0, where the correction vanishes and this
     one loop marches plain backward Euler.  Level 0 is the projected
     initial condition, recorded like a step that took no Newton iterations.
+    A step whose Newton iteration fails or meets a singular matrix raises
+    NoConvergenceError naming the step.
     """
     stepper = Stepper.build(scenario, params, grid.dt, mesh, newton_tol, newton_max_iter)
     ops = stepper.operators
@@ -296,7 +300,7 @@ def run_time_filtered(
         t = n * grid.dt
         try:
             rho_hat, iters, r0 = be_step(stepper, rho_n1, t) if n else (rho_n1, 0, 0.0)
-        except NoConvergenceError as err:
+        except (NoConvergenceError, SingularMatrixError) as err:
             raise NoConvergenceError(f"step {n} to t = {t:.6g} failed: {err}") from err
         rho = rho_hat
         if rho_n2 is not None and params.gamma != 0.0:

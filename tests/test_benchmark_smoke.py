@@ -1,11 +1,16 @@
 """Smoke test of the benchmark: one execution of each workload it declares.
 
-The benchmark imports ``lwrfem`` (``perfbench/worker.py`` calls
-``build_mesh``, ``assemble``, ``build_filter_context``, ``l2_project`` and
-``lwrfem.cli.parse_config``) and gates each execution against reference
-outputs.  A change that breaks that contract makes the benchmark report
-``correct: false`` with no metrics, so this runs it as declared in
-``BENCHMARK.json``, for a single execution per workload.
+The benchmark imports ``lwrfem`` and gates each execution against
+reference outputs.  ``perfbench/worker.py`` runs ``lwrfem.cli.main`` and
+times the set-up through this library surface: ``build_mesh``,
+``assemble``, ``build_filter_context`` and ``l2_project``;
+``lwrfem.cli.parse_config`` and, on the ``RunConfig`` it returns,
+``get_scenario`` and ``delta_for`` and the fields ``n_elements``,
+``degree``, ``boundary_kind``, ``deconv_order`` and ``time_levels``; and
+the scenario's ``initial_condition``.  A change that breaks that
+contract makes the benchmark report ``correct: false`` with no metrics,
+so this runs it as declared in ``BENCHMARK.json``, for a single
+execution per workload.
 """
 
 import json

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,9 @@ def read_rows(path):
     header = lines[1].split(",")
     rows = [line.split(",") for line in lines[2:]]
     return header, rows
+
+
+TIME_RATES = str(Path(__file__).resolve().parents[1] / "configs" / "time_rates.cfg")
 
 
 class TestParseConfig:
@@ -71,15 +76,26 @@ class TestParseConfig:
             parse_config(None, {"scenario": "tsunami"})
 
     def test_header_echo_order(self):
-        # the echo is compared byte for byte by downstream tools
-        assert parse_config(None, {"scenario": "shock"}).header_line() == (
-            "# scenario=shock n_elements=128 degree=1 boundary_kind=dirichlet v_f=1"
-            " rho_m=1 chi=1 deconv_order=0 gamma=0 delta_coeff=1 delta_exp=0.5"
-            " dt=0.0001 t_final=1 newton_tol=1e-10 newton_max_iter=25 algorithm=2"
-            " output_dir=out space_min_elements=6 space_levels=6"
-            " dt_max=0.10000000000000001 time_levels=5 chi_list=0,1 deconv_list="
-            " degree_list= study_times=0.5,1 jobs=1"
-        )
+        # the echo is compared byte for byte by downstream tools, and pins
+        # every scenario's effective defaults
+        settings = {
+            "shock": "n_elements=128 degree=1 boundary_kind=dirichlet v_f=1 rho_m=1"
+                     " chi=1 deconv_order=0 gamma=0 delta_coeff=1 delta_exp=0.5 dt=0.0001",
+            "rarefaction": "n_elements=128 degree=1 boundary_kind=dirichlet v_f=1"
+                           " rho_m=1 chi=0 deconv_order=0 gamma=0 delta_coeff=1"
+                           " delta_exp=0.5 dt=0.0001",
+            "manufactured": "n_elements=100 degree=2 boundary_kind=dirichlet v_f=1"
+                            " rho_m=1 chi=0 deconv_order=1 gamma=0"
+                            " delta_coeff=0.10000000000000001 delta_exp=0.5 dt=0.01",
+        }
+        for scenario, values in settings.items():
+            assert parse_config(None, {"scenario": scenario}).header_line() == (
+                f"# scenario={scenario} {values}"
+                " t_final=1 newton_tol=1e-10 newton_max_iter=25 algorithm=2"
+                " output_dir=out space_min_elements=6 space_levels=6"
+                " dt_max=0.10000000000000001 time_levels=5 chi_list=0,1 deconv_list="
+                " degree_list= study_times=0.5,1 jobs=1"
+            )
 
     def test_validation_of_derived_fields(self):
         with pytest.raises(ConfigTypeError):
@@ -190,19 +206,24 @@ class TestCommands:
         assert rows[2][3] == ""  # no rate across the gap
 
     def test_rung_failure_exit_code(self, tmp_path, capsys):
-        # a single Newton iteration cannot meet the tolerance at dt = 0.1
-        code = main(
-            [
-                "conv-time",
-                "--scenario", "manufactured",
-                "--time_levels", "1",
-                "--newton_max_iter", "1",
-                "--n_elements", "20",
-                "--output_dir", str(tmp_path),
-            ]
-        )
-        assert code == 1
-        assert "rung failed" in capsys.readouterr().err
+        cases = [
+            # a single Newton iteration cannot meet the tolerance at dt = 0.1
+            ["--time_levels", "1", "--newton_max_iter", "1", "--n_elements", "20"],
+            # the periodic P1 Newton matrix M/dt + C is singular at dt = 1e20
+            ["--boundary_kind", "periodic", "--degree", "1", "--chi", "0",
+             "--dt_max", "1e20", "--t_final", "1e20", "--time_levels", "2"],
+        ]
+        for k, flags in enumerate(cases):
+            out = tmp_path / str(k)
+            code = main(
+                ["conv-time", "--scenario", "manufactured", *flags, "--output_dir", str(out)]
+            )
+            assert code == 1
+            _, rows = read_rows(out / "convergence_time.csv")
+            assert [row[2] for row in rows] == ["failed"] * len(rows)
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == len(rows)  # one line per failed rung, no traceback
+            assert all(line.startswith("rung failed: step 1 to t = ") for line in lines)
 
     def test_parallel_jobs_produce_identical_data(self, tmp_path):
         cases = [
@@ -300,24 +321,44 @@ class TestMain:
 
     @pytest.mark.filterwarnings("error")  # a NumPy warning would be a second line
     def test_failed_run_exits_1_with_one_line(self, tmp_path, capsys):
-        # no convergence, and a residual whose norm overflows; the second
+        # no convergence, a residual whose norm overflows, and a singular
+        # Newton matrix (periodic P1 M/dt + C at dt = 1e20); the second
         # run's output directory does not exist yet
-        for flags, out in ((["--newton_max_iter", "0"], tmp_path),
-                           (["--v_f", "1e300"], tmp_path / "new")):
+        singular = ["--scenario", "manufactured", "--boundary_kind", "periodic",
+                    "--degree", "1", "--chi", "0", "--dt", "1e20", "--t_final", "1e20"]
+        for flags, out, t in ((["--newton_max_iter", "0"], tmp_path, "0.0001"),
+                              (["--v_f", "1e300"], tmp_path / "new", "0.0001"),
+                              (singular, tmp_path, "1e+20")):
             code = main(
                 [
                     "run",
                     "--scenario", "shock",
-                    *flags,
                     "--t_final", "0.001",
+                    *flags,
                     "--output_dir", str(out),
                 ]
             )
             captured = capsys.readouterr()
             assert code == 1
-            assert captured.err.startswith("run failed: step 1 to t = 0.0001 failed: ")
+            assert captured.err.startswith(f"run failed: step 1 to t = {t} failed: ")
             assert captured.err.count("\n") == 1
             assert captured.out == "" and not list(tmp_path.iterdir())
+
+    def test_exact_solution_only_at_unit_v_f_and_rho_m(self, tmp_path, capsys):
+        # every exact solution, and the manufactured forcing, assume v_f = rho_m = 1
+        argv = ["conv-time", "--config", TIME_RATES, "--time_levels", "3", "--rho_m", "2",
+                "--output_dir", str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: 'manufactured' has an exact solution only at"
+            " v_f = rho_m = 1\n"
+        )
+        assert not list(tmp_path.iterdir())  # nothing ran
+        argv = ["run", "--scenario", "shock", "--v_f", "2", "--t_final", "0.001",
+                "--output_dir", str(tmp_path)]
+        assert main(argv) == 0
+        header, rows = read_rows(tmp_path / "profile.csv")
+        assert header[2] == "rho_exact" and {row[2] for row in rows} == {"nan"}
 
     def test_successful_run_exit_code(self, tmp_path, capsys):
         code = main(

@@ -31,10 +31,10 @@ class TestManufactured:
 
     def test_boundary_and_initial_data(self):
         sc = manufactured()
-        assert sc.constrained_ends == (LEFT, RIGHT)
+        assert list(sc.dirichlet) == [LEFT, RIGHT]
         for t in np.linspace(0.0, 2.0, 20):
-            assert sc.boundary_data(LEFT, t) == 0.0
-            assert sc.boundary_data(RIGHT, t) == 0.0
+            assert sc.dirichlet[LEFT](t) == 0.0
+            assert sc.dirichlet[RIGHT](t) == 0.0
             assert sc.exact_solution(0.0, t) == pytest.approx(0.0, abs=1e-14)
             assert sc.exact_solution(1.0, t) == pytest.approx(0.0, abs=1e-12)
         x = np.linspace(0.0, 1.0, 33)
@@ -67,10 +67,9 @@ class TestRarefaction:
 
     def test_initial_and_boundary_data(self):
         sc = rarefaction()
-        assert sc.constrained_ends == (LEFT,)
-        assert sc.boundary_data(LEFT, 0.5) == 0.47
-        with pytest.raises(ValueError):
-            sc.boundary_data(RIGHT, 0.5)
+        assert list(sc.dirichlet) == [LEFT]
+        assert sc.dirichlet[LEFT](0.5) == 0.47
+        assert RIGHT not in sc.dirichlet
         x = np.linspace(0.01, 1.0, 50)
         assert np.abs(sc.initial_condition(x)).max() == 0.0
         assert np.abs(sc.exact_solution(x, 0.0)).max() == 0.0
@@ -102,8 +101,9 @@ class TestShock:
 
     def test_initial_and_boundary_data(self):
         sc = shock()
-        assert sc.constrained_ends == (LEFT,)
-        assert sc.boundary_data(LEFT, 2.0) == 0.25
+        assert list(sc.dirichlet) == [LEFT]
+        assert sc.dirichlet[LEFT](2.0) == 0.25
+        assert RIGHT not in sc.dirichlet
         x = np.linspace(0.01, 1.0, 50)
         assert np.abs(sc.initial_condition(x) - 1.0 / 3.0).max() < 1e-15
         assert np.abs(np.asarray(sc.exact_solution(x, 0.0)) - 1.0 / 3.0).max() < 1e-15
@@ -117,7 +117,6 @@ class TestRegistry:
     def test_exact_matches_boundary_at_constrained_ends(self, name):
         sc = SCENARIOS[name]()
         ends = {LEFT: 0.0, RIGHT: 1.0}
-        for end in sc.constrained_ends:
+        for end, g in sc.dirichlet.items():
             for t in np.linspace(0.05, 1.0, 20):
-                g = sc.boundary_data(end, t)
-                assert sc.exact_solution(ends[end], t) == pytest.approx(g, abs=1e-12)
+                assert sc.exact_solution(ends[end], t) == pytest.approx(g(t), abs=1e-12)

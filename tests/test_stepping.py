@@ -246,9 +246,10 @@ class TestBeStep:
             stepper.linear_part, ops.mass / 0.1 + params.v_f * ops.convection + stab
         )
         assert stepper.nonlinear_coeff == 1.0
-        both_ends = dataclasses.replace(manufactured(), constrained_ends=(LEFT, RIGHT))
+        left, right = (lambda t: 0.1), (lambda t: 0.2)
+        both_ends = dataclasses.replace(manufactured(), dirichlet={LEFT: left, RIGHT: right})
         rows = Stepper.build(both_ends, params, 0.1, mesh).constrained
-        assert rows == ((0, "left"), (mesh.n_dofs - 1, "right"))
+        assert rows == ((0, left), (mesh.n_dofs - 1, right))
         periodic = build_mesh(0.0, 1.0, 12, 2, PERIODIC)
         assert Stepper.build(both_ends, params, 0.1, periodic).constrained == ()
 
