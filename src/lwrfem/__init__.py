@@ -7,8 +7,6 @@ temporal accuracy of backward Euler with a second-order time filter.
 """
 
 from .analysis import (
-    ConvergenceTable,
-    NonHalvingLadderError,
     TableRow,
     convergence_table,
     l2_error,
@@ -16,28 +14,14 @@ from .analysis import (
     run_error_inf,
     total_variation,
 )
-from .filtering import (
-    FilterContext,
-    NegativeChiError,
-    build_filter_context,
-    stabilization_matrix,
-)
-from .linalg import (
-    DimensionMismatchError,
-    SingularMatrixError,
-    lu_factorize,
-    lu_solve,
-)
+from .filtering import FilterContext, build_filter_context, stabilization_matrix
+from .linalg import SingularMatrixError, lu_solve
 from .mesh import (
     DIRICHLET,
     PERIODIC,
     FeFunction,
-    InvalidDegreeError,
     Mesh1D,
-    MeshMismatchError,
-    OutOfDomainError,
     QuadratureRule,
-    TooFewElementsError,
     build_mesh,
     evaluate,
     l2_project,

@@ -1,4 +1,4 @@
-"""Error norms, convergence tables, and oscillation metrics.
+"""Error norms, convergence-table rows, and oscillation metrics.
 
 The error norm is the L2 distance between a finite-element function and
 an exact solution, integrated with a 5-point Gauss rule (one order above
@@ -17,10 +17,6 @@ import numpy as np
 
 from .mesh import ERROR_RULE, FeFunction, element_values, sample_function
 from .stepping import StepRecord
-
-
-class NonHalvingLadderError(ValueError):
-    """Successive resolutions must halve for log2 rates to make sense."""
 
 
 def l2_error(rho_h: FeFunction, exact: Callable, t: float) -> float:
@@ -57,19 +53,15 @@ class TableRow:
     rate: float | None  # None on the first row and next to a failed rung
 
 
-@dataclass(frozen=True)
-class ConvergenceTable:
-    rows: tuple[TableRow, ...]
-
-
 def convergence_table(
     errors: Sequence[tuple[float, float | None]],
     labels: Sequence[str] | None = None,
-) -> ConvergenceTable:
+) -> tuple[TableRow, ...]:
     """Build (resolution, error, rate) rows with rate = log2(e_prev / e).
 
     An error of None marks a failed rung: its row carries no error, and
-    no rate is taken across it.
+    no rate is taken across it.  Raises ValueError for a non-positive
+    error or for resolutions that do not halve, as log2 rates assume.
     """
     resolutions = [float(r) for r, _ in errors]
     values = [None if e is None else float(e) for _, e in errors]
@@ -77,9 +69,7 @@ def convergence_table(
         raise ValueError("errors must be strictly positive")
     for coarse, fine in zip(resolutions, resolutions[1:]):
         if abs(coarse / fine - 2.0) > 1e-6:
-            raise NonHalvingLadderError(
-                f"resolutions {coarse} -> {fine} do not halve"
-            )
+            raise ValueError(f"resolutions {coarse} -> {fine} do not halve")
     if labels is None:
         labels = [f"{r:g}" for r in resolutions]
     rows = []
@@ -88,7 +78,7 @@ def convergence_table(
         if i > 0 and error is not None and values[i - 1] is not None:
             rate = float(np.log2(values[i - 1] / error))
         rows.append(TableRow(label, resolution, error, rate))
-    return ConvergenceTable(rows=tuple(rows))
+    return tuple(rows)
 
 
 def total_variation(rho_h: FeFunction) -> float:

@@ -18,7 +18,9 @@ repeated runs are bit-identical.
 
 Exit codes: 0 success, 1 if the run or any ladder rung or sweep member
 failed (a step whose Newton iteration fails or meets a singular matrix),
-2 on configuration errors, a ladder without an exact solution included.
+2 on a ConfigError: among them a newton_tol outside (0, 1), and a ladder
+without an exact solution (v_f or rho_m other than 1, or a scenario with
+nonzero inflow data on a periodic mesh).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .analysis import convergence_table, run_error_inf
-from .mesh import DIRICHLET, Mesh1D, build_mesh, evaluate
+from .mesh import DIRICHLET, PERIODIC, Mesh1D, build_mesh, evaluate
 from .scenarios import SCENARIOS, Scenario
 from .stepping import (
     ModelParams,
@@ -45,19 +47,7 @@ from .stepping import (
 
 
 class ConfigError(ValueError):
-    """Base class for configuration problems."""
-
-
-class UnknownKeyError(ConfigError):
-    """Configuration key is not recognized."""
-
-
-class ConfigTypeError(ConfigError):
-    """Configuration value failed to parse as the key's type."""
-
-
-class MissingScenarioError(ConfigError):
-    """No (or no known) scenario was named."""
+    """A configuration the CLI rejects, exit 2."""
 
 
 def _parse_boundary_kind(text: str) -> str:
@@ -122,39 +112,48 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         if self.delta_coeff < 0:
-            raise ConfigTypeError("delta_coeff must be nonnegative")
+            raise ConfigError("delta_coeff must be nonnegative")
         if not 0.0 <= self.delta_exp <= 1.0:
-            raise ConfigTypeError("delta_exp must lie in [0, 1]")
+            raise ConfigError("delta_exp must lie in [0, 1]")
         if self.algorithm not in (1, 2):
-            raise ConfigTypeError(f"algorithm must be 1 or 2, got {self.algorithm}")
+            raise ConfigError(f"algorithm must be 1 or 2, got {self.algorithm}")
         if self.jobs < 1:
-            raise ConfigTypeError("jobs must be at least 1")
+            raise ConfigError("jobs must be at least 1")
         if min(self.n_elements, self.space_min_elements) < 2:
-            raise ConfigTypeError("a mesh needs at least 2 elements")
+            raise ConfigError("a mesh needs at least 2 elements")
         if not {self.degree, *self.degree_list} <= {1, 2}:
-            raise ConfigTypeError("degree must be 1 or 2")
+            raise ConfigError("degree must be 1 or 2")
         if not (self.dt > 0 and self.dt_max > 0):
-            raise ConfigTypeError("dt and dt_max must be positive")
+            raise ConfigError("dt and dt_max must be positive")
         if not self.newton_tol > 0:
-            raise ConfigTypeError("newton_tol must be positive")
+            raise ConfigError("newton_tol must be positive")
+        if not self.newton_tol < 1:  # the stopping test accepts every guess
+            raise ConfigError(f"newton_tol must be below 1, got {self.newton_tol:g}")
         if self.newton_max_iter < 0:
-            raise ConfigTypeError("newton_max_iter must be nonnegative")
+            raise ConfigError("newton_max_iter must be nonnegative")
         if min(self.time_levels, self.space_levels) < 1:
-            raise ConfigTypeError("time_levels and space_levels must be at least 1")
+            raise ConfigError("time_levels and space_levels must be at least 1")
         if not self.chi_list:
-            raise ConfigTypeError("chi_list must name at least one chi")
+            raise ConfigError("chi_list must name at least one chi")
         try:
             self.make_params(1.0)  # the model parameters' own domain checks
         except ValueError as err:
-            raise ConfigTypeError(str(err)) from err
+            raise ConfigError(str(err)) from err
 
     def delta_for(self, h: float) -> float:
         return self.delta_coeff * h**self.delta_exp
 
     def get_scenario(self) -> Scenario:
-        """The named scenario, without its exact solution unless v_f = rho_m = 1."""
+        """The named scenario, without its exact solution where that does not hold.
+
+        The exact solutions are those of v_f = rho_m = 1.  A periodic mesh
+        drops the Dirichlet data, and with it any solution driven by
+        nonzero inflow data (rarefaction, shock: their g at t = 0); the
+        manufactured one, 1-periodic and zero at both ends, still holds.
+        """
         scenario = SCENARIOS[self.scenario]()
-        if self.v_f == self.rho_m == 1.0:
+        inflow = any(g(0.0) != 0.0 for g in scenario.dirichlet.values())
+        if self.v_f == self.rho_m == 1.0 and not (inflow and self.boundary_kind == PERIODIC):
             return scenario
         return dataclasses.replace(scenario, exact_solution=None)
 
@@ -200,7 +199,7 @@ def _time_grid(dt: float, t_final: float) -> TimeGrid:
     try:
         return TimeGrid.to_final_time(dt, t_final)
     except ValueError as err:
-        raise ConfigTypeError(str(err)) from err
+        raise ConfigError(str(err)) from err
 
 
 def _fmt(value) -> str:
@@ -218,12 +217,12 @@ def read_config_file(path: str | Path) -> dict[str, tuple[str, int]]:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigTypeError(f"line {lineno}: expected 'key = value', got {raw!r}")
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in KEY_PARSERS:
-            raise UnknownKeyError(f"line {lineno}: unknown key {key!r}")
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in entries:
-            raise ConfigTypeError(
+            raise ConfigError(
                 f"line {lineno}: key {key!r} repeats line {entries[key][1]}"
             )
         entries[key] = (value, lineno)
@@ -238,16 +237,16 @@ def parse_config(
     overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
     for key in overrides:
         if key not in KEY_PARSERS:
-            raise UnknownKeyError(f"unknown key {key!r}")
+            raise ConfigError(f"unknown key {key!r}")
 
     name = overrides.get("scenario")
     if name is None and "scenario" in file_entries:
         name = file_entries["scenario"][0]
     if name is None:
-        raise MissingScenarioError("no scenario named (key 'scenario')")
+        raise ConfigError("no scenario named (key 'scenario')")
     name = str(name).strip()
     if name not in SCENARIOS:
-        raise MissingScenarioError(
+        raise ConfigError(
             f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}"
         )
 
@@ -260,7 +259,7 @@ def parse_config(
         try:
             values[key] = KEY_PARSERS[key](raw)
         except (TypeError, ValueError) as err:
-            raise ConfigTypeError(
+            raise ConfigError(
                 f"{where}key {key!r}: cannot parse {raw!r} ({err})"
             ) from err
     return RunConfig(scenario=name, **values)
@@ -367,17 +366,17 @@ def _guarded_map(fns: Sequence[Callable], jobs: int, what: str) -> list:
 def _write_convergence(
     path: Path, config: RunConfig, results: list[tuple[str, float, float | None]]
 ) -> int:
-    table = convergence_table(
+    rows = convergence_table(
         [(resolution, error) for _, resolution, error in results],
         [label for label, _, _ in results],
     )
     lines = ["resolution,h_or_dt,error_linf_l2,rate"]
-    for row in table.rows:
+    for row in rows:
         error = "failed" if row.error is None else _fmt(row.error)
         rate = "" if row.rate is None else _fmt(row.rate)
         lines.append(f"{row.label},{_fmt(row.resolution)},{error},{rate}")
     _write_lines(path, config.header_line(), lines)
-    return sum(row.error is None for row in table.rows)
+    return sum(row.error is None for row in rows)
 
 
 def _ladder(
@@ -386,7 +385,10 @@ def _ladder(
     """Run (resolution, mesh, grid) rungs and write their errors and rates."""
     exact = config.get_scenario().exact_solution
     if exact is None:
-        raise ConfigError(f"{config.scenario!r} has an exact solution only at v_f = rho_m = 1")
+        raise ConfigError(
+            f"{config.scenario!r} has an exact solution only at v_f = rho_m = 1"
+            " and, if its Dirichlet data is nonzero, on a Dirichlet mesh"
+        )
 
     def rung(mesh: Mesh1D, grid: TimeGrid) -> Callable[[], float]:
         return lambda: run_error_inf(_solve(config, mesh, grid), exact)

@@ -29,12 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import lu_factorize
+from .linalg import lu_solve
 from .operators import AssembledOperators
-
-
-class NegativeChiError(ValueError):
-    """Stabilization weight chi must be nonnegative."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,7 +51,7 @@ def build_filter_context(
         raise ValueError(f"deconvolution order must be nonnegative, got {deconv_order}")
     m, s = operators.mass, operators.stiffness
     n = m.shape[0]
-    f = lu_factorize(m + delta**2 * s).solve(m)
+    f = lu_solve(m + delta**2 * s, m)
 
     eye = np.eye(n)
     i_minus_f = eye - f
@@ -72,5 +68,5 @@ def build_filter_context(
 def stabilization_matrix(ctx: FilterContext, chi: float) -> np.ndarray:
     """Coefficient-space stabilization operator chi delta^2 Pi^T S Pi."""
     if chi < 0:
-        raise NegativeChiError(f"chi must be nonnegative, got {chi}")
+        raise ValueError(f"chi must be nonnegative, got {chi}")
     return chi * ctx.delta**2 * ctx.stabilization_base

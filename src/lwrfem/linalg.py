@@ -1,4 +1,4 @@
-"""Dense linear algebra kernel: checked LU factorization and solves.
+"""Dense linear algebra kernel: one checked LU solve.
 
 Matrices are plain 2-D float64 numpy arrays (row-major), vectors 1-D
 arrays.  Factorization is LAPACK getrf (partial pivoting) via scipy.
@@ -12,14 +12,9 @@ solver can run.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-
-
-class DimensionMismatchError(ValueError):
-    """Operand shapes are incompatible."""
 
 
 class SingularMatrixError(ValueError):
@@ -31,27 +26,22 @@ class SingularMatrixError(ValueError):
 PIVOT_RTOL = 1e-14
 
 
-@dataclass(frozen=True)
-class LuFactorization:
-    """Cached LU factors of a square matrix, reusable for many solves."""
+def lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b by LU with partial pivoting; b is a vector or stacked columns.
 
-    lu: np.ndarray
-    piv: np.ndarray
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve A x = b (b may be a matrix of stacked right-hand sides)."""
-        return scipy.linalg.lu_solve((self.lu, self.piv), b)
-
-
-def lu_factorize(a: np.ndarray) -> LuFactorization:
-    """Factor a square matrix with partial pivoting.
-
-    Raises SingularMatrixError when any pivot magnitude falls below
-    PIVOT_RTOL times the largest entry magnitude of the input.
+    Raises ValueError for a non-square A, a b of another length or
+    non-finite entries, and SingularMatrixError when any pivot magnitude
+    falls below PIVOT_RTOL times the largest entry magnitude of A.
     """
     a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if b.shape[0] != a.shape[0]:
+        raise ValueError(
+            f"right-hand side length {b.shape[0]} does not match matrix size "
+            f"{a.shape[0]}"
+        )
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains non-finite entries")
     scale = np.abs(a).max()
@@ -66,16 +56,4 @@ def lu_factorize(a: np.ndarray) -> LuFactorization:
         raise SingularMatrixError(
             f"pivot {pivots.min():.3e} below threshold {PIVOT_RTOL * scale:.3e}"
         )
-    return LuFactorization(lu=lu, piv=piv)
-
-
-def lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve the dense system A x = b by LU with partial pivoting."""
-    b = np.asarray(b, dtype=float)
-    factors = lu_factorize(a)
-    if b.shape[0] != factors.lu.shape[0]:
-        raise DimensionMismatchError(
-            f"right-hand side length {b.shape[0]} does not match matrix size "
-            f"{factors.lu.shape[0]}"
-        )
-    return factors.solve(b)
+    return scipy.linalg.lu_solve((lu, piv), b)

@@ -47,7 +47,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .filtering import build_filter_context, stabilization_matrix
-from .mesh import FeFunction, Mesh1D, MeshMismatchError, l2_project, require_same_mesh
+from .mesh import FeFunction, Mesh1D, l2_project, require_same_mesh
 from .linalg import SingularMatrixError, lu_solve
 from .operators import (
     AssembledOperators,
@@ -141,12 +141,13 @@ def newton_solve(
     """Full Newton iteration; returns (solution, iterations, ||residual(guess)||).
 
     Stops once ||residual(x)|| <= tol * max(1, ||residual(guess)||); a
-    guess that already satisfies this returns with zero iterations.  A
+    guess that already satisfies this returns with zero iterations, so a
+    tol of 1 or more, which every guess meets, raises ValueError.  A
     non-finite residual norm, at the guess or after any update, raises
     NoConvergenceError.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
     if max_iter < 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
     x = np.asarray(guess, dtype=float).copy()
@@ -216,7 +217,7 @@ def be_step(
     """
     mesh, scenario = stepper.operators.mesh, stepper.scenario
     if rho_prev.mesh is not mesh:
-        raise MeshMismatchError("state does not live on the assembled mesh")
+        raise ValueError("state does not live on the assembled mesh")
     linear_part, nonlinear_coeff = stepper.linear_part, stepper.nonlinear_coeff
     rhs = (stepper.operators.mass @ rho_prev.coefficients) / stepper.dt
     if scenario.forcing is not None:

@@ -3,7 +3,6 @@ import pytest
 
 from lwrfem import analysis
 from lwrfem.analysis import (
-    NonHalvingLadderError,
     convergence_table,
     l2_error,
     overshoot,
@@ -103,18 +102,18 @@ class TestTripleNorm:
 
 class TestConvergenceTable:
     def test_exact_quartering(self):
-        table = convergence_table([(0.1, 1e-2), (0.05, 2.5e-3)])
-        assert table.rows[0].rate is None
-        assert table.rows[1].rate == pytest.approx(2.0, abs=1e-12)
+        rows = convergence_table([(0.1, 1e-2), (0.05, 2.5e-3)])
+        assert rows[0].rate is None
+        assert rows[1].rate == pytest.approx(2.0, abs=1e-12)
 
     def test_reference_rate_pairs(self):
         space = convergence_table([(1.0 / 6.0, 9.58e-5), (1.0 / 12.0, 1.46e-5)])
-        assert space.rows[1].rate == pytest.approx(2.71, abs=0.005)
+        assert space[1].rate == pytest.approx(2.71, abs=0.005)
         time = convergence_table([(0.1, 1.97e-2), (0.05, 9.13e-3)])
-        assert time.rows[1].rate == pytest.approx(1.11, abs=0.005)
+        assert time[1].rate == pytest.approx(1.11, abs=0.005)
 
     def test_non_halving_rejected(self):
-        with pytest.raises(NonHalvingLadderError):
+        with pytest.raises(ValueError, match=r"resolutions 0\.1 -> 0\.03 do not halve"):
             convergence_table([(0.1, 1e-2), (0.03, 1e-3)])
 
     def test_positive_errors_required(self):
@@ -122,8 +121,8 @@ class TestConvergenceTable:
             convergence_table([(0.1, 1e-2), (0.05, 0.0)])
 
     def test_labels(self):
-        table = convergence_table([(0.5, 1.0), (0.25, 0.25)], labels=["coarse", "fine"])
-        assert [row.label for row in table.rows] == ["coarse", "fine"]
+        rows = convergence_table([(0.5, 1.0), (0.25, 0.25)], labels=["coarse", "fine"])
+        assert [row.label for row in rows] == ["coarse", "fine"]
 
 
 class TestOscillationMetrics:

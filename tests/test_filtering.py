@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lwrfem.filtering import NegativeChiError, build_filter_context, stabilization_matrix
+from lwrfem.filtering import build_filter_context, stabilization_matrix
 from lwrfem.mesh import PERIODIC, FeFunction, build_mesh, l2_project
 from lwrfem.operators import assemble
 from lwrfem.stepping import mass_norm
@@ -162,7 +162,7 @@ class TestStabilizationMatrix:
 
     def test_negative_chi_rejected(self, setup):
         _, _, ctx = setup
-        with pytest.raises(NegativeChiError):
+        with pytest.raises(ValueError, match="chi must be nonnegative, got -1.0"):
             stabilization_matrix(ctx, -1.0)
 
     def test_quadratic_form_matches_fluctuation_gradient_norm(self, setup, oracle, rng):

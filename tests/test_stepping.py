@@ -7,7 +7,7 @@ import pytest
 from lwrfem.analysis import l2_error, run_error_inf
 from lwrfem.filtering import build_filter_context, stabilization_matrix
 from lwrfem.linalg import SingularMatrixError
-from lwrfem.mesh import DIRICHLET, PERIODIC, FeFunction, MeshMismatchError, build_mesh
+from lwrfem.mesh import DIRICHLET, PERIODIC, FeFunction, build_mesh
 from lwrfem.operators import assemble, b_residual, forcing_vector
 from lwrfem.scenarios import LEFT, RIGHT, manufactured
 from lwrfem.stepping import (
@@ -108,6 +108,12 @@ class TestNewtonSolve:
             with pytest.raises(NoConvergenceError, match="non-finite"):
                 newton_solve(residual, lambda x: np.diag(1.0 / x), np.array([0.1, 5.0]))
 
+    @pytest.mark.parametrize("tol", [0.0, 1.0, 2.0])
+    def test_tolerance_outside_unit_interval_rejected(self, tol):
+        # tol >= 1 would accept every guess: ||r|| <= tol * max(1, ||r(guess)||)
+        with pytest.raises(ValueError, match=r"tol must lie in \(0, 1\)"):
+            newton_solve(lambda x: x - 1.0, lambda x: np.eye(1), np.zeros(1), tol=tol)
+
     def test_negative_max_iter_rejected(self):
         with pytest.raises(ValueError, match="max_iter must be nonnegative"):
             newton_solve(lambda x: x, lambda x: np.eye(1), np.ones(1), max_iter=-1)
@@ -146,7 +152,7 @@ class TestThreeLevelOps:
         mesh_b = build_mesh(0.0, 1.0, 8, 1, PERIODIC)
         u = smooth_periodic(mesh_a, rng)
         v = smooth_periodic(mesh_b, rng)
-        with pytest.raises(MeshMismatchError):
+        with pytest.raises(ValueError, match="operands live on different meshes"):
             three_level_ops(u, u, v)
 
     def test_three_level_product_identity(self, rng):
@@ -231,7 +237,7 @@ class TestBeStep:
         mesh, _ = periodic_setup
         stepper = Stepper.build(unforced(manufactured()), ModelParams(), 0.01, mesh)
         other = build_mesh(0.0, 1.0, 32, 1, PERIODIC)
-        with pytest.raises(MeshMismatchError):
+        with pytest.raises(ValueError, match="state does not live on the assembled mesh"):
             be_step(stepper, smooth_periodic(other, rng), 0.01)
 
     def test_stepper_holds_the_run_constants(self):
