@@ -53,15 +53,14 @@ class TableRow:
     rate: float | None  # None on the first row and next to a failed rung
 
 
-def convergence_table(
-    errors: Sequence[tuple[float, float | None]],
-    labels: Sequence[str] | None = None,
-) -> tuple[TableRow, ...]:
+def convergence_table(errors: Sequence[tuple[float, float | None]]) -> tuple[TableRow, ...]:
     """Build (resolution, error, rate) rows with rate = log2(e_prev / e).
 
-    An error of None marks a failed rung: its row carries no error, and
-    no rate is taken across it.  Raises ValueError for a non-positive
-    error or for resolutions that do not halve, as log2 rates assume.
+    A row's label is 1/k when its resolution is 1/k for a whole k (to
+    1e-9 relative), else the resolution in %g.  An error of None marks a
+    failed rung: its row carries no error, and no rate is taken across
+    it.  Raises ValueError for a non-positive error or for resolutions
+    that do not halve, as log2 rates assume.
     """
     resolutions = [float(r) for r, _ in errors]
     values = [None if e is None else float(e) for _, e in errors]
@@ -70,10 +69,11 @@ def convergence_table(
     for coarse, fine in zip(resolutions, resolutions[1:]):
         if abs(coarse / fine - 2.0) > 1e-6:
             raise ValueError(f"resolutions {coarse} -> {fine} do not halve")
-    if labels is None:
-        labels = [f"{r:g}" for r in resolutions]
     rows = []
-    for i, (label, resolution, error) in enumerate(zip(labels, resolutions, values)):
+    for i, (resolution, error) in enumerate(zip(resolutions, values)):
+        inverse = 1.0 / resolution
+        whole = abs(inverse - round(inverse)) < 1e-9 * inverse
+        label = f"1/{round(inverse)}" if whole else f"{resolution:g}"
         rate = None
         if i > 0 and error is not None and values[i - 1] is not None:
             rate = float(np.log2(values[i - 1] / error))

@@ -211,7 +211,11 @@ def _fmt(value) -> str:
 def read_config_file(path: str | Path) -> dict[str, tuple[str, int]]:
     """Read ``key = value`` lines; returns {key: (raw value, line number)}."""
     entries: dict[str, tuple[str, int]] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        reason = getattr(err, "strerror", None) or err
+        raise ConfigError(f"cannot read config file {str(path)!r}: {reason}") from err
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -336,13 +340,6 @@ def cmd_run(config: RunConfig) -> tuple[list[Path], int]:
     return [profile, diagnostics], 0
 
 
-def _resolution_label(value: float) -> str:
-    inverse = 1.0 / value
-    if abs(inverse - round(inverse)) < 1e-9 * inverse:
-        return f"1/{int(round(inverse))}"
-    return f"{value:g}"
-
-
 def _guarded_map(fns: Sequence[Callable], jobs: int, what: str) -> list:
     """Call each fn, up to jobs at a time, in order of the results.
 
@@ -364,12 +361,9 @@ def _guarded_map(fns: Sequence[Callable], jobs: int, what: str) -> list:
 
 
 def _write_convergence(
-    path: Path, config: RunConfig, results: list[tuple[str, float, float | None]]
+    path: Path, config: RunConfig, results: list[tuple[float, float | None]]
 ) -> int:
-    rows = convergence_table(
-        [(resolution, error) for _, resolution, error in results],
-        [label for label, _, _ in results],
-    )
+    rows = convergence_table(results)
     lines = ["resolution,h_or_dt,error_linf_l2,rate"]
     for row in rows:
         error = "failed" if row.error is None else _fmt(row.error)
@@ -396,10 +390,7 @@ def _ladder(
     errors = _guarded_map(
         [rung(mesh, grid) for _, mesh, grid in rungs], config.jobs, "rung failed"
     )
-    results = [
-        (_resolution_label(resolution), resolution, error)
-        for (resolution, _, _), error in zip(rungs, errors)
-    ]
+    results = [(resolution, error) for (resolution, _, _), error in zip(rungs, errors)]
     path = Path(config.output_dir) / name
     return [path], _write_convergence(path, config, results)
 
@@ -483,11 +474,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output_dir(path: Path) -> None:
+    """Reject an output directory that is, or lies under, an existing non-directory."""
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"output_dir {str(path)!r}: {str(existing)!r} is not a directory")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     overrides = {key: getattr(args, key) for key in KEY_PARSERS}
     try:
         config = parse_config(args.config, overrides)
+        _check_output_dir(Path(config.output_dir))
         files, failures = COMMANDS[args.command](config)
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)

@@ -2,6 +2,8 @@
 
 Matrices are plain 2-D float64 numpy arrays (row-major), vectors 1-D
 arrays.  Factorization is LAPACK getrf (partial pivoting) via scipy.
+The checks before it take no n x n scratch: max(max A, -min A) is the
+largest entry magnitude, and it is finite only if every entry is.
 Every system is dense, so each factorization costs O(n^3) time and
 O(n^2) memory: a factor-and-solve at n = 1025 unknowns (the shock
 benchmark's finest mesh) takes about 30 ms on one thread of a 2-vCPU
@@ -42,9 +44,9 @@ def lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"right-hand side length {b.shape[0]} does not match matrix size "
             f"{a.shape[0]}"
         )
-    if not np.all(np.isfinite(a)):
+    scale = max(a.max(), -a.min())
+    if not np.isfinite(scale):
         raise ValueError("matrix contains non-finite entries")
-    scale = np.abs(a).max()
     if scale == 0.0:
         raise SingularMatrixError("zero matrix")
     with np.errstate(all="ignore"), warnings.catch_warnings():

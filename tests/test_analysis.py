@@ -121,8 +121,10 @@ class TestConvergenceTable:
             convergence_table([(0.1, 1e-2), (0.05, 0.0)])
 
     def test_labels(self):
-        rows = convergence_table([(0.5, 1.0), (0.25, 0.25)], labels=["coarse", "fine"])
-        assert [row.label for row in rows] == ["coarse", "fine"]
+        rows = convergence_table([(0.1, 1.0), (0.05, 0.25)])
+        assert [row.label for row in rows] == ["1/10", "1/20"]
+        rows = convergence_table([(0.3, 1.0), (0.15, 0.25)])
+        assert [row.label for row in rows] == ["0.3", "0.15"]
 
 
 class TestOscillationMetrics:

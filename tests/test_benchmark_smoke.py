@@ -10,7 +10,8 @@ times the set-up through this library surface: ``build_mesh``,
 the scenario's ``initial_condition``.  A change that breaks that
 contract makes the benchmark report ``correct: false`` with no metrics,
 so this runs it as declared in ``BENCHMARK.json``, for a single
-execution per workload.
+execution per workload; and once traced for the two quick workloads, so
+that a change losing a per-layer metric fails here too.
 """
 
 import json
@@ -24,16 +25,33 @@ ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("workload", [w["name"] for w in BENCHMARK["workloads"]])
-def test_workload_is_correct_with_every_end_to_end_metric(workload):
+def _run(workload, *flags):
+    """The last line of one benchmark execution, checked to be correct."""
     done = subprocess.run(
-        [*BENCHMARK["command"], "--workload", workload, "--seed", "1", "--seconds", "0"],
+        [*BENCHMARK["command"], "--workload", workload, "--seed", "1", "--seconds", "0",
+         *flags],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, done.stderr
-    for metric in BENCHMARK["end_to_end"]:
+    return result
+
+
+def _assert_reports(result, declared):
+    for metric in declared:
         name = metric["name"]
         assert name in result["metrics"], name
         assert math.isfinite(result["metrics"][name]["value"]), name
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in BENCHMARK["workloads"]])
+def test_workload_is_correct_with_every_end_to_end_metric(workload):
+    _assert_reports(_run(workload), BENCHMARK["end_to_end"])
+
+
+@pytest.mark.parametrize("workload", ["shock-n128", "mms-time-ladder"])
+def test_traced_workload_reports_every_per_layer_metric(workload):
+    # a per-layer metric goes absent when a traced lookup site is renamed
+    # or removed, or when a result hook no longer fits what it wraps
+    _assert_reports(_run(workload, "--trace", "1"), BENCHMARK["per_layer"])

@@ -195,8 +195,7 @@ class TestCommands:
 
     def test_failed_rungs_marked_and_skipped(self, tmp_path):
         cfg = parse_config(None, {"scenario": "shock", "output_dir": str(tmp_path)})
-        results = [("1/6", 1.0 / 6.0, 1e-2), ("1/12", 1.0 / 12.0, None),
-                   ("1/24", 1.0 / 24.0, 1e-3)]
+        results = [(1.0 / 6.0, 1e-2), (1.0 / 12.0, None), (1.0 / 24.0, 1e-3)]
         failures = _write_convergence(tmp_path / "table.csv", cfg, results)
         assert failures == 1
         _, rows = read_rows(tmp_path / "table.csv")
@@ -319,6 +318,37 @@ class TestMain:
         assert code == 2
         assert err.startswith("configuration error") and err.count("\n") == 1
         assert not list(tmp_path.iterdir())  # nothing ran
+
+    def test_unreadable_config_file_exits_2(self, tmp_path, capsys):
+        undecodable = tmp_path / "latin1.cfg"
+        undecodable.write_bytes(b"scenario = shock\n# caf\xe9\n")
+        for path, reason in ((tmp_path / "missing.cfg", "No such file or directory"),
+                             (undecodable, "can't decode byte 0xe9")):
+            out = tmp_path / "out"
+            code = main(["run", "--config", str(path), "--output_dir", str(out)])
+            err = capsys.readouterr().err
+            assert code == 2 and err.count("\n") == 1
+            assert err.startswith(f"configuration error: cannot read config file '{path}': ")
+            assert reason in err
+            assert not out.exists()
+
+    def test_output_dir_at_or_under_a_file_exits_2(self, tmp_path, capsys):
+        blocker = tmp_path / "F"
+        blocker.write_text("not a directory\n")
+        cases = [
+            ["run", "--scenario", "shock", "--t_final", "0.001", "--output_dir", "F"],
+            ["run", "--scenario", "shock", "--t_final", "0.001", "--output_dir", "F/sub"],
+            ["conv-time", "--config", TIME_RATES, "--time_levels", "2", "--output_dir", "F"],
+        ]
+        for argv in cases:
+            argv[-1] = str(tmp_path / argv[-1])
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err == (
+                f"configuration error: output_dir '{argv[-1]}': '{blocker}' is not a directory\n"
+            )
+            assert list(tmp_path.iterdir()) == [blocker]
+            assert blocker.read_text() == "not a directory\n"
 
     @pytest.mark.filterwarnings("error")  # a NumPy warning would be a second line
     def test_failed_run_exits_1_with_one_line(self, tmp_path, capsys):

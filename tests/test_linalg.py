@@ -45,10 +45,11 @@ def test_singular_matrix_raises():
 
 
 def test_non_finite_entries_rejected():
-    a = np.eye(3)
-    a[1, 1] = np.nan
-    with pytest.raises(ValueError, match="matrix contains non-finite entries"):
-        lu_solve(a, np.ones(3))
+    for value in (np.nan, np.inf, -np.inf):
+        a = np.eye(3)
+        a[1, 1] = value
+        with pytest.raises(ValueError, match="matrix contains non-finite entries"):
+            lu_solve(a, np.ones(3))
 
 
 def test_dimension_checks():

@@ -15,7 +15,7 @@ from lwrfem.mesh import DIRICHLET, PERIODIC, FeFunction, build_mesh
 from lwrfem.operators import assemble, b_form, b_residual, forcing_vector
 from lwrfem.scenarios import manufactured
 from lwrfem.stepping import ModelParams, Stepper, TimeGrid, mass_norm
-from conftest import march, three_level_ops
+from conftest import FilterOracle, march, three_level_ops
 
 GAMMA_FILTER = 2.0 / 3.0
 
@@ -58,6 +58,25 @@ def test_stabilization_base_symmetric_positive_semidefinite(degree, n, kind, del
     scale = max(np.abs(ops.stiffness).max(), 1.0)
     assert np.abs(base - base.T).max() <= 1e-12 * scale
     assert np.linalg.eigvalsh(0.5 * (base + base.T)).min() >= -1e-11 * scale
+
+
+@PROPERTY_SETTINGS
+@given(degree=degrees, n=n_elements, kind=boundary_kinds,
+       delta=st.floats(min_value=0.05, max_value=0.5), order=deconv_orders, seed=seeds)
+def test_stabilization_base_matches_oracle_fluctuations(degree, n, kind, delta, order, seed):
+    # u . (Pi^T S Pi v) = fluctuation(u)^T S fluctuation(v), with the
+    # fluctuation u - D_N(G(u)) from repeated filter solves.  Relative to
+    # the Cauchy-Schwarz bound of the right side; for delta well below h
+    # both sides sink to the rounding level of their float64 operators.
+    mesh = build_mesh(0.0, 1.0, n, degree, kind)
+    ops = assemble(mesh)
+    base = build_filter_context(ops, delta, order).stabilization_base
+    oracle = FilterOracle(ops, delta, order)
+    u, v = (_random_fe(mesh, seed + k) for k in range(2))
+    fu, fv = (oracle.fluctuation(f).coefficients for f in (u, v))
+    expected = fu @ (ops.stiffness @ fv)
+    scale = np.sqrt((fu @ ops.stiffness @ fu) * (fv @ ops.stiffness @ fv))
+    assert abs(u.coefficients @ (base @ v.coefficients) - expected) <= 1e-10 * scale
 
 
 @PROPERTY_SETTINGS
