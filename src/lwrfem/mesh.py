@@ -25,26 +25,6 @@ PERIODIC = "periodic"
 DIRICHLET = "dirichlet"
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Gauss-Legendre points/weights on the reference element [0, 1]."""
-
-    points: np.ndarray
-    weights: np.ndarray
-
-    @classmethod
-    def gauss_legendre(cls, n_points: int) -> "QuadratureRule":
-        # leggauss lives on [-1, 1]; map to [0, 1] so weights sum to 1.
-        pts, wts = np.polynomial.legendre.leggauss(n_points)
-        return cls(points=(pts + 1.0) / 2.0, weights=wts / 2.0)
-
-
-# Assembly uses 4 points (exact through degree 7, enough for the P2
-# trilinear integrand of degree 5); error norms use 5 points.
-ASSEMBLY_RULE = QuadratureRule.gauss_legendre(4)
-ERROR_RULE = QuadratureRule.gauss_legendre(5)
-
-
 def shape_values(degree: int, xi: np.ndarray) -> np.ndarray:
     """Lagrange basis values on [0, 1]; shape (len(xi), degree + 1)."""
     xi = np.asarray(xi, dtype=float)
@@ -66,6 +46,42 @@ def shape_derivatives(degree: int, xi: np.ndarray) -> np.ndarray:
     if degree == 2:
         return np.stack([4.0 * xi - 3.0, 4.0 - 8.0 * xi, 4.0 * xi - 1.0], axis=-1)
     raise ValueError(f"degree must be 1 or 2, got {degree}")
+
+
+@dataclass(frozen=True)
+class QuadratureRule:
+    """Gauss-Legendre points/weights on the reference element [0, 1].
+
+    ``values[degree]`` and ``derivatives[degree]`` are the Lagrange basis
+    tables at the points (shape_values, shape_derivatives), built once per
+    rule and read-only, since assembly reads them on every call.
+    """
+
+    points: np.ndarray
+    weights: np.ndarray
+    values: dict[int, np.ndarray]
+    derivatives: dict[int, np.ndarray]
+
+    @classmethod
+    def gauss_legendre(cls, n_points: int) -> "QuadratureRule":
+        # leggauss lives on [-1, 1]; map to [0, 1] so weights sum to 1.
+        pts, wts = np.polynomial.legendre.leggauss(n_points)
+        points = (pts + 1.0) / 2.0
+
+        def tables(basis: Callable) -> dict[int, np.ndarray]:
+            out = {degree: basis(degree, points) for degree in (1, 2)}
+            for table in out.values():
+                table.setflags(write=False)
+            return out
+
+        return cls(points=points, weights=wts / 2.0, values=tables(shape_values),
+                   derivatives=tables(shape_derivatives))
+
+
+# Assembly uses 4 points (exact through degree 7, enough for the P2
+# trilinear integrand of degree 5); error norms use 5 points.
+ASSEMBLY_RULE = QuadratureRule.gauss_legendre(4)
+ERROR_RULE = QuadratureRule.gauss_legendre(5)
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,8 +200,8 @@ def element_values(
     """
     mesh = f.mesh
     ce = f.coefficients[mesh.cell_dofs]  # (n_el, n_loc)
-    basis = shape_values(mesh.degree, rule.points)  # (n_q, n_loc)
-    dbasis = shape_derivatives(mesh.degree, rule.points)
+    basis = rule.values[mesh.degree]  # (n_q, n_loc)
+    dbasis = rule.derivatives[mesh.degree]
     u = ce @ basis.T
     du = (ce @ dbasis.T) / mesh.h
     return u, du
@@ -208,7 +224,7 @@ def scatter_matrix(mesh: Mesh1D, local: np.ndarray) -> np.ndarray:
 def load_vector(mesh: Mesh1D, values: np.ndarray) -> np.ndarray:
     """Vector of (g, phi_i) from g's values at the assembly quadrature points."""
     rule = ASSEMBLY_RULE
-    basis = shape_values(mesh.degree, rule.points)
+    basis = rule.values[mesh.degree]
     local = mesh.h * np.einsum("q,eq,qi->ei", rule.weights, values, basis)
     out = np.zeros(mesh.n_dofs)
     np.add.at(out, mesh.cell_dofs, local)
@@ -218,7 +234,7 @@ def load_vector(mesh: Mesh1D, values: np.ndarray) -> np.ndarray:
 def mass_matrix(mesh: Mesh1D) -> np.ndarray:
     """Assemble the mass matrix (phi_j, phi_i) with the assembly rule."""
     rule = ASSEMBLY_RULE
-    basis = shape_values(mesh.degree, rule.points)
+    basis = rule.values[mesh.degree]
     return scatter_matrix(
         mesh, mesh.h * np.einsum("q,qi,qj->ij", rule.weights, basis, basis)
     )

@@ -30,8 +30,6 @@ from .mesh import (
     require_same_mesh,
     sample_function,
     scatter_matrix,
-    shape_derivatives,
-    shape_values,
 )
 
 
@@ -48,8 +46,8 @@ class AssembledOperators:
 def assemble(mesh: Mesh1D) -> AssembledOperators:
     """Assemble M, S, and C element by element."""
     rule = ASSEMBLY_RULE
-    basis = shape_values(mesh.degree, rule.points)  # (n_q, n_loc)
-    dbasis = shape_derivatives(mesh.degree, rule.points)
+    basis = rule.values[mesh.degree]  # (n_q, n_loc)
+    dbasis = rule.derivatives[mesh.degree]
     w = rule.weights
 
     s_loc = np.einsum("q,qi,qj->ij", w, dbasis, dbasis) / mesh.h
@@ -95,8 +93,8 @@ def b_jacobian(rho: FeFunction) -> np.ndarray:
     """
     mesh = rho.mesh
     rule = ASSEMBLY_RULE
-    basis = shape_values(mesh.degree, rule.points)
-    dbasis = shape_derivatives(mesh.degree, rule.points)
+    basis = rule.values[mesh.degree]
+    dbasis = rule.derivatives[mesh.degree]
     uq, duq = element_values(rho, rule)
     w = rule.weights
     local = np.einsum("q,eq,qj,qi->eij", w, uq, dbasis, basis)
