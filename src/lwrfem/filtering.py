@@ -1,28 +1,30 @@
 """Discrete differential filter, van Cittert deconvolution, stabilization.
 
 The filtered field ubar solves  delta^2 (ubar', v') + (ubar, v) = (u, v)
-for all test functions v, i.e. (M + delta^2 S) ubar = M u in coefficient
-space.  Deconvolution of order N applies D_N = sum_{n=0..N} (I - G)^n to
-the filtered field, and the fluctuation (the unresolved remainder)
+for all test functions v, i.e. A ubar = M u in coefficient space, with
+A = M + delta^2 S.  Deconvolution of order N applies
+D_N = sum_{n=0..N} (I - G)^n to the filtered field, and the fluctuation
+(the unresolved remainder)
 
     u* = u - D_N(G(u)) = (I - G)^{N+1} u
 
 is what the stabilization term chi delta^2 (du*/dx, dv*/dx) penalizes.
-In coefficient space the fluctuation is the matrix Pi = (I - F)^{N+1}
-with F = (M + delta^2 S)^{-1} M, and it is computed as that power; the
-quadratic form of the stabilization term is then Pi^T S Pi.  Only that
-quadratic form is kept: the solver never filters a field on its own.
-The test suite holds an independent oracle that applies G and D_N by
-repeated filter solves, as approximate deconvolution does.
+In coefficient space the fluctuation is Pi = (I - F)^{N+1} with
+F = A^{-1} M, and since I - F = A^{-1} delta^2 S it is applied, as
+approximate deconvolution does, by repeated filter solves and never
+formed:
 
-Everything here is dense: the filter inverse densifies the operator
-anyway.  The build is one LU solve with n right-hand sides, at most
-2 log2(N+1) products for the power (none at N = 0) and two for
-Pi^T S Pi, each O(n^3): about 0.2 s and a few n x n arrays at n = 1025
-on one thread of a 2-vCPU Xeon VM.  It runs once per (mesh, delta, N),
-and each implicit step is then a plain dense solve.  On Dirichlet meshes the filter equations are posed on all
-DOFs with natural boundary conditions (no rows are constrained), which
-keeps M + delta^2 S symmetric positive definite.
+    Pi u = y_{N+1},          A y_k = delta^2 S y_{k-1},  y_0 = u;
+    Pi^T S Pi u = delta^2 S v_1,
+                             A v_{N+1} = S y_{N+1},  A v_k = delta^2 S v_{k+1}.
+
+Every operator is banded on a 1D mesh, so A is factored once per
+(mesh, delta, N) by a banded Cholesky factorization, and each solve is
+one LAPACK pbtrs in O(n) time.  The Newton step of the stepper poses the
+same recurrences as extra unknowns of one banded system.  On Dirichlet
+meshes the filter equations are posed on all DOFs with natural boundary
+conditions (no rows are constrained), which keeps A symmetric positive
+definite.
 """
 
 from __future__ import annotations
@@ -30,35 +32,75 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cholesky_banded, get_lapack_funcs
 
-from .linalg import lu_solve
+from .linalg import band_matvec
 from .operators import AssembledOperators
+
+_PBTRS, = get_lapack_funcs(("pbtrs",), (np.zeros(1),))
 
 
 @dataclass(frozen=True, eq=False)
 class FilterContext:
-    """Precomputed stabilization for one (mesh, delta, N) combination."""
+    """The filter of one (mesh, delta, N) combination, factored once."""
 
     delta: float
-    stabilization_base: np.ndarray  # Pi^T S Pi (scaled by chi delta^2 on use)
+    deconv_order: int
+    stiffness: np.ndarray  # S in band storage
+    factor: np.ndarray  # upper banded Cholesky factor of A = M + delta^2 S
 
 
 def build_filter_context(
     operators: AssembledOperators, delta: float, deconv_order: int
 ) -> FilterContext:
-    """Cache Pi^T S Pi, Pi = (I - F)^{N+1}, with F = (M + delta^2 S)^{-1} M."""
+    """Factor A = M + delta^2 S once, for the filter solves of Pi = (I - F)^{N+1}."""
     if delta < 0:
         raise ValueError(f"filter radius must be nonnegative, got {delta}")
     if deconv_order < 0:
         raise ValueError(f"deconvolution order must be nonnegative, got {deconv_order}")
-    m, s = operators.mass, operators.stiffness
-    f = lu_solve(m + delta**2 * s, m)
-    pi = np.linalg.matrix_power(np.eye(m.shape[0]) - f, deconv_order + 1)
-    return FilterContext(delta=float(delta), stabilization_base=pi.T @ s @ pi)
+    w = operators.mesh.half_band
+    upper = (operators.mass + delta**2 * operators.stiffness)[: w + 1]
+    return FilterContext(
+        delta=float(delta), deconv_order=deconv_order, stiffness=operators.stiffness,
+        factor=np.asfortranarray(cholesky_banded(upper, check_finite=False)),
+    )
 
 
-def stabilization_matrix(ctx: FilterContext, chi: float) -> np.ndarray:
+def _filter_solve(ctx: FilterContext, b: np.ndarray) -> np.ndarray:
+    return _PBTRS(ctx.factor, b)[0]
+
+
+def fluctuation(ctx: FilterContext, u: np.ndarray) -> np.ndarray:
+    """Pi u = y_{N+1}, by N + 1 filter solves A y_k = delta^2 S y_{k-1}."""
+    d2, s = ctx.delta**2, ctx.stiffness
+    for _ in range(ctx.deconv_order + 1):
+        u = _filter_solve(ctx, d2 * band_matvec(s, u))
+    return u
+
+
+@dataclass(frozen=True, eq=False)
+class Stabilization:
+    """The operator chi delta^2 Pi^T S Pi, applied by filter solves."""
+
+    ctx: FilterContext
+    weight: float  # chi delta^2
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        """chi delta^2 Pi^T S Pi u = chi delta^2 (delta^2 S v_1), N + 1 more solves."""
+        d2, s = self.ctx.delta**2, self.ctx.stiffness
+        v = _filter_solve(self.ctx, band_matvec(s, fluctuation(self.ctx, u)))
+        for _ in range(self.ctx.deconv_order):
+            v = _filter_solve(self.ctx, d2 * band_matvec(s, v))
+        return self.weight * d2 * band_matvec(s, v)
+
+    def dissipation(self, u: np.ndarray) -> float:
+        """The quadratic form chi delta^2 (Pi u) . S (Pi u)."""
+        y = fluctuation(self.ctx, u)
+        return self.weight * float(y @ band_matvec(self.ctx.stiffness, y))
+
+
+def stabilization_matrix(ctx: FilterContext, chi: float) -> Stabilization:
     """Coefficient-space stabilization operator chi delta^2 Pi^T S Pi."""
     if chi < 0:
         raise ValueError(f"chi must be nonnegative, got {chi}")
-    return chi * ctx.delta**2 * ctx.stabilization_base
+    return Stabilization(ctx=ctx, weight=chi * ctx.delta**2)

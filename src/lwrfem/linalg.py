@@ -1,22 +1,19 @@
-"""Dense linear algebra kernel: one checked LU solve.
+"""Banded linear algebra kernel: one checked LU solve and a band product.
 
-Matrices are plain 2-D float64 numpy arrays (row-major), vectors 1-D
-arrays.  Factorization is LAPACK getrf (partial pivoting) via scipy.
-The checks before it take no n x n scratch: max(max A, -min A) is the
-largest entry magnitude, and it is finite only if every entry is.
-Every system is dense, so each factorization costs O(n^3) time and
-O(n^2) memory: a factor-and-solve at n = 1025 unknowns (the shock
-benchmark's finest mesh) takes about 30 ms on one thread of a 2-vCPU
-Xeon VM.  That cubic cost, not the scheme, limits how fine a mesh the
-solver can run.
+A matrix with kl sub-diagonals and ku super-diagonals is held in LAPACK
+band storage, ab[ku + i - j, j] = a[i, j], an array of shape
+(kl + ku + 1, n); entries of ab outside the matrix are zero.  Every
+operator of the solver is banded on a 1D mesh, so a factor-and-solve
+costs O(n kl (kl + ku)) time and O(n (kl + ku)) memory.  The solve is
+LAPACK gbsv (LU with partial pivoting) on a copy of ab; the checks
+before it take no scratch: max(max ab, -min ab) is the largest entry
+magnitude, and it is finite only if every entry is.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-import scipy.linalg
+from scipy.linalg import get_lapack_funcs
 
 
 class SingularMatrixError(ValueError):
@@ -27,35 +24,50 @@ class SingularMatrixError(ValueError):
 # is treated as an exact zero.
 PIVOT_RTOL = 1e-14
 
+_GBSV, = get_lapack_funcs(("gbsv",), (np.zeros(1),))
 
-def lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b by LU with partial pivoting; b is a vector or stacked columns.
 
-    Raises ValueError for a non-square A, a b of another length or
-    non-finite entries, and SingularMatrixError when any pivot magnitude
-    falls below PIVOT_RTOL times the largest entry magnitude of A.
+def lu_solve(ab: np.ndarray, b: np.ndarray, kl: int, ku: int) -> np.ndarray:
+    """Solve A x = b for A in band storage; b is a vector or stacked columns.
+
+    Raises ValueError for a band of other than kl + ku + 1 rows, a b of
+    another length or non-finite entries, and SingularMatrixError when a
+    pivot magnitude (the diagonal of U) falls below PIVOT_RTOL times the
+    largest entry magnitude of A.  ab itself is left unchanged.
     """
-    a = np.asarray(a, dtype=float)
+    ab = np.asarray(ab, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if b.shape[0] != a.shape[0]:
+    if min(kl, ku) < 0 or ab.ndim != 2 or ab.shape[0] != kl + ku + 1:
         raise ValueError(
-            f"right-hand side length {b.shape[0]} does not match matrix size "
-            f"{a.shape[0]}"
+            f"expected kl + ku + 1 band rows for kl = {kl}, ku = {ku}, got shape {ab.shape}"
         )
-    scale = max(a.max(), -a.min())
+    n = ab.shape[1]
+    if b.shape[0] != n:
+        raise ValueError(
+            f"right-hand side length {b.shape[0]} does not match matrix size {n}"
+        )
+    scale = max(ab.max(), -ab.min())
     if not np.isfinite(scale):
         raise ValueError("matrix contains non-finite entries")
     if scale == 0.0:
         raise SingularMatrixError("zero matrix")
-    with np.errstate(all="ignore"), warnings.catch_warnings():
-        # exactly-zero pivots are reported via SingularMatrixError below
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
-    pivots = np.abs(np.diagonal(lu))
+    lu = np.zeros((2 * kl + ku + 1, n), order="F")  # gbsv's first kl rows hold fill-in
+    lu[kl:] = ab
+    lu, _, x, _ = _GBSV(kl, ku, lu, b, overwrite_ab=True)
+    # an exactly zero pivot (gbsv's info > 0, x not computed) is caught here too
+    pivots = np.abs(lu[kl + ku])
     if pivots.min() < PIVOT_RTOL * scale:
         raise SingularMatrixError(
             f"pivot {pivots.min():.3e} below threshold {PIVOT_RTOL * scale:.3e}"
         )
-    return scipy.linalg.lu_solve((lu, piv), b)
+    return x
+
+
+def band_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Product A x of a square band matrix with kl = ku = (rows - 1) / 2, by diagonals."""
+    w = ab.shape[0] // 2
+    y = ab[w] * x
+    for d in range(1, min(w, len(x) - 1) + 1):
+        y[d:] += ab[w + d, :-d] * x[:-d]  # a[i, i - d]
+        y[:-d] += ab[w - d, d:] * x[d:]  # a[i, i + d]
+    return y

@@ -2,14 +2,18 @@
 
 The reference element is [0, 1] with an affine map onto each physical
 element.  P1 carries vertex nodes; P2 adds a midpoint node, locally
-ordered (vertex, midpoint, vertex).  Global degrees of freedom are
-numbered left to right with spacing h/degree, which makes the DOF map
-plain index arithmetic.  Periodic meshes identify the last vertex with
-the first; Dirichlet meshes keep boundary DOFs in the numbering (they
-are constrained later, at the time-stepping level).  Callables of x
-are sampled vectorised, on whole arrays of points.  Bad input (a degree
-outside {1, 2}, fewer than two elements, a point off the mesh, operands
-on different meshes) raises ValueError.
+ordered (vertex, midpoint, vertex).  On Dirichlet meshes the global
+degrees of freedom are numbered left to right with spacing h/degree and
+keep the boundary DOFs (they are constrained later, at the time-stepping
+level).  Periodic meshes identify the last vertex with the first and
+number their DOFs zig-zag from both ends, x_0, x_last, x_1, x_last-1, ...,
+so that the wrap-around coupling stays next to the diagonal.  Either way
+the DOF map is plain index arithmetic and every assembled operator is
+banded, with half-bandwidth ``half_band`` (degree on Dirichlet meshes,
+2 degree on periodic ones); operators are held in the band storage of
+``linalg``.  Callables of x are sampled vectorised, on whole arrays of
+points.  Bad input (a degree outside {1, 2}, fewer than two elements, a
+point off the mesh, operands on different meshes) raises ValueError.
 """
 
 from __future__ import annotations
@@ -97,6 +101,8 @@ class Mesh1D:
     n_dofs: int
     cell_dofs: np.ndarray  # (n_elements, degree + 1) global indices
     dof_x: np.ndarray  # coordinate of each DOF
+    half_band: int  # largest |i - j| over the DOF pairs an element couples
+    band_index: np.ndarray  # flat (Fortran order) band position of each cell_dofs pair
 
     def quad_points(self, rule: QuadratureRule) -> np.ndarray:
         """Physical quadrature coordinates, shape (n_elements, n_points)."""
@@ -129,10 +135,17 @@ def build_mesh(
 
     local = np.arange(degree + 1)
     cell_dofs = degree * np.arange(n_elements)[:, None] + local[None, :]
+    position = np.arange(n_dofs)  # left-to-right position of each DOF
     if boundary_kind == PERIODIC:
         cell_dofs = cell_dofs % n_dofs  # last vertex wraps onto the first
+        # zig-zag: positions 0, 1, 2, ... become DOFs 0, 2, 4, ..., 5, 3, 1
+        number = np.minimum(2 * position, 2 * (n_dofs - 1 - position) + 1)
+        cell_dofs = number[cell_dofs]
+        position = np.argsort(number)
 
-    dof_x = x_left + np.arange(n_dofs) * (h / degree)
+    rows, cols = cell_dofs[:, :, None], cell_dofs[:, None, :]
+    half_band = int(np.abs(rows - cols).max())
+    dof_x = x_left + position * (h / degree)
     return Mesh1D(
         x_left=float(x_left),
         x_right=float(x_right),
@@ -143,6 +156,8 @@ def build_mesh(
         n_dofs=n_dofs,
         cell_dofs=cell_dofs,
         dof_x=dof_x,
+        half_band=half_band,
+        band_index=(half_band + rows - cols) + (2 * half_band + 1) * cols,
     )
 
 
@@ -214,11 +229,17 @@ def sample_function(g: Callable, x: np.ndarray) -> np.ndarray:
     return values if values.shape == x.shape else np.broadcast_to(values, x.shape)
 
 
-def scatter_matrix(mesh: Mesh1D, local: np.ndarray) -> np.ndarray:
-    """Sum element blocks local[e, i, j] (or one block for all) into a dense matrix."""
-    out = np.zeros((mesh.n_dofs, mesh.n_dofs))
-    np.add.at(out, (mesh.cell_dofs[:, :, None], mesh.cell_dofs[:, None, :]), local)
-    return out
+def scatter_band(mesh: Mesh1D, local: np.ndarray) -> np.ndarray:
+    """Sum element blocks local[e, i, j] (or one block for all) into band storage.
+
+    The result ab, of shape (2 w + 1, n_dofs) with w = mesh.half_band and in
+    Fortran order, holds entry (i, j) of the assembled matrix at
+    ab[w + i - j, j].
+    """
+    w, index = mesh.half_band, mesh.band_index
+    values = np.broadcast_to(local, index.shape).ravel()
+    flat = np.bincount(index.ravel(), values, minlength=(2 * w + 1) * mesh.n_dofs)
+    return flat.reshape((2 * w + 1, mesh.n_dofs), order="F")
 
 
 def load_vector(mesh: Mesh1D, values: np.ndarray) -> np.ndarray:
@@ -232,15 +253,16 @@ def load_vector(mesh: Mesh1D, values: np.ndarray) -> np.ndarray:
 
 
 def mass_matrix(mesh: Mesh1D) -> np.ndarray:
-    """Assemble the mass matrix (phi_j, phi_i) with the assembly rule."""
+    """Assemble the mass matrix (phi_j, phi_i) with the assembly rule, banded."""
     rule = ASSEMBLY_RULE
     basis = rule.values[mesh.degree]
-    return scatter_matrix(
+    return scatter_band(
         mesh, mesh.h * np.einsum("q,qi,qj->ij", rule.weights, basis, basis)
     )
 
 
 def l2_project(g: Callable, mesh: Mesh1D) -> FeFunction:
-    """L2 projection of g onto the FE space: one mass-matrix solve."""
+    """L2 projection of g onto the FE space: one banded mass-matrix solve."""
     rhs = load_vector(mesh, sample_function(g, mesh.quad_points(ASSEMBLY_RULE)))
-    return FeFunction(mesh, lu_solve(mass_matrix(mesh), rhs))
+    w = mesh.half_band
+    return FeFunction(mesh, lu_solve(mass_matrix(mesh), rhs, w, w))

@@ -10,7 +10,10 @@ and forcing vectors (f, phi_i), plus the skew-symmetric trilinear form
 with its residual vector b(rho, rho, phi_i) and Newton Jacobian.  The
 expanded integrand is polynomial on each element, so the 4-point
 assembly rule integrates it exactly for P1 and P2; skew symmetry
-b(u,v,w) = -b(u,w,v) then holds to rounding on periodic meshes.
+b(u,v,w) = -b(u,w,v) then holds to rounding on periodic meshes.  The
+matrices, the Jacobian included, are scattered element by element
+straight into band storage (``mesh.scatter_band``): entry (i, j) sits at
+ab[w + i - j, j] with w the mesh's half-bandwidth.
 """
 
 from __future__ import annotations
@@ -29,13 +32,13 @@ from .mesh import (
     mass_matrix,
     require_same_mesh,
     sample_function,
-    scatter_matrix,
+    scatter_band,
 )
 
 
 @dataclass(frozen=True, eq=False)
 class AssembledOperators:
-    """Mass, stiffness, and convection matrices for one mesh."""
+    """Mass, stiffness, and convection matrices for one mesh, in band storage."""
 
     mesh: Mesh1D
     mass: np.ndarray
@@ -56,8 +59,8 @@ def assemble(mesh: Mesh1D) -> AssembledOperators:
     return AssembledOperators(
         mesh=mesh,
         mass=mass_matrix(mesh),
-        stiffness=scatter_matrix(mesh, s_loc),
-        convection=scatter_matrix(mesh, c_loc),
+        stiffness=scatter_band(mesh, s_loc),
+        convection=scatter_band(mesh, c_loc),
     )
 
 
@@ -89,14 +92,17 @@ def b_jacobian(rho: FeFunction) -> np.ndarray:
     """Derivative of b_residual: J d = b(d, rho, phi_i) + b(rho, d, phi_i).
 
     The two slots combine to int (rho d' + rho' d) phi_i dx, so the local
-    block is (rho_q D_j + h rho'_q B_j) B_i with the affine factors folded in.
+    block is (rho_q D_j + h rho'_q B_j) B_i with the affine factors folded in:
+    two products of the quadrature values with fixed (q, ij) tables.  J is
+    returned in band storage.
     """
     mesh = rho.mesh
     rule = ASSEMBLY_RULE
     basis = rule.values[mesh.degree]
     dbasis = rule.derivatives[mesh.degree]
     uq, duq = element_values(rho, rule)
-    w = rule.weights
-    local = np.einsum("q,eq,qj,qi->eij", w, uq, dbasis, basis)
-    local += mesh.h * np.einsum("q,eq,qj,qi->eij", w, duq, basis, basis)
-    return scatter_matrix(mesh, local)
+    w, n_loc = rule.weights, mesh.degree + 1
+    by_value = np.einsum("q,qj,qi->qij", w, dbasis, basis).reshape(len(w), -1)
+    by_slope = np.einsum("q,qj,qi->qij", mesh.h * w, basis, basis).reshape(len(w), -1)
+    local = uq @ by_value + duq @ by_slope
+    return scatter_band(mesh, local.reshape(-1, n_loc, n_loc))

@@ -29,14 +29,29 @@ Both schemes march in one loop, ``run_time_filtered``, a generator of
 the time levels that keeps only the two states the recurrence reads:
 backward Euler is its gamma = 0 case, where the filter correction
 vanishes.  A ``Stepper`` holds what a run keeps constant (the operators,
-the stabilization, the linear part M/dt + v_f C + stab, each constrained
-row with its Dirichlet value g(t)); ``be_step`` adds the per-step work:
-the right-hand side, the boundary values and Newton.
+the stabilization, the linear part M/dt + v_f C, the constant part of
+the Newton matrix, each constrained row with its Dirichlet value g(t));
+``be_step`` adds the per-step work: the right-hand side, the boundary
+values and Newton.
+
+The stabilization chi delta^2 Pi^T S Pi is a dense matrix, but it is the
+product of banded ones (see ``filtering``).  So each Newton step solves
+one banded augmented system: every DOF carries rho and the filter
+recurrences' y_1..y_{N+1} and v_1..v_{N+1} (2N + 3 unknowns, numbered
+DOF by DOF), the rho rows read
+
+    (M/dt + v_f C - (2 v_f / rho_m) J_b) d_rho + chi delta^4 S d_v1 = -r,
+
+and the y and v rows are the recurrences with a zero right-hand side.
+Eliminating y and v gives back the Newton step of the dense operator.
+Only the (rho, rho) entries change from one iteration to the next; a
+banded LU (LAPACK gbsv) solves the system in O(n) time.
 
 Dirichlet data is enforced by row replacement: the residual row of the
-constrained end's node becomes rho_i - g(t^n) and the matching Jacobian
-row an identity row, so the same dense solve serves both boundary kinds.
-Forcing is evaluated implicitly at the new time level.
+constrained end's node becomes rho_i - g(t^n) and the matching Newton
+row an identity row, with its coupling to v_1 masked out, so the same
+banded solve serves both boundary kinds.  Forcing is evaluated
+implicitly at the new time level.
 """
 
 from __future__ import annotations
@@ -46,9 +61,9 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .filtering import build_filter_context, stabilization_matrix
+from .filtering import Stabilization, build_filter_context, stabilization_matrix
+from .linalg import SingularMatrixError, band_matvec, lu_solve
 from .mesh import FeFunction, Mesh1D, l2_project, require_same_mesh
-from .linalg import SingularMatrixError, lu_solve
 from .operators import (
     AssembledOperators,
     assemble,
@@ -133,18 +148,19 @@ NEWTON_MAX_ITER = 25
 
 def newton_solve(
     residual: Callable[[np.ndarray], np.ndarray],
-    jacobian: Callable[[np.ndarray], np.ndarray],
+    step: Callable[[np.ndarray, np.ndarray], np.ndarray],
     guess: np.ndarray,
     tol: float = NEWTON_TOL,
     max_iter: int = NEWTON_MAX_ITER,
 ) -> tuple[np.ndarray, int, float]:
     """Full Newton iteration; returns (solution, iterations, ||residual(guess)||).
 
-    Stops once ||residual(x)|| <= tol * max(1, ||residual(guess)||); a
-    guess that already satisfies this returns with zero iterations, so a
-    tol of 1 or more, which every guess meets, raises ValueError.  A
-    non-finite residual norm, at the guess or after any update, raises
-    NoConvergenceError.
+    step(x, r) returns the Newton correction d that solves J(x) d = -r
+    for the Jacobian J of residual at x.  Stops once ||residual(x)|| <=
+    tol * max(1, ||residual(guess)||); a guess that already satisfies
+    this returns with zero iterations, so a tol of 1 or more, which every
+    guess meets, raises ValueError.  A non-finite residual norm, at the
+    guess or after any update, raises NoConvergenceError.
     """
     if not 0 < tol < 1:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
@@ -166,7 +182,7 @@ def newton_solve(
                 f"no convergence after {max_iter} Newton iterations "
                 f"(residual {norm:.3e})"
             )
-        x += lu_solve(jacobian(x), -r)
+        x += step(x, r)
         iters += 1
         r = residual(x)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -174,14 +190,70 @@ def newton_solve(
     return x, iters, r0
 
 
+def _block(ab: np.ndarray, ku: int, unknowns: int, w: int, row: int, col: int) -> np.ndarray:
+    """View of the augmented band ab holding the DOF-level band of block (row, col).
+
+    Unknown `slot` of DOF i is number unknowns * i + slot, so entry (i, j)
+    of the block sits at ab[ku + unknowns (i - j) + row - col, unknowns j + col]:
+    in DOF-level band storage ab_dof[w + i - j, j], a strided view.
+    """
+    start = ku - unknowns * w + row - col
+    return ab[start: start + 2 * unknowns * w + 1: unknowns, col::unknowns]
+
+
+def _row_entries(w: int, n: int, rows: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Band positions (ab_dof rows, columns) of every entry of the given matrix rows."""
+    pairs = [(w + i - j, j) for i in rows for j in range(max(0, i - w), min(n, i + w + 1))]
+    band_rows, cols = np.array(pairs, dtype=int).reshape(-1, 2).T
+    return band_rows, cols
+
+
+def newton_matrix(
+    operators: AssembledOperators, stab: Stabilization, constrained_rows: list[int]
+) -> tuple[np.ndarray, int, int]:
+    """Constant part of the banded augmented Newton matrix, with its (kl, ku).
+
+    Unknowns per DOF: rho (slot 0), y_1..y_{N+1} (slots 1..N+1) and
+    v_1..v_{N+1} (slots N+2..2N+2).  Rows: rho couples to v_1 through
+    chi delta^4 S (zero on constrained rows; its (rho, rho) block is set
+    per iteration), A y_k - delta^2 S y_{k-1} = 0, A v_{N+1} - S y_{N+1} = 0
+    and A v_k - delta^2 S v_{k+1} = 0.
+    """
+    ctx, mesh = stab.ctx, operators.mesh
+    order, w, n = ctx.deconv_order, mesh.half_band, mesh.n_dofs
+    s, d2 = operators.stiffness, ctx.delta**2
+    a = operators.mass + d2 * s
+    coupling = stab.weight * d2 * s
+    coupling[_row_entries(w, n, constrained_rows)] = 0.0
+    v = order + 1  # slot of v_k is v + k
+    blocks = [(0, 0, None), (0, v + 1, coupling), (v + order + 1, order + 1, -s)]
+    blocks += [(k, k - 1, -d2 * s) for k in range(1, order + 2)]
+    blocks += [(v + k, v + k + 1, -d2 * s) for k in range(1, order + 1)]
+    blocks += [(k, k, a) for k in range(1, 2 * order + 3)]
+    unknowns = 2 * order + 3
+    kl = unknowns * w + max(row - col for row, col, _ in blocks)
+    ku = unknowns * w + max(col - row for row, col, _ in blocks)
+    ab = np.zeros((kl + ku + 1, unknowns * n), order="F")
+    for row, col, band in blocks:
+        if band is not None:
+            _block(ab, ku, unknowns, w, row, col)[...] = band
+    return ab, kl, ku
+
+
 @dataclass(frozen=True, eq=False)
 class Stepper:
-    """Everything constant over one run: built once, read by every step."""
+    """Everything constant over one run: built once, read by every step.
+
+    ``newton`` is the run's one band buffer: each Newton iteration
+    overwrites its (rho, rho) entries and solves with it.
+    """
 
     scenario: Scenario
     operators: AssembledOperators
-    stab: np.ndarray  # chi delta^2 Pi^T S Pi
-    linear_part: np.ndarray  # M/dt + v_f C + stab
+    stab: Stabilization  # chi delta^2 Pi^T S Pi
+    linear_part: np.ndarray  # M/dt + v_f C, band storage
+    newton: np.ndarray  # augmented Newton matrix, band storage
+    half_bands: tuple[int, int]  # (kl, ku) of newton
     constrained: tuple[tuple[int, Callable], ...]  # Dirichlet (row, g) pairs
     nonlinear_coeff: float  # 2 v_f / rho_m
     dt: float
@@ -197,12 +269,14 @@ class Stepper:
         ctx = build_filter_context(ops, params.delta, params.deconv_order)
         stab = stabilization_matrix(ctx, params.chi)
         dirichlet = scenario.dirichlet if mesh.boundary_kind == "dirichlet" else {}
+        constrained = tuple(
+            (0 if end == LEFT else mesh.n_dofs - 1, g) for end, g in dirichlet.items()
+        )
+        newton, kl, ku = newton_matrix(ops, stab, [i for i, _ in constrained])
         return cls(
             scenario=scenario, operators=ops, stab=stab,
-            linear_part=ops.mass / dt + params.v_f * ops.convection + stab,
-            constrained=tuple(
-                (0 if end == LEFT else mesh.n_dofs - 1, g) for end, g in dirichlet.items()
-            ),
+            linear_part=ops.mass / dt + params.v_f * ops.convection,
+            newton=newton, half_bands=(kl, ku), constrained=constrained,
             nonlinear_coeff=2.0 * params.v_f / params.rho_m, dt=dt,
             newton_tol=newton_tol, newton_max_iter=newton_max_iter,
         )
@@ -218,26 +292,33 @@ def be_step(
     mesh, scenario = stepper.operators.mesh, stepper.scenario
     if rho_prev.mesh is not mesh:
         raise ValueError("state does not live on the assembled mesh")
-    linear_part, nonlinear_coeff = stepper.linear_part, stepper.nonlinear_coeff
-    rhs = (stepper.operators.mass @ rho_prev.coefficients) / stepper.dt
+    linear_part, nonlinear_coeff, stab = stepper.linear_part, stepper.nonlinear_coeff, stepper.stab
+    rhs = band_matvec(stepper.operators.mass, rho_prev.coefficients) / stepper.dt
     if scenario.forcing is not None:
         rhs = rhs + forcing_vector(scenario.forcing, t_next, mesh)
     bcs = [(i, g(t_next)) for i, g in stepper.constrained]
+    (kl, ku), w = stepper.half_bands, mesh.half_band
+    unknowns = stepper.newton.shape[1] // mesh.n_dofs
+    rho_block = _block(stepper.newton, ku, unknowns, w, 0, 0)
+    bc_entries = _row_entries(w, mesh.n_dofs, [i for i, _ in bcs])
+    bc_values = (bc_entries[0] == w).astype(float)  # the identity rows
 
     def residual(x: np.ndarray) -> np.ndarray:
-        r = linear_part @ x - nonlinear_coeff * b_residual(FeFunction(mesh, x)) - rhs
+        r = (band_matvec(linear_part, x) + stab(x)
+             - nonlinear_coeff * b_residual(FeFunction(mesh, x)) - rhs)
         for i, value in bcs:
             r[i] = x[i] - value
         return r
 
-    def jacobian(x: np.ndarray) -> np.ndarray:
-        jac = linear_part - nonlinear_coeff * b_jacobian(FeFunction(mesh, x))
-        for i, _ in bcs:
-            jac[i, :] = 0.0
-            jac[i, i] = 1.0
-        return jac
+    def step(x: np.ndarray, r: np.ndarray) -> np.ndarray:
+        jac = b_jacobian(FeFunction(mesh, x))
+        np.subtract(linear_part, nonlinear_coeff * jac, out=rho_block)
+        rho_block[bc_entries] = bc_values
+        lifted = np.zeros(stepper.newton.shape[1])
+        lifted[::unknowns] = -r
+        return lu_solve(stepper.newton, lifted, kl, ku)[::unknowns]
 
-    coeffs, iters, r0 = newton_solve(residual, jacobian, rho_prev.coefficients,
+    coeffs, iters, r0 = newton_solve(residual, step, rho_prev.coefficients,
                                      stepper.newton_tol, stepper.newton_max_iter)
     return FeFunction(mesh, coeffs), iters, r0
 
@@ -254,7 +335,7 @@ def time_filter_step(
 def mass_norm(u: FeFunction, operators: AssembledOperators) -> float:
     """Discrete L2 norm sqrt(c^T M c)."""
     c = u.coefficients
-    return float(np.sqrt(max(c @ (operators.mass @ c), 0.0)))
+    return float(np.sqrt(max(c @ band_matvec(operators.mass, c), 0.0)))
 
 
 def energy_e(u_n: FeFunction, u_n1: FeFunction, operators: AssembledOperators) -> float:
@@ -263,7 +344,7 @@ def energy_e(u_n: FeFunction, u_n1: FeFunction, operators: AssembledOperators) -
     m = operators.mass
     a, b = u_n.coefficients, u_n1.coefficients
     terms = (a, 2.0 * a - b, a - b)
-    return 0.25 * float(sum(v @ (m @ v) for v in terms))
+    return 0.25 * float(sum(v @ band_matvec(m, v) for v in terms))
 
 
 def energy_z(
@@ -276,7 +357,7 @@ def energy_z(
     """
     require_same_mesh(u_n, u_n1, u_n2)
     d = u_n.coefficients - 2.0 * u_n1.coefficients + u_n2.coefficients
-    return 0.75 * float(d @ (operators.mass @ d))
+    return 0.75 * float(d @ band_matvec(operators.mass, d))
 
 
 def run_time_filtered(
@@ -312,7 +393,7 @@ def run_time_filtered(
         diag = StepDiagnostics(
             n=n, t=t, l2_norm=mass_norm(rho, ops), energy_e=energy_e(rho, rho_n1, ops),
             zeta_z=0.0 if rho_n2 is None else energy_z(rho, rho_n1, rho_n2, ops),
-            newton_iters=iters, stab_dissipation=float(c @ (stepper.stab @ c)),
+            newton_iters=iters, stab_dissipation=stepper.stab.dissipation(c),
             residual_scale=max(1.0, r0),
         )
         rho_n1, rho_n2 = rho, (rho_n1 if n else None)

@@ -14,6 +14,7 @@ from lwrfem.mesh import (
     evaluate,
     require_same_mesh,
 )
+from lwrfem.filtering import FilterContext, Stabilization
 from lwrfem.operators import AssembledOperators
 from lwrfem.stepping import StepDiagnostics, run_time_filtered
 
@@ -77,23 +78,71 @@ def three_level_ops(
     )
 
 
+def dense(ab: np.ndarray, kl: int | None = None, ku: int | None = None) -> np.ndarray:
+    """The matrix held in band storage ab[ku + i - j, j] = a[i, j] (kl = ku by default)."""
+    if kl is None:
+        kl = ku = ab.shape[0] // 2
+    n = ab.shape[1]
+    a = np.zeros((n, n))
+    for i in range(n):
+        for j in range(max(0, i - kl), min(n, i + ku + 1)):
+            a[i, j] = ab[ku + i - j, j]
+    return a
+
+
+def band(a: np.ndarray, kl: int, ku: int) -> np.ndarray:
+    """Band storage of a square matrix whose entries outside the band are zero."""
+    n = a.shape[0]
+    ab = np.zeros((kl + ku + 1, n))
+    for i in range(n):
+        for j in range(max(0, i - kl), min(n, i + ku + 1)):
+            ab[ku + i - j, j] = a[i, j]
+    assert np.array_equal(dense(ab, kl, ku), a), "entries outside the band"
+    return ab
+
+
+def operator_matrix(apply, n: int) -> np.ndarray:
+    """Matrix of a linear operator on R^n, column j = apply(e_j)."""
+    return np.column_stack([apply(e) for e in np.eye(n)])
+
+
+def applied_base(ctx: FilterContext) -> np.ndarray:
+    """Pi^T S Pi as the solver applies it, by filter solves, column by column."""
+    return operator_matrix(Stabilization(ctx, weight=1.0), ctx.stiffness.shape[1])
+
+
+def dense_stabilization_base(
+    operators: AssembledOperators, delta: float, deconv_order: int
+) -> np.ndarray:
+    """Pi^T S Pi with Pi = (I - F)^{N+1}, F = (M + delta^2 S)^{-1} M, as dense matrices.
+
+    The oracle of the solver's banded chain of filter solves: it forms F
+    by one dense solve and Pi as a matrix power.
+    """
+    m, s = dense(operators.mass), dense(operators.stiffness)
+    f = scipy.linalg.solve(m + delta**2 * s, m)
+    pi = np.linalg.matrix_power(np.eye(m.shape[0]) - f, deconv_order + 1)
+    return pi.T @ s @ pi
+
+
 class FilterOracle:
     """Filter G, van Cittert deconvolution D_N and fluctuation u - D_N(G(u)).
 
     Applies D_N by repeated filter solves, as approximate deconvolution
-    does, with its own factorization of M + delta^2 S, so it shares no
-    code path with the solver's cached Pi^T S Pi.
+    does, with its own dense factorization of M + delta^2 S, so it shares
+    no code path with the solver's banded filter solves.
     """
 
     def __init__(self, operators: AssembledOperators, delta: float, deconv_order: int):
         self.operators = operators
         self.delta = delta
         self.deconv_order = deconv_order
-        self._lu = scipy.linalg.lu_factor(operators.mass + delta**2 * operators.stiffness)
+        self.mass = dense(operators.mass)
+        self._lu = scipy.linalg.lu_factor(self.mass + delta**2 * dense(operators.stiffness))
 
     def filter(self, u: FeFunction) -> FeFunction:
         """Filtered field: solve (M + delta^2 S) ubar = M u."""
-        rhs = self.operators.mass @ u.coefficients
+        rhs = self.mass @ u.coefficients
         return FeFunction(u.mesh, scipy.linalg.lu_solve(self._lu, rhs))
 
     def deconvolve(self, ubar: FeFunction) -> FeFunction:

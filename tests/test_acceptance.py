@@ -22,6 +22,7 @@ from lwrfem.analysis import (
     overshoot,
 )
 from lwrfem.filtering import build_filter_context, stabilization_matrix
+from lwrfem.linalg import band_matvec
 from lwrfem.mesh import DIRICHLET, PERIODIC, build_mesh
 from lwrfem.operators import assemble, b_form, b_residual, forcing_vector
 from lwrfem.scenarios import manufactured, rarefaction, shock
@@ -311,10 +312,10 @@ def test_criterion_07_one_step_two_step_equivalence():
     for n in range(2, grid.n_steps + 1):
         d, i = three_level_ops(trajectory[n][0], trajectory[n - 1][0], trajectory[n - 2][0])
         residual = (
-            (ops.mass @ d.coefficients) / grid.dt
-            + params.v_f * (ops.convection @ i.coefficients)
+            band_matvec(ops.mass, d.coefficients) / grid.dt
+            + params.v_f * band_matvec(ops.convection, i.coefficients)
             - (2.0 * params.v_f / params.rho_m) * b_residual(i)
-            + stab @ i.coefficients
+            + stab(i.coefficients)
             - forcing_vector(scenario.forcing, n * grid.dt, mesh)
         )
         allowed = 10.0 * newton_tol * trajectory[n][1].residual_scale

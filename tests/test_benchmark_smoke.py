@@ -10,8 +10,8 @@ times the set-up through this library surface: ``build_mesh``,
 the scenario's ``initial_condition``.  A change that breaks that
 contract makes the benchmark report ``correct: false`` with no metrics,
 so this runs it as declared in ``BENCHMARK.json``, for a single
-execution per workload; and once traced for the two quick workloads, so
-that a change losing a per-layer metric fails here too.
+execution per workload; and once traced per workload, so that a change
+losing a per-layer metric fails here too.
 """
 
 import json
@@ -50,7 +50,7 @@ def test_workload_is_correct_with_every_end_to_end_metric(workload):
     _assert_reports(_run(workload), BENCHMARK["end_to_end"])
 
 
-@pytest.mark.parametrize("workload", ["shock-n128", "mms-time-ladder"])
+@pytest.mark.parametrize("workload", [w["name"] for w in BENCHMARK["workloads"]])
 def test_traced_workload_reports_every_per_layer_metric(workload):
     # a per-layer metric goes absent when a traced lookup site is renamed
     # or removed, or when a result hook no longer fits what it wraps

@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 
 from lwrfem.filtering import build_filter_context, stabilization_matrix
-from lwrfem.mesh import PERIODIC, FeFunction, build_mesh, l2_project
+from lwrfem.linalg import band_matvec
+from lwrfem.mesh import DIRICHLET, PERIODIC, FeFunction, build_mesh, l2_project
 from lwrfem.operators import assemble
 from lwrfem.stepping import mass_norm
-from conftest import FilterOracle, fe_values_on_rule, integrate_elementwise, random_fe
+from conftest import (
+    FilterOracle, applied_base, dense, dense_stabilization_base, fe_values_on_rule,
+    integrate_elementwise, operator_matrix, random_fe,
+)
 
 
 @pytest.fixture(scope="module")
@@ -29,18 +33,18 @@ class TestFilterMatrix:
         for _ in range(10):
             u = random_fe(mesh, rng)
             ubar = oracle.filter(u).coefficients
-            lhs = (ops.mass + ctx.delta**2 * ops.stiffness) @ ubar
-            rhs = ops.mass @ u.coefficients
+            lhs = band_matvec(ops.mass + ctx.delta**2 * ops.stiffness, ubar)
+            rhs = band_matvec(ops.mass, u.coefficients)
             assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(rhs).max()
 
     def test_fluctuation_kills_constants(self, setup):
         mesh, ops, ctx = setup
-        base = ctx.stabilization_base
+        base = applied_base(ctx)
         assert np.abs(base @ np.ones(mesh.n_dofs)).max() < 1e-12 * np.abs(base).max()
 
     def test_stabilization_base_symmetric_psd(self, setup, rng):
         mesh, ops, ctx = setup
-        base = ctx.stabilization_base
+        base = applied_base(ctx)
         assert np.abs(base - base.T).max() < 1e-12
         for _ in range(100):
             x = rng.standard_normal(mesh.n_dofs)
@@ -125,11 +129,12 @@ class TestFluctuation:
         for _ in range(10):
             u, v = random_fe(mesh, rng), random_fe(mesh, rng)
             u_star, v_star = oracle.fluctuation(u), oracle.fluctuation(v)
-            via_ops = u_star.coefficients @ (ops.stiffness @ v_star.coefficients)
-            via_matrix = u.coefficients @ (ctx.stabilization_base @ v.coefficients)
+            stiffness = dense(ops.stiffness)
+            via_ops = u_star.coefficients @ (stiffness @ v_star.coefficients)
+            via_matrix = u.coefficients @ (applied_base(ctx) @ v.coefficients)
             scale = np.sqrt(
-                u_star.coefficients @ (ops.stiffness @ u_star.coefficients)
-                * (v_star.coefficients @ (ops.stiffness @ v_star.coefficients))
+                u_star.coefficients @ (stiffness @ u_star.coefficients)
+                * (v_star.coefficients @ (stiffness @ v_star.coefficients))
             )
             assert abs(via_matrix - via_ops) <= 1e-11 * scale
 
@@ -158,7 +163,8 @@ class TestFluctuation:
 class TestStabilizationMatrix:
     def test_zero_chi_gives_zero_matrix(self, setup):
         _, _, ctx = setup
-        assert np.abs(stabilization_matrix(ctx, 0.0)).max() == 0.0
+        stab = stabilization_matrix(ctx, 0.0)
+        assert np.abs(operator_matrix(stab, ctx.stiffness.shape[1])).max() == 0.0
 
     def test_negative_chi_rejected(self, setup):
         _, _, ctx = setup
@@ -175,5 +181,42 @@ class TestStabilizationMatrix:
             star = oracle.fluctuation(u)
             _, dstar = fe_values_on_rule(star)
             expected = chi * ctx.delta**2 * integrate_elementwise(mesh, dstar * dstar)
-            value = u.coefficients @ (stab @ u.coefficients)
+            value = u.coefficients @ stab(u.coefficients)
             assert value == pytest.approx(expected, rel=1e-10)
+            assert stab.dissipation(u.coefficients) == pytest.approx(expected, rel=1e-10)
+
+
+class TestAppliedBase:
+    @pytest.mark.parametrize("kind", [PERIODIC, DIRICHLET])
+    @pytest.mark.parametrize("degree,order", [(1, 0), (1, 3), (2, 1), (2, 2)])
+    def test_filter_solves_match_dense_pi(self, kind, degree, order):
+        # the chain of banded filter solves against Pi^T S Pi from a dense Pi
+        ops = assemble(build_mesh(0.0, 1.0, 12, degree, kind))
+        ctx = build_filter_context(ops, delta=0.2, deconv_order=order)
+        expected = dense_stabilization_base(ops, 0.2, order)
+        assert np.abs(applied_base(ctx) - expected).max() <= 1e-11 * np.abs(expected).max()
+
+    def test_stab_dissipation_against_extended_precision(self):
+        # P2, h = delta = 0.01: B = Pi^T S Pi has entries of the size of S,
+        # while c . (B c) on a smooth c is tiny, so only a chain of filter
+        # solves keeps its digits.  Reference: y = Pi c by iterative
+        # refinement in extended precision, then y . (S y).
+        mesh = build_mesh(0.0, 1.0, 100, 2, DIRICHLET)
+        ops = assemble(mesh)
+        c = np.sin(np.pi * mesh.dof_x) ** 4
+        m, s = (dense(band).astype(np.longdouble) for band in (ops.mass, ops.stiffness))
+        delta = mesh.h
+        d2 = np.longdouble(delta) ** 2
+        a = m + d2 * s
+        a64 = a.astype(float)
+        for order in (1, 3):
+            y = c.astype(np.longdouble)
+            for _ in range(order + 1):
+                rhs, z = d2 * (s @ y), np.zeros_like(y)
+                for _ in range(4):
+                    z += np.linalg.solve(a64, (rhs - a @ z).astype(float))
+                y = z
+            reference = float(y @ (s @ y))
+            stab = stabilization_matrix(build_filter_context(ops, delta, order), 1.0)
+            value = stab.dissipation(c) / delta**2
+            assert value == pytest.approx(reference, rel=1e-8), order

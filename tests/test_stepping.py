@@ -6,9 +6,9 @@ import pytest
 
 from lwrfem.analysis import l2_error, run_error_inf
 from lwrfem.filtering import build_filter_context, stabilization_matrix
-from lwrfem.linalg import SingularMatrixError
+from lwrfem.linalg import SingularMatrixError, band_matvec, lu_solve
 from lwrfem.mesh import DIRICHLET, PERIODIC, FeFunction, build_mesh
-from lwrfem.operators import assemble, b_residual, forcing_vector
+from lwrfem.operators import assemble, b_jacobian, b_residual, forcing_vector
 from lwrfem.scenarios import LEFT, RIGHT, manufactured
 from lwrfem.stepping import (
     ModelParams,
@@ -23,7 +23,9 @@ from lwrfem.stepping import (
     run_time_filtered,
     time_filter_step,
 )
-from conftest import march, smooth_periodic, three_level_ops
+from conftest import (
+    applied_base, band, dense, march, operator_matrix, smooth_periodic, three_level_ops,
+)
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +37,11 @@ def periodic_setup():
 
 def unforced(scenario):
     return dataclasses.replace(scenario, forcing=None)
+
+
+def dense_step(jacobian):
+    """Newton step callback d = -J(x)^{-1} r from a dense Jacobian."""
+    return lambda x, r: np.linalg.solve(jacobian(x), -r)
 
 
 class TestModelParamsAndGrid:
@@ -68,20 +75,20 @@ class TestNewtonSolve:
     def test_linear_system_one_iteration(self, rng):
         a = rng.standard_normal((6, 6)) + 4.0 * np.eye(6)
         b = rng.standard_normal(6)
-        x, iters, _ = newton_solve(lambda x: a @ x - b, lambda x: a, np.zeros(6))
+        x, iters, _ = newton_solve(lambda x: a @ x - b, dense_step(lambda x: a), np.zeros(6))
         assert iters == 1
         assert np.linalg.norm(a @ x - b) < 1e-9
 
     def test_root_guess_zero_iterations(self):
         x, iters, _ = newton_solve(
-            lambda x: x**2 - 4.0, lambda x: np.diag(2.0 * x), np.array([2.0])
+            lambda x: x**2 - 4.0, dense_step(lambda x: np.diag(2.0 * x)), np.array([2.0])
         )
         assert iters == 0
         assert x[0] == 2.0
 
     def test_scalar_quadratic(self):
         x, iters, _ = newton_solve(
-            lambda x: x**2 - 4.0, lambda x: np.diag(2.0 * x), np.array([3.0])
+            lambda x: x**2 - 4.0, dense_step(lambda x: np.diag(2.0 * x)), np.array([3.0])
         )
         assert iters <= 6
         assert abs(x[0] - 2.0) < 1e-10
@@ -91,7 +98,7 @@ class TestNewtonSolve:
         with pytest.raises(NoConvergenceError):
             newton_solve(
                 lambda x: x**2 + 1.0,
-                lambda x: np.diag(2.0 * x),
+                dense_step(lambda x: np.diag(2.0 * x)),
                 np.array([0.5]),
                 max_iter=5,
             )
@@ -106,26 +113,28 @@ class TestNewtonSolve:
     def test_non_finite_residual_raises(self, residual):
         with np.errstate(invalid="ignore"):
             with pytest.raises(NoConvergenceError, match="non-finite"):
-                newton_solve(residual, lambda x: np.diag(1.0 / x), np.array([0.1, 5.0]))
+                newton_solve(residual, dense_step(lambda x: np.diag(1.0 / x)),
+                             np.array([0.1, 5.0]))
 
     @pytest.mark.parametrize("tol", [0.0, 1.0, 2.0])
     def test_tolerance_outside_unit_interval_rejected(self, tol):
         # tol >= 1 would accept every guess: ||r|| <= tol * max(1, ||r(guess)||)
         with pytest.raises(ValueError, match=r"tol must lie in \(0, 1\)"):
-            newton_solve(lambda x: x - 1.0, lambda x: np.eye(1), np.zeros(1), tol=tol)
+            newton_solve(lambda x: x - 1.0, dense_step(lambda x: np.eye(1)), np.zeros(1),
+                         tol=tol)
 
     def test_negative_max_iter_rejected(self):
         with pytest.raises(ValueError, match="max_iter must be nonnegative"):
-            newton_solve(lambda x: x, lambda x: np.eye(1), np.ones(1), max_iter=-1)
+            newton_solve(lambda x: x, dense_step(lambda x: np.eye(1)), np.ones(1), max_iter=-1)
         # zero iterations stay legal: a guess that is no root fails to converge
         with pytest.raises(NoConvergenceError):
-            newton_solve(lambda x: x, lambda x: np.eye(1), np.ones(1), max_iter=0)
+            newton_solve(lambda x: x, dense_step(lambda x: np.eye(1)), np.ones(1), max_iter=0)
 
     def test_singular_jacobian_propagates(self):
         with pytest.raises(SingularMatrixError):
             newton_solve(
                 lambda x: np.array([x[0] + x[1] - 1.0, 2.0 * (x[0] + x[1]) - 2.0]),
-                lambda x: np.array([[1.0, 1.0], [2.0, 2.0]]),
+                lambda x, r: lu_solve(band(np.array([[1.0, 1.0], [2.0, 2.0]]), 1, 1), -r, 1, 1),
                 np.zeros(2),
             )
 
@@ -247,9 +256,10 @@ class TestBeStep:
         ops = stepper.operators
         ctx = build_filter_context(ops, params.delta, params.deconv_order)
         stab = stabilization_matrix(ctx, params.chi)
-        assert np.array_equal(stepper.stab, stab)
+        assert stepper.stab.weight == stab.weight == params.chi * params.delta**2
+        assert np.array_equal(applied_base(stepper.stab.ctx), applied_base(ctx))
         assert np.array_equal(
-            stepper.linear_part, ops.mass / 0.1 + params.v_f * ops.convection + stab
+            stepper.linear_part, ops.mass / 0.1 + params.v_f * ops.convection
         )
         assert stepper.nonlinear_coeff == 1.0
         left, right = (lambda t: 0.1), (lambda t: 0.2)
@@ -258,6 +268,38 @@ class TestBeStep:
         assert rows == ((0, left), (mesh.n_dofs - 1, right))
         periodic = build_mesh(0.0, 1.0, 12, 2, PERIODIC)
         assert Stepper.build(both_ends, params, 0.1, periodic).constrained == ()
+
+    @pytest.mark.parametrize("kind", [DIRICHLET, PERIODIC])
+    @pytest.mark.parametrize("degree,order", [(1, 0), (1, 1), (2, 1), (2, 2)])
+    def test_banded_newton_matches_dense_newton(self, kind, degree, order):
+        # the augmented banded system against Newton on the dense operator
+        # M/dt + v_f C + chi delta^2 Pi^T S Pi - c J_b with identity rows
+        mesh = build_mesh(0.0, 1.0, 10, degree, kind)
+        params = ModelParams(chi=0.8, delta=0.15, deconv_order=order)
+        scenario = dataclasses.replace(manufactured(), dirichlet={LEFT: lambda t: 0.3})
+        stepper = Stepper.build(scenario, params, 0.01, mesh)
+        ops, c = stepper.operators, stepper.nonlinear_coeff
+        prev = FeFunction(mesh, 0.3 + 0.1 * np.sin(2 * np.pi * mesh.dof_x))
+        linear = dense(stepper.linear_part) + operator_matrix(stepper.stab, mesh.n_dofs)
+        rhs = band_matvec(ops.mass, prev.coefficients) / 0.01 + forcing_vector(
+            scenario.forcing, 0.01, mesh)
+        rows = [i for i, _ in stepper.constrained]
+
+        def residual(x):
+            r = linear @ x - c * b_residual(FeFunction(mesh, x)) - rhs
+            r[rows] = x[rows] - 0.3
+            return r
+
+        def jacobian(x):
+            jac = linear - c * dense(b_jacobian(FeFunction(mesh, x)))
+            jac[rows] = np.eye(mesh.n_dofs)[rows]
+            return jac
+
+        expected, expected_iters, _ = newton_solve(residual, dense_step(jacobian),
+                                                   prev.coefficients)
+        state, iters, _ = be_step(stepper, prev, 0.01)
+        assert iters == expected_iters
+        assert np.abs(state.coefficients - expected).max() <= 1e-12
 
     @pytest.mark.parametrize("gamma", [0.0, 2.0 / 3.0])
     def test_stream_keeps_two_levels(self, gamma):
@@ -385,10 +427,10 @@ class TestRunAlgorithm2:
             state_n2 = trajectory[n - 2][0]
             d, i = three_level_ops(state_n, state_n1, state_n2)
             residual = (
-                (ops.mass @ d.coefficients) / grid.dt
-                + params.v_f * (ops.convection @ i.coefficients)
+                band_matvec(ops.mass, d.coefficients) / grid.dt
+                + params.v_f * band_matvec(ops.convection, i.coefficients)
                 - (2.0 * params.v_f / params.rho_m) * b_residual(i)
-                + stab @ i.coefficients
+                + stab(i.coefficients)
                 - forcing_vector(scenario.forcing, n * grid.dt, mesh)
             )
             scale = trajectory[n][1].residual_scale
