@@ -208,7 +208,7 @@ def _row_entries(w: int, n: int, rows: list[int]) -> tuple[np.ndarray, np.ndarra
     return band_rows, cols
 
 
-def newton_matrix(
+def _newton_matrix(
     operators: AssembledOperators, stab: Stabilization, constrained_rows: list[int]
 ) -> tuple[np.ndarray, int, int]:
     """Constant part of the banded augmented Newton matrix, with its (kl, ku).
@@ -272,7 +272,7 @@ class Stepper:
         constrained = tuple(
             (0 if end == LEFT else mesh.n_dofs - 1, g) for end, g in dirichlet.items()
         )
-        newton, kl, ku = newton_matrix(ops, stab, [i for i, _ in constrained])
+        newton, kl, ku = _newton_matrix(ops, stab, [i for i, _ in constrained])
         return cls(
             scenario=scenario, operators=ops, stab=stab,
             linear_part=ops.mass / dt + params.v_f * ops.convection,

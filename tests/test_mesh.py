@@ -10,9 +10,10 @@ from lwrfem.mesh import (
     build_mesh,
     evaluate,
     l2_project,
+    scatter_band,
     shape_values,
 )
-from conftest import simpson_l2_error
+from conftest import dense, simpson_l2_error
 
 
 class TestBuildMesh:
@@ -33,6 +34,25 @@ class TestBuildMesh:
         mesh = build_mesh(0.0, 1.0, 4, 2, PERIODIC)
         assert mesh.n_dofs == 8
         assert mesh.cell_dofs[-1, -1] == 0
+
+    def test_periodic_dofs_zig_zag_from_both_ends(self):
+        mesh = build_mesh(0.0, 1.0, 4, 1, PERIODIC)
+        assert np.allclose(mesh.dof_x, [0.0, 0.75, 0.25, 0.5])
+        assert mesh.half_band == 2
+        mesh = build_mesh(0.0, 1.0, 4, 2, PERIODIC)
+        assert np.allclose(mesh.dof_x, [0.0, 0.875, 0.125, 0.75, 0.25, 0.625, 0.375, 0.5])
+        assert mesh.half_band == 4
+
+    @pytest.mark.parametrize("degree,kind", [(1, DIRICHLET), (2, DIRICHLET), (1, PERIODIC), (2, PERIODIC)])
+    @pytest.mark.parametrize("n", [2, 3, 9])
+    def test_band_scatter_matches_dense_assembly(self, degree, kind, n, rng):
+        mesh = build_mesh(0.0, 1.0, n, degree, kind)
+        local = rng.standard_normal((n, degree + 1, degree + 1))
+        expected = np.zeros((mesh.n_dofs, mesh.n_dofs))
+        np.add.at(expected, (mesh.cell_dofs[:, :, None], mesh.cell_dofs[:, None, :]), local)
+        assert np.allclose(dense(scatter_band(mesh, local)), expected, atol=1e-14)
+        assert mesh.half_band == (degree if kind == DIRICHLET else min(2 * degree,
+                                                                         mesh.n_dofs - 1))
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError, match="degree must be 1 or 2, got 3"):

@@ -1,7 +1,8 @@
 """Property tests of the discrete invariants over random meshes and parameters.
 
-Each property is drawn over the degree, the number of elements, chi,
-delta and the deconvolution order N.  The examples are derandomized and
+Most properties are drawn over the degree, the number of elements, chi,
+delta and the deconvolution order N; the shock-speed property over the
+two states of a Riemann problem.  The examples are derandomized and
 few, so the suite stays reproducible and quick.
 """
 
