@@ -6,14 +6,7 @@ filter / deconvolution stabilization term, and optionally sharpening the
 temporal accuracy of backward Euler with a second-order time filter.
 """
 
-from .analysis import (
-    TableRow,
-    convergence_table,
-    l2_error,
-    overshoot,
-    run_error_inf,
-    total_variation,
-)
+from .analysis import TableRow, convergence_table, l2_error, run_error_inf
 from .filtering import FilterContext, build_filter_context, stabilization_matrix
 from .linalg import SingularMatrixError, lu_solve
 from .mesh import (
@@ -29,7 +22,6 @@ from .mesh import (
 from .operators import (
     AssembledOperators,
     assemble,
-    b_form,
     b_jacobian,
     b_residual,
     forcing_vector,

@@ -1,4 +1,4 @@
-"""Error norms, convergence-table rows, and oscillation metrics.
+"""Error norms and convergence-table rows.
 
 The error norm is the L2 distance between a finite-element function and
 an exact solution, integrated with a 5-point Gauss rule (one order above
@@ -80,13 +80,3 @@ def convergence_table(errors: Sequence[tuple[float, float | None]]) -> tuple[Tab
         rows.append(TableRow(label, resolution, error, rate))
     return tuple(rows)
 
-
-def total_variation(rho_h: FeFunction) -> float:
-    """Sum of |jumps| between consecutive nodal values (increasing x)."""
-    by_x = rho_h.coefficients[np.argsort(rho_h.mesh.dof_x)]  # periodic DOFs zig-zag
-    return float(np.abs(np.diff(by_x)).sum())
-
-
-def overshoot(rho_h: FeFunction, reference_max: float) -> float:
-    """Nodal exceedance above a reference ceiling, max(0, max rho - ref)."""
-    return float(max(0.0, rho_h.coefficients.max() - reference_max))

@@ -127,7 +127,7 @@ class RunConfig:
             raise ConfigError("dt and dt_max must be positive")
         if not self.newton_tol > 0:
             raise ConfigError("newton_tol must be positive")
-        if not self.newton_tol < 1:  # the stopping test accepts every guess
+        if not self.newton_tol < 1:  # a fraction of the stopping scale (newton_solve)
             raise ConfigError(f"newton_tol must be below 1, got {self.newton_tol:g}")
         if self.newton_max_iter < 0:
             raise ConfigError("newton_max_iter must be nonnegative")

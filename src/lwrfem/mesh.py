@@ -59,27 +59,35 @@ class QuadratureRule:
     ``values[degree]`` and ``derivatives[degree]`` are the Lagrange basis
     tables at the points (shape_values, shape_derivatives), built once per
     rule and read-only, since assembly reads them on every call.
+    ``transport[degree]`` is the element tensor T[i, j, k] = sum_q w_q
+    phi_i phi_j dphi_k / dxi, built with them: on an element of any
+    length h it is int phi_j phi_k' phi_i dx (h cancels), exact when the
+    rule integrates polynomials of degree 3 p - 1 for P_p elements.
     """
 
     points: np.ndarray
     weights: np.ndarray
     values: dict[int, np.ndarray]
     derivatives: dict[int, np.ndarray]
+    transport: dict[int, np.ndarray]
 
     @classmethod
     def gauss_legendre(cls, n_points: int) -> "QuadratureRule":
         # leggauss lives on [-1, 1]; map to [0, 1] so weights sum to 1.
         pts, wts = np.polynomial.legendre.leggauss(n_points)
         points = (pts + 1.0) / 2.0
-
-        def tables(basis: Callable) -> dict[int, np.ndarray]:
-            out = {degree: basis(degree, points) for degree in (1, 2)}
-            for table in out.values():
-                table.setflags(write=False)
-            return out
-
-        return cls(points=points, weights=wts / 2.0, values=tables(shape_values),
-                   derivatives=tables(shape_derivatives))
+        weights = wts / 2.0
+        values = {degree: shape_values(degree, points) for degree in (1, 2)}
+        derivatives = {degree: shape_derivatives(degree, points) for degree in (1, 2)}
+        transport = {
+            degree: np.einsum("q,qi,qj,qk->ijk", weights, values[degree], values[degree],
+                              derivatives[degree])
+            for degree in (1, 2)
+        }
+        for table in (*values.values(), *derivatives.values(), *transport.values()):
+            table.setflags(write=False)
+        return cls(points=points, weights=weights, values=values,
+                   derivatives=derivatives, transport=transport)
 
 
 # Assembly uses 4 points (exact through degree 7, enough for the P2

@@ -2,16 +2,19 @@
 
 Assembles the mass matrix M_ij = (phi_j, phi_i), stiffness matrix
 S_ij = (dphi_j/dx, dphi_i/dx), convection matrix C_ij = (dphi_j/dx, phi_i),
-and forcing vectors (f, phi_i), plus the skew-symmetric trilinear form
+and forcing vectors (f, phi_i), plus the residual vector b(rho, rho, phi_i)
+and Newton Jacobian of the skew-symmetric trilinear form
 
     b(u, v, w) = (1/3) int ( d(uv)/dx + u dv/dx ) w dx
-               = (1/3) int ( u' v + 2 u v' ) w dx
+               = (1/3) int ( u' v + 2 u v' ) w dx.
 
-with its residual vector b(rho, rho, phi_i) and Newton Jacobian.  The
-expanded integrand is polynomial on each element, so the 4-point
-assembly rule integrates it exactly for P1 and P2; skew symmetry
-b(u,v,w) = -b(u,w,v) then holds to rounding on periodic meshes.  The
-matrices, the Jacobian included, are scattered element by element
+With u = v the integrand is rho rho' phi_i, exactly quadratic in the
+coefficients: on each element b(rho, rho, phi_i) = T_ijk c_j c_k with the
+element tensor T_ijk = int phi_j phi_k' phi_i dx of the assembly rule
+(``QuadratureRule.transport``), which is the same on every element of
+the uniform mesh.  The residual and the Jacobian contract that one
+tensor with the element coefficients c; no quadrature values are formed.
+The matrices, the Jacobian included, are scattered element by element
 straight into band storage (``mesh.scatter_band``): entry (i, j) sits at
 ab[w + i - j, j] with w the mesh's half-bandwidth.
 """
@@ -27,10 +30,8 @@ from .mesh import (
     ASSEMBLY_RULE,
     FeFunction,
     Mesh1D,
-    element_values,
     load_vector,
     mass_matrix,
-    require_same_mesh,
     sample_function,
     scatter_band,
 )
@@ -71,38 +72,24 @@ def forcing_vector(f: Callable, t: float, mesh: Mesh1D) -> np.ndarray:
     )
 
 
-def b_form(u: FeFunction, v: FeFunction, w: FeFunction) -> float:
-    """Trilinear form b(u, v, w) = (1/3) int (u'v + 2uv') w dx."""
-    mesh = require_same_mesh(u, v, w)
-    rule = ASSEMBLY_RULE
-    uq, duq = element_values(u, rule)
-    vq, dvq = element_values(v, rule)
-    wq, _ = element_values(w, rule)
-    integrand = (duq * vq + 2.0 * uq * dvq) * wq / 3.0
-    return float(mesh.h * np.einsum("q,eq->", rule.weights, integrand))
-
-
 def b_residual(rho: FeFunction) -> np.ndarray:
-    """Vector of b(rho, rho, phi_i); with u = v the integrand is rho rho' phi_i."""
-    uq, duq = element_values(rho, ASSEMBLY_RULE)
-    return load_vector(rho.mesh, uq * duq)
+    """Vector of b(rho, rho, phi_i) = int rho rho' phi_i dx: per element T_ijk c_j c_k."""
+    mesh = rho.mesh
+    n_loc = mesh.degree + 1
+    ce = rho.coefficients[mesh.cell_dofs]  # (n_el, n_loc)
+    pairs = (ce[:, :, None] * ce[:, None, :]).reshape(len(ce), -1)  # c_j c_k
+    local = pairs @ ASSEMBLY_RULE.transport[mesh.degree].reshape(n_loc, -1).T
+    return np.bincount(mesh.cell_dofs.ravel(), local.ravel(), minlength=mesh.n_dofs)
 
 
 def b_jacobian(rho: FeFunction) -> np.ndarray:
-    """Derivative of b_residual: J d = b(d, rho, phi_i) + b(rho, d, phi_i).
+    """Derivative of b_residual, in band storage: per element (T_ijk + T_ikj) c_k.
 
-    The two slots combine to int (rho d' + rho' d) phi_i dx, so the local
-    block is (rho_q D_j + h rho'_q B_j) B_i with the affine factors folded in:
-    two products of the quadrature values with fixed (q, ij) tables.  J is
-    returned in band storage.
+    J d = b(d, rho, phi_i) + b(rho, d, phi_i) = int (rho d' + rho' d) phi_i dx.
     """
     mesh = rho.mesh
-    rule = ASSEMBLY_RULE
-    basis = rule.values[mesh.degree]
-    dbasis = rule.derivatives[mesh.degree]
-    uq, duq = element_values(rho, rule)
-    w, n_loc = rule.weights, mesh.degree + 1
-    by_value = np.einsum("q,qj,qi->qij", w, dbasis, basis).reshape(len(w), -1)
-    by_slope = np.einsum("q,qj,qi->qij", mesh.h * w, basis, basis).reshape(len(w), -1)
-    local = uq @ by_value + duq @ by_slope
+    n_loc = mesh.degree + 1
+    t = ASSEMBLY_RULE.transport[mesh.degree]
+    both = (t + t.transpose(0, 2, 1)).reshape(-1, n_loc)  # rows (i, j), columns k
+    local = rho.coefficients[mesh.cell_dofs] @ both.T
     return scatter_band(mesh, local.reshape(-1, n_loc, n_loc))

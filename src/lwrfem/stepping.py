@@ -7,9 +7,12 @@ find rho^n solving
         - (2 v_f / rho_m) b(rho^n, rho^n, v)
         + chi delta^2 ((rho^n)*_x, v*_x) = (f^n, v)   for all v,
 
-a nonlinear system handled by full Newton with the analytic Jacobian and
-initial guess rho^{n-1}.  The second scheme post-processes each backward
-Euler step with the time filter
+a nonlinear system handled by full Newton with the analytic Jacobian.
+Newton starts from the linear extrapolation 2 rho^{n-1} - rho^{n-2} of
+the accepted states (from rho^0 on the first step) and stops once the
+residual is below tol * max(1e-2, ||M rho^{n-1}||), a threshold that
+neither the guess, dt nor the forcing moves.  The second scheme
+post-processes each backward Euler step with the time filter
 
     rho^n = rhohat^n - (gamma/2)(rhohat^n - 2 rho^{n-1} + rho^{n-2}),
 
@@ -31,8 +34,8 @@ backward Euler is its gamma = 0 case, where the filter correction
 vanishes.  A ``Stepper`` holds what a run keeps constant (the operators,
 the stabilization, the linear part M/dt + v_f C, the constant part of
 the Newton matrix, each constrained row with its Dirichlet value g(t));
-``be_step`` adds the per-step work: the right-hand side, the boundary
-values and Newton.
+``be_step`` adds the per-step work: the right-hand side, the stopping
+scale, the boundary values and Newton.
 
 The stabilization chi delta^2 Pi^T S Pi is a dense matrix, but it is the
 product of banded ones (see ``filtering``).  So each Newton step solves
@@ -45,7 +48,8 @@ DOF by DOF), the rho rows read
 and the y and v rows are the recurrences with a zero right-hand side.
 Eliminating y and v gives back the Newton step of the dense operator.
 Only the (rho, rho) entries change from one iteration to the next; a
-banded LU (LAPACK gbsv) solves the system in O(n) time.
+banded LU (LAPACK gbsv) solves the system in O(n) time.  At chi delta^2
+= 0 the stabilization vanishes and rho is the only unknown.
 
 Dirichlet data is enforced by row replacement: the residual row of the
 constrained end's node becomes rho_i - g(t^n) and the matching Newton
@@ -137,13 +141,16 @@ class StepDiagnostics:
     zeta_z: float
     newton_iters: int
     stab_dissipation: float
-    residual_scale: float = 1.0
+    residual_scale: float = 1.0  # the scale of the step's Newton stopping test
 
 
 StepRecord = tuple[FeFunction, StepDiagnostics, FeFunction]  # rho^n, diag, rhohat^n
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 25
+# Floor of be_step's stopping scale, so that zero data keeps a threshold
+# above the rounding level of the residual.
+NEWTON_SCALE_FLOOR = 1e-2
 
 
 def newton_solve(
@@ -152,25 +159,33 @@ def newton_solve(
     guess: np.ndarray,
     tol: float = NEWTON_TOL,
     max_iter: int = NEWTON_MAX_ITER,
-) -> tuple[np.ndarray, int, float]:
-    """Full Newton iteration; returns (solution, iterations, ||residual(guess)||).
+    scale: float = 1.0,
+) -> tuple[np.ndarray, int]:
+    """Full Newton iteration; returns (solution, iterations).
 
     step(x, r) returns the Newton correction d that solves J(x) d = -r
     for the Jacobian J of residual at x.  Stops once ||residual(x)|| <=
-    tol * max(1, ||residual(guess)||); a guess that already satisfies
-    this returns with zero iterations, so a tol of 1 or more, which every
-    guess meets, raises ValueError.  A non-finite residual norm, at the
-    guess or after any update, raises NoConvergenceError.
+    tol * scale, a threshold fixed before the first iteration: the caller
+    picks scale > 0 from the problem, not from the guess, so that a
+    better guess saves iterations without loosening the test (Kelley,
+    Solving Nonlinear Equations with Newton's Method, SIAM 2003, 1.5).
+    A guess that already meets it returns with zero iterations.  tol is
+    a fraction of scale and must lie in (0, 1): at 1 or more the test
+    would accept a residual as large as the scale itself.  A non-finite
+    residual norm, at the guess or after any update, raises
+    NoConvergenceError.
     """
     if not 0 < tol < 1:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
     if max_iter < 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
+    if not scale > 0:
+        raise ValueError(f"scale must be positive, got {scale}")
     x = np.asarray(guess, dtype=float).copy()
     r = residual(x)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite norms raise below
-        norm = r0 = float(np.linalg.norm(r))
-    threshold = tol * max(1.0, r0)
+        norm = float(np.linalg.norm(r))
+    threshold = tol * scale
     iters = 0
     while norm > threshold or not np.isfinite(norm):
         if not np.isfinite(norm):
@@ -187,7 +202,7 @@ def newton_solve(
         r = residual(x)
         with np.errstate(over="ignore", invalid="ignore"):
             norm = float(np.linalg.norm(r))
-    return x, iters, r0
+    return x, iters
 
 
 def _block(ab: np.ndarray, ku: int, unknowns: int, w: int, row: int, col: int) -> np.ndarray:
@@ -217,20 +232,24 @@ def _newton_matrix(
     v_1..v_{N+1} (slots N+2..2N+2).  Rows: rho couples to v_1 through
     chi delta^4 S (zero on constrained rows; its (rho, rho) block is set
     per iteration), A y_k - delta^2 S y_{k-1} = 0, A v_{N+1} - S y_{N+1} = 0
-    and A v_k - delta^2 S v_{k+1} = 0.
+    and A v_k - delta^2 S v_{k+1} = 0.  At weight chi delta^2 = 0 nothing
+    couples to rho, and rho is the one unknown per DOF.
     """
     ctx, mesh = stab.ctx, operators.mesh
     order, w, n = ctx.deconv_order, mesh.half_band, mesh.n_dofs
-    s, d2 = operators.stiffness, ctx.delta**2
-    a = operators.mass + d2 * s
-    coupling = stab.weight * d2 * s
-    coupling[_row_entries(w, n, constrained_rows)] = 0.0
-    v = order + 1  # slot of v_k is v + k
-    blocks = [(0, 0, None), (0, v + 1, coupling), (v + order + 1, order + 1, -s)]
-    blocks += [(k, k - 1, -d2 * s) for k in range(1, order + 2)]
-    blocks += [(v + k, v + k + 1, -d2 * s) for k in range(1, order + 1)]
-    blocks += [(k, k, a) for k in range(1, 2 * order + 3)]
-    unknowns = 2 * order + 3
+    blocks = [(0, 0, None)]
+    unknowns = 1
+    if stab.weight != 0.0:
+        s, d2 = operators.stiffness, ctx.delta**2
+        a = operators.mass + d2 * s
+        coupling = stab.weight * d2 * s
+        coupling[_row_entries(w, n, constrained_rows)] = 0.0
+        v = order + 1  # slot of v_k is v + k
+        blocks += [(0, v + 1, coupling), (v + order + 1, order + 1, -s)]
+        blocks += [(k, k - 1, -d2 * s) for k in range(1, order + 2)]
+        blocks += [(v + k, v + k + 1, -d2 * s) for k in range(1, order + 1)]
+        blocks += [(k, k, a) for k in range(1, 2 * order + 3)]
+        unknowns = 2 * order + 3
     kl = unknowns * w + max(row - col for row, col, _ in blocks)
     ku = unknowns * w + max(col - row for row, col, _ in blocks)
     ab = np.zeros((kl + ku + 1, unknowns * n), order="F")
@@ -283,17 +302,25 @@ class Stepper:
 
 
 def be_step(
-    stepper: Stepper, rho_prev: FeFunction, t_next: float
+    stepper: Stepper, rho_prev: FeFunction, t_next: float, guess: np.ndarray | None = None
 ) -> tuple[FeFunction, int, float]:
-    """One implicit step from rho_prev to t_next.
+    """One implicit step from rho_prev to t_next, Newton started at guess.
 
-    Returns the new state, its Newton iterations and ||residual(rho_prev)||.
+    guess holds coefficients; by default Newton starts at rho_prev.  Newton
+    stops at ||residual|| <= newton_tol * scale with scale = max(1e-2,
+    ||M rho_prev||), the residual's mass term times dt.  The scale holds
+    neither the guess, dt nor the forcing: one that grew with dt or f
+    would, at dt = 1e20, accept a guess that solves nothing.  The floor
+    keeps it from vanishing on zero data.  Returns the new state, its
+    Newton iterations and scale.
     """
     mesh, scenario = stepper.operators.mesh, stepper.scenario
     if rho_prev.mesh is not mesh:
         raise ValueError("state does not live on the assembled mesh")
     linear_part, nonlinear_coeff, stab = stepper.linear_part, stepper.nonlinear_coeff, stepper.stab
-    rhs = band_matvec(stepper.operators.mass, rho_prev.coefficients) / stepper.dt
+    mass_prev = band_matvec(stepper.operators.mass, rho_prev.coefficients)
+    scale = max(NEWTON_SCALE_FLOOR, float(np.linalg.norm(mass_prev)))
+    rhs = mass_prev / stepper.dt
     if scenario.forcing is not None:
         rhs = rhs + forcing_vector(scenario.forcing, t_next, mesh)
     bcs = [(i, g(t_next)) for i, g in stepper.constrained]
@@ -318,9 +345,10 @@ def be_step(
         lifted[::unknowns] = -r
         return lu_solve(stepper.newton, lifted, kl, ku)[::unknowns]
 
-    coeffs, iters, r0 = newton_solve(residual, step, rho_prev.coefficients,
-                                     stepper.newton_tol, stepper.newton_max_iter)
-    return FeFunction(mesh, coeffs), iters, r0
+    coeffs, iters = newton_solve(residual, step,
+                                 rho_prev.coefficients if guess is None else guess,
+                                 stepper.newton_tol, stepper.newton_max_iter, scale)
+    return FeFunction(mesh, coeffs), iters, scale
 
 
 def time_filter_step(
@@ -371,8 +399,9 @@ def run_time_filtered(
     the startup step, and gamma = 0, where the correction vanishes and this
     one loop marches plain backward Euler.  Level 0 is the projected
     initial condition, recorded like a step that took no Newton iterations.
-    A step whose Newton iteration fails or meets a singular matrix raises
-    NoConvergenceError naming the step.
+    From step 2 on, Newton starts at 2 rho^{n-1} - rho^{n-2}, the accepted
+    states' extrapolation.  A step whose Newton iteration fails or meets a
+    singular matrix raises NoConvergenceError naming the step.
     """
     stepper = Stepper.build(scenario, params, grid.dt, mesh, newton_tol, newton_max_iter)
     ops = stepper.operators
@@ -380,8 +409,9 @@ def run_time_filtered(
     rho_n1, rho_n2 = l2_project(scenario.initial_condition, mesh), None
     for n in range(grid.n_steps + 1):
         t = n * grid.dt
+        guess = None if rho_n2 is None else 2.0 * rho_n1.coefficients - rho_n2.coefficients
         try:
-            rho_hat, iters, r0 = be_step(stepper, rho_n1, t) if n else (rho_n1, 0, 0.0)
+            rho_hat, iters, scale = be_step(stepper, rho_n1, t, guess) if n else (rho_n1, 0, 1.0)
         except (NoConvergenceError, SingularMatrixError) as err:
             raise NoConvergenceError(f"step {n} to t = {t:.6g} failed: {err}") from err
         rho = rho_hat
@@ -394,7 +424,7 @@ def run_time_filtered(
             n=n, t=t, l2_norm=mass_norm(rho, ops), energy_e=energy_e(rho, rho_n1, ops),
             zeta_z=0.0 if rho_n2 is None else energy_z(rho, rho_n1, rho_n2, ops),
             newton_iters=iters, stab_dissipation=stepper.stab.dissipation(c),
-            residual_scale=max(1.0, r0),
+            residual_scale=scale,
         )
         rho_n1, rho_n2 = rho, (rho_n1 if n else None)
         yield rho, diag, rho_hat

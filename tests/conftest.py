@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 
 from lwrfem.mesh import (
+    ASSEMBLY_RULE,
     FeFunction,
     Mesh1D,
     QuadratureRule,
@@ -55,6 +56,31 @@ def simpson_l2_error(f: FeFunction, g, n_sub: int = 4001) -> float:
     from scipy.integrate import simpson
 
     return float(np.sqrt(max(simpson(diff * diff, x=xs), 0.0)))
+
+
+def b_form(u: FeFunction, v: FeFunction, w: FeFunction) -> float:
+    """Trilinear form b(u, v, w) = (1/3) int (u'v + 2uv') w dx.
+
+    A contraction of the element tensor T_ijk = int phi_j phi_k' phi_i dx
+    that the solver's b_residual and b_jacobian use: per element,
+    int u' v w = T_ijk w_i v_j u_k and int u v' w = T_ijk w_i u_j v_k.
+    """
+    mesh = require_same_mesh(u, v, w)
+    t = ASSEMBLY_RULE.transport[mesh.degree]
+    cu, cv, cw = (f.coefficients[mesh.cell_dofs] for f in (u, v, w))
+    return float(np.einsum("ijk,ei,ej,ek->", t, cw, cv, cu)
+                 + 2.0 * np.einsum("ijk,ei,ej,ek->", t, cw, cu, cv)) / 3.0
+
+
+def total_variation(rho_h: FeFunction) -> float:
+    """Sum of |jumps| between consecutive nodal values (increasing x)."""
+    by_x = rho_h.coefficients[np.argsort(rho_h.mesh.dof_x)]  # periodic DOFs zig-zag
+    return float(np.abs(np.diff(by_x)).sum())
+
+
+def overshoot(rho_h: FeFunction, reference_max: float) -> float:
+    """Nodal exceedance above a reference ceiling, max(0, max rho - ref)."""
+    return float(max(0.0, rho_h.coefficients.max() - reference_max))
 
 
 def march(*args, **kwargs) -> list[tuple[FeFunction, StepDiagnostics]]:

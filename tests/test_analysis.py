@@ -2,18 +2,12 @@ import numpy as np
 import pytest
 
 from lwrfem import analysis
-from lwrfem.analysis import (
-    convergence_table,
-    l2_error,
-    overshoot,
-    run_error_inf,
-    total_variation,
-)
+from lwrfem.analysis import convergence_table, l2_error, run_error_inf
 from lwrfem.mesh import DIRICHLET, PERIODIC, FeFunction, build_mesh, l2_project
 from lwrfem.operators import assemble
 from lwrfem.scenarios import manufactured, shock
 from lwrfem.stepping import StepDiagnostics, mass_norm
-from conftest import random_fe
+from conftest import overshoot, random_fe, total_variation
 
 
 def make_record(state, t):

@@ -375,6 +375,16 @@ class TestMain:
             assert captured.err.count("\n") == 1
             assert captured.out == "" and not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("scenario", ["manufactured", "rarefaction", "shock"])
+    def test_zero_newton_iterations_fail_step_1(self, scenario, tmp_path, capsys):
+        # step 1 starts Newton at the initial state, which solves no step
+        argv = ["run", "--scenario", scenario, "--newton_max_iter", "0", "--dt", "0.01",
+                "--t_final", "0.05", "--output_dir", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: step 1 to t = 0.01 failed: no convergence after 0 ")
+        assert err.count("\n") == 1 and not list(tmp_path.iterdir())
+
     def test_exact_solution_only_at_unit_v_f_and_rho_m(self, tmp_path, capsys):
         # every exact solution, and the manufactured forcing, assume v_f = rho_m = 1
         argv = ["conv-time", "--config", TIME_RATES, "--time_levels", "3", "--rho_m", "2",

@@ -2,20 +2,40 @@ import numpy as np
 import pytest
 
 from lwrfem.mesh import (
+    ASSEMBLY_RULE,
     DIRICHLET,
     PERIODIC,
     FeFunction,
+    QuadratureRule,
     build_mesh,
+    element_values,
+    load_vector,
+    scatter_band,
 )
 from lwrfem.operators import (
     assemble,
-    b_form,
     b_jacobian,
     b_residual,
     forcing_vector,
 )
 from lwrfem.linalg import band_matvec
-from conftest import dense, fe_values_on_rule, integrate_elementwise, random_fe
+from conftest import b_form, dense, fe_values_on_rule, integrate_elementwise, random_fe
+
+
+def quadrature_b_residual(rho):
+    """b(rho, rho, phi_i) from rho rho' at the assembly quadrature points."""
+    uq, duq = element_values(rho, ASSEMBLY_RULE)
+    return load_vector(rho.mesh, uq * duq)
+
+
+def quadrature_b_jacobian(rho):
+    """Band storage of int (rho phi_j' + rho' phi_j) phi_i dx, by quadrature."""
+    mesh, rule = rho.mesh, ASSEMBLY_RULE
+    basis, dbasis = rule.values[mesh.degree], rule.derivatives[mesh.degree]
+    uq, duq = element_values(rho, rule)
+    local = mesh.h * np.einsum("q,eq,qj,qi->eij", rule.weights, uq, dbasis / mesh.h, basis)
+    local += mesh.h * np.einsum("q,eq,qj,qi->eij", rule.weights, duq, basis, basis)
+    return scatter_band(mesh, local)
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +175,26 @@ class TestTrilinearForm:
             b_form(random_fe(mesh_a, rng), random_fe(mesh_a, rng), random_fe(mesh_b, rng))
 
 
+class TestTransportTensor:
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_tensor_is_the_exact_integral(self, degree):
+        # int phi_j phi_k' phi_i on the reference element, by a 7-point rule
+        rule = QuadratureRule.gauss_legendre(7)
+        basis, dbasis = rule.values[degree], rule.derivatives[degree]
+        exact = np.einsum("q,qi,qj,qk->ijk", rule.weights, basis, basis, dbasis)
+        assert np.abs(ASSEMBLY_RULE.transport[degree] - exact).max() <= 1e-15
+        assert not ASSEMBLY_RULE.transport[degree].flags.writeable
+
+    @pytest.mark.parametrize("kind", [DIRICHLET, PERIODIC])
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_residual_and_jacobian_match_quadrature(self, degree, kind, rng):
+        mesh = build_mesh(0.0, 1.0, 9, degree, kind)
+        for _ in range(10):
+            rho = random_fe(mesh, rng)
+            assert np.abs(b_residual(rho) - quadrature_b_residual(rho)).max() <= 1e-14
+            assert np.abs(b_jacobian(rho) - quadrature_b_jacobian(rho)).max() <= 1e-14
+
+
 class TestBResidual:
     def test_constant_state_gives_zero(self, periodic_mesh):
         c = FeFunction(periodic_mesh, np.full(periodic_mesh.n_dofs, 0.9))
@@ -190,6 +230,19 @@ class TestBJacobian:
         bumped = FeFunction(mesh, rho.coefficients + eps * direction.coefficients)
         fd = (b_residual(bumped) - b_residual(rho)) / eps
         assert np.abs(fd - band_matvec(jac, direction.coefficients)).max() < 50.0 * eps
+
+    @pytest.mark.parametrize("kind", [DIRICHLET, PERIODIC])
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_central_difference_oracle(self, degree, kind, rng):
+        # b_residual is quadratic, so a central difference is exact up to rounding
+        mesh = build_mesh(0.0, 1.0, 9, degree, kind)
+        rho, direction = random_fe(mesh, rng), random_fe(mesh, rng)
+        eps = 1e-3
+        bumped = [FeFunction(mesh, rho.coefficients + sign * eps * direction.coefficients)
+                  for sign in (1.0, -1.0)]
+        fd = (b_residual(bumped[0]) - b_residual(bumped[1])) / (2.0 * eps)
+        exact = band_matvec(b_jacobian(rho), direction.coefficients)
+        assert np.abs(fd - exact).max() <= 1e-11
 
     def test_linearity_in_state(self, rng):
         mesh = build_mesh(0.0, 1.0, 8, 1, PERIODIC)

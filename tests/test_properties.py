@@ -15,11 +15,12 @@ from hypothesis import assume, given, settings, strategies as st
 from lwrfem.filtering import build_filter_context, stabilization_matrix
 from lwrfem.linalg import band_matvec
 from lwrfem.mesh import DIRICHLET, PERIODIC, FeFunction, build_mesh
-from lwrfem.operators import assemble, b_form, b_residual, forcing_vector
-from lwrfem.scenarios import LEFT, Scenario, manufactured
+from lwrfem.operators import assemble, b_residual, forcing_vector
+from lwrfem.scenarios import LEFT, RIGHT, Scenario, manufactured
 from lwrfem.stepping import ModelParams, Stepper, TimeGrid, mass_norm, run_time_filtered
 from conftest import (
-    FilterOracle, applied_base, dense, dense_stabilization_base, march, three_level_ops,
+    FilterOracle, applied_base, b_form, dense, dense_stabilization_base, march,
+    three_level_ops,
 )
 
 GAMMA_FILTER = 2.0 / 3.0
@@ -222,6 +223,60 @@ def test_periodic_mass_conserved(degree, n, chi, order, gamma, seed):
         for rho, _ in march(scenario, params, TimeGrid(1e-2, 12), mesh)
     ])
     assert np.abs(totals - totals[0]).max() <= 1e-14
+
+
+def _flux(rho, params):
+    return params.v_f * rho * (1.0 - rho / params.rho_m)
+
+
+@PROPERTY_SETTINGS
+@given(degree=degrees, n=st.integers(min_value=8, max_value=32),
+       chi=st.floats(min_value=0.0, max_value=1.0), order=st.integers(min_value=0, max_value=2),
+       rho_l=st.floats(min_value=0.05, max_value=0.45),
+       rho_r=st.floats(min_value=0.05, max_value=0.45), forced=st.booleans())
+def test_dirichlet_flux_balance(degree, n, chi, order, rho_l, rho_r, forced):
+    # Row replacement drops the equations of the constrained rows.  Summed
+    # over all rows (the basis sums to one, S 1 = 0 and Pi 1 = 0), the
+    # unconstrained backward Euler residual R is the discrete conservation law
+    #   sum_i R_i = 1.M (rho^n - rho^{n-1}) / dt + q(rho^n(1)) - q(rho^n(0)) - 1.f,
+    # and R vanishes on the other rows.  So the mass changes by the boundary
+    # flux q(g) plus the constrained row's reaction R_i: inflow q(g_0) + R_0,
+    # outflow q(g_1) - R_last at a constrained right end, else q(rho^n(1)).
+    mesh = build_mesh(0.0, 1.0, n, degree, DIRICHLET)
+    if forced:  # zero data at both ends, forcing
+        scenario = manufactured()
+    else:  # a Riemann problem rho_l | rho_r with inflow data at x = 0
+        scenario = Scenario(
+            initial_condition=lambda x: np.where(np.asarray(x) < 0.2, rho_l, rho_r),
+            dirichlet={LEFT: lambda t: rho_l}, forcing=None, exact_solution=None,
+            defaults={},
+        )
+    params = ModelParams(chi=chi, delta=np.sqrt(mesh.h), deconv_order=order)
+    ops = assemble(mesh)
+    stab = stabilization_matrix(build_filter_context(ops, params.delta, order), chi)
+    newton_tol, dt = 1e-10, 0.01
+    trajectory = march(scenario, params, TimeGrid(dt, 5), mesh, newton_tol=newton_tol)
+    constrained = [0] + ([mesh.n_dofs - 1] if forced else [])
+    for (prev, _), (rho, diag) in zip(trajectory, trajectory[1:]):
+        c = rho.coefficients
+        force = (np.zeros(mesh.n_dofs) if scenario.forcing is None
+                 else forcing_vector(scenario.forcing, diag.t, mesh))
+        mass_change = band_matvec(ops.mass, c - prev.coefficients) / dt
+        residual = (mass_change + params.v_f * band_matvec(ops.convection, c)
+                    - (2.0 * params.v_f / params.rho_m) * b_residual(rho) + stab(c) - force)
+        size = (np.abs(band_matvec(ops.mass, c)).sum() / dt + np.abs(force).sum()
+                + np.abs(residual).sum())
+        # the row sums: an identity of the discrete operators, to rounding
+        row_sum = mass_change.sum() + _flux(c[-1], params) - _flux(c[0], params) - force.sum()
+        assert abs(residual.sum() - row_sum) <= 1e-13 * size
+        # the balance, to the Newton tolerance of the unconstrained rows
+        free = np.delete(residual, constrained)
+        assert np.abs(free).max() <= 10.0 * newton_tol * diag.residual_scale
+        g = [scenario.dirichlet[end](diag.t) for end in (LEFT, RIGHT)[:len(constrained)]]
+        inflow = _flux(g[0], params) + residual[0]
+        outflow = _flux(g[1], params) - residual[-1] if forced else _flux(c[-1], params)
+        allowed = 10.0 * np.sqrt(mesh.n_dofs) * newton_tol * diag.residual_scale
+        assert abs(mass_change.sum() - (inflow - outflow + force.sum())) <= allowed + 1e-13 * size
 
 
 def _shock_front(rho, level):

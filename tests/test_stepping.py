@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
+from lwrfem import filtering
 from lwrfem.analysis import l2_error, run_error_inf
 from lwrfem.filtering import build_filter_context, stabilization_matrix
 from lwrfem.linalg import SingularMatrixError, band_matvec, lu_solve
@@ -75,19 +76,19 @@ class TestNewtonSolve:
     def test_linear_system_one_iteration(self, rng):
         a = rng.standard_normal((6, 6)) + 4.0 * np.eye(6)
         b = rng.standard_normal(6)
-        x, iters, _ = newton_solve(lambda x: a @ x - b, dense_step(lambda x: a), np.zeros(6))
+        x, iters = newton_solve(lambda x: a @ x - b, dense_step(lambda x: a), np.zeros(6))
         assert iters == 1
         assert np.linalg.norm(a @ x - b) < 1e-9
 
     def test_root_guess_zero_iterations(self):
-        x, iters, _ = newton_solve(
+        x, iters = newton_solve(
             lambda x: x**2 - 4.0, dense_step(lambda x: np.diag(2.0 * x)), np.array([2.0])
         )
         assert iters == 0
         assert x[0] == 2.0
 
     def test_scalar_quadratic(self):
-        x, iters, _ = newton_solve(
+        x, iters = newton_solve(
             lambda x: x**2 - 4.0, dense_step(lambda x: np.diag(2.0 * x)), np.array([3.0])
         )
         assert iters <= 6
@@ -118,10 +119,30 @@ class TestNewtonSolve:
 
     @pytest.mark.parametrize("tol", [0.0, 1.0, 2.0])
     def test_tolerance_outside_unit_interval_rejected(self, tol):
-        # tol >= 1 would accept every guess: ||r|| <= tol * max(1, ||r(guess)||)
+        # tol is a fraction of the scale: at tol >= 1, ||r|| <= tol * scale
+        # would accept a residual as large as the scale itself
         with pytest.raises(ValueError, match=r"tol must lie in \(0, 1\)"):
             newton_solve(lambda x: x - 1.0, dense_step(lambda x: np.eye(1)), np.zeros(1),
                          tol=tol)
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan")])
+    def test_scale_must_be_positive(self, scale):
+        # a vanishing scale would leave a threshold below the rounding level
+        with pytest.raises(ValueError, match="scale must be positive"):
+            newton_solve(lambda x: x - 1.0, dense_step(lambda x: np.eye(1)), np.zeros(1),
+                         scale=scale)
+
+    def test_threshold_is_tol_times_scale_whatever_the_guess(self):
+        # x - 1 = 0 with a step that closes only half the gap: the residual
+        # halves per iteration, so the count shows where the test stopped
+        def run(guess, scale):
+            return newton_solve(lambda x: x - 1.0, lambda x, r: -0.5 * r,
+                                np.array([guess]), tol=1e-3, scale=scale)[1]
+
+        assert run(2.0, 1.0) == 10  # 2^-10 <= 1e-3 < 2^-9
+        assert run(1.0 + 2.0**-9, 1.0) == 1  # a better guess saves iterations only
+        assert run(2.0, 1e3) == 0  # the guess's residual 1 is within 1e-3 * 1e3
+        assert run(1e3, 1.0) == 20  # a worse guess does not loosen the test
 
     def test_negative_max_iter_rejected(self):
         with pytest.raises(ValueError, match="max_iter must be nonnegative"):
@@ -273,13 +294,16 @@ class TestBeStep:
     @pytest.mark.parametrize("degree,order", [(1, 0), (1, 1), (2, 1), (2, 2)])
     def test_banded_newton_matches_dense_newton(self, kind, degree, order):
         # the augmented banded system against Newton on the dense operator
-        # M/dt + v_f C + chi delta^2 Pi^T S Pi - c J_b with identity rows
+        # M/dt + v_f C + chi delta^2 Pi^T S Pi - c J_b with identity rows,
+        # both from the same extrapolated guess with the same stopping scale
         mesh = build_mesh(0.0, 1.0, 10, degree, kind)
         params = ModelParams(chi=0.8, delta=0.15, deconv_order=order)
         scenario = dataclasses.replace(manufactured(), dirichlet={LEFT: lambda t: 0.3})
         stepper = Stepper.build(scenario, params, 0.01, mesh)
         ops, c = stepper.operators, stepper.nonlinear_coeff
         prev = FeFunction(mesh, 0.3 + 0.1 * np.sin(2 * np.pi * mesh.dof_x))
+        guess = 2.0 * prev.coefficients - (0.3 + 0.1 * np.sin(2 * np.pi * mesh.dof_x - 0.1))
+        scale = max(1e-2, np.linalg.norm(band_matvec(ops.mass, prev.coefficients)))
         linear = dense(stepper.linear_part) + operator_matrix(stepper.stab, mesh.n_dofs)
         rhs = band_matvec(ops.mass, prev.coefficients) / 0.01 + forcing_vector(
             scenario.forcing, 0.01, mesh)
@@ -295,11 +319,71 @@ class TestBeStep:
             jac[rows] = np.eye(mesh.n_dofs)[rows]
             return jac
 
-        expected, expected_iters, _ = newton_solve(residual, dense_step(jacobian),
-                                                   prev.coefficients)
-        state, iters, _ = be_step(stepper, prev, 0.01)
+        expected, expected_iters = newton_solve(residual, dense_step(jacobian), guess,
+                                                scale=scale)
+        state, iters, step_scale = be_step(stepper, prev, 0.01, guess)
+        assert step_scale == scale
         assert iters == expected_iters
         assert np.abs(state.coefficients - expected).max() <= 1e-12
+
+    def test_threshold_does_not_depend_on_the_guess(self):
+        mesh = build_mesh(0.0, 1.0, 16, 2, DIRICHLET)
+        params = ModelParams(chi=1.0, delta=0.1, deconv_order=1)
+        stepper = Stepper.build(manufactured(), params, 0.01, mesh)
+        prev = FeFunction(mesh, np.sin(np.pi * mesh.dof_x) ** 4 * np.sin(0.5))
+        near = prev.coefficients + 1e-3 * np.sin(3 * np.pi * mesh.dof_x)
+        results = [be_step(stepper, prev, 0.51, guess) for guess in (None, near)]
+        (state_a, _, scale_a), (state_b, _, scale_b) = results
+        assert scale_a == scale_b == max(1e-2, np.linalg.norm(
+            band_matvec(stepper.operators.mass, prev.coefficients)))
+        # both meet ||r|| <= 1e-10 scale, so they agree far below the step's change
+        change = np.abs(state_a.coefficients - prev.coefficients).max()
+        assert np.abs(state_a.coefficients - state_b.coefficients).max() <= 1e-9 * change
+
+    def test_zero_data_converges(self):
+        # ||M rho^{n-1}|| vanishes on zero data; the floored scale keeps the
+        # threshold above rounding, so a forced step from zero converges at
+        # once, and zero data without forcing is a steady state
+        mesh = build_mesh(0.0, 1.0, 50, 2, DIRICHLET)
+        params = ModelParams(chi=1.0, delta=0.1 * np.sqrt(mesh.h), deconv_order=1)
+        zero = FeFunction(mesh, np.zeros(mesh.n_dofs))
+        for scenario, most in ((manufactured(), 3), (unforced(manufactured()), 0)):
+            stepper = Stepper.build(scenario, params, 1e-4, mesh)
+            state, iters, scale = be_step(stepper, zero, 1e-4)
+            assert scale == 1e-2
+            assert iters <= most
+        assert not state.coefficients.any()
+
+    def test_huge_step_still_meets_a_singular_matrix(self):
+        # the periodic P1 Newton matrix M/dt + C is singular at dt = 1e20;
+        # a stopping scale holding dt f would accept the zero guess instead
+        mesh = build_mesh(0.0, 1.0, 20, 1, PERIODIC)
+        params = ModelParams(delta=0.1 * np.sqrt(mesh.h), deconv_order=1)
+        stepper = Stepper.build(manufactured(), params, 1e20, mesh)
+        with pytest.raises(SingularMatrixError):
+            be_step(stepper, FeFunction(mesh, np.zeros(mesh.n_dofs)), 1e20)
+
+    @pytest.mark.parametrize("chi", [0.0, 1.0])
+    def test_no_filter_solves_at_zero_weight(self, chi, monkeypatch):
+        # at chi = 0 the stabilization is zero: no pbtrs, and the Newton
+        # matrix carries rho alone, one unknown per DOF
+        calls = []
+        solve = filtering._PBTRS
+        monkeypatch.setattr(filtering, "_PBTRS", lambda *a: calls.append(1) or solve(*a))
+        mesh = build_mesh(0.0, 1.0, 16, 2, DIRICHLET)
+        params = ModelParams(chi=chi, delta=np.sqrt(mesh.h), deconv_order=1)
+        stepper = Stepper.build(manufactured(), params, 0.05, mesh)
+        records = march(manufactured(), params, TimeGrid(0.05, 3), mesh)
+        assert sum(d.newton_iters for _, d in records) > 0
+        w = mesh.half_band
+        if chi == 0.0:
+            assert calls == []
+            assert stepper.half_bands == (w, w)
+            assert stepper.newton.shape == (2 * w + 1, mesh.n_dofs)
+            assert all(d.stab_dissipation == 0.0 for _, d in records)
+        else:
+            assert calls
+            assert stepper.newton.shape[1] == 5 * mesh.n_dofs  # 2N + 3 unknowns
 
     @pytest.mark.parametrize("gamma", [0.0, 2.0 / 3.0])
     def test_stream_keeps_two_levels(self, gamma):
