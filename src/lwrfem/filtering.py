@@ -80,19 +80,13 @@ def fluctuation(ctx: FilterContext, u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Stabilization:
-    """The operator chi delta^2 Pi^T S Pi, applied by filter solves.
-
-    At weight 0 (chi = 0 or delta = 0) the operator is zero, and neither
-    method does a filter solve.
-    """
+    """The operator chi delta^2 Pi^T S Pi, applied by filter solves."""
 
     ctx: FilterContext
     weight: float  # chi delta^2
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         """chi delta^2 Pi^T S Pi u = chi delta^2 (delta^2 S v_1), N + 1 more solves."""
-        if self.weight == 0.0:
-            return np.zeros_like(u)
         d2, s = self.ctx.delta**2, self.ctx.stiffness
         v = _filter_solve(self.ctx, band_matvec(s, fluctuation(self.ctx, u)))
         for _ in range(self.ctx.deconv_order):
@@ -101,8 +95,6 @@ class Stabilization:
 
     def dissipation(self, u: np.ndarray) -> float:
         """The quadratic form chi delta^2 (Pi u) . S (Pi u)."""
-        if self.weight == 0.0:
-            return 0.0
         y = fluctuation(self.ctx, u)
         return self.weight * float(y @ band_matvec(self.ctx.stiffness, y))
 

@@ -9,10 +9,11 @@ find rho^n solving
 
 a nonlinear system handled by full Newton with the analytic Jacobian.
 Newton starts from the linear extrapolation 2 rho^{n-1} - rho^{n-2} of
-the accepted states (from rho^0 on the first step) and stops once the
-residual is below tol * max(1e-2, ||M rho^{n-1}||), a threshold that
-neither the guess, dt nor the forcing moves.  The second scheme
-post-processes each backward Euler step with the time filter
+the accepted states (from rho^0 on the first step), with the Dirichlet
+values of the new time level in place, and stops once the residual is
+below tol times the size of the step's data, a threshold that the guess
+cannot move (see ``be_step``).  The second scheme post-processes each
+backward Euler step with the time filter
 
     rho^n = rhohat^n - (gamma/2)(rhohat^n - 2 rho^{n-1} + rho^{n-2}),
 
@@ -35,7 +36,8 @@ vanishes.  A ``Stepper`` holds what a run keeps constant (the operators,
 the stabilization, the linear part M/dt + v_f C, the constant part of
 the Newton matrix, each constrained row with its Dirichlet value g(t));
 ``be_step`` adds the per-step work: the right-hand side, the stopping
-scale, the boundary values and Newton.
+scale, the boundary values and Newton.  At chi delta^2 = 0 the run has
+no stabilization: no filter solve is done and rho is the one unknown.
 
 The stabilization chi delta^2 Pi^T S Pi is a dense matrix, but it is the
 product of banded ones (see ``filtering``).  So each Newton step solves
@@ -48,8 +50,7 @@ DOF by DOF), the rho rows read
 and the y and v rows are the recurrences with a zero right-hand side.
 Eliminating y and v gives back the Newton step of the dense operator.
 Only the (rho, rho) entries change from one iteration to the next; a
-banded LU (LAPACK gbsv) solves the system in O(n) time.  At chi delta^2
-= 0 the stabilization vanishes and rho is the only unknown.
+banded LU (LAPACK gbsv) solves the system in O(n) time.
 
 Dirichlet data is enforced by row replacement: the residual row of the
 constrained end's node becomes rho_i - g(t^n) and the matching Newton
@@ -141,53 +142,60 @@ class StepDiagnostics:
     zeta_z: float
     newton_iters: int
     stab_dissipation: float
-    residual_scale: float = 1.0  # the scale of the step's Newton stopping test
+    residual_scale: float = 1.0  # the Newton threshold is newton_tol times this
 
 
 StepRecord = tuple[FeFunction, StepDiagnostics, FeFunction]  # rho^n, diag, rhohat^n
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 25
-# Floor of be_step's stopping scale, so that zero data keeps a threshold
-# above the rounding level of the residual.
-NEWTON_SCALE_FLOOR = 1e-2
+# A Newton correction below this many machine epsilons of its iterate
+# changes nothing that double precision can resolve.
+NEWTON_ROUNDING = 10.0
+_EPS = float(np.finfo(float).eps)
 
 
 def newton_solve(
     residual: Callable[[np.ndarray], np.ndarray],
     step: Callable[[np.ndarray, np.ndarray], np.ndarray],
     guess: np.ndarray,
+    scale: float,
     tol: float = NEWTON_TOL,
     max_iter: int = NEWTON_MAX_ITER,
-    scale: float = 1.0,
 ) -> tuple[np.ndarray, int]:
     """Full Newton iteration; returns (solution, iterations).
 
     step(x, r) returns the Newton correction d that solves J(x) d = -r
     for the Jacobian J of residual at x.  Stops once ||residual(x)|| <=
     tol * scale, a threshold fixed before the first iteration: the caller
-    picks scale > 0 from the problem, not from the guess, so that a
-    better guess saves iterations without loosening the test (Kelley,
-    Solving Nonlinear Equations with Newton's Method, SIAM 2003, 1.5).
-    A guess that already meets it returns with zero iterations.  tol is
-    a fraction of scale and must lie in (0, 1): at 1 or more the test
-    would accept a residual as large as the scale itself.  A non-finite
-    residual norm, at the guess or after any update, raises
+    picks scale from the problem, not from the guess, so that a better
+    guess saves iterations without loosening the test (Kelley, Solving
+    Nonlinear Equations with Newton's Method, SIAM 2003, 1.5).  A guess
+    that already meets it returns with zero iterations; at scale 0 only
+    an exact root does.  tol is a fraction of scale and must lie in
+    (0, 1): at 1 or more the test would accept a residual as large as
+    the scale itself.
+
+    It also stops after a correction d with ||d|| <= NEWTON_ROUNDING eps
+    ||x||: x is then a root to the precision of its own digits, and the
+    residual stands at the rounding level of its evaluation, which can
+    lie above tol * scale (a residual holding M/dt at dt = 1e-8 does).
+    A non-finite residual norm, at the guess or after any update, raises
     NoConvergenceError.
     """
     if not 0 < tol < 1:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
     if max_iter < 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
-    if not scale > 0:
-        raise ValueError(f"scale must be positive, got {scale}")
+    if not scale >= 0:
+        raise ValueError(f"scale must be nonnegative, got {scale}")
     x = np.asarray(guess, dtype=float).copy()
     r = residual(x)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite norms raise below
         norm = float(np.linalg.norm(r))
     threshold = tol * scale
-    iters = 0
-    while norm > threshold or not np.isfinite(norm):
+    iters, settled = 0, False  # settled: the last correction was at rounding level
+    while not np.isfinite(norm) or (norm > threshold and not settled):
         if not np.isfinite(norm):
             raise NoConvergenceError(
                 f"non-finite Newton residual ({norm}) after {iters} iterations"
@@ -197,11 +205,13 @@ def newton_solve(
                 f"no convergence after {max_iter} Newton iterations "
                 f"(residual {norm:.3e})"
             )
-        x += step(x, r)
+        d = step(x, r)
+        x += d
         iters += 1
         r = residual(x)
         with np.errstate(over="ignore", invalid="ignore"):
             norm = float(np.linalg.norm(r))
+            settled = np.linalg.norm(d) <= NEWTON_ROUNDING * _EPS * np.linalg.norm(x)
     return x, iters
 
 
@@ -224,7 +234,7 @@ def _row_entries(w: int, n: int, rows: list[int]) -> tuple[np.ndarray, np.ndarra
 
 
 def _newton_matrix(
-    operators: AssembledOperators, stab: Stabilization, constrained_rows: list[int]
+    operators: AssembledOperators, stab: Stabilization | None, constrained_rows: list[int]
 ) -> tuple[np.ndarray, int, int]:
     """Constant part of the banded augmented Newton matrix, with its (kl, ku).
 
@@ -232,15 +242,16 @@ def _newton_matrix(
     v_1..v_{N+1} (slots N+2..2N+2).  Rows: rho couples to v_1 through
     chi delta^4 S (zero on constrained rows; its (rho, rho) block is set
     per iteration), A y_k - delta^2 S y_{k-1} = 0, A v_{N+1} - S y_{N+1} = 0
-    and A v_k - delta^2 S v_{k+1} = 0.  At weight chi delta^2 = 0 nothing
-    couples to rho, and rho is the one unknown per DOF.
+    and A v_k - delta^2 S v_{k+1} = 0.  Without stabilization rho is the
+    one unknown per DOF.
     """
-    ctx, mesh = stab.ctx, operators.mesh
-    order, w, n = ctx.deconv_order, mesh.half_band, mesh.n_dofs
+    mesh = operators.mesh
+    w, n = mesh.half_band, mesh.n_dofs
     blocks = [(0, 0, None)]
     unknowns = 1
-    if stab.weight != 0.0:
-        s, d2 = operators.stiffness, ctx.delta**2
+    if stab is not None:
+        ctx = stab.ctx
+        order, s, d2 = ctx.deconv_order, operators.stiffness, ctx.delta**2
         a = operators.mass + d2 * s
         coupling = stab.weight * d2 * s
         coupling[_row_entries(w, n, constrained_rows)] = 0.0
@@ -269,7 +280,7 @@ class Stepper:
 
     scenario: Scenario
     operators: AssembledOperators
-    stab: Stabilization  # chi delta^2 Pi^T S Pi
+    stab: Stabilization | None  # chi delta^2 Pi^T S Pi; None where chi delta^2 = 0
     linear_part: np.ndarray  # M/dt + v_f C, band storage
     newton: np.ndarray  # augmented Newton matrix, band storage
     half_bands: tuple[int, int]  # (kl, ku) of newton
@@ -287,6 +298,8 @@ class Stepper:
         ops = assemble(mesh)
         ctx = build_filter_context(ops, params.delta, params.deconv_order)
         stab = stabilization_matrix(ctx, params.chi)
+        if stab.weight == 0.0:  # a zero operator: no filter solve, no filter unknowns
+            stab = None
         dirichlet = scenario.dirichlet if mesh.boundary_kind == "dirichlet" else {}
         constrained = tuple(
             (0 if end == LEFT else mesh.n_dofs - 1, g) for end, g in dirichlet.items()
@@ -306,24 +319,27 @@ def be_step(
 ) -> tuple[FeFunction, int, float]:
     """One implicit step from rho_prev to t_next, Newton started at guess.
 
-    guess holds coefficients; by default Newton starts at rho_prev.  Newton
-    stops at ||residual|| <= newton_tol * scale with scale = max(1e-2,
-    ||M rho_prev||), the residual's mass term times dt.  The scale holds
-    neither the guess, dt nor the forcing: one that grew with dt or f
-    would, at dt = 1e20, accept a guess that solves nothing.  The floor
-    keeps it from vanishing on zero data.  Returns the new state, its
-    Newton iterations and scale.
+    guess holds coefficients (rho_prev by default); Newton starts there,
+    with the constrained entries set to g(t_next).  Newton stops at ||residual|| <= newton_tol * scale (or at a correction at
+    rounding level, see newton_solve), where scale is the size of the
+    step's data: the larger of ||rho_prev||_L2 = sqrt(c . M c) and the
+    boundary values |g(t_next)|.  It is the same on every mesh that
+    resolves the state, and the guess cannot move it.  Neither dt nor the
+    forcing enters it: a scale that grew with dt f would, at dt = 1e20,
+    accept a guess that solves nothing.  Returns the new state, its Newton
+    iterations and the scale.
     """
     mesh, scenario = stepper.operators.mesh, stepper.scenario
     if rho_prev.mesh is not mesh:
         raise ValueError("state does not live on the assembled mesh")
     linear_part, nonlinear_coeff, stab = stepper.linear_part, stepper.nonlinear_coeff, stepper.stab
+    bcs = [(i, g(t_next)) for i, g in stepper.constrained]
     mass_prev = band_matvec(stepper.operators.mass, rho_prev.coefficients)
-    scale = max(NEWTON_SCALE_FLOOR, float(np.linalg.norm(mass_prev)))
+    scale = max([float(np.sqrt(max(rho_prev.coefficients @ mass_prev, 0.0)))]
+                + [abs(value) for _, value in bcs])
     rhs = mass_prev / stepper.dt
     if scenario.forcing is not None:
         rhs = rhs + forcing_vector(scenario.forcing, t_next, mesh)
-    bcs = [(i, g(t_next)) for i, g in stepper.constrained]
     (kl, ku), w = stepper.half_bands, mesh.half_band
     unknowns = stepper.newton.shape[1] // mesh.n_dofs
     rho_block = _block(stepper.newton, ku, unknowns, w, 0, 0)
@@ -331,8 +347,10 @@ def be_step(
     bc_values = (bc_entries[0] == w).astype(float)  # the identity rows
 
     def residual(x: np.ndarray) -> np.ndarray:
-        r = (band_matvec(linear_part, x) + stab(x)
-             - nonlinear_coeff * b_residual(FeFunction(mesh, x)) - rhs)
+        r = band_matvec(linear_part, x)
+        if stab is not None:
+            r = r + stab(x)
+        r = r - nonlinear_coeff * b_residual(FeFunction(mesh, x)) - rhs
         for i, value in bcs:
             r[i] = x[i] - value
         return r
@@ -345,9 +363,11 @@ def be_step(
         lifted[::unknowns] = -r
         return lu_solve(stepper.newton, lifted, kl, ku)[::unknowns]
 
-    coeffs, iters = newton_solve(residual, step,
-                                 rho_prev.coefficients if guess is None else guess,
-                                 stepper.newton_tol, stepper.newton_max_iter, scale)
+    start = np.array(rho_prev.coefficients if guess is None else guess, dtype=float)
+    for i, value in bcs:  # the guess meets the step's Dirichlet rows
+        start[i] = value
+    coeffs, iters = newton_solve(residual, step, start, scale, stepper.newton_tol,
+                                 stepper.newton_max_iter)
     return FeFunction(mesh, coeffs), iters, scale
 
 
@@ -423,7 +443,8 @@ def run_time_filtered(
         diag = StepDiagnostics(
             n=n, t=t, l2_norm=mass_norm(rho, ops), energy_e=energy_e(rho, rho_n1, ops),
             zeta_z=0.0 if rho_n2 is None else energy_z(rho, rho_n1, rho_n2, ops),
-            newton_iters=iters, stab_dissipation=stepper.stab.dissipation(c),
+            newton_iters=iters,
+            stab_dissipation=0.0 if stepper.stab is None else stepper.stab.dissipation(c),
             residual_scale=scale,
         )
         rho_n1, rho_n2 = rho, (rho_n1 if n else None)

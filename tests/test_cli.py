@@ -385,6 +385,17 @@ class TestMain:
         assert err.startswith("run failed: step 1 to t = 0.01 failed: no convergence after 0 ")
         assert err.count("\n") == 1 and not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("dt", ["1e-07", "1e-09"])
+    def test_tiny_time_steps_converge(self, dt, tmp_path):
+        # the residual carries M/dt, whose rounding grows like 1/dt: about
+        # 2e-11 at dt = 1e-7, near newton_tol times the data's size (3e-11),
+        # and 2e-9 at dt = 1e-9, far above it; each step still converges
+        argv = ["run", "--scenario", "shock", "--dt", dt, "--t_final", f"{20 * float(dt):g}",
+                "--output_dir", str(tmp_path)]
+        assert main(argv) == 0
+        _, rows = read_rows(tmp_path / "diagnostics.csv")
+        assert len(rows) == 21 and all(1 <= int(row[5]) <= 3 for row in rows[1:])
+
     def test_exact_solution_only_at_unit_v_f_and_rho_m(self, tmp_path, capsys):
         # every exact solution, and the manufactured forcing, assume v_f = rho_m = 1
         argv = ["conv-time", "--config", TIME_RATES, "--time_levels", "3", "--rho_m", "2",

@@ -142,7 +142,7 @@ def test_unfiltered_energy_inequality(degree, n, chi, delta_coeff, order, n_step
     stepper = Stepper.build(scenario, params, grid.dt, mesh)
     state = trajectory[-1][0]
     c = state.coefficients
-    assert dissipation[-1] == stepper.stab.dissipation(c)
+    assert dissipation[-1] == (0.0 if stepper.stab is None else stepper.stab.dissipation(c))
     assert norms[-1] == mass_norm(state, stepper.operators)
 
 
@@ -269,9 +269,10 @@ def test_dirichlet_flux_balance(degree, n, chi, order, rho_l, rho_r, forced):
         # the row sums: an identity of the discrete operators, to rounding
         row_sum = mass_change.sum() + _flux(c[-1], params) - _flux(c[0], params) - force.sum()
         assert abs(residual.sum() - row_sum) <= 1e-13 * size
-        # the balance, to the Newton tolerance of the unconstrained rows
+        # the balance, to the Newton tolerance of the unconstrained rows, or
+        # to rounding where the scale is 0 (the forced step from zero data)
         free = np.delete(residual, constrained)
-        assert np.abs(free).max() <= 10.0 * newton_tol * diag.residual_scale
+        assert np.abs(free).max() <= 10.0 * newton_tol * diag.residual_scale + 1e-13 * size
         g = [scenario.dirichlet[end](diag.t) for end in (LEFT, RIGHT)[:len(constrained)]]
         inflow = _flux(g[0], params) + residual[0]
         outflow = _flux(g[1], params) - residual[-1] if forced else _flux(c[-1], params)

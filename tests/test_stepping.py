@@ -10,7 +10,7 @@ from lwrfem.filtering import build_filter_context, stabilization_matrix
 from lwrfem.linalg import SingularMatrixError, band_matvec, lu_solve
 from lwrfem.mesh import DIRICHLET, PERIODIC, FeFunction, build_mesh
 from lwrfem.operators import assemble, b_jacobian, b_residual, forcing_vector
-from lwrfem.scenarios import LEFT, RIGHT, manufactured
+from lwrfem.scenarios import LEFT, RIGHT, manufactured, rarefaction
 from lwrfem.stepping import (
     ModelParams,
     NoConvergenceError,
@@ -76,20 +76,20 @@ class TestNewtonSolve:
     def test_linear_system_one_iteration(self, rng):
         a = rng.standard_normal((6, 6)) + 4.0 * np.eye(6)
         b = rng.standard_normal(6)
-        x, iters = newton_solve(lambda x: a @ x - b, dense_step(lambda x: a), np.zeros(6))
+        x, iters = newton_solve(lambda x: a @ x - b, dense_step(lambda x: a), np.zeros(6), 1.0)
         assert iters == 1
         assert np.linalg.norm(a @ x - b) < 1e-9
 
     def test_root_guess_zero_iterations(self):
         x, iters = newton_solve(
-            lambda x: x**2 - 4.0, dense_step(lambda x: np.diag(2.0 * x)), np.array([2.0])
+            lambda x: x**2 - 4.0, dense_step(lambda x: np.diag(2.0 * x)), np.array([2.0]), 1.0
         )
         assert iters == 0
         assert x[0] == 2.0
 
     def test_scalar_quadratic(self):
         x, iters = newton_solve(
-            lambda x: x**2 - 4.0, dense_step(lambda x: np.diag(2.0 * x)), np.array([3.0])
+            lambda x: x**2 - 4.0, dense_step(lambda x: np.diag(2.0 * x)), np.array([3.0]), 1.0
         )
         assert iters <= 6
         assert abs(x[0] - 2.0) < 1e-10
@@ -101,6 +101,7 @@ class TestNewtonSolve:
                 lambda x: x**2 + 1.0,
                 dense_step(lambda x: np.diag(2.0 * x)),
                 np.array([0.5]),
+                1.0,
                 max_iter=5,
             )
 
@@ -115,29 +116,49 @@ class TestNewtonSolve:
         with np.errstate(invalid="ignore"):
             with pytest.raises(NoConvergenceError, match="non-finite"):
                 newton_solve(residual, dense_step(lambda x: np.diag(1.0 / x)),
-                             np.array([0.1, 5.0]))
+                             np.array([0.1, 5.0]), 1.0)
 
     @pytest.mark.parametrize("tol", [0.0, 1.0, 2.0])
     def test_tolerance_outside_unit_interval_rejected(self, tol):
         # tol is a fraction of the scale: at tol >= 1, ||r|| <= tol * scale
         # would accept a residual as large as the scale itself
         with pytest.raises(ValueError, match=r"tol must lie in \(0, 1\)"):
-            newton_solve(lambda x: x - 1.0, dense_step(lambda x: np.eye(1)), np.zeros(1),
+            newton_solve(lambda x: x - 1.0, dense_step(lambda x: np.eye(1)), np.zeros(1), 1.0,
                          tol=tol)
 
-    @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan")])
-    def test_scale_must_be_positive(self, scale):
-        # a vanishing scale would leave a threshold below the rounding level
-        with pytest.raises(ValueError, match="scale must be positive"):
-            newton_solve(lambda x: x - 1.0, dense_step(lambda x: np.eye(1)), np.zeros(1),
-                         scale=scale)
+    @pytest.mark.parametrize("scale", [-1.0, float("nan")])
+    def test_scale_must_be_nonnegative(self, scale):
+        with pytest.raises(ValueError, match="scale must be nonnegative"):
+            newton_solve(lambda x: x - 1.0, dense_step(lambda x: np.eye(1)), np.zeros(1), scale)
+
+    def test_zero_scale_asks_for_an_exact_root(self):
+        assert newton_solve(lambda x: x, lambda x, r: -r, np.zeros(1), 0.0)[1] == 0
+        assert newton_solve(lambda x: x - 0.5, lambda x, r: -r, np.zeros(1), 0.0)[1] == 1
+        with pytest.raises(NoConvergenceError):  # halving the gap never closes it
+            newton_solve(lambda x: x - 0.5, lambda x, r: -0.25 * r, np.zeros(1), 0.0)
+
+    def test_a_correction_at_rounding_level_ends_the_iteration(self):
+        # a residual whose evaluation carries noise of 1e-4, as one holding
+        # a term of size 1e12 does, never meets the threshold 1e-10; once a
+        # correction is at rounding level the iterate is accepted
+        evaluations = []
+
+        def residual(x):
+            evaluations.append(x)
+            return 1e12 * (x - 0.5) + 1e-4 * (-1) ** len(evaluations)
+
+        x, iters = newton_solve(residual, lambda x, r: -r / 1e12, np.zeros(1), 1.0)
+        assert iters == 2 and abs(x[0] - 0.5) <= 1e-15
+        # a correction that stays large never ends it
+        with pytest.raises(NoConvergenceError):
+            newton_solve(lambda x: np.ones(1), lambda x, r: -r, np.zeros(1), 1.0, max_iter=5)
 
     def test_threshold_is_tol_times_scale_whatever_the_guess(self):
         # x - 1 = 0 with a step that closes only half the gap: the residual
         # halves per iteration, so the count shows where the test stopped
         def run(guess, scale):
             return newton_solve(lambda x: x - 1.0, lambda x, r: -0.5 * r,
-                                np.array([guess]), tol=1e-3, scale=scale)[1]
+                                np.array([guess]), scale, tol=1e-3)[1]
 
         assert run(2.0, 1.0) == 10  # 2^-10 <= 1e-3 < 2^-9
         assert run(1.0 + 2.0**-9, 1.0) == 1  # a better guess saves iterations only
@@ -146,10 +167,12 @@ class TestNewtonSolve:
 
     def test_negative_max_iter_rejected(self):
         with pytest.raises(ValueError, match="max_iter must be nonnegative"):
-            newton_solve(lambda x: x, dense_step(lambda x: np.eye(1)), np.ones(1), max_iter=-1)
+            newton_solve(lambda x: x, dense_step(lambda x: np.eye(1)), np.ones(1), 1.0,
+                         max_iter=-1)
         # zero iterations stay legal: a guess that is no root fails to converge
         with pytest.raises(NoConvergenceError):
-            newton_solve(lambda x: x, dense_step(lambda x: np.eye(1)), np.ones(1), max_iter=0)
+            newton_solve(lambda x: x, dense_step(lambda x: np.eye(1)), np.ones(1), 1.0,
+                         max_iter=0)
 
     def test_singular_jacobian_propagates(self):
         with pytest.raises(SingularMatrixError):
@@ -157,6 +180,7 @@ class TestNewtonSolve:
                 lambda x: np.array([x[0] + x[1] - 1.0, 2.0 * (x[0] + x[1]) - 2.0]),
                 lambda x, r: lu_solve(band(np.array([[1.0, 1.0], [2.0, 2.0]]), 1, 1), -r, 1, 1),
                 np.zeros(2),
+                1.0,
             )
 
 
@@ -303,11 +327,11 @@ class TestBeStep:
         ops, c = stepper.operators, stepper.nonlinear_coeff
         prev = FeFunction(mesh, 0.3 + 0.1 * np.sin(2 * np.pi * mesh.dof_x))
         guess = 2.0 * prev.coefficients - (0.3 + 0.1 * np.sin(2 * np.pi * mesh.dof_x - 0.1))
-        scale = max(1e-2, np.linalg.norm(band_matvec(ops.mass, prev.coefficients)))
-        linear = dense(stepper.linear_part) + operator_matrix(stepper.stab, mesh.n_dofs)
-        rhs = band_matvec(ops.mass, prev.coefficients) / 0.01 + forcing_vector(
-            scenario.forcing, 0.01, mesh)
         rows = [i for i, _ in stepper.constrained]
+        mass_prev = band_matvec(ops.mass, prev.coefficients)
+        scale = max([np.sqrt(prev.coefficients @ mass_prev)] + [0.3] * len(rows))
+        linear = dense(stepper.linear_part) + operator_matrix(stepper.stab, mesh.n_dofs)
+        rhs = mass_prev / 0.01 + forcing_vector(scenario.forcing, 0.01, mesh)
 
         def residual(x):
             r = linear @ x - c * b_residual(FeFunction(mesh, x)) - rhs
@@ -319,8 +343,9 @@ class TestBeStep:
             jac[rows] = np.eye(mesh.n_dofs)[rows]
             return jac
 
-        expected, expected_iters = newton_solve(residual, dense_step(jacobian), guess,
-                                                scale=scale)
+        start = guess.copy()
+        start[rows] = 0.3  # be_step starts on the step's Dirichlet values
+        expected, expected_iters = newton_solve(residual, dense_step(jacobian), start, scale)
         state, iters, step_scale = be_step(stepper, prev, 0.01, guess)
         assert step_scale == scale
         assert iters == expected_iters
@@ -334,25 +359,29 @@ class TestBeStep:
         near = prev.coefficients + 1e-3 * np.sin(3 * np.pi * mesh.dof_x)
         results = [be_step(stepper, prev, 0.51, guess) for guess in (None, near)]
         (state_a, _, scale_a), (state_b, _, scale_b) = results
-        assert scale_a == scale_b == max(1e-2, np.linalg.norm(
-            band_matvec(stepper.operators.mass, prev.coefficients)))
+        # the L2 norm of rho^{n-1}; the boundary values are 0
+        assert scale_a == scale_b == mass_norm(prev, stepper.operators)
         # both meet ||r|| <= 1e-10 scale, so they agree far below the step's change
         change = np.abs(state_a.coefficients - prev.coefficients).max()
         assert np.abs(state_a.coefficients - state_b.coefficients).max() <= 1e-9 * change
 
     def test_zero_data_converges(self):
-        # ||M rho^{n-1}|| vanishes on zero data; the floored scale keeps the
-        # threshold above rounding, so a forced step from zero converges at
-        # once, and zero data without forcing is a steady state
+        # on zero data with zero boundary values the scale is 0: a forced
+        # step from zero stops once its correction is at rounding level,
+        # and zero data without forcing is a steady state at once
         mesh = build_mesh(0.0, 1.0, 50, 2, DIRICHLET)
         params = ModelParams(chi=1.0, delta=0.1 * np.sqrt(mesh.h), deconv_order=1)
         zero = FeFunction(mesh, np.zeros(mesh.n_dofs))
         for scenario, most in ((manufactured(), 3), (unforced(manufactured()), 0)):
             stepper = Stepper.build(scenario, params, 1e-4, mesh)
             state, iters, scale = be_step(stepper, zero, 1e-4)
-            assert scale == 1e-2
+            assert scale == 0.0
             assert iters <= most
         assert not state.coefficients.any()
+        # inflow data into an empty strand: the boundary value is the scale
+        stepper = Stepper.build(rarefaction(), params, 1e-4, mesh)
+        state, iters, scale = be_step(stepper, zero, 1e-4)
+        assert scale == 0.47 and iters <= 3 and state.coefficients[0] == 0.47
 
     def test_huge_step_still_meets_a_singular_matrix(self):
         # the periodic P1 Newton matrix M/dt + C is singular at dt = 1e20;
