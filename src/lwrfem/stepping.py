@@ -320,14 +320,15 @@ def be_step(
     """One implicit step from rho_prev to t_next, Newton started at guess.
 
     guess holds coefficients (rho_prev by default); Newton starts there,
-    with the constrained entries set to g(t_next).  Newton stops at ||residual|| <= newton_tol * scale (or at a correction at
-    rounding level, see newton_solve), where scale is the size of the
-    step's data: the larger of ||rho_prev||_L2 = sqrt(c . M c) and the
-    boundary values |g(t_next)|.  It is the same on every mesh that
-    resolves the state, and the guess cannot move it.  Neither dt nor the
-    forcing enters it: a scale that grew with dt f would, at dt = 1e20,
-    accept a guess that solves nothing.  Returns the new state, its Newton
-    iterations and the scale.
+    with the constrained entries set to g(t_next).  It stops at
+    ||residual|| <= newton_tol * scale (or at a correction at rounding
+    level, see newton_solve), where scale is the size of the step's data:
+    the larger of ||rho_prev||_L2 = sqrt(c . M c) and the boundary values
+    |g(t_next)|.  It is the same on every mesh that resolves the state,
+    and the guess cannot move it.  Neither dt nor the forcing enters it: a
+    scale that grew with dt f would, at dt = 1e20, accept a guess that
+    solves nothing.  Returns the new state, its Newton iterations and the
+    scale.
     """
     mesh, scenario = stepper.operators.mesh, stepper.scenario
     if rho_prev.mesh is not mesh:
