@@ -25,6 +25,11 @@ same recurrences as extra unknowns of one banded system.  On Dirichlet
 meshes the filter equations are posed on all DOFs with natural boundary
 conditions (no rows are constrained), which keeps A symmetric positive
 definite.
+
+The stabilization's dissipation chi delta^2 (u*_x, u*_x) is the quadratic
+form chi delta^2 (Pi u) . S (Pi u), and S Pi u is the first product of
+the chain above.  So one call of the operator returns both K u and the
+dissipation of u, and no second chain is run for the diagnostics.
 """
 
 from __future__ import annotations
@@ -80,23 +85,25 @@ def fluctuation(ctx: FilterContext, u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Stabilization:
-    """The operator chi delta^2 Pi^T S Pi, applied by filter solves."""
+    """The operator K = chi delta^2 Pi^T S Pi, applied by filter solves."""
 
     ctx: FilterContext
     weight: float  # chi delta^2
 
-    def __call__(self, u: np.ndarray) -> np.ndarray:
-        """chi delta^2 Pi^T S Pi u = chi delta^2 (delta^2 S v_1), N + 1 more solves."""
+    def __call__(self, u: np.ndarray) -> tuple[np.ndarray, float]:
+        """(K u, chi delta^2 (Pi u) . S (Pi u)): the product and its dissipation.
+
+        K u = chi delta^2 (delta^2 S v_1), N + 1 more solves after Pi u;
+        the quadratic form reuses the chain's S Pi u, so it costs one dot
+        product.
+        """
         d2, s = self.ctx.delta**2, self.ctx.stiffness
-        v = _filter_solve(self.ctx, band_matvec(s, fluctuation(self.ctx, u)))
+        y = fluctuation(self.ctx, u)
+        sy = band_matvec(s, y)
+        v = _filter_solve(self.ctx, sy)
         for _ in range(self.ctx.deconv_order):
             v = _filter_solve(self.ctx, d2 * band_matvec(s, v))
-        return self.weight * d2 * band_matvec(s, v)
-
-    def dissipation(self, u: np.ndarray) -> float:
-        """The quadratic form chi delta^2 (Pi u) . S (Pi u)."""
-        y = fluctuation(self.ctx, u)
-        return self.weight * float(y @ band_matvec(self.ctx.stiffness, y))
+        return self.weight * d2 * band_matvec(s, v), self.weight * float(y @ sy)
 
 
 def stabilization_matrix(ctx: FilterContext, chi: float) -> Stabilization:

@@ -8,12 +8,20 @@ costs O(n kl (kl + ku)) time and O(n (kl + ku)) memory.  The solve is
 LAPACK gbsv (LU with partial pivoting) on a copy of ab; the checks
 before it take no scratch: max(max ab, -min ab) is the largest entry
 magnitude, and it is finite only if every entry is.
+
+The product is one BLAS gbmv call, which reads the same storage.  Bands
+are kept in Fortran order: the f2py wrapper silently copies a C-ordered
+one on every call.  The wrapper checks neither the length of x against
+the band's n nor x's rank, so ``band_matvec`` does; and it requires at
+least kl + ku + 1 result rows, so on a tiny mesh (n <= 2w, such as a
+periodic P1 mesh of 2 to 4 elements) the call asks for that many rows,
+of which the rows past n are dropped.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 
 class SingularMatrixError(ValueError):
@@ -25,6 +33,7 @@ class SingularMatrixError(ValueError):
 PIVOT_RTOL = 1e-14
 
 _GBSV, = get_lapack_funcs(("gbsv",), (np.zeros(1),))
+_GBMV, = get_blas_funcs(("gbmv",), (np.zeros(1),))
 
 
 def lu_solve(ab: np.ndarray, b: np.ndarray, kl: int, ku: int) -> np.ndarray:
@@ -64,10 +73,12 @@ def lu_solve(ab: np.ndarray, b: np.ndarray, kl: int, ku: int) -> np.ndarray:
 
 
 def band_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Product A x of a square band matrix with kl = ku = (rows - 1) / 2, by diagonals."""
-    w = ab.shape[0] // 2
-    y = ab[w] * x
-    for d in range(1, w + 1):  # on a mesh of n <= w DOFs the outer slices are empty
-        y[d:] += ab[w + d, :-d] * x[:-d]  # a[i, i - d]
-        y[:-d] += ab[w - d, d:] * x[d:]  # a[i, i + d]
-    return y
+    """Product A x of a square band matrix with kl = ku = (rows - 1) / 2, by BLAS gbmv.
+
+    Raises ValueError unless x has shape (n,) for the band's n columns.
+    """
+    rows, n = ab.shape
+    if np.shape(x) != (n,):
+        raise ValueError(f"expected a vector of shape ({n},), got shape {np.shape(x)}")
+    w = rows // 2
+    return _GBMV(max(n, rows), n, w, w, 1.0, ab, x)[:n]

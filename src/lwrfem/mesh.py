@@ -245,8 +245,9 @@ def scatter_band(mesh: Mesh1D, local: np.ndarray) -> np.ndarray:
     ab[w + i - j, j].
     """
     w, index = mesh.half_band, mesh.band_index
-    values = np.broadcast_to(local, index.shape).ravel()
-    flat = np.bincount(index.ravel(), values, minlength=(2 * w + 1) * mesh.n_dofs)
+    if local.shape != index.shape:  # one block for all elements
+        local = np.broadcast_to(local, index.shape)
+    flat = np.bincount(index.ravel(), local.ravel(), minlength=(2 * w + 1) * mesh.n_dofs)
     return flat.reshape((2 * w + 1, mesh.n_dofs), order="F")
 
 
@@ -255,9 +256,7 @@ def load_vector(mesh: Mesh1D, values: np.ndarray) -> np.ndarray:
     rule = ASSEMBLY_RULE
     basis = rule.values[mesh.degree]
     local = mesh.h * np.einsum("q,eq,qi->ei", rule.weights, values, basis)
-    out = np.zeros(mesh.n_dofs)
-    np.add.at(out, mesh.cell_dofs, local)
-    return out
+    return np.bincount(mesh.cell_dofs.ravel(), local.ravel(), minlength=mesh.n_dofs)
 
 
 def mass_matrix(mesh: Mesh1D) -> np.ndarray:

@@ -34,10 +34,19 @@ the time levels that keeps only the two states the recurrence reads:
 backward Euler is its gamma = 0 case, where the filter correction
 vanishes.  A ``Stepper`` holds what a run keeps constant (the operators,
 the stabilization, the linear part M/dt + v_f C, the constant part of
-the Newton matrix, each constrained row with its Dirichlet value g(t));
-``be_step`` adds the per-step work: the right-hand side, the stopping
-scale, the boundary values and Newton.  At chi delta^2 = 0 the run has
-no stabilization: no filter solve is done and rho is the one unknown.
+the Newton matrix with its (rho, rho) block view, each constrained row
+with its Dirichlet value g(t) and its band positions); ``be_step`` adds
+the per-step work: the right-hand side, the stopping scale, the boundary
+values and Newton.  At chi delta^2 = 0 the run has no stabilization: no
+filter solve is done and rho is the one unknown.
+
+Each band product is formed once.  The loop forms M rho^n once per
+level: it gives the level's L2 norm and energy E, and the next step's
+right-hand side M rho^n / dt and stopping scale, which ``be_step`` takes
+from its caller.  The stabilization's dissipation of a step comes from
+the residual's own filter chain at the accepted iterate (see
+``filtering``), so the diagnostics add only Z's product of the second
+difference.
 
 The stabilization chi delta^2 Pi^T S Pi is a dense matrix, but it is the
 product of banded ones (see ``filtering``).  So each Newton step solves
@@ -234,14 +243,16 @@ def _row_entries(w: int, n: int, rows: list[int]) -> tuple[np.ndarray, np.ndarra
 
 
 def _newton_matrix(
-    operators: AssembledOperators, stab: Stabilization | None, constrained_rows: list[int]
+    operators: AssembledOperators, stab: Stabilization | None,
+    constrained_entries: tuple[np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, int, int]:
     """Constant part of the banded augmented Newton matrix, with its (kl, ku).
 
     Unknowns per DOF: rho (slot 0), y_1..y_{N+1} (slots 1..N+1) and
     v_1..v_{N+1} (slots N+2..2N+2).  Rows: rho couples to v_1 through
-    chi delta^4 S (zero on constrained rows; its (rho, rho) block is set
-    per iteration), A y_k - delta^2 S y_{k-1} = 0, A v_{N+1} - S y_{N+1} = 0
+    chi delta^4 S (zero at constrained_entries, the band positions of the
+    constrained rows; its (rho, rho) block is set per iteration),
+    A y_k - delta^2 S y_{k-1} = 0, A v_{N+1} - S y_{N+1} = 0
     and A v_k - delta^2 S v_{k+1} = 0.  Without stabilization rho is the
     one unknown per DOF.
     """
@@ -254,7 +265,7 @@ def _newton_matrix(
         order, s, d2 = ctx.deconv_order, operators.stiffness, ctx.delta**2
         a = operators.mass + d2 * s
         coupling = stab.weight * d2 * s
-        coupling[_row_entries(w, n, constrained_rows)] = 0.0
+        coupling[constrained_entries] = 0.0
         v = order + 1  # slot of v_k is v + k
         blocks += [(0, v + 1, coupling), (v + order + 1, order + 1, -s)]
         blocks += [(k, k - 1, -d2 * s) for k in range(1, order + 2)]
@@ -275,7 +286,9 @@ class Stepper:
     """Everything constant over one run: built once, read by every step.
 
     ``newton`` is the run's one band buffer: each Newton iteration
-    overwrites its (rho, rho) entries and solves with it.
+    overwrites its (rho, rho) entries, through the view ``rho_block``, and
+    solves with it.  ``bc_entries`` are the DOF-level band positions of
+    the constrained rows and ``bc_values`` their identity-row values.
     """
 
     scenario: Scenario
@@ -284,6 +297,10 @@ class Stepper:
     linear_part: np.ndarray  # M/dt + v_f C, band storage
     newton: np.ndarray  # augmented Newton matrix, band storage
     half_bands: tuple[int, int]  # (kl, ku) of newton
+    unknowns: int  # Newton unknowns per DOF
+    rho_block: np.ndarray  # the (rho, rho) block of newton, DOF-level band storage
+    bc_entries: tuple[np.ndarray, np.ndarray]  # (band rows, columns)
+    bc_values: np.ndarray  # 1 on the diagonal, 0 elsewhere
     constrained: tuple[tuple[int, Callable], ...]  # Dirichlet (row, g) pairs
     nonlinear_coeff: float  # 2 v_f / rho_m
     dt: float
@@ -304,54 +321,65 @@ class Stepper:
         constrained = tuple(
             (0 if end == LEFT else mesh.n_dofs - 1, g) for end, g in dirichlet.items()
         )
-        newton, kl, ku = _newton_matrix(ops, stab, [i for i, _ in constrained])
+        w = mesh.half_band
+        bc_entries = _row_entries(w, mesh.n_dofs, [i for i, _ in constrained])
+        newton, kl, ku = _newton_matrix(ops, stab, bc_entries)
+        unknowns = newton.shape[1] // mesh.n_dofs
         return cls(
             scenario=scenario, operators=ops, stab=stab,
             linear_part=ops.mass / dt + params.v_f * ops.convection,
-            newton=newton, half_bands=(kl, ku), constrained=constrained,
+            newton=newton, half_bands=(kl, ku), unknowns=unknowns,
+            rho_block=_block(newton, ku, unknowns, w, 0, 0), bc_entries=bc_entries,
+            bc_values=(bc_entries[0] == w).astype(float), constrained=constrained,
             nonlinear_coeff=2.0 * params.v_f / params.rho_m, dt=dt,
             newton_tol=newton_tol, newton_max_iter=newton_max_iter,
         )
 
 
 def be_step(
-    stepper: Stepper, rho_prev: FeFunction, t_next: float, guess: np.ndarray | None = None
-) -> tuple[FeFunction, int, float]:
+    stepper: Stepper, rho_prev: FeFunction, mass_prev: np.ndarray, t_next: float,
+    guess: np.ndarray | None = None,
+) -> tuple[FeFunction, int, float, float]:
     """One implicit step from rho_prev to t_next, Newton started at guess.
 
-    guess holds coefficients (rho_prev by default); Newton starts there,
-    with the constrained entries set to g(t_next).  It stops at
+    mass_prev is M rho_prev, which the caller has formed once for its
+    level; it gives the right-hand side M rho_prev / dt and the stopping
+    scale.  guess holds coefficients (rho_prev by default); Newton starts
+    there, with the constrained entries set to g(t_next).  It stops at
     ||residual|| <= newton_tol * scale (or at a correction at rounding
     level, see newton_solve), where scale is the size of the step's data:
     the larger of ||rho_prev||_L2 = sqrt(c . M c) and the boundary values
     |g(t_next)|.  It is the same on every mesh that resolves the state,
     and the guess cannot move it.  Neither dt nor the forcing enters it: a
     scale that grew with dt f would, at dt = 1e20, accept a guess that
-    solves nothing.  Returns the new state, its Newton iterations and the
-    scale.
+    solves nothing.  Returns the new state, its Newton iterations, the
+    scale and the stabilization's dissipation chi delta^2 (Pi c) . S (Pi c)
+    at the new state c (0 without stabilization).  The dissipation comes
+    from the last residual evaluation, which newton_solve makes at the
+    iterate it returns.
     """
     mesh, scenario = stepper.operators.mesh, stepper.scenario
     if rho_prev.mesh is not mesh:
         raise ValueError("state does not live on the assembled mesh")
     linear_part, nonlinear_coeff, stab = stepper.linear_part, stepper.nonlinear_coeff, stepper.stab
     bcs = [(i, g(t_next)) for i, g in stepper.constrained]
-    mass_prev = band_matvec(stepper.operators.mass, rho_prev.coefficients)
     scale = max([float(np.sqrt(max(rho_prev.coefficients @ mass_prev, 0.0)))]
                 + [abs(value) for _, value in bcs])
     rhs = mass_prev / stepper.dt
     if scenario.forcing is not None:
         rhs = rhs + forcing_vector(scenario.forcing, t_next, mesh)
-    (kl, ku), w = stepper.half_bands, mesh.half_band
-    unknowns = stepper.newton.shape[1] // mesh.n_dofs
-    rho_block = _block(stepper.newton, ku, unknowns, w, 0, 0)
-    bc_entries = _row_entries(w, mesh.n_dofs, [i for i, _ in bcs])
-    bc_values = (bc_entries[0] == w).astype(float)  # the identity rows
+    kl, ku = stepper.half_bands
+    unknowns, rho_block = stepper.unknowns, stepper.rho_block
+    dissipation = 0.0  # at the last residual evaluation
 
     def residual(x: np.ndarray) -> np.ndarray:
+        nonlocal dissipation
         r = band_matvec(linear_part, x)
         if stab is not None:
-            r = r + stab(x)
-        r = r - nonlinear_coeff * b_residual(FeFunction(mesh, x)) - rhs
+            stab_x, dissipation = stab(x)
+            r += stab_x
+        r -= nonlinear_coeff * b_residual(FeFunction(mesh, x))
+        r -= rhs
         for i, value in bcs:
             r[i] = x[i] - value
         return r
@@ -359,7 +387,7 @@ def be_step(
     def step(x: np.ndarray, r: np.ndarray) -> np.ndarray:
         jac = b_jacobian(FeFunction(mesh, x))
         np.subtract(linear_part, nonlinear_coeff * jac, out=rho_block)
-        rho_block[bc_entries] = bc_values
+        rho_block[stepper.bc_entries] = stepper.bc_values
         lifted = np.zeros(stepper.newton.shape[1])
         lifted[::unknowns] = -r
         return lu_solve(stepper.newton, lifted, kl, ku)[::unknowns]
@@ -369,7 +397,7 @@ def be_step(
         start[i] = value
     coeffs, iters = newton_solve(residual, step, start, scale, stepper.newton_tol,
                                  stepper.newton_max_iter)
-    return FeFunction(mesh, coeffs), iters, scale
+    return FeFunction(mesh, coeffs), iters, scale, dissipation
 
 
 def time_filter_step(
@@ -381,19 +409,31 @@ def time_filter_step(
     return FeFunction(mesh, rho_hat.coefficients - 0.5 * gamma * second_diff)
 
 
-def mass_norm(u: FeFunction, operators: AssembledOperators) -> float:
-    """Discrete L2 norm sqrt(c^T M c)."""
+def mass_norm(
+    u: FeFunction, operators: AssembledOperators, mass_u: np.ndarray | None = None
+) -> float:
+    """Discrete L2 norm sqrt(c^T M c); mass_u is M c where the caller has formed it."""
     c = u.coefficients
-    return float(np.sqrt(max(c @ band_matvec(operators.mass, c), 0.0)))
+    if mass_u is None:
+        mass_u = band_matvec(operators.mass, c)
+    return float(np.sqrt(max(c @ mass_u, 0.0)))
 
 
-def energy_e(u_n: FeFunction, u_n1: FeFunction, operators: AssembledOperators) -> float:
-    """E[u^n] = (1/4)(||u^n||^2 + ||2u^n - u^{n-1}||^2 + ||u^n - u^{n-1}||^2)."""
+def energy_e(
+    u_n: FeFunction, u_n1: FeFunction, operators: AssembledOperators,
+    mass_n: np.ndarray | None = None, mass_n1: np.ndarray | None = None,
+) -> float:
+    """E[u^n] = (1/4)(||u^n||^2 + ||2u^n - u^{n-1}||^2 + ||u^n - u^{n-1}||^2).
+
+    With a = u^n and b = u^{n-1}, the three norms are formed from the two
+    products M a and M b (M(2a - b) = 2 M a - M b), which the caller can
+    pass as mass_n and mass_n1 where it has formed them.
+    """
     require_same_mesh(u_n, u_n1)
-    m = operators.mass
     a, b = u_n.coefficients, u_n1.coefficients
-    terms = (a, 2.0 * a - b, a - b)
-    return 0.25 * float(sum(v @ band_matvec(m, v) for v in terms))
+    ma = band_matvec(operators.mass, a) if mass_n is None else mass_n
+    mb = band_matvec(operators.mass, b) if mass_n1 is None else mass_n1
+    return 0.25 * float(a @ ma + (2.0 * a - b) @ (2.0 * ma - mb) + (a - b) @ (ma - mb))
 
 
 def energy_z(
@@ -402,7 +442,9 @@ def energy_z(
     """Z[u^n] = (3/4)||u^n - 2u^{n-1} + u^{n-2}||^2 (discrete second difference).
 
     This is the curvature term appearing in the algebraic identity
-    (D[u], I[u]) = E[u^n] - E[u^{n-1}] + Z[u^n].
+    (D[u], I[u]) = E[u^n] - E[u^{n-1}] + Z[u^n].  It forms its own product
+    M d of the second difference d: built from the three levels' products
+    instead, Z would lose about 1e-8 of its value to cancellation.
     """
     require_same_mesh(u_n, u_n1, u_n2)
     d = u_n.coefficients - 2.0 * u_n1.coefficients + u_n2.coefficients
@@ -425,28 +467,34 @@ def run_time_filtered(
     singular matrix raises NoConvergenceError naming the step.
     """
     stepper = Stepper.build(scenario, params, grid.dt, mesh, newton_tol, newton_max_iter)
-    ops = stepper.operators
-    # rho^{n-1} and rho^{n-2}; level 0 is its own predecessor
+    ops, stab = stepper.operators, stepper.stab
+    # rho^{n-1}, rho^{n-2} and M rho^{n-1}; level 0 is its own predecessor
     rho_n1, rho_n2 = l2_project(scenario.initial_condition, mesh), None
+    mass_n1 = band_matvec(ops.mass, rho_n1.coefficients)
     for n in range(grid.n_steps + 1):
         t = n * grid.dt
         guess = None if rho_n2 is None else 2.0 * rho_n1.coefficients - rho_n2.coefficients
         try:
-            rho_hat, iters, scale = be_step(stepper, rho_n1, t, guess) if n else (rho_n1, 0, 1.0)
+            if n:
+                rho_hat, iters, scale, dissipation = be_step(stepper, rho_n1, mass_n1, t, guess)
+            else:
+                rho_hat, iters, scale = rho_n1, 0, 1.0
+                dissipation = 0.0 if stab is None else stab(rho_hat.coefficients)[1]
         except (NoConvergenceError, SingularMatrixError) as err:
             raise NoConvergenceError(f"step {n} to t = {t:.6g} failed: {err}") from err
         rho = rho_hat
         if rho_n2 is not None and params.gamma != 0.0:
             rho = time_filter_step(rho_hat, rho_n1, rho_n2, params.gamma)
-        # Diagnostics describe the accepted state; the dissipation of the
-        # step is the one exerted on rhohat = I[rho^n] in step 1.
-        c = rho_hat.coefficients
+        # M rho^n, formed once: the level's norm and energy, and the next
+        # step's right-hand side and stopping scale.  Diagnostics describe
+        # the accepted state; the dissipation of the step is the one
+        # exerted on rhohat = I[rho^n] in step 1.
+        mass_n = band_matvec(ops.mass, rho.coefficients) if n else mass_n1
         diag = StepDiagnostics(
-            n=n, t=t, l2_norm=mass_norm(rho, ops), energy_e=energy_e(rho, rho_n1, ops),
+            n=n, t=t, l2_norm=mass_norm(rho, ops, mass_n),
+            energy_e=energy_e(rho, rho_n1, ops, mass_n, mass_n1),
             zeta_z=0.0 if rho_n2 is None else energy_z(rho, rho_n1, rho_n2, ops),
-            newton_iters=iters,
-            stab_dissipation=0.0 if stepper.stab is None else stepper.stab.dissipation(c),
-            residual_scale=scale,
+            newton_iters=iters, stab_dissipation=dissipation, residual_scale=scale,
         )
-        rho_n1, rho_n2 = rho, (rho_n1 if n else None)
+        rho_n1, rho_n2, mass_n1 = rho, (rho_n1 if n else None), mass_n
         yield rho, diag, rho_hat

@@ -93,8 +93,15 @@ def test_dimension_checks():
 
 
 def test_band_matvec_matches_dense(rng):
-    for n, w in ((7, 1), (9, 2), (3, 4)):
+    # n <= 2 w (the last three) is below the BLAS wrapper's m >= kl + ku + 1
+    for n, w in ((7, 1), (9, 2), (3, 4), (2, 2), (4, 2)):
         ab = rng.standard_normal((2 * w + 1, n))
         ab = band(dense(ab), w, w)  # entries outside the matrix zeroed
         x = rng.standard_normal(n)
-        assert np.abs(band_matvec(ab, x) - dense(ab) @ x).max() < 1e-13
+        y = band_matvec(ab, x)
+        assert y.shape == (n,)
+        assert np.abs(y - dense(ab) @ x).max() < 1e-13
+        # gbmv itself would read the first n entries of any of these
+        for bad in (np.ones(n + 1), np.ones(n - 1), np.ones((n, 2)), np.ones((1, n))):
+            with pytest.raises(ValueError, match=rf"expected a vector of shape \({n},\)"):
+                band_matvec(ab, bad)

@@ -4,13 +4,13 @@ import weakref
 import numpy as np
 import pytest
 
-from lwrfem import filtering
+from lwrfem import filtering, linalg, stepping
 from lwrfem.analysis import l2_error, run_error_inf
 from lwrfem.filtering import build_filter_context, stabilization_matrix
 from lwrfem.linalg import SingularMatrixError, band_matvec, lu_solve
-from lwrfem.mesh import DIRICHLET, PERIODIC, FeFunction, build_mesh
+from lwrfem.mesh import DIRICHLET, PERIODIC, FeFunction, build_mesh, mass_matrix
 from lwrfem.operators import assemble, b_jacobian, b_residual, forcing_vector
-from lwrfem.scenarios import LEFT, RIGHT, manufactured, rarefaction
+from lwrfem.scenarios import LEFT, RIGHT, manufactured, rarefaction, shock
 from lwrfem.stepping import (
     ModelParams,
     NoConvergenceError,
@@ -38,6 +38,12 @@ def periodic_setup():
 
 def unforced(scenario):
     return dataclasses.replace(scenario, forcing=None)
+
+
+def step_from(stepper, state, t_next, guess=None):
+    """be_step with the product M rho_prev that the march forms once per level."""
+    mass_prev = band_matvec(mass_matrix(state.mesh), state.coefficients)
+    return be_step(stepper, state, mass_prev, t_next, guess)
 
 
 def dense_step(jacobian):
@@ -274,7 +280,7 @@ class TestBeStep:
         params = ModelParams(chi=0.7, delta=np.sqrt(mesh.h), deconv_order=1)
         stepper = Stepper.build(unforced(manufactured()), params, 0.05, mesh)
         state = FeFunction(mesh, np.full(mesh.n_dofs, 0.42))
-        out, iters, _ = be_step(stepper, state, 0.05)
+        out, iters, _, _ = step_from(stepper, state, 0.05)
         assert np.abs(out.coefficients - 0.42).max() < 1e-12
         assert iters == 0
 
@@ -284,7 +290,7 @@ class TestBeStep:
         stepper = Stepper.build(unforced(manufactured()), params, 0.01, mesh)
         for _ in range(10):
             state = smooth_periodic(mesh, rng)
-            out, _, _ = be_step(stepper, state, 0.01)
+            out, _, _, _ = step_from(stepper, state, 0.01)
             assert mass_norm(out, ops) <= mass_norm(state, ops) * (1 + 1e-12)
 
     def test_state_on_another_mesh_rejected(self, periodic_setup, rng):
@@ -292,7 +298,7 @@ class TestBeStep:
         stepper = Stepper.build(unforced(manufactured()), ModelParams(), 0.01, mesh)
         other = build_mesh(0.0, 1.0, 32, 1, PERIODIC)
         with pytest.raises(ValueError, match="state does not live on the assembled mesh"):
-            be_step(stepper, smooth_periodic(other, rng), 0.01)
+            step_from(stepper, smooth_periodic(other, rng), 0.01)
 
     def test_stepper_holds_the_run_constants(self):
         mesh = build_mesh(0.0, 1.0, 12, 2, DIRICHLET)
@@ -330,7 +336,7 @@ class TestBeStep:
         rows = [i for i, _ in stepper.constrained]
         mass_prev = band_matvec(ops.mass, prev.coefficients)
         scale = max([np.sqrt(prev.coefficients @ mass_prev)] + [0.3] * len(rows))
-        linear = dense(stepper.linear_part) + operator_matrix(stepper.stab, mesh.n_dofs)
+        linear = dense(stepper.linear_part) + operator_matrix(lambda u: stepper.stab(u)[0], mesh.n_dofs)
         rhs = mass_prev / 0.01 + forcing_vector(scenario.forcing, 0.01, mesh)
 
         def residual(x):
@@ -346,7 +352,7 @@ class TestBeStep:
         start = guess.copy()
         start[rows] = 0.3  # be_step starts on the step's Dirichlet values
         expected, expected_iters = newton_solve(residual, dense_step(jacobian), start, scale)
-        state, iters, step_scale = be_step(stepper, prev, 0.01, guess)
+        state, iters, step_scale, _ = be_step(stepper, prev, mass_prev, 0.01, guess)
         assert step_scale == scale
         assert iters == expected_iters
         assert np.abs(state.coefficients - expected).max() <= 1e-12
@@ -357,8 +363,8 @@ class TestBeStep:
         stepper = Stepper.build(manufactured(), params, 0.01, mesh)
         prev = FeFunction(mesh, np.sin(np.pi * mesh.dof_x) ** 4 * np.sin(0.5))
         near = prev.coefficients + 1e-3 * np.sin(3 * np.pi * mesh.dof_x)
-        results = [be_step(stepper, prev, 0.51, guess) for guess in (None, near)]
-        (state_a, _, scale_a), (state_b, _, scale_b) = results
+        results = [step_from(stepper, prev, 0.51, guess) for guess in (None, near)]
+        (state_a, _, scale_a, _), (state_b, _, scale_b, _) = results
         # the L2 norm of rho^{n-1}; the boundary values are 0
         assert scale_a == scale_b == mass_norm(prev, stepper.operators)
         # both meet ||r|| <= 1e-10 scale, so they agree far below the step's change
@@ -374,13 +380,13 @@ class TestBeStep:
         zero = FeFunction(mesh, np.zeros(mesh.n_dofs))
         for scenario, most in ((manufactured(), 3), (unforced(manufactured()), 0)):
             stepper = Stepper.build(scenario, params, 1e-4, mesh)
-            state, iters, scale = be_step(stepper, zero, 1e-4)
+            state, iters, scale, _ = step_from(stepper, zero, 1e-4)
             assert scale == 0.0
             assert iters <= most
         assert not state.coefficients.any()
         # inflow data into an empty strand: the boundary value is the scale
         stepper = Stepper.build(rarefaction(), params, 1e-4, mesh)
-        state, iters, scale = be_step(stepper, zero, 1e-4)
+        state, iters, scale, _ = step_from(stepper, zero, 1e-4)
         assert scale == 0.47 and iters <= 3 and state.coefficients[0] == 0.47
 
     def test_huge_step_still_meets_a_singular_matrix(self):
@@ -390,7 +396,7 @@ class TestBeStep:
         params = ModelParams(delta=0.1 * np.sqrt(mesh.h), deconv_order=1)
         stepper = Stepper.build(manufactured(), params, 1e20, mesh)
         with pytest.raises(SingularMatrixError):
-            be_step(stepper, FeFunction(mesh, np.zeros(mesh.n_dofs)), 1e20)
+            step_from(stepper, FeFunction(mesh, np.zeros(mesh.n_dofs)), 1e20)
 
     @pytest.mark.parametrize("chi", [0.0, 1.0])
     def test_no_filter_solves_at_zero_weight(self, chi, monkeypatch):
@@ -413,6 +419,42 @@ class TestBeStep:
         else:
             assert calls
             assert stepper.newton.shape[1] == 5 * mesh.n_dofs  # 2N + 3 unknowns
+
+    @pytest.mark.parametrize("make,degree,order,gamma,dt", [
+        (shock, 1, 0, 0.0, 1e-3), (manufactured, 2, 1, 2.0 / 3.0, 0.01),
+    ])
+    def test_each_band_product_is_formed_once(self, make, degree, order, gamma, dt,
+                                              monkeypatch):
+        # a residual evaluation forms 2N + 4 products (the linear part, N + 1
+        # in Pi, S Pi, N on the adjoint chain and its last S), a level two
+        # (M rho^n and Z's product of the second difference), and level 0
+        # one operator call (2N + 3) for its dissipation
+        products, residuals = [], []
+        gbmv, b_res = linalg._GBMV, stepping.b_residual
+        monkeypatch.setattr(linalg, "_GBMV", lambda *a: products.append(1) or gbmv(*a))
+        monkeypatch.setattr(stepping, "b_residual", lambda rho: residuals.append(1) or b_res(rho))
+        mesh = build_mesh(0.0, 1.0, 24, degree, DIRICHLET)
+        params = ModelParams(chi=1.0, delta=np.sqrt(mesh.h), deconv_order=order, gamma=gamma)
+        records = list(run_time_filtered(make(), params, TimeGrid(dt, 20), mesh))
+        monkeypatch.undo()
+        budget = (2 * order + 4) * len(residuals) + 2 * len(records) + 2 * order + 3
+        assert sum(d.newton_iters for _, d, _ in records) > 0
+        assert len(products) <= budget
+        # the recorded dissipation is the operator's own of the returned state
+        stab = Stepper.build(make(), params, dt, mesh).stab
+        for _, diag, rho_hat in records:
+            assert diag.stab_dissipation == stab(rho_hat.coefficients)[1]
+
+    @pytest.mark.parametrize("kind", [DIRICHLET, PERIODIC])
+    def test_every_band_multiplied_is_fortran_ordered(self, kind, monkeypatch):
+        # gbmv's f2py wrapper would copy a C-ordered band on every call
+        bands = []
+        gbmv = linalg._GBMV
+        monkeypatch.setattr(linalg, "_GBMV", lambda *a: bands.append(a[5]) or gbmv(*a))
+        mesh = build_mesh(0.0, 1.0, 12, 2, kind)
+        params = ModelParams(chi=1.0, delta=0.2, deconv_order=1, gamma=2.0 / 3.0)
+        march(manufactured(), params, TimeGrid(0.01, 3), mesh)
+        assert bands and all(ab.flags.f_contiguous for ab in bands)
 
     @pytest.mark.parametrize("gamma", [0.0, 2.0 / 3.0])
     def test_stream_keeps_two_levels(self, gamma):
@@ -543,7 +585,7 @@ class TestRunAlgorithm2:
                 band_matvec(ops.mass, d.coefficients) / grid.dt
                 + params.v_f * band_matvec(ops.convection, i.coefficients)
                 - (2.0 * params.v_f / params.rho_m) * b_residual(i)
-                + stab(i.coefficients)
+                + stab(i.coefficients)[0]
                 - forcing_vector(scenario.forcing, n * grid.dt, mesh)
             )
             scale = trajectory[n][1].residual_scale
