@@ -164,7 +164,8 @@ class TestStabilizationMatrix:
     def test_zero_chi_gives_zero_matrix(self, setup):
         _, _, ctx = setup
         stab = stabilization_matrix(ctx, 0.0)
-        assert np.abs(operator_matrix(lambda u: stab(u)[0], ctx.stiffness.shape[1])).max() == 0.0
+        matrix = operator_matrix(lambda u: stab(u)[0], ctx.stiffness.shape[1])
+        assert np.abs(matrix).max() == 0.0
 
     def test_negative_chi_rejected(self, setup):
         _, _, ctx = setup

@@ -101,7 +101,7 @@ def test_band_matvec_matches_dense(rng):
         y = band_matvec(ab, x)
         assert y.shape == (n,)
         assert np.abs(y - dense(ab) @ x).max() < 1e-13
-        # gbmv itself would read the first n entries of any of these
+        # the BLAS wrapper takes a longer or 2-D x without an error
         for bad in (np.ones(n + 1), np.ones(n - 1), np.ones((n, 2)), np.ones((1, n))):
             with pytest.raises(ValueError, match=rf"expected a vector of shape \({n},\)"):
                 band_matvec(ab, bad)

@@ -336,7 +336,8 @@ class TestBeStep:
         rows = [i for i, _ in stepper.constrained]
         mass_prev = band_matvec(ops.mass, prev.coefficients)
         scale = max([np.sqrt(prev.coefficients @ mass_prev)] + [0.3] * len(rows))
-        linear = dense(stepper.linear_part) + operator_matrix(lambda u: stepper.stab(u)[0], mesh.n_dofs)
+        stab_matrix = operator_matrix(lambda u: stepper.stab(u)[0], mesh.n_dofs)
+        linear = dense(stepper.linear_part) + stab_matrix
         rhs = mass_prev / 0.01 + forcing_vector(scenario.forcing, 0.01, mesh)
 
         def residual(x):
