@@ -17,7 +17,6 @@ from .mesh import (
     QuadratureRule,
     build_mesh,
     evaluate,
-    l2_project,
 )
 from .operators import (
     AssembledOperators,
@@ -25,6 +24,7 @@ from .operators import (
     b_jacobian,
     b_residual,
     forcing_vector,
+    l2_project,
 )
 from .scenarios import SCENARIOS, Scenario, manufactured, rarefaction, shock
 from .stepping import (

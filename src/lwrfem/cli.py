@@ -38,6 +38,8 @@ from .analysis import convergence_table, run_error_inf
 from .mesh import DIRICHLET, PERIODIC, Mesh1D, build_mesh, evaluate
 from .scenarios import SCENARIOS, Scenario
 from .stepping import (
+    NEWTON_MAX_ITER,
+    NEWTON_TOL,
     ModelParams,
     NoConvergenceError,
     StepRecord,
@@ -96,8 +98,8 @@ class RunConfig:
     delta_exp: float = 0.5
     dt: float = 1e-4
     t_final: float = 1.0
-    newton_tol: float = 1e-10
-    newton_max_iter: int = 25
+    newton_tol: float = NEWTON_TOL
+    newton_max_iter: int = NEWTON_MAX_ITER
     algorithm: int = 2
     output_dir: str = "out"
     space_min_elements: int = 6

@@ -21,7 +21,9 @@ formed:
 Every operator is banded on a 1D mesh, so A is factored once per
 (mesh, delta, N) by a banded Cholesky factorization, and each solve is
 one LAPACK pbtrs in O(n) time.  The Newton step of the stepper poses the
-same recurrences as extra unknowns of one banded system.  On Dirichlet
+same recurrences as extra unknowns of one banded system, whose blocks
+``Stabilization.newton_blocks`` returns: this module numbers those
+unknowns and builds their equations.  On Dirichlet
 meshes the filter equations are posed on all DOFs with natural boundary
 conditions (no rows are constrained), which keeps A symmetric positive
 definite.
@@ -104,6 +106,27 @@ class Stabilization:
         for _ in range(self.ctx.deconv_order):
             v = _filter_solve(self.ctx, d2 * band_matvec(s, v))
         return self.weight * d2 * band_matvec(s, v), self.weight * float(y @ sy)
+
+    def newton_blocks(self, mass: np.ndarray) -> list[tuple[int, int, np.ndarray]]:
+        """The chain above as blocks (row, column, band) of one banded system.
+
+        Unknowns per DOF: u (slot 0), y_1..y_{N+1} (slots 1..N+1) and
+        v_1..v_{N+1} (slots N+2..2N+2).  Each band is a DOF-level matrix
+        in band storage, mass the mass matrix M.  The u row holds only
+        K u = chi delta^4 S v_1, the coupling to v_1, and is the caller's
+        to complete; the other rows are the recurrences with a zero
+        right-hand side: A y_k - delta^2 S y_{k-1} = 0,
+        A v_{N+1} - S y_{N+1} = 0 and A v_k - delta^2 S v_{k+1} = 0.
+        Eliminating y and v from u's row leaves K u.
+        """
+        order, s, d2 = self.ctx.deconv_order, self.ctx.stiffness, self.ctx.delta**2
+        a = mass + d2 * s
+        v = order + 1  # slot of v_k is v + k
+        blocks = [(0, v + 1, self.weight * d2 * s), (v + order + 1, order + 1, -s)]
+        blocks += [(k, k - 1, -d2 * s) for k in range(1, order + 2)]
+        blocks += [(v + k, v + k + 1, -d2 * s) for k in range(1, order + 1)]
+        blocks += [(k, k, a) for k in range(1, 2 * order + 3)]
+        return blocks
 
 
 def stabilization_matrix(ctx: FilterContext, chi: float) -> Stabilization:

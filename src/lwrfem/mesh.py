@@ -8,11 +8,12 @@ keep the boundary DOFs (they are constrained later, at the time-stepping
 level).  Periodic meshes identify the last vertex with the first and
 number their DOFs zig-zag from both ends, x_0, x_last, x_1, x_last-1, ...,
 so that the wrap-around coupling stays next to the diagonal.  Either way
-the DOF map is plain index arithmetic and every assembled operator is
-banded, with half-bandwidth ``half_band`` (degree on Dirichlet meshes,
-2 degree on periodic ones); operators are held in the band storage of
-``linalg``.  Callables of x are sampled vectorised, on whole arrays of
-points.  Bad input (a degree outside {1, 2}, fewer than two elements, a
+the DOF map is plain index arithmetic, and every operator assembled on
+the mesh is banded, with half-bandwidth ``half_band`` (degree on
+Dirichlet meshes, 2 degree on periodic ones); ``band_index`` places each
+element's DOF pairs in the band storage of ``linalg``.  This module
+assembles nothing: ``operators`` integrates and scatters.  Callables of
+x are sampled vectorised, on whole arrays of points.  Bad input (a degree outside {1, 2}, fewer than two elements, a
 point off the mesh, operands on different meshes) raises ValueError.
 """
 
@@ -22,8 +23,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-from .linalg import lu_solve
 
 PERIODIC = "periodic"
 DIRICHLET = "dirichlet"
@@ -58,18 +57,13 @@ class QuadratureRule:
 
     ``values[degree]`` and ``derivatives[degree]`` are the Lagrange basis
     tables at the points (shape_values, shape_derivatives), built once per
-    rule and read-only, since assembly reads them on every call.
-    ``transport[degree]`` is the element tensor T[i, j, k] = sum_q w_q
-    phi_i phi_j dphi_k / dxi, built with them: on an element of any
-    length h it is int phi_j phi_k' phi_i dx (h cancels), exact when the
-    rule integrates polynomials of degree 3 p - 1 for P_p elements.
+    rule and read-only.
     """
 
     points: np.ndarray
     weights: np.ndarray
     values: dict[int, np.ndarray]
     derivatives: dict[int, np.ndarray]
-    transport: dict[int, np.ndarray]
 
     @classmethod
     def gauss_legendre(cls, n_points: int) -> "QuadratureRule":
@@ -79,15 +73,9 @@ class QuadratureRule:
         weights = wts / 2.0
         values = {degree: shape_values(degree, points) for degree in (1, 2)}
         derivatives = {degree: shape_derivatives(degree, points) for degree in (1, 2)}
-        transport = {
-            degree: np.einsum("q,qi,qj,qk->ijk", weights, values[degree], values[degree],
-                              derivatives[degree])
-            for degree in (1, 2)
-        }
-        for table in (*values.values(), *derivatives.values(), *transport.values()):
+        for table in (*values.values(), *derivatives.values()):
             table.setflags(write=False)
-        return cls(points=points, weights=weights, values=values,
-                   derivatives=derivatives, transport=transport)
+        return cls(points=points, weights=weights, values=values, derivatives=derivatives)
 
 
 # Assembly uses 4 points (exact through degree 7, enough for the P2
@@ -235,41 +223,3 @@ def sample_function(g: Callable, x: np.ndarray) -> np.ndarray:
     values = np.asarray(g(x), dtype=float)
     # the common case skips broadcast_to, which costs a few microseconds a call
     return values if values.shape == x.shape else np.broadcast_to(values, x.shape)
-
-
-def scatter_band(mesh: Mesh1D, local: np.ndarray) -> np.ndarray:
-    """Sum element blocks local[e, i, j] (or one block for all) into band storage.
-
-    The result ab, of shape (2 w + 1, n_dofs) with w = mesh.half_band and in
-    Fortran order, holds entry (i, j) of the assembled matrix at
-    ab[w + i - j, j].
-    """
-    w, index = mesh.half_band, mesh.band_index
-    if local.shape != index.shape:  # one block for all elements
-        local = np.broadcast_to(local, index.shape)
-    flat = np.bincount(index.ravel(), local.ravel(), minlength=(2 * w + 1) * mesh.n_dofs)
-    return flat.reshape((2 * w + 1, mesh.n_dofs), order="F")
-
-
-def load_vector(mesh: Mesh1D, values: np.ndarray) -> np.ndarray:
-    """Vector of (g, phi_i) from g's values at the assembly quadrature points."""
-    rule = ASSEMBLY_RULE
-    basis = rule.values[mesh.degree]
-    local = mesh.h * np.einsum("q,eq,qi->ei", rule.weights, values, basis)
-    return np.bincount(mesh.cell_dofs.ravel(), local.ravel(), minlength=mesh.n_dofs)
-
-
-def mass_matrix(mesh: Mesh1D) -> np.ndarray:
-    """Assemble the mass matrix (phi_j, phi_i) with the assembly rule, banded."""
-    rule = ASSEMBLY_RULE
-    basis = rule.values[mesh.degree]
-    return scatter_band(
-        mesh, mesh.h * np.einsum("q,qi,qj->ij", rule.weights, basis, basis)
-    )
-
-
-def l2_project(g: Callable, mesh: Mesh1D) -> FeFunction:
-    """L2 projection of g onto the FE space: one banded mass-matrix solve."""
-    rhs = load_vector(mesh, sample_function(g, mesh.quad_points(ASSEMBLY_RULE)))
-    w = mesh.half_band
-    return FeFunction(mesh, lu_solve(mass_matrix(mesh), rhs, w, w))

@@ -38,7 +38,8 @@ the Newton matrix with its (rho, rho) block view, each constrained row
 with its Dirichlet value g(t) and its band positions); ``be_step`` adds
 the per-step work: the right-hand side, the stopping scale, the boundary
 values and Newton.  At chi delta^2 = 0 the run has no stabilization: no
-filter solve is done and rho is the one unknown.
+filter context is built, no filter solve is done and rho is the one
+unknown.
 
 Each band product is formed once.  The loop forms M rho^n once per
 level: it gives the level's L2 norm and energy E, and the next step's
@@ -50,9 +51,10 @@ difference.
 
 The stabilization chi delta^2 Pi^T S Pi is a dense matrix, but it is the
 product of banded ones (see ``filtering``).  So each Newton step solves
-one banded augmented system: every DOF carries rho and the filter
-recurrences' y_1..y_{N+1} and v_1..v_{N+1} (2N + 3 unknowns, numbered
-DOF by DOF), the rho rows read
+one banded augmented system: every DOF carries rho (unknown 0) and the
+filter recurrences' y_1..y_{N+1} and v_1..v_{N+1}, which ``filtering``
+numbers and poses as blocks (``Stabilization.newton_blocks``; 2N + 3
+unknowns, numbered DOF by DOF).  The rho rows read
 
     (M/dt + v_f C - (2 v_f / rho_m) J_b) d_rho + chi delta^4 S d_v1 = -r,
 
@@ -77,13 +79,14 @@ import numpy as np
 
 from .filtering import Stabilization, build_filter_context, stabilization_matrix
 from .linalg import SingularMatrixError, band_matvec, lu_solve
-from .mesh import FeFunction, Mesh1D, l2_project, require_same_mesh
+from .mesh import FeFunction, Mesh1D, require_same_mesh
 from .operators import (
     AssembledOperators,
     assemble,
     b_jacobian,
     b_residual,
     forcing_vector,
+    l2_project,
 )
 from .scenarios import LEFT, Scenario
 
@@ -248,36 +251,25 @@ def _newton_matrix(
 ) -> tuple[np.ndarray, int, int]:
     """Constant part of the banded augmented Newton matrix, with its (kl, ku).
 
-    Unknowns per DOF: rho (slot 0), y_1..y_{N+1} (slots 1..N+1) and
-    v_1..v_{N+1} (slots N+2..2N+2).  Rows: rho couples to v_1 through
-    chi delta^4 S (zero at constrained_entries, the band positions of the
-    constrained rows; its (rho, rho) block is set per iteration),
-    A y_k - delta^2 S y_{k-1} = 0, A v_{N+1} - S y_{N+1} = 0
-    and A v_k - delta^2 S v_{k+1} = 0.  Without stabilization rho is the
-    one unknown per DOF.
+    rho is unknown 0 of each DOF and its (rho, rho) block is set per
+    iteration.  With stabilization the filter's unknowns and recurrences
+    follow (``Stabilization.newton_blocks``), and rho's row is zero at
+    constrained_entries, the band positions of the constrained rows;
+    without it rho is the one unknown per DOF.
     """
     mesh = operators.mesh
     w, n = mesh.half_band, mesh.n_dofs
-    blocks = [(0, 0, None)]
-    unknowns = 1
-    if stab is not None:
-        ctx = stab.ctx
-        order, s, d2 = ctx.deconv_order, operators.stiffness, ctx.delta**2
-        a = operators.mass + d2 * s
-        coupling = stab.weight * d2 * s
-        coupling[constrained_entries] = 0.0
-        v = order + 1  # slot of v_k is v + k
-        blocks += [(0, v + 1, coupling), (v + order + 1, order + 1, -s)]
-        blocks += [(k, k - 1, -d2 * s) for k in range(1, order + 2)]
-        blocks += [(v + k, v + k + 1, -d2 * s) for k in range(1, order + 1)]
-        blocks += [(k, k, a) for k in range(1, 2 * order + 3)]
-        unknowns = 2 * order + 3
+    blocks = [(0, 0, None)] + ([] if stab is None else stab.newton_blocks(operators.mass))
+    unknowns = 1 + max(max(row, col) for row, col, _ in blocks)
     kl = unknowns * w + max(row - col for row, col, _ in blocks)
     ku = unknowns * w + max(col - row for row, col, _ in blocks)
     ab = np.zeros((kl + ku + 1, unknowns * n), order="F")
     for row, col, band in blocks:
         if band is not None:
-            _block(ab, ku, unknowns, w, row, col)[...] = band
+            block = _block(ab, ku, unknowns, w, row, col)
+            block[...] = band
+            if row == 0:
+                block[constrained_entries] = 0.0
     return ab, kl, ku
 
 
@@ -313,10 +305,10 @@ class Stepper:
         newton_tol: float = NEWTON_TOL, newton_max_iter: int = NEWTON_MAX_ITER,
     ) -> "Stepper":
         ops = assemble(mesh)
-        ctx = build_filter_context(ops, params.delta, params.deconv_order)
-        stab = stabilization_matrix(ctx, params.chi)
-        if stab.weight == 0.0:  # a zero operator: no filter solve, no filter unknowns
-            stab = None
+        stab = None  # a zero operator: no filter solve, no filter unknowns
+        if params.chi * params.delta**2 != 0.0:
+            ctx = build_filter_context(ops, params.delta, params.deconv_order)
+            stab = stabilization_matrix(ctx, params.chi)
         dirichlet = scenario.dirichlet if mesh.boundary_kind == "dirichlet" else {}
         constrained = tuple(
             (0 if end == LEFT else mesh.n_dofs - 1, g) for end, g in dirichlet.items()
@@ -409,31 +401,24 @@ def time_filter_step(
     return FeFunction(mesh, rho_hat.coefficients - 0.5 * gamma * second_diff)
 
 
-def mass_norm(
-    u: FeFunction, operators: AssembledOperators, mass_u: np.ndarray | None = None
-) -> float:
-    """Discrete L2 norm sqrt(c^T M c); mass_u is M c where the caller has formed it."""
+def mass_norm(u: FeFunction, mass_u: np.ndarray) -> float:
+    """Discrete L2 norm sqrt(c^T M c) of u = c, from its product mass_u = M c."""
     c = u.coefficients
-    if mass_u is None:
-        mass_u = band_matvec(operators.mass, c)
     return float(np.sqrt(max(c @ mass_u, 0.0)))
 
 
 def energy_e(
-    u_n: FeFunction, u_n1: FeFunction, operators: AssembledOperators,
-    mass_n: np.ndarray | None = None, mass_n1: np.ndarray | None = None,
+    u_n: FeFunction, u_n1: FeFunction, mass_n: np.ndarray, mass_n1: np.ndarray
 ) -> float:
     """E[u^n] = (1/4)(||u^n||^2 + ||2u^n - u^{n-1}||^2 + ||u^n - u^{n-1}||^2).
 
     With a = u^n and b = u^{n-1}, the three norms are formed from the two
-    products M a and M b (M(2a - b) = 2 M a - M b), which the caller can
-    pass as mass_n and mass_n1 where it has formed them.
+    products mass_n = M a and mass_n1 = M b (M(2a - b) = 2 M a - M b).
     """
     require_same_mesh(u_n, u_n1)
     a, b = u_n.coefficients, u_n1.coefficients
-    ma = band_matvec(operators.mass, a) if mass_n is None else mass_n
-    mb = band_matvec(operators.mass, b) if mass_n1 is None else mass_n1
-    return 0.25 * float(a @ ma + (2.0 * a - b) @ (2.0 * ma - mb) + (a - b) @ (ma - mb))
+    return 0.25 * float(a @ mass_n + (2.0 * a - b) @ (2.0 * mass_n - mass_n1)
+                        + (a - b) @ (mass_n - mass_n1))
 
 
 def energy_z(
@@ -491,8 +476,8 @@ def run_time_filtered(
         # exerted on rhohat = I[rho^n] in step 1.
         mass_n = band_matvec(ops.mass, rho.coefficients) if n else mass_n1
         diag = StepDiagnostics(
-            n=n, t=t, l2_norm=mass_norm(rho, ops, mass_n),
-            energy_e=energy_e(rho, rho_n1, ops, mass_n, mass_n1),
+            n=n, t=t, l2_norm=mass_norm(rho, mass_n),
+            energy_e=energy_e(rho, rho_n1, mass_n, mass_n1),
             zeta_z=0.0 if rho_n2 is None else energy_z(rho, rho_n1, rho_n2, ops),
             newton_iters=iters, stab_dissipation=dissipation, residual_scale=scale,
         )

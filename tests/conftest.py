@@ -7,7 +7,6 @@ import pytest
 import scipy.linalg
 
 from lwrfem.mesh import (
-    ASSEMBLY_RULE,
     FeFunction,
     Mesh1D,
     QuadratureRule,
@@ -16,8 +15,9 @@ from lwrfem.mesh import (
     require_same_mesh,
 )
 from lwrfem.filtering import FilterContext, Stabilization
-from lwrfem.operators import AssembledOperators
-from lwrfem.stepping import StepDiagnostics, run_time_filtered
+from lwrfem.linalg import band_matvec
+from lwrfem.operators import REFERENCE, AssembledOperators
+from lwrfem.stepping import StepDiagnostics, energy_e, mass_norm, run_time_filtered
 
 
 def random_fe(mesh: Mesh1D, rng: np.random.Generator, scale: float = 1.0) -> FeFunction:
@@ -66,10 +66,21 @@ def b_form(u: FeFunction, v: FeFunction, w: FeFunction) -> float:
     int u' v w = T_ijk w_i v_j u_k and int u v' w = T_ijk w_i u_j v_k.
     """
     mesh = require_same_mesh(u, v, w)
-    t = ASSEMBLY_RULE.transport[mesh.degree]
+    t = REFERENCE[mesh.degree].transport
     cu, cv, cw = (f.coefficients[mesh.cell_dofs] for f in (u, v, w))
     return float(np.einsum("ijk,ei,ej,ek->", t, cw, cv, cu)
                  + 2.0 * np.einsum("ijk,ei,ej,ek->", t, cw, cu, cv)) / 3.0
+
+
+def norm(u: FeFunction, operators: AssembledOperators) -> float:
+    """mass_norm of u, with the product M u formed here."""
+    return mass_norm(u, band_matvec(operators.mass, u.coefficients))
+
+
+def energy(u_n: FeFunction, u_n1: FeFunction, operators: AssembledOperators) -> float:
+    """energy_e of (u^n, u^{n-1}), with the products M u^n and M u^{n-1} formed here."""
+    mass_n, mass_n1 = (band_matvec(operators.mass, u.coefficients) for u in (u_n, u_n1))
+    return energy_e(u_n, u_n1, mass_n, mass_n1)
 
 
 def total_variation(rho_h: FeFunction) -> float:

@@ -3,11 +3,11 @@ import pytest
 
 from lwrfem import analysis
 from lwrfem.analysis import convergence_table, l2_error, run_error_inf
-from lwrfem.mesh import DIRICHLET, PERIODIC, FeFunction, build_mesh, l2_project
-from lwrfem.operators import assemble
+from lwrfem.mesh import DIRICHLET, PERIODIC, FeFunction, build_mesh
+from lwrfem.operators import assemble, l2_project
 from lwrfem.scenarios import manufactured, shock
-from lwrfem.stepping import StepDiagnostics, mass_norm
-from conftest import overshoot, random_fe, total_variation
+from lwrfem.stepping import StepDiagnostics
+from conftest import norm, overshoot, random_fe, total_variation
 
 
 def make_record(state, t):
@@ -44,7 +44,7 @@ class TestL2Error:
         for _ in range(10):
             f = random_fe(mesh, rng)
             quad = l2_error(f, lambda x, t: np.zeros_like(x), 0.0)
-            assert quad == pytest.approx(mass_norm(f, ops), abs=1e-12)
+            assert quad == pytest.approx(norm(f, ops), abs=1e-12)
 
 
 class TestTripleNorm:

@@ -3,12 +3,11 @@ import pytest
 
 from lwrfem.filtering import build_filter_context, stabilization_matrix
 from lwrfem.linalg import band_matvec
-from lwrfem.mesh import DIRICHLET, PERIODIC, FeFunction, build_mesh, l2_project
-from lwrfem.operators import assemble
-from lwrfem.stepping import mass_norm
+from lwrfem.mesh import DIRICHLET, PERIODIC, FeFunction, build_mesh
+from lwrfem.operators import assemble, l2_project
 from conftest import (
     FilterOracle, applied_base, dense, dense_stabilization_base, fe_values_on_rule,
-    integrate_elementwise, operator_matrix, random_fe,
+    integrate_elementwise, norm, operator_matrix, random_fe,
 )
 
 
@@ -77,16 +76,16 @@ class TestApplyFilter:
         oracle = FilterOracle(ops, delta=0.1, deconv_order=0)
         u = l2_project(lambda x: np.sin(2 * np.pi * x), mesh)
         ubar = oracle.filter(u)
-        assert mass_norm(ubar, ops) < mass_norm(u, ops)
+        assert norm(ubar, ops) < norm(u, ops)
         symbol = 1.0 / (1.0 + oracle.delta**2 * (2 * np.pi) ** 2)
         diff = FeFunction(mesh, ubar.coefficients - symbol * u.coefficients)
-        assert mass_norm(diff, ops) <= 0.01 * mass_norm(u, ops)
+        assert norm(diff, ops) <= 0.01 * norm(u, ops)
 
     def test_contractive_in_mass_norm(self, setup, oracle, rng):
         mesh, ops, _ = setup
         for _ in range(100):
             u = random_fe(mesh, rng)
-            assert mass_norm(oracle.filter(u), ops) <= mass_norm(u, ops) * (1 + 1e-12)
+            assert norm(oracle.filter(u), ops) <= norm(u, ops) * (1 + 1e-12)
 
 
 class TestDeconvolve:
@@ -156,7 +155,7 @@ class TestFluctuation:
         norms = []
         for order in (0, 1):
             oracle = FilterOracle(ops, delta=np.sqrt(mesh.h), deconv_order=order)
-            norms.append(mass_norm(oracle.fluctuation(u), ops))
+            norms.append(norm(oracle.fluctuation(u), ops))
         assert norms[1] <= norms[0]
 
 

@@ -9,10 +9,9 @@ from lwrfem.mesh import (
     QuadratureRule,
     build_mesh,
     evaluate,
-    l2_project,
-    scatter_band,
     shape_values,
 )
+from lwrfem.operators import l2_project, scatter_band
 from conftest import dense, simpson_l2_error
 
 

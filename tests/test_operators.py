@@ -9,14 +9,15 @@ from lwrfem.mesh import (
     QuadratureRule,
     build_mesh,
     element_values,
-    load_vector,
-    scatter_band,
 )
 from lwrfem.operators import (
+    REFERENCE,
     assemble,
     b_jacobian,
     b_residual,
     forcing_vector,
+    load_vector,
+    scatter_band,
 )
 from lwrfem.linalg import band_matvec
 from conftest import b_form, dense, fe_values_on_rule, integrate_elementwise, random_fe
@@ -180,10 +181,20 @@ class TestTransportTensor:
     def test_tensor_is_the_exact_integral(self, degree):
         # int phi_j phi_k' phi_i on the reference element, by a 7-point rule
         rule = QuadratureRule.gauss_legendre(7)
-        basis, dbasis = rule.values[degree], rule.derivatives[degree]
-        exact = np.einsum("q,qi,qj,qk->ijk", rule.weights, basis, basis, dbasis)
-        assert np.abs(ASSEMBLY_RULE.transport[degree] - exact).max() <= 1e-15
-        assert not ASSEMBLY_RULE.transport[degree].flags.writeable
+        w, basis, dbasis = rule.weights, rule.values[degree], rule.derivatives[degree]
+        exact = np.einsum("q,qi,qj,qk->ijk", w, basis, basis, dbasis)
+        assert np.abs(REFERENCE[degree].transport - exact).max() <= 1e-15
+        assert not REFERENCE[degree].transport.flags.writeable
+        # so are the mass, stiffness and convection tables, to a few units
+        # in the last place of their largest entry (P2 stiffness: 16/3)
+        for name, table in (
+            ("mass", np.einsum("q,qi,qj->ij", w, basis, basis)),
+            ("stiffness", np.einsum("q,qi,qj->ij", w, dbasis, dbasis)),
+            ("convection", np.einsum("q,qi,qj->ij", w, basis, dbasis)),
+        ):
+            reference = getattr(REFERENCE[degree], name)
+            assert np.abs(reference - table).max() <= 2e-15 * np.abs(table).max(), name
+            assert not reference.flags.writeable, name
 
     @pytest.mark.parametrize("kind", [DIRICHLET, PERIODIC])
     @pytest.mark.parametrize("degree", [1, 2])

@@ -17,9 +17,9 @@ from lwrfem.linalg import band_matvec
 from lwrfem.mesh import DIRICHLET, PERIODIC, FeFunction, build_mesh
 from lwrfem.operators import assemble, b_residual, forcing_vector
 from lwrfem.scenarios import LEFT, RIGHT, Scenario, manufactured
-from lwrfem.stepping import ModelParams, Stepper, TimeGrid, mass_norm, run_time_filtered
+from lwrfem.stepping import ModelParams, Stepper, TimeGrid, run_time_filtered
 from conftest import (
-    FilterOracle, applied_base, b_form, dense, dense_stabilization_base, march,
+    FilterOracle, applied_base, b_form, dense, dense_stabilization_base, march, norm,
     three_level_ops,
 )
 
@@ -143,7 +143,7 @@ def test_unfiltered_energy_inequality(degree, n, chi, delta_coeff, order, n_step
     state = trajectory[-1][0]
     c = state.coefficients
     assert dissipation[-1] == (0.0 if stepper.stab is None else stepper.stab(c)[1])
-    assert norms[-1] == mass_norm(state, stepper.operators)
+    assert norms[-1] == norm(state, stepper.operators)
 
 
 @PROPERTY_SETTINGS

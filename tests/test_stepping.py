@@ -8,8 +8,8 @@ from lwrfem import filtering, linalg, stepping
 from lwrfem.analysis import l2_error, run_error_inf
 from lwrfem.filtering import build_filter_context, stabilization_matrix
 from lwrfem.linalg import SingularMatrixError, band_matvec, lu_solve
-from lwrfem.mesh import DIRICHLET, PERIODIC, FeFunction, build_mesh, mass_matrix
-from lwrfem.operators import assemble, b_jacobian, b_residual, forcing_vector
+from lwrfem.mesh import DIRICHLET, PERIODIC, FeFunction, build_mesh
+from lwrfem.operators import assemble, b_jacobian, b_residual, forcing_vector, mass_matrix
 from lwrfem.scenarios import LEFT, RIGHT, manufactured, rarefaction, shock
 from lwrfem.stepping import (
     ModelParams,
@@ -17,15 +17,14 @@ from lwrfem.stepping import (
     Stepper,
     TimeGrid,
     be_step,
-    energy_e,
     energy_z,
-    mass_norm,
     newton_solve,
     run_time_filtered,
     time_filter_step,
 )
 from conftest import (
-    applied_base, band, dense, march, operator_matrix, smooth_periodic, three_level_ops,
+    applied_base, band, dense, energy, march, norm, operator_matrix, smooth_periodic,
+    three_level_ops,
 )
 
 
@@ -250,14 +249,14 @@ class TestEnergies:
     def test_zero_states(self, periodic_setup):
         mesh, ops = periodic_setup
         z = FeFunction(mesh, np.zeros(mesh.n_dofs))
-        assert energy_e(z, z, ops) == 0.0
+        assert energy(z, z, ops) == 0.0
         assert energy_z(z, z, z, ops) == 0.0
 
     def test_equal_states_halve_norm_squared(self, periodic_setup, rng):
         mesh, ops = periodic_setup
         u = smooth_periodic(mesh, rng)
-        expected = 0.5 * mass_norm(u, ops) ** 2
-        assert energy_e(u, u, ops) == pytest.approx(expected, rel=1e-12)
+        expected = 0.5 * norm(u, ops) ** 2
+        assert energy(u, u, ops) == pytest.approx(expected, rel=1e-12)
 
     def test_curvature_vanishes_on_linear_history(self, periodic_setup, rng):
         # u^n = 2 u^{n-1} - u^{n-2} has zero discrete second difference
@@ -270,7 +269,7 @@ class TestEnergies:
         mesh, ops = periodic_setup
         for _ in range(20):
             u = [smooth_periodic(mesh, rng) for _ in range(3)]
-            assert energy_e(u[0], u[1], ops) >= 0.0
+            assert energy(u[0], u[1], ops) >= 0.0
             assert energy_z(u[0], u[1], u[2], ops) >= 0.0
 
 
@@ -291,7 +290,7 @@ class TestBeStep:
         for _ in range(10):
             state = smooth_periodic(mesh, rng)
             out, _, _, _ = step_from(stepper, state, 0.01)
-            assert mass_norm(out, ops) <= mass_norm(state, ops) * (1 + 1e-12)
+            assert norm(out, ops) <= norm(state, ops) * (1 + 1e-12)
 
     def test_state_on_another_mesh_rejected(self, periodic_setup, rng):
         mesh, _ = periodic_setup
@@ -367,7 +366,7 @@ class TestBeStep:
         results = [step_from(stepper, prev, 0.51, guess) for guess in (None, near)]
         (state_a, _, scale_a, _), (state_b, _, scale_b, _) = results
         # the L2 norm of rho^{n-1}; the boundary values are 0
-        assert scale_a == scale_b == mass_norm(prev, stepper.operators)
+        assert scale_a == scale_b == norm(prev, stepper.operators)
         # both meet ||r|| <= 1e-10 scale, so they agree far below the step's change
         change = np.abs(state_a.coefficients - prev.coefficients).max()
         assert np.abs(state_a.coefficients - state_b.coefficients).max() <= 1e-9 * change
@@ -420,6 +419,16 @@ class TestBeStep:
         else:
             assert calls
             assert stepper.newton.shape[1] == 5 * mesh.n_dofs  # 2N + 3 unknowns
+
+    def test_zero_weight_builds_no_filter_context(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("filter context built at chi = 0")
+
+        monkeypatch.setattr(stepping, "build_filter_context", refuse)
+        mesh = build_mesh(0.0, 1.0, 16, 2, DIRICHLET)
+        params = ModelParams(chi=0.0, delta=np.sqrt(mesh.h), deconv_order=1)
+        assert Stepper.build(manufactured(), params, 0.05, mesh).unknowns == 1
+        assert len(march(manufactured(), params, TimeGrid(0.05, 3), mesh)) == 4
 
     @pytest.mark.parametrize("make,degree,order,gamma,dt", [
         (shock, 1, 0, 0.0, 1e-3), (manufactured, 2, 1, 2.0 / 3.0, 0.01),
