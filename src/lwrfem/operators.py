@@ -112,7 +112,7 @@ def load_vector(mesh: Mesh1D, values: np.ndarray) -> np.ndarray:
     """Vector of (g, phi_i) from g's values at the assembly quadrature points."""
     rule = ASSEMBLY_RULE
     basis = rule.values[mesh.degree]
-    local = mesh.h * np.einsum("q,eq,qi->ei", rule.weights, values, basis)
+    local = mesh.h * ((values * rule.weights) @ basis)
     return np.bincount(mesh.cell_dofs.ravel(), local.ravel(), minlength=mesh.n_dofs)
 
 
