@@ -13,8 +13,9 @@ the mesh is banded, with half-bandwidth ``half_band`` (degree on
 Dirichlet meshes, 2 degree on periodic ones); ``band_index`` places each
 element's DOF pairs in the band storage of ``linalg``.  This module
 assembles nothing: ``operators`` integrates and scatters.  Callables of
-x are sampled vectorised, on whole arrays of points.  Bad input (a degree outside {1, 2}, fewer than two elements, a
-point off the mesh, operands on different meshes) raises ValueError.
+x are sampled vectorised, on whole arrays of points.  Bad input (a
+degree outside {1, 2}, fewer than two elements, a point off the mesh,
+operands on different meshes) raises ValueError.
 """
 
 from __future__ import annotations
