@@ -1,13 +1,23 @@
-"""Banded linear algebra kernel: one checked LU solve and a band product.
+"""Banded linear algebra kernel: a checked LU factorization, its solve and a band product.
 
 A matrix with kl sub-diagonals and ku super-diagonals is held in LAPACK
 band storage, ab[ku + i - j, j] = a[i, j], an array of shape
 (kl + ku + 1, n); entries of ab outside the matrix are zero.  Every
-operator of the solver is banded on a 1D mesh, so a factor-and-solve
-costs O(n kl (kl + ku)) time and O(n (kl + ku)) memory.  The solve is
-LAPACK gbsv (LU with partial pivoting) on a copy of ab; the checks
-before it take no scratch: max(max ab, -min ab) is the largest entry
-magnitude, and it is finite only if every entry is.
+operator of the solver is banded on a 1D mesh, so a factorization
+costs O(n kl (kl + ku)) time and O(n (kl + ku)) memory, and a solve
+with it O(n (kl + ku)).
+
+The factorization and the solve are separate steps, LAPACK gbtrf (LU
+with partial pivoting) and gbtrs, so that one factor can serve several
+right-hand sides: the simplified (chord) Newton iteration re-solves with
+a factor it has already built (see ``stepping.newton_solve``).  A
+``BandLU`` holds the factors in storage that it reuses for every later
+factorization of a band of the same shape; gbtrf followed by gbtrs
+gives the same bits as gbsv.  Every check is made at factor time and
+takes no scratch: the band's shape, its entries (max(max ab, -min ab)
+is the largest entry magnitude, finite only if every entry is), the
+zero matrix and the pivot threshold.  ``lu_solve`` is one factorization
+and one solve.
 
 The product is one BLAS gbmv call, which reads the same storage.  Bands
 are kept in Fortran order: the f2py wrapper silently copies a C-ordered
@@ -32,44 +42,88 @@ class SingularMatrixError(ValueError):
 # is treated as an exact zero.
 PIVOT_RTOL = 1e-14
 
-_GBSV, = get_lapack_funcs(("gbsv",), (np.zeros(1),))
+_GBTRF, _GBTRS = get_lapack_funcs(("gbtrf", "gbtrs"), (np.zeros(1),))
 _GBMV, = get_blas_funcs(("gbmv",), (np.zeros(1),))
 
 
-def lu_solve(ab: np.ndarray, b: np.ndarray, kl: int, ku: int) -> np.ndarray:
+class BandLU:
+    """LU factors of one band matrix, in storage reused by the next factorization.
+
+    ``factor(ab, kl, ku)`` factors A and ``solve(b)`` solves A x = b with
+    the factors of the last successful factorization.  The storage, the
+    (2 kl + ku + 1, n) array gbtrf fills, is allocated by the first
+    factorization and again only when the band's shape changes.
+    """
+
+    def __init__(self) -> None:
+        self.lu = np.zeros((0, 0), order="F")  # gbtrf's first kl rows hold fill-in
+        self.kl = self.ku = 0
+        self.pivots: np.ndarray | None = None  # None: no factorization to solve with
+
+    def factor(self, ab: np.ndarray, kl: int, ku: int) -> None:
+        """Factor A, given in band storage; ab itself is left unchanged.
+
+        Raises ValueError for a band of other than kl + ku + 1 rows or with
+        non-finite entries, and SingularMatrixError when a pivot magnitude
+        (the diagonal of U) falls below PIVOT_RTOL times the largest entry
+        magnitude of A.  A failed factorization leaves nothing to solve with.
+        """
+        self.pivots = None
+        ab = np.asarray(ab, dtype=float)
+        if min(kl, ku) < 0 or ab.ndim != 2 or ab.shape[0] != kl + ku + 1:
+            raise ValueError(
+                f"expected kl + ku + 1 band rows for kl = {kl}, ku = {ku}, got shape {ab.shape}"
+            )
+        scale = max(ab.max(), -ab.min())
+        if not np.isfinite(scale):
+            raise ValueError("matrix contains non-finite entries")
+        if scale == 0.0:
+            raise SingularMatrixError("zero matrix")
+        shape = (2 * kl + ku + 1, ab.shape[1])
+        if self.lu.shape != shape:
+            self.lu = np.zeros(shape, order="F")
+        self.kl, self.ku = kl, ku
+        self.lu[kl:] = ab
+        _, pivots, _ = _GBTRF(self.lu, kl, ku, overwrite_ab=True)
+        # an exactly zero pivot (gbtrf's info > 0) is caught here too
+        smallest = np.abs(self.lu[kl + ku]).min()
+        if smallest < PIVOT_RTOL * scale:
+            raise SingularMatrixError(
+                f"pivot {smallest:.3e} below threshold {PIVOT_RTOL * scale:.3e}"
+            )
+        self.pivots = pivots
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """x with A x = b for the last factored A; b is a vector or stacked columns.
+
+        Raises ValueError for a b of another length, and when no
+        factorization holds (none made, or the last one failed).
+        """
+        if self.pivots is None:
+            raise ValueError("no factorization to solve with")
+        b = np.asarray(b, dtype=float)
+        n = self.lu.shape[1]
+        if b.shape[0] != n:
+            raise ValueError(
+                f"right-hand side length {b.shape[0]} does not match matrix size {n}"
+            )
+        x, _ = _GBTRS(self.lu, self.kl, self.ku, b, self.pivots)
+        return x
+
+
+def lu_solve(
+    ab: np.ndarray, b: np.ndarray, kl: int, ku: int, out: BandLU | None = None
+) -> np.ndarray:
     """Solve A x = b for A in band storage; b is a vector or stacked columns.
 
-    Raises ValueError for a band of other than kl + ku + 1 rows, a b of
-    another length or non-finite entries, and SingularMatrixError when a
-    pivot magnitude (the diagonal of U) falls below PIVOT_RTOL times the
-    largest entry magnitude of A.  ab itself is left unchanged.
+    One factorization (``BandLU.factor``, with its checks and errors) and
+    one solve.  The factors go into out when it is given, which can then
+    solve further right-hand sides with them, and into fresh storage
+    otherwise.  ab itself is left unchanged.
     """
-    ab = np.asarray(ab, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if min(kl, ku) < 0 or ab.ndim != 2 or ab.shape[0] != kl + ku + 1:
-        raise ValueError(
-            f"expected kl + ku + 1 band rows for kl = {kl}, ku = {ku}, got shape {ab.shape}"
-        )
-    n = ab.shape[1]
-    if b.shape[0] != n:
-        raise ValueError(
-            f"right-hand side length {b.shape[0]} does not match matrix size {n}"
-        )
-    scale = max(ab.max(), -ab.min())
-    if not np.isfinite(scale):
-        raise ValueError("matrix contains non-finite entries")
-    if scale == 0.0:
-        raise SingularMatrixError("zero matrix")
-    lu = np.zeros((2 * kl + ku + 1, n), order="F")  # gbsv's first kl rows hold fill-in
-    lu[kl:] = ab
-    lu, _, x, _ = _GBSV(kl, ku, lu, b, overwrite_ab=True)
-    # an exactly zero pivot (gbsv's info > 0, x not computed) is caught here too
-    pivots = np.abs(lu[kl + ku])
-    if pivots.min() < PIVOT_RTOL * scale:
-        raise SingularMatrixError(
-            f"pivot {pivots.min():.3e} below threshold {PIVOT_RTOL * scale:.3e}"
-        )
-    return x
+    factors = BandLU() if out is None else out
+    factors.factor(ab, kl, ku)
+    return factors.solve(b)
 
 
 def band_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -7,13 +7,20 @@ find rho^n solving
         - (2 v_f / rho_m) b(rho^n, rho^n, v)
         + chi delta^2 ((rho^n)*_x, v*_x) = (f^n, v)   for all v,
 
-a nonlinear system handled by full Newton with the analytic Jacobian.
+a nonlinear system handled by Newton with the analytic Jacobian.
 Newton starts from the linear extrapolation 2 rho^{n-1} - rho^{n-2} of
 the accepted states (from rho^0 on the first step), with the Dirichlet
 values of the new time level in place, and stops once the residual is
 below tol times the size of the step's data, a threshold that the guess
-cannot move (see ``be_step``).  The second scheme post-processes each
-backward Euler step with the time filter
+cannot move (see ``be_step``).  Each step factors its Jacobian at the
+start iterate and keeps that factor, re-solving with it (a chord step),
+for as long as the last contraction of the residual predicts that one
+more chord step reaches the threshold; otherwise it factors again at the
+current iterate (see ``newton_solve``; Kelley, Solving Nonlinear
+Equations with Newton's Method, SIAM 2003, the chord and Shamanskii
+methods; Hairer and Wanner, Solving Ordinary Differential Equations II,
+IV.8).  No factor outlives its step.  The second scheme post-processes
+each backward Euler step with the time filter
 
     rho^n = rhohat^n - (gamma/2)(rhohat^n - 2 rho^{n-1} + rho^{n-2}),
 
@@ -60,8 +67,10 @@ unknowns, numbered DOF by DOF).  The rho rows read
 
 and the y and v rows are the recurrences with a zero right-hand side.
 Eliminating y and v gives back the Newton step of the dense operator.
-Only the (rho, rho) entries change from one iteration to the next; a
-banded LU (LAPACK gbsv) solves the system in O(n) time.
+Only the (rho, rho) entries change from one factorization to the next;
+a banded LU (LAPACK gbtrf) factors the system in O(n) time, into a
+workspace the ``Stepper`` holds, and each solve with it (gbtrs) is O(n)
+too.
 
 Dirichlet data is enforced by row replacement: the residual row of the
 constrained end's node becomes rho_i - g(t^n) and the matching Newton
@@ -78,7 +87,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .filtering import Stabilization, build_filter_context, stabilization_matrix
-from .linalg import SingularMatrixError, band_matvec, lu_solve
+from .linalg import BandLU, SingularMatrixError, band_matvec, lu_solve
 from .mesh import FeFunction, Mesh1D, require_same_mesh
 from .operators import (
     AssembledOperators,
@@ -169,24 +178,33 @@ _EPS = float(np.finfo(float).eps)
 
 def newton_solve(
     residual: Callable[[np.ndarray], np.ndarray],
-    step: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    factor: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]],
     guess: np.ndarray,
     scale: float,
     tol: float = NEWTON_TOL,
     max_iter: int = NEWTON_MAX_ITER,
 ) -> tuple[np.ndarray, int]:
-    """Full Newton iteration; returns (solution, iterations).
+    """Newton iteration, its factor kept while predicted to finish; returns (x, iterations).
 
-    step(x, r) returns the Newton correction d that solves J(x) d = -r
-    for the Jacobian J of residual at x.  Stops once ||residual(x)|| <=
-    tol * scale, a threshold fixed before the first iteration: the caller
-    picks scale from the problem, not from the guess, so that a better
-    guess saves iterations without loosening the test (Kelley, Solving
-    Nonlinear Equations with Newton's Method, SIAM 2003, 1.5).  A guess
-    that already meets it returns with zero iterations; at scale 0 only
-    an exact root does.  tol is a fraction of scale and must lie in
-    (0, 1): at 1 or more the test would accept a residual as large as
-    the scale itself.
+    factor(x) factors the Jacobian J of residual at x and returns a solve:
+    solve(r) is the correction d with J(x) d = -r.  Stops once
+    ||residual(x)|| <= tol * scale, a threshold fixed before the first
+    iteration: the caller picks scale from the problem, not from the guess,
+    so that a better guess saves iterations without loosening the test
+    (Kelley, Solving Nonlinear Equations with Newton's Method, SIAM 2003,
+    1.5).  A guess that already meets it returns with zero iterations; at
+    scale 0 only an exact root does.  tol is a fraction of scale and must
+    lie in (0, 1): at 1 or more the test would accept a residual as large
+    as the scale itself.
+
+    The first iteration factors at the guess.  Each later one re-solves
+    with the kept factor, a simplified (chord) Newton step (Kelley, the
+    chord and Shamanskii methods), when the last contraction predicts
+    that one more such step reaches the threshold: with the last two
+    residual norms r_prev and r, when r^2 / r_prev <= tol * scale (Hairer
+    and Wanner, Solving Ordinary Differential Equations II, IV.8).
+    Otherwise it factors again at the current iterate.  At scale 0 the
+    prediction never holds, and every iteration factors: exact Newton.
 
     It also stops after a correction d with ||d|| <= NEWTON_ROUNDING eps
     ||x||: x is then a root to the precision of its own digits, and the
@@ -207,6 +225,7 @@ def newton_solve(
         norm = float(np.linalg.norm(r))
     threshold = tol * scale
     iters, settled = 0, False  # settled: the last correction was at rounding level
+    solve, prev_norm = None, 0.0  # the kept factor's solve and the norm before the last step
     while not np.isfinite(norm) or (norm > threshold and not settled):
         if not np.isfinite(norm):
             raise NoConvergenceError(
@@ -217,9 +236,12 @@ def newton_solve(
                 f"no convergence after {max_iter} Newton iterations "
                 f"(residual {norm:.3e})"
             )
-        d = step(x, r)
+        if solve is None or norm * norm > threshold * prev_norm:
+            solve = factor(x)
+        d = solve(r)
         x += d
         iters += 1
+        prev_norm = norm
         r = residual(x)
         with np.errstate(over="ignore", invalid="ignore"):
             norm = float(np.linalg.norm(r))
@@ -277,10 +299,12 @@ def _newton_matrix(
 class Stepper:
     """Everything constant over one run: built once, read by every step.
 
-    ``newton`` is the run's one band buffer: each Newton iteration
+    ``newton`` is the run's one band buffer: each factorization
     overwrites its (rho, rho) entries, through the view ``rho_block``, and
-    solves with it.  ``bc_entries`` are the DOF-level band positions of
-    the constrained rows and ``bc_values`` their identity-row values.
+    factors it into ``factors``, the run's one LU workspace, which the
+    iterations that keep the factor solve with.  ``bc_entries`` are the
+    DOF-level band positions of the constrained rows and ``bc_values``
+    their identity-row values.
     """
 
     scenario: Scenario
@@ -289,6 +313,7 @@ class Stepper:
     linear_part: np.ndarray  # M/dt + v_f C, band storage
     newton: np.ndarray  # augmented Newton matrix, band storage
     half_bands: tuple[int, int]  # (kl, ku) of newton
+    factors: BandLU  # LU factors of newton at the step's last factorization
     unknowns: int  # Newton unknowns per DOF
     rho_block: np.ndarray  # the (rho, rho) block of newton, DOF-level band storage
     bc_entries: tuple[np.ndarray, np.ndarray]  # (band rows, columns)
@@ -320,7 +345,7 @@ class Stepper:
         return cls(
             scenario=scenario, operators=ops, stab=stab,
             linear_part=ops.mass / dt + params.v_f * ops.convection,
-            newton=newton, half_bands=(kl, ku), unknowns=unknowns,
+            newton=newton, half_bands=(kl, ku), factors=BandLU(), unknowns=unknowns,
             rho_block=_block(newton, ku, unknowns, w, 0, 0), bc_entries=bc_entries,
             bc_values=(bc_entries[0] == w).astype(float), constrained=constrained,
             nonlinear_coeff=2.0 * params.v_f / params.rho_m, dt=dt,
@@ -376,18 +401,31 @@ def be_step(
             r[i] = x[i] - value
         return r
 
-    def step(x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    def factor(x: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         jac = b_jacobian(FeFunction(mesh, x))
         np.subtract(linear_part, nonlinear_coeff * jac, out=rho_block)
         rho_block[stepper.bc_entries] = stepper.bc_values
-        lifted = np.zeros(stepper.newton.shape[1])
-        lifted[::unknowns] = -r
-        return lu_solve(stepper.newton, lifted, kl, ku)[::unknowns]
+        factored = False
+
+        def solve(r: np.ndarray) -> np.ndarray:
+            # The first solve factors the band into the Stepper's workspace
+            # through lu_solve (looked up here, so that a tracer wrapping
+            # it counts factorizations); later ones reuse those factors.
+            nonlocal factored
+            lifted = np.zeros(stepper.newton.shape[1])
+            lifted[::unknowns] = -r
+            if factored:
+                return stepper.factors.solve(lifted)[::unknowns]
+            d = lu_solve(stepper.newton, lifted, kl, ku, out=stepper.factors)
+            factored = True
+            return d[::unknowns]
+
+        return solve
 
     start = np.array(rho_prev.coefficients if guess is None else guess, dtype=float)
     for i, value in bcs:  # the guess meets the step's Dirichlet rows
         start[i] = value
-    coeffs, iters = newton_solve(residual, step, start, scale, stepper.newton_tol,
+    coeffs, iters = newton_solve(residual, factor, start, scale, stepper.newton_tol,
                                  stepper.newton_max_iter)
     return FeFunction(mesh, coeffs), iters, scale, dissipation
 

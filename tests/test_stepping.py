@@ -1,11 +1,13 @@
 import dataclasses
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lwrfem import filtering, linalg, stepping
 from lwrfem.analysis import l2_error, run_error_inf
+from lwrfem.cli import parse_config
 from lwrfem.filtering import build_filter_context, stabilization_matrix
 from lwrfem.linalg import SingularMatrixError, band_matvec, lu_solve
 from lwrfem.mesh import DIRICHLET, PERIODIC, FeFunction, build_mesh
@@ -45,9 +47,22 @@ def step_from(stepper, state, t_next, guess=None):
     return be_step(stepper, state, mass_prev, t_next, guess)
 
 
-def dense_step(jacobian):
-    """Newton step callback d = -J(x)^{-1} r from a dense Jacobian."""
-    return lambda x, r: np.linalg.solve(jacobian(x), -r)
+def time_rates_rung(chi):
+    """(scenario, params, grid, mesh) of the coarsest rung of configs/time_rates.cfg."""
+    config = parse_config(Path(__file__).resolve().parents[1] / "configs" / "time_rates.cfg",
+                          {"chi": str(chi)})
+    mesh = config.make_mesh()
+    grid = TimeGrid.to_final_time(config.dt_max, config.t_final)
+    return config.get_scenario(), config.make_params(mesh.h), grid, mesh
+
+
+def dense_factor(jacobian):
+    """Newton factor callback from a dense Jacobian: J taken at x, solve(r) = -J^{-1} r."""
+    def factor(x):
+        jac = jacobian(x)
+        return lambda r: np.linalg.solve(jac, -r)
+
+    return factor
 
 
 class TestModelParamsAndGrid:
@@ -81,20 +96,20 @@ class TestNewtonSolve:
     def test_linear_system_one_iteration(self, rng):
         a = rng.standard_normal((6, 6)) + 4.0 * np.eye(6)
         b = rng.standard_normal(6)
-        x, iters = newton_solve(lambda x: a @ x - b, dense_step(lambda x: a), np.zeros(6), 1.0)
+        x, iters = newton_solve(lambda x: a @ x - b, dense_factor(lambda x: a), np.zeros(6), 1.0)
         assert iters == 1
         assert np.linalg.norm(a @ x - b) < 1e-9
 
     def test_root_guess_zero_iterations(self):
         x, iters = newton_solve(
-            lambda x: x**2 - 4.0, dense_step(lambda x: np.diag(2.0 * x)), np.array([2.0]), 1.0
+            lambda x: x**2 - 4.0, dense_factor(lambda x: np.diag(2.0 * x)), np.array([2.0]), 1.0
         )
         assert iters == 0
         assert x[0] == 2.0
 
     def test_scalar_quadratic(self):
         x, iters = newton_solve(
-            lambda x: x**2 - 4.0, dense_step(lambda x: np.diag(2.0 * x)), np.array([3.0]), 1.0
+            lambda x: x**2 - 4.0, dense_factor(lambda x: np.diag(2.0 * x)), np.array([3.0]), 1.0
         )
         assert iters <= 6
         assert abs(x[0] - 2.0) < 1e-10
@@ -104,7 +119,7 @@ class TestNewtonSolve:
         with pytest.raises(NoConvergenceError):
             newton_solve(
                 lambda x: x**2 + 1.0,
-                dense_step(lambda x: np.diag(2.0 * x)),
+                dense_factor(lambda x: np.diag(2.0 * x)),
                 np.array([0.5]),
                 1.0,
                 max_iter=5,
@@ -120,7 +135,7 @@ class TestNewtonSolve:
     def test_non_finite_residual_raises(self, residual):
         with np.errstate(invalid="ignore"):
             with pytest.raises(NoConvergenceError, match="non-finite"):
-                newton_solve(residual, dense_step(lambda x: np.diag(1.0 / x)),
+                newton_solve(residual, dense_factor(lambda x: np.diag(1.0 / x)),
                              np.array([0.1, 5.0]), 1.0)
 
     @pytest.mark.parametrize("tol", [0.0, 1.0, 2.0])
@@ -128,19 +143,19 @@ class TestNewtonSolve:
         # tol is a fraction of the scale: at tol >= 1, ||r|| <= tol * scale
         # would accept a residual as large as the scale itself
         with pytest.raises(ValueError, match=r"tol must lie in \(0, 1\)"):
-            newton_solve(lambda x: x - 1.0, dense_step(lambda x: np.eye(1)), np.zeros(1), 1.0,
+            newton_solve(lambda x: x - 1.0, dense_factor(lambda x: np.eye(1)), np.zeros(1), 1.0,
                          tol=tol)
 
     @pytest.mark.parametrize("scale", [-1.0, float("nan")])
     def test_scale_must_be_nonnegative(self, scale):
         with pytest.raises(ValueError, match="scale must be nonnegative"):
-            newton_solve(lambda x: x - 1.0, dense_step(lambda x: np.eye(1)), np.zeros(1), scale)
+            newton_solve(lambda x: x - 1.0, dense_factor(lambda x: np.eye(1)), np.zeros(1), scale)
 
     def test_zero_scale_asks_for_an_exact_root(self):
-        assert newton_solve(lambda x: x, lambda x, r: -r, np.zeros(1), 0.0)[1] == 0
-        assert newton_solve(lambda x: x - 0.5, lambda x, r: -r, np.zeros(1), 0.0)[1] == 1
+        assert newton_solve(lambda x: x, lambda x: lambda r: -r, np.zeros(1), 0.0)[1] == 0
+        assert newton_solve(lambda x: x - 0.5, lambda x: lambda r: -r, np.zeros(1), 0.0)[1] == 1
         with pytest.raises(NoConvergenceError):  # halving the gap never closes it
-            newton_solve(lambda x: x - 0.5, lambda x, r: -0.25 * r, np.zeros(1), 0.0)
+            newton_solve(lambda x: x - 0.5, lambda x: lambda r: -0.25 * r, np.zeros(1), 0.0)
 
     def test_a_correction_at_rounding_level_ends_the_iteration(self):
         # a residual whose evaluation carries noise of 1e-4, as one holding
@@ -152,17 +167,17 @@ class TestNewtonSolve:
             evaluations.append(x)
             return 1e12 * (x - 0.5) + 1e-4 * (-1) ** len(evaluations)
 
-        x, iters = newton_solve(residual, lambda x, r: -r / 1e12, np.zeros(1), 1.0)
+        x, iters = newton_solve(residual, lambda x: lambda r: -r / 1e12, np.zeros(1), 1.0)
         assert iters == 2 and abs(x[0] - 0.5) <= 1e-15
         # a correction that stays large never ends it
         with pytest.raises(NoConvergenceError):
-            newton_solve(lambda x: np.ones(1), lambda x, r: -r, np.zeros(1), 1.0, max_iter=5)
+            newton_solve(lambda x: np.ones(1), lambda x: lambda r: -r, np.zeros(1), 1.0, max_iter=5)
 
     def test_threshold_is_tol_times_scale_whatever_the_guess(self):
         # x - 1 = 0 with a step that closes only half the gap: the residual
         # halves per iteration, so the count shows where the test stopped
         def run(guess, scale):
-            return newton_solve(lambda x: x - 1.0, lambda x, r: -0.5 * r,
+            return newton_solve(lambda x: x - 1.0, lambda x: lambda r: -0.5 * r,
                                 np.array([guess]), scale, tol=1e-3)[1]
 
         assert run(2.0, 1.0) == 10  # 2^-10 <= 1e-3 < 2^-9
@@ -170,20 +185,43 @@ class TestNewtonSolve:
         assert run(2.0, 1e3) == 0  # the guess's residual 1 is within 1e-3 * 1e3
         assert run(1e3, 1.0) == 20  # a worse guess does not loosen the test
 
+    def test_factor_is_kept_while_the_last_contraction_predicts_the_threshold(self):
+        # x - 1 = 0 with a solve that closes half the gap, from x = 2: before
+        # iteration k the last two residuals 2^-(k-1) and 2^-(k-2) predict
+        # 2^-k after one more solve with the kept factor, within tol = 1e-3
+        # from k = 10 on: nine factorizations, the first at the guess, then
+        # one re-solve that meets the threshold
+        points = []
+
+        def factor(x):
+            points.append(x[0])
+            return lambda r: -0.5 * r
+
+        x, iters = newton_solve(lambda x: x - 1.0, factor, np.array([2.0]), 1.0, tol=1e-3)
+        assert iters == 10 and len(points) == 9 and points[0] == 2.0
+        assert points == [1.0 + 2.0**-k for k in range(9)]  # each at the current iterate
+        # at scale 0 no prediction holds: every iteration factors, exact Newton
+        points.clear()
+        exact = dense_factor(lambda x: np.diag(2.0 * x))
+        x, iters = newton_solve(lambda x: x**2 - 4.0, lambda x: points.append(x[0]) or exact(x),
+                                np.array([3.0]), 0.0)
+        assert abs(x[0] - 2.0) <= 1e-15 and len(points) == iters >= 4
+
     def test_negative_max_iter_rejected(self):
         with pytest.raises(ValueError, match="max_iter must be nonnegative"):
-            newton_solve(lambda x: x, dense_step(lambda x: np.eye(1)), np.ones(1), 1.0,
+            newton_solve(lambda x: x, dense_factor(lambda x: np.eye(1)), np.ones(1), 1.0,
                          max_iter=-1)
         # zero iterations stay legal: a guess that is no root fails to converge
         with pytest.raises(NoConvergenceError):
-            newton_solve(lambda x: x, dense_step(lambda x: np.eye(1)), np.ones(1), 1.0,
+            newton_solve(lambda x: x, dense_factor(lambda x: np.eye(1)), np.ones(1), 1.0,
                          max_iter=0)
 
     def test_singular_jacobian_propagates(self):
         with pytest.raises(SingularMatrixError):
             newton_solve(
                 lambda x: np.array([x[0] + x[1] - 1.0, 2.0 * (x[0] + x[1]) - 2.0]),
-                lambda x, r: lu_solve(band(np.array([[1.0, 1.0], [2.0, 2.0]]), 1, 1), -r, 1, 1),
+                lambda x: lambda r: lu_solve(band(np.array([[1.0, 1.0], [2.0, 2.0]]), 1, 1),
+                                             -r, 1, 1),
                 np.zeros(2),
                 1.0,
             )
@@ -351,7 +389,7 @@ class TestBeStep:
 
         start = guess.copy()
         start[rows] = 0.3  # be_step starts on the step's Dirichlet values
-        expected, expected_iters = newton_solve(residual, dense_step(jacobian), start, scale)
+        expected, expected_iters = newton_solve(residual, dense_factor(jacobian), start, scale)
         state, iters, step_scale, _ = be_step(stepper, prev, mass_prev, 0.01, guess)
         assert step_scale == scale
         assert iters == expected_iters
@@ -388,6 +426,48 @@ class TestBeStep:
         stepper = Stepper.build(rarefaction(), params, 1e-4, mesh)
         state, iters, scale, _ = step_from(stepper, zero, 1e-4)
         assert scale == 0.47 and iters <= 3 and state.coefficients[0] == 0.47
+
+    @pytest.mark.parametrize("chi", [0.0, 1.0])
+    def test_every_step_factors_at_least_once(self, chi, monkeypatch):
+        # a factor never outlives its step: each step that iterates factors
+        # at its start iterate (through stepping.lu_solve, once per
+        # factorization), and on the time ladder's coarsest rung the kept
+        # factors leave fewer factorizations than iterations
+        calls = []
+        solve = stepping.lu_solve
+        monkeypatch.setattr(stepping, "lu_solve", lambda *a, **k: calls.append(1) or solve(*a, **k))
+        factorizations, iterations = [], []
+        for _, diag, _ in run_time_filtered(*time_rates_rung(chi)):
+            factorizations.append(len(calls))
+            iterations.append(diag.newton_iters)
+            calls.clear()
+        assert all(1 <= f <= i or f == i == 0 for f, i in zip(factorizations, iterations))
+        assert sum(iterations[1:]) > 0 and iterations[0] == factorizations[0] == 0
+        assert sum(factorizations) < sum(iterations)
+
+    def test_the_rung_where_plain_chord_stalls_converges(self, monkeypatch):
+        # on the chi = 0 coarsest rung of the time ladder (P2, n = 100,
+        # dt = 0.1) every step converges within 5 iterations (exact Newton
+        # takes 0, 5, 2, 3, 3, 3, 3, 3, 4, 4, 4)
+        rung = time_rates_rung(0.0)
+        assert max(diag.newton_iters for _, diag in march(*rung)) <= 5
+        # plain chord, the start iterate's factor kept for the whole step,
+        # stalls on it
+        newton = stepping.newton_solve
+
+        def plain_chord(residual, factor, *args):
+            kept = []
+
+            def factor_once(x):
+                if not kept:
+                    kept.append(factor(x))
+                return kept[0]
+
+            return newton(residual, factor_once, *args)
+
+        monkeypatch.setattr(stepping, "newton_solve", plain_chord)
+        with pytest.raises(NoConvergenceError, match="no convergence after 25 Newton"):
+            march(*rung)
 
     def test_huge_step_still_meets_a_singular_matrix(self):
         # the periodic P1 Newton matrix M/dt + C is singular at dt = 1e20;
