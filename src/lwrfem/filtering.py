@@ -14,24 +14,30 @@ F = A^{-1} M, and since I - F = A^{-1} delta^2 S it is applied, as
 approximate deconvolution does, by repeated filter solves and never
 formed:
 
-    Pi u = y_{N+1},          A y_k = delta^2 S y_{k-1},  y_0 = u;
-    Pi^T S Pi u = delta^2 S v_1,
-                             A v_{N+1} = S y_{N+1},  A v_k = delta^2 S v_{k+1}.
+    Pi u = y_{N+1},          A y_k = delta^2 S y_{k-1},  y_0 = u.
+
+The term's operator is K = chi delta^2 Pi^T S Pi.  A and S are
+symmetric, so S (I - F) = delta^2 S A^{-1} S = (I - F)^T S, and S
+commutes through Pi^T: Pi^T S Pi = S Pi^2, the discrete form of the
+differential filter being self-adjoint and commuting with -Delta
+(Layton and Rebholz, Approximate Deconvolution Models of Turbulence,
+LNM 2042, 2012).  So
+
+    K u = chi delta^2 S y_{2N+2},
+
+the same recurrence run 2N + 2 times, and the dissipation
+chi delta^2 (u*_x, u*_x) = chi delta^2 (Pi u) . S (Pi u) is the quadratic
+form u . K u, one dot product with the product already formed.
 
 Every operator is banded on a 1D mesh, so A is factored once per
 (mesh, delta, N) by a banded Cholesky factorization, and each solve is
 one LAPACK pbtrs in O(n) time.  The Newton step of the stepper poses the
-same recurrences as extra unknowns of one banded system, whose blocks
+recurrence as extra unknowns of one banded system, whose blocks
 ``Stabilization.newton_blocks`` returns: this module numbers those
 unknowns and builds their equations.  On Dirichlet
 meshes the filter equations are posed on all DOFs with natural boundary
 conditions (no rows are constrained), which keeps A symmetric positive
 definite.
-
-The stabilization's dissipation chi delta^2 (u*_x, u*_x) is the quadratic
-form chi delta^2 (Pi u) . S (Pi u), and S Pi u is the first product of
-the chain above.  So one call of the operator returns both K u and the
-dissipation of u, and no second chain is run for the diagnostics.
 """
 
 from __future__ import annotations
@@ -87,50 +93,37 @@ def fluctuation(ctx: FilterContext, u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Stabilization:
-    """The operator K = chi delta^2 Pi^T S Pi, applied by filter solves."""
+    """The operator K = chi delta^2 S Pi^2, applied by filter solves."""
 
     ctx: FilterContext
     weight: float  # chi delta^2
 
-    def __call__(self, u: np.ndarray) -> tuple[np.ndarray, float]:
-        """(K u, chi delta^2 (Pi u) . S (Pi u)): the product and its dissipation.
-
-        K u = chi delta^2 (delta^2 S v_1), N + 1 more solves after Pi u;
-        the quadratic form reuses the chain's S Pi u, so it costs one dot
-        product.
-        """
-        d2, s = self.ctx.delta**2, self.ctx.stiffness
-        y = fluctuation(self.ctx, u)
-        sy = band_matvec(s, y)
-        v = _filter_solve(self.ctx, sy)
-        for _ in range(self.ctx.deconv_order):
-            v = _filter_solve(self.ctx, d2 * band_matvec(s, v))
-        return self.weight * d2 * band_matvec(s, v), self.weight * float(y @ sy)
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        """K u = chi delta^2 S Pi (Pi u): 2N + 2 filter solves and 2N + 3 products."""
+        return self.weight * band_matvec(self.ctx.stiffness,
+                                         fluctuation(self.ctx, fluctuation(self.ctx, u)))
 
     def newton_blocks(self, mass: np.ndarray) -> list[tuple[int, int, np.ndarray]]:
         """The chain above as blocks (row, column, band) of one banded system.
 
-        Unknowns per DOF: u (slot 0), y_1..y_{N+1} (slots 1..N+1) and
-        v_1..v_{N+1} (slots N+2..2N+2).  Each band is a DOF-level matrix
-        in band storage, mass the mass matrix M.  The u row holds only
-        K u = chi delta^4 S v_1, the coupling to v_1, and is the caller's
-        to complete; the other rows are the recurrences with a zero
-        right-hand side: A y_k - delta^2 S y_{k-1} = 0,
-        A v_{N+1} - S y_{N+1} = 0 and A v_k - delta^2 S v_{k+1} = 0.
-        Eliminating y and v from u's row leaves K u.
+        Unknowns per DOF: u (slot 0) and y_1..y_{2N+2} (slots 1..2N+2).
+        Each band is a DOF-level matrix in band storage, mass the mass
+        matrix M.  The u row holds only K u = chi delta^2 S y_{2N+2}, the
+        coupling to y_{2N+2}, and is the caller's to complete; row k of the
+        others is the recurrence A y_k - delta^2 S y_{k-1} = 0, all sharing
+        one -delta^2 S band.  Eliminating the y from u's row leaves K u.
         """
-        order, s, d2 = self.ctx.deconv_order, self.ctx.stiffness, self.ctx.delta**2
-        a = mass + d2 * s
-        v = order + 1  # slot of v_k is v + k
-        blocks = [(0, v + 1, self.weight * d2 * s), (v + order + 1, order + 1, -s)]
-        blocks += [(k, k - 1, -d2 * s) for k in range(1, order + 2)]
-        blocks += [(v + k, v + k + 1, -d2 * s) for k in range(1, order + 1)]
-        blocks += [(k, k, a) for k in range(1, 2 * order + 3)]
+        s, d2 = self.ctx.stiffness, self.ctx.delta**2
+        last = 2 * self.ctx.deconv_order + 2
+        a, coupling = mass + d2 * s, -d2 * s
+        blocks = [(0, last, self.weight * s)]
+        for k in range(1, last + 1):
+            blocks += [(k, k - 1, coupling), (k, k, a)]
         return blocks
 
 
 def stabilization_matrix(ctx: FilterContext, chi: float) -> Stabilization:
-    """Coefficient-space stabilization operator chi delta^2 Pi^T S Pi."""
+    """Coefficient-space stabilization operator chi delta^2 Pi^T S Pi = chi delta^2 S Pi^2."""
     if chi < 0:
         raise ValueError(f"chi must be nonnegative, got {chi}")
     return Stabilization(ctx=ctx, weight=chi * ctx.delta**2)

@@ -51,22 +51,22 @@ unknown.
 Each band product is formed once.  The loop forms M rho^n once per
 level: it gives the level's L2 norm and energy E, and the next step's
 right-hand side M rho^n / dt and stopping scale, which ``be_step`` takes
-from its caller.  The stabilization's dissipation of a step comes from
-the residual's own filter chain at the accepted iterate (see
+from its caller.  The stabilization's dissipation of a step is c . K c
+at the accepted iterate c, from the residual's own product K c (see
 ``filtering``), so the diagnostics add only Z's product of the second
 difference.
 
-The stabilization chi delta^2 Pi^T S Pi is a dense matrix, but it is the
+The stabilization K = chi delta^2 S Pi^2 is a dense matrix, but it is the
 product of banded ones (see ``filtering``).  So each Newton step solves
 one banded augmented system: every DOF carries rho (unknown 0) and the
-filter recurrences' y_1..y_{N+1} and v_1..v_{N+1}, which ``filtering``
-numbers and poses as blocks (``Stabilization.newton_blocks``; 2N + 3
-unknowns, numbered DOF by DOF).  The rho rows read
+filter recurrence's y_1..y_{2N+2}, which ``filtering`` numbers and poses
+as blocks (``Stabilization.newton_blocks``; 2N + 3 unknowns, numbered
+DOF by DOF).  The rho rows read
 
-    (M/dt + v_f C - (2 v_f / rho_m) J_b) d_rho + chi delta^4 S d_v1 = -r,
+    (M/dt + v_f C - (2 v_f / rho_m) J_b) d_rho + chi delta^2 S d_y{2N+2} = -r,
 
-and the y and v rows are the recurrences with a zero right-hand side.
-Eliminating y and v gives back the Newton step of the dense operator.
+and the y rows are the recurrence with a zero right-hand side.
+Eliminating the y gives back the Newton step of the dense operator.
 Only the (rho, rho) entries change from one factorization to the next;
 a banded LU (LAPACK gbtrf) factors the system in O(n) time, into a
 workspace the ``Stepper`` holds, and each solve with it (gbtrs) is O(n)
@@ -74,7 +74,7 @@ too.
 
 Dirichlet data is enforced by row replacement: the residual row of the
 constrained end's node becomes rho_i - g(t^n) and the matching Newton
-row an identity row, with its coupling to v_1 masked out, so the same
+row an identity row, with its coupling to y_{2N+2} masked out, so the same
 banded solve serves both boundary kinds.  Forcing is evaluated
 implicitly at the new time level.
 """
@@ -104,6 +104,13 @@ class NoConvergenceError(RuntimeError):
     """Newton iteration failed to reach its tolerance."""
 
 
+# The largest deconvolution order N.  A Newton matrix carries 2N + 3
+# unknowns per DOF and its LU workspace about (3w + 1)(2N + 3)^2 doubles
+# per DOF (w the mesh's half band): at N = 10, 2.2 MB for P1 on 128
+# elements and 61 MB for P2 on 1024, about 20 times that of N = 1.
+MAX_DECONV_ORDER = 10
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Physical and stabilization parameters of one run."""
@@ -120,6 +127,9 @@ class ModelParams:
             raise ValueError("v_f and rho_m must be positive")
         if not (self.chi >= 0 and self.delta >= 0 and self.deconv_order >= 0):
             raise ValueError("chi, delta, and deconvolution order must be nonnegative")
+        if self.deconv_order > MAX_DECONV_ORDER:
+            raise ValueError(f"deconvolution order must be at most {MAX_DECONV_ORDER}, "
+                             f"got {self.deconv_order}")
         if not np.isfinite(self.delta * self.delta):  # the stabilization's delta^2
             raise ValueError(f"delta^2 overflows for delta = {self.delta:g}")
         if not 0.0 <= self.gamma < 1.0:
@@ -309,7 +319,7 @@ class Stepper:
 
     scenario: Scenario
     operators: AssembledOperators
-    stab: Stabilization | None  # chi delta^2 Pi^T S Pi; None where chi delta^2 = 0
+    stab: Stabilization | None  # chi delta^2 S Pi^2; None where chi delta^2 = 0
     linear_part: np.ndarray  # M/dt + v_f C, band storage
     newton: np.ndarray  # augmented Newton matrix, band storage
     half_bands: tuple[int, int]  # (kl, ku) of newton
@@ -370,9 +380,9 @@ def be_step(
     and the guess cannot move it.  Neither dt nor the forcing enters it: a
     scale that grew with dt f would, at dt = 1e20, accept a guess that
     solves nothing.  Returns the new state, its Newton iterations, the
-    scale and the stabilization's dissipation chi delta^2 (Pi c) . S (Pi c)
-    at the new state c (0 without stabilization).  The dissipation comes
-    from the last residual evaluation, which newton_solve makes at the
+    scale and the stabilization's dissipation c . K c at the new state c
+    (0 without stabilization).  The dissipation comes from the product K c
+    of the last residual evaluation, which newton_solve makes at the
     iterate it returns.
     """
     mesh, scenario = stepper.operators.mesh, stepper.scenario
@@ -393,7 +403,8 @@ def be_step(
         nonlocal dissipation
         r = band_matvec(linear_part, x)
         if stab is not None:
-            stab_x, dissipation = stab(x)
+            stab_x = stab(x)
+            dissipation = float(x @ stab_x)
             r += stab_x
         r -= nonlinear_coeff * b_residual(FeFunction(mesh, x))
         r -= rhs
@@ -502,7 +513,8 @@ def run_time_filtered(
                 rho_hat, iters, scale, dissipation = be_step(stepper, rho_n1, mass_n1, t, guess)
             else:
                 rho_hat, iters, scale = rho_n1, 0, 1.0
-                dissipation = 0.0 if stab is None else stab(rho_hat.coefficients)[1]
+                c = rho_hat.coefficients
+                dissipation = 0.0 if stab is None else float(c @ stab(c))
         except (NoConvergenceError, SingularMatrixError) as err:
             raise NoConvergenceError(f"step {n} to t = {t:.6g} failed: {err}") from err
         rho = rho_hat

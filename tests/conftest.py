@@ -146,7 +146,7 @@ def operator_matrix(apply, n: int) -> np.ndarray:
 def applied_base(ctx: FilterContext) -> np.ndarray:
     """Pi^T S Pi as the solver applies it, by filter solves, column by column."""
     base = Stabilization(ctx, weight=1.0)
-    return operator_matrix(lambda u: base(u)[0], ctx.stiffness.shape[1])
+    return operator_matrix(base, ctx.stiffness.shape[1])
 
 
 def dense_stabilization_base(

@@ -310,7 +310,7 @@ def test_criterion_07_one_step_two_step_equivalence():
             band_matvec(ops.mass, d.coefficients) / grid.dt
             + params.v_f * band_matvec(ops.convection, i.coefficients)
             - (2.0 * params.v_f / params.rho_m) * b_residual(i)
-            + stab(i.coefficients)[0]
+            + stab(i.coefficients)
             - forcing_vector(scenario.forcing, n * grid.dt, mesh)
         )
         allowed = 10.0 * newton_tol * trajectory[n][1].residual_scale

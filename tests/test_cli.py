@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lwrfem import cli
 from lwrfem.cli import (
     ConfigError,
     _write_convergence,
@@ -13,6 +14,7 @@ from lwrfem.cli import (
     main,
     parse_config,
 )
+from lwrfem.stepping import MAX_DECONV_ORDER
 
 
 def read_rows(path):
@@ -318,6 +320,27 @@ class TestMain:
         assert code == 2
         assert err.startswith("configuration error") and err.count("\n") == 1
         assert not list(tmp_path.iterdir())  # nothing ran
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--deconv_order", str(MAX_DECONV_ORDER + 1)],
+        ["study", "--deconv_list", f"0,{MAX_DECONV_ORDER + 1}"],
+    ])
+    def test_deconvolution_order_above_its_maximum_exits_2(self, tmp_path, capsys,
+                                                            monkeypatch, argv):
+        # the Newton matrix grows like (2N + 3)^2: refused before any run starts
+        def refuse(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(cli, "run_time_filtered", refuse)
+        command, *flags = argv
+        code = main([command, "--scenario", "shock", "--t_final", "0.001", *flags,
+                     "--output_dir", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "configuration error: deconvolution order must be at most "
+            f"{MAX_DECONV_ORDER}, got {MAX_DECONV_ORDER + 1}\n"
+        )
+        assert not list(tmp_path.iterdir())
 
     def test_unreadable_config_file_exits_2(self, tmp_path, capsys):
         undecodable = tmp_path / "latin1.cfg"

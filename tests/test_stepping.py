@@ -77,6 +77,11 @@ class TestModelParamsAndGrid:
             ModelParams(delta=1e200)  # delta^2 overflows
         ModelParams(gamma=0.0)  # boundary value allowed
 
+    def test_deconvolution_order_has_a_maximum(self):
+        ModelParams(deconv_order=stepping.MAX_DECONV_ORDER)
+        with pytest.raises(ValueError, match=f"at most {stepping.MAX_DECONV_ORDER}, got"):
+            ModelParams(deconv_order=stepping.MAX_DECONV_ORDER + 1)
+
     def test_time_grid_consistency(self):
         grid = TimeGrid.to_final_time(0.1, 1.0)
         assert grid.n_steps == 10
@@ -373,7 +378,7 @@ class TestBeStep:
         rows = [i for i, _ in stepper.constrained]
         mass_prev = band_matvec(ops.mass, prev.coefficients)
         scale = max([np.sqrt(prev.coefficients @ mass_prev)] + [0.3] * len(rows))
-        stab_matrix = operator_matrix(lambda u: stepper.stab(u)[0], mesh.n_dofs)
+        stab_matrix = operator_matrix(stepper.stab, mesh.n_dofs)
         linear = dense(stepper.linear_part) + stab_matrix
         rhs = mass_prev / 0.01 + forcing_vector(scenario.forcing, 0.01, mesh)
 
@@ -515,10 +520,10 @@ class TestBeStep:
     ])
     def test_each_band_product_is_formed_once(self, make, degree, order, gamma, dt,
                                               monkeypatch):
-        # a residual evaluation forms 2N + 4 products (the linear part, N + 1
-        # in Pi, S Pi, N on the adjoint chain and its last S), a level two
-        # (M rho^n and Z's product of the second difference), and level 0
-        # one operator call (2N + 3) for its dissipation
+        # a residual evaluation forms 2N + 4 products (the linear part,
+        # 2N + 2 in Pi^2 and the last S of K = chi delta^2 S Pi^2), a level
+        # two (M rho^n and Z's product of the second difference), and
+        # level 0 one operator call (2N + 3) for its dissipation
         products, residuals = [], []
         gbmv, b_res = linalg._GBMV, stepping.b_residual
         monkeypatch.setattr(linalg, "_GBMV", lambda *a: products.append(1) or gbmv(*a))
@@ -533,7 +538,8 @@ class TestBeStep:
         # the recorded dissipation is the operator's own of the returned state
         stab = Stepper.build(make(), params, dt, mesh).stab
         for _, diag, rho_hat in records:
-            assert diag.stab_dissipation == stab(rho_hat.coefficients)[1]
+            c = rho_hat.coefficients
+            assert diag.stab_dissipation == c @ stab(c)
 
     @pytest.mark.parametrize("kind", [DIRICHLET, PERIODIC])
     def test_every_band_multiplied_is_fortran_ordered(self, kind, monkeypatch):
@@ -675,7 +681,7 @@ class TestRunAlgorithm2:
                 band_matvec(ops.mass, d.coefficients) / grid.dt
                 + params.v_f * band_matvec(ops.convection, i.coefficients)
                 - (2.0 * params.v_f / params.rho_m) * b_residual(i)
-                + stab(i.coefficients)[0]
+                + stab(i.coefficients)
                 - forcing_vector(scenario.forcing, n * grid.dt, mesh)
             )
             scale = trajectory[n][1].residual_scale
