@@ -42,19 +42,23 @@ backward Euler is its gamma = 0 case, where the filter correction
 vanishes.  A ``Stepper`` holds what a run keeps constant (the operators,
 the stabilization, the linear part M/dt + v_f C, the constant part of
 the Newton matrix with its (rho, rho) block view, each constrained row
-with its Dirichlet value g(t) and its band positions); ``be_step`` adds
-the per-step work: the right-hand side, the stopping scale, the boundary
-values and Newton.  At chi delta^2 = 0 the run has no stabilization: no
-filter context is built, no filter solve is done and rho is the one
-unknown.
+with its Dirichlet value g(t), its band positions and its column K e_i);
+``be_step`` adds the per-step work: the right-hand side, the stopping
+scale, the boundary values and Newton.  At chi delta^2 = 0 the run has
+no stabilization: no filter context is built, no filter solve is done
+and rho is the one unknown.
 
 Each band product is formed once.  The loop forms M rho^n once per
 level: it gives the level's L2 norm and energy E, and the next step's
 right-hand side M rho^n / dt and stopping scale, which ``be_step`` takes
-from its caller.  The stabilization's dissipation of a step is c . K c
-at the accepted iterate c, from the residual's own product K c (see
-``filtering``), so the diagnostics add only Z's product of the second
-difference.
+from its caller.  The filter chain of K (see ``filtering``) runs once per
+step, at the state c that Newton returns: it gives the step's
+dissipation c . K c and the K c that the loop carries next to M rho^n.
+Everywhere else K comes by linearity: the guess's from the levels', the
+filtered state's from the time filter's combination, and each Newton
+iterate's from the last one's plus K d of the correction d, which the
+augmented solve already holds (``be_step``).  So the diagnostics add
+only Z's product of the second difference.
 
 The stabilization K = chi delta^2 S Pi^2 is a dense matrix, but it is the
 product of banded ones (see ``filtering``).  So each Newton step solves
@@ -329,6 +333,7 @@ class Stepper:
     bc_entries: tuple[np.ndarray, np.ndarray]  # (band rows, columns)
     bc_values: np.ndarray  # 1 on the diagonal, 0 elsewhere
     constrained: tuple[tuple[int, Callable], ...]  # Dirichlet (row, g) pairs
+    bc_stab: tuple[np.ndarray, ...]  # K e_i of each constrained row i; () without stab
     nonlinear_coeff: float  # 2 v_f / rho_m
     dt: float
     newton_tol: float
@@ -350,6 +355,8 @@ class Stepper:
         )
         w = mesh.half_band
         bc_entries = _row_entries(w, mesh.n_dofs, [i for i, _ in constrained])
+        bc_stab = () if stab is None else tuple(
+            stab(np.eye(1, mesh.n_dofs, i).ravel()) for i, _ in constrained)
         newton, kl, ku = _newton_matrix(ops, stab, bc_entries)
         unknowns = newton.shape[1] // mesh.n_dofs
         return cls(
@@ -358,6 +365,7 @@ class Stepper:
             newton=newton, half_bands=(kl, ku), factors=BandLU(), unknowns=unknowns,
             rho_block=_block(newton, ku, unknowns, w, 0, 0), bc_entries=bc_entries,
             bc_values=(bc_entries[0] == w).astype(float), constrained=constrained,
+            bc_stab=bc_stab,
             nonlinear_coeff=2.0 * params.v_f / params.rho_m, dt=dt,
             newton_tol=newton_tol, newton_max_iter=newton_max_iter,
         )
@@ -365,14 +373,18 @@ class Stepper:
 
 def be_step(
     stepper: Stepper, rho_prev: FeFunction, mass_prev: np.ndarray, t_next: float,
-    guess: np.ndarray | None = None,
-) -> tuple[FeFunction, int, float, float]:
+    guess: np.ndarray | None = None, stab_guess: np.ndarray | None = None,
+) -> tuple[FeFunction, int, float, float, np.ndarray | None]:
     """One implicit step from rho_prev to t_next, Newton started at guess.
 
     mass_prev is M rho_prev, which the caller has formed once for its
     level; it gives the right-hand side M rho_prev / dt and the stopping
     scale.  guess holds coefficients (rho_prev by default); Newton starts
-    there, with the constrained entries set to g(t_next).  It stops at
+    there, with the constrained entries set to g(t_next).  stab_guess is
+    K times those coefficients, which the caller has by linearity from its
+    levels' (see run_time_filtered); be_step moves it to the start iterate
+    with the Stepper's columns K e_i of the constrained rows.  Without it
+    the start iterate's K is one filter chain.  Newton stops at
     ||residual|| <= newton_tol * scale (or at a correction at rounding
     level, see newton_solve), where scale is the size of the step's data:
     the larger of ||rho_prev||_L2 = sqrt(c . M c) and the boundary values
@@ -380,10 +392,15 @@ def be_step(
     and the guess cannot move it.  Neither dt nor the forcing enters it: a
     scale that grew with dt f would, at dt = 1e20, accept a guess that
     solves nothing.  Returns the new state, its Newton iterations, the
-    scale and the stabilization's dissipation c . K c at the new state c
-    (0 without stabilization).  The dissipation comes from the product K c
-    of the last residual evaluation, which newton_solve makes at the
-    iterate it returns.
+    scale, the stabilization's dissipation c . K c at the new state c (0
+    without stabilization) and K c (None without it).
+
+    Newton runs no filter chain: each residual after the first takes
+    K x_{k+1} = K x_k + K d_k, where the correction's last filter unknown
+    gives K d_k (``Stabilization.of_correction``), from the augmented
+    solve that the iteration makes anyway.  Once Newton stops, one chain
+    at the returned state c forms K c afresh, so no rounding of the sums
+    reaches the dissipation or the caller's next levels.
     """
     mesh, scenario = stepper.operators.mesh, stepper.scenario
     if rho_prev.mesh is not mesh:
@@ -397,14 +414,18 @@ def be_step(
         rhs = rhs + forcing_vector(scenario.forcing, t_next, mesh)
     kl, ku = stepper.half_bands
     unknowns, rho_block = stepper.unknowns, stepper.rho_block
-    dissipation = 0.0  # at the last residual evaluation
+    start = np.array(rho_prev.coefficients if guess is None else guess, dtype=float)
+    shifts = [value - start[i] for i, value in bcs]
+    for i, value in bcs:  # the guess meets the step's Dirichlet rows
+        start[i] = value
+    stab_x = None  # K x at the iterate of the next residual evaluation
+    if stab is not None:
+        stab_x = stab(start) if stab_guess is None else stab_guess + sum(
+            shift * column for shift, column in zip(shifts, stepper.bc_stab))
 
     def residual(x: np.ndarray) -> np.ndarray:
-        nonlocal dissipation
         r = band_matvec(linear_part, x)
         if stab is not None:
-            stab_x = stab(x)
-            dissipation = float(x @ stab_x)
             r += stab_x
         r -= nonlinear_coeff * b_residual(FeFunction(mesh, x))
         r -= rhs
@@ -422,23 +443,32 @@ def be_step(
             # The first solve factors the band into the Stepper's workspace
             # through lu_solve (looked up here, so that a tracer wrapping
             # it counts factorizations); later ones reuse those factors.
-            nonlocal factored
+            # newton_solve adds every correction it solves for to x, so K x
+            # follows it here.
+            nonlocal factored, stab_x
             lifted = np.zeros(stepper.newton.shape[1])
             lifted[::unknowns] = -r
             if factored:
-                return stepper.factors.solve(lifted)[::unknowns]
-            d = lu_solve(stepper.newton, lifted, kl, ku, out=stepper.factors)
-            factored = True
+                d = stepper.factors.solve(lifted)
+            else:
+                d = lu_solve(stepper.newton, lifted, kl, ku, out=stepper.factors)
+                factored = True
+            if stab is not None:
+                stab_x = stab_x + stab.of_correction(d)
             return d[::unknowns]
 
         return solve
 
-    start = np.array(rho_prev.coefficients if guess is None else guess, dtype=float)
-    for i, value in bcs:  # the guess meets the step's Dirichlet rows
-        start[i] = value
     coeffs, iters = newton_solve(residual, factor, start, scale, stepper.newton_tol,
                                  stepper.newton_max_iter)
-    return FeFunction(mesh, coeffs), iters, scale, dissipation
+    if stab is None:
+        return FeFunction(mesh, coeffs), iters, scale, 0.0, None
+    stab_c = stab(coeffs)
+    return FeFunction(mesh, coeffs), iters, scale, float(coeffs @ stab_c), stab_c
+
+
+def _filtered(hat: np.ndarray, n1: np.ndarray, n2: np.ndarray, gamma: float) -> np.ndarray:
+    return hat - 0.5 * gamma * (hat - 2.0 * n1 + n2)
 
 
 def time_filter_step(
@@ -446,8 +476,8 @@ def time_filter_step(
 ) -> FeFunction:
     """Post-step correction rhohat - (gamma/2)(rhohat - 2 rho_n1 + rho_n2)."""
     mesh = require_same_mesh(rho_hat, rho_n1, rho_n2)
-    second_diff = rho_hat.coefficients - 2.0 * rho_n1.coefficients + rho_n2.coefficients
-    return FeFunction(mesh, rho_hat.coefficients - 0.5 * gamma * second_diff)
+    return FeFunction(mesh, _filtered(rho_hat.coefficients, rho_n1.coefficients,
+                                      rho_n2.coefficients, gamma))
 
 
 def mass_norm(u: FeFunction, mass_u: np.ndarray) -> float:
@@ -499,27 +529,42 @@ def run_time_filtered(
     From step 2 on, Newton starts at 2 rho^{n-1} - rho^{n-2}, the accepted
     states' extrapolation.  A step whose Newton iteration fails or meets a
     singular matrix raises NoConvergenceError naming the step.
+
+    With stabilization the loop carries K rho^n next to M rho^n: K rhohat^n
+    comes from the one filter chain of its step (level 0 runs its own),
+    the time filter acts on it by linearity, and the guess's K is
+    2 K rho^{n-1} - K rho^{n-2}.
     """
     stepper = Stepper.build(scenario, params, grid.dt, mesh, newton_tol, newton_max_iter)
     ops, stab = stepper.operators, stepper.stab
-    # rho^{n-1}, rho^{n-2} and M rho^{n-1}; level 0 is its own predecessor
+    # rho^{n-1}, rho^{n-2}, M rho^{n-1}, K rho^{n-1} and K rho^{n-2};
+    # level 0 is its own predecessor
     rho_n1, rho_n2 = l2_project(scenario.initial_condition, mesh), None
     mass_n1 = band_matvec(ops.mass, rho_n1.coefficients)
+    stab_n1 = stab_n2 = None
     for n in range(grid.n_steps + 1):
         t = n * grid.dt
-        guess = None if rho_n2 is None else 2.0 * rho_n1.coefficients - rho_n2.coefficients
+        guess, stab_guess = None, stab_n1
+        if rho_n2 is not None:
+            guess = 2.0 * rho_n1.coefficients - rho_n2.coefficients
+            if stab is not None:
+                stab_guess = 2.0 * stab_n1 - stab_n2
         try:
             if n:
-                rho_hat, iters, scale, dissipation = be_step(stepper, rho_n1, mass_n1, t, guess)
+                rho_hat, iters, scale, dissipation, stab_n = be_step(
+                    stepper, rho_n1, mass_n1, t, guess, stab_guess)
             else:
                 rho_hat, iters, scale = rho_n1, 0, 1.0
                 c = rho_hat.coefficients
-                dissipation = 0.0 if stab is None else float(c @ stab(c))
+                stab_n = None if stab is None else stab(c)
+                dissipation = 0.0 if stab is None else float(c @ stab_n)
         except (NoConvergenceError, SingularMatrixError) as err:
             raise NoConvergenceError(f"step {n} to t = {t:.6g} failed: {err}") from err
         rho = rho_hat
         if rho_n2 is not None and params.gamma != 0.0:
             rho = time_filter_step(rho_hat, rho_n1, rho_n2, params.gamma)
+            if stab is not None:
+                stab_n = _filtered(stab_n, stab_n1, stab_n2, params.gamma)
         # M rho^n, formed once: the level's norm and energy, and the next
         # step's right-hand side and stopping scale.  Diagnostics describe
         # the accepted state; the dissipation of the step is the one
@@ -532,4 +577,5 @@ def run_time_filtered(
             newton_iters=iters, stab_dissipation=dissipation, residual_scale=scale,
         )
         rho_n1, rho_n2, mass_n1 = rho, (rho_n1 if n else None), mass_n
+        stab_n1, stab_n2 = stab_n, stab_n1
         yield rho, diag, rho_hat

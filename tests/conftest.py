@@ -163,6 +163,31 @@ def dense_stabilization_base(
     return pi.T @ s @ pi
 
 
+class ExtendedBase:
+    """The form c . (Pi^T S Pi) c = y . (S y), y = Pi c, in extended precision.
+
+    Each filter solve A z = delta^2 S y of the chain is refined
+    iteratively in np.longdouble from float64 solves, so the reference
+    keeps the digits that a float64 chain loses on a smooth c.
+    """
+
+    def __init__(self, operators: AssembledOperators, delta: float):
+        m, self.s = (dense(band).astype(np.longdouble)
+                     for band in (operators.mass, operators.stiffness))
+        self.d2 = np.longdouble(delta) ** 2
+        self.a = m + self.d2 * self.s
+        self.lu = scipy.linalg.lu_factor(self.a.astype(float))
+
+    def form(self, c: np.ndarray, deconv_order: int) -> float:
+        y = c.astype(np.longdouble)
+        for _ in range(deconv_order + 1):
+            rhs, z = self.d2 * (self.s @ y), np.zeros_like(y)
+            for _ in range(4):
+                z += scipy.linalg.lu_solve(self.lu, (rhs - self.a @ z).astype(float))
+            y = z
+        return float(y @ (self.s @ y))
+
+
 class FilterOracle:
     """Filter G, van Cittert deconvolution D_N and fluctuation u - D_N(G(u)).
 

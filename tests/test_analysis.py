@@ -68,14 +68,15 @@ class TestTripleNorm:
         small, large = random_fe(mesh, rng, 0.1), random_fe(mesh, rng, 10.0)
         state, diag, _ = make_record(small, 0.1)
         records = [make_record(small, 0.0), (state, diag, large)]
-        calls, measure = [], analysis.l2_error
+        calls, measure = [], analysis._error_norm
+        expected = l2_error(large, exact, 0.1)
 
         def counted(*args):
             calls.append(args)
             return measure(*args)
 
-        monkeypatch.setattr(analysis, "l2_error", counted)
-        assert run_error_inf(records, exact) == measure(large, exact, 0.1)
+        monkeypatch.setattr(analysis, "_error_norm", counted)
+        assert run_error_inf(records, exact) == expected
         assert len(calls) == 3  # one per distinct iterate
 
     def test_projected_exact_trajectory_scales_at_third_order(self):

@@ -6,8 +6,8 @@ from lwrfem.linalg import band_matvec
 from lwrfem.mesh import DIRICHLET, PERIODIC, FeFunction, build_mesh
 from lwrfem.operators import assemble, l2_project
 from conftest import (
-    FilterOracle, applied_base, dense, dense_stabilization_base, fe_values_on_rule,
-    integrate_elementwise, norm, operator_matrix, random_fe,
+    ExtendedBase, FilterOracle, applied_base, dense, dense_stabilization_base,
+    fe_values_on_rule, integrate_elementwise, norm, operator_matrix, random_fe,
 )
 
 
@@ -205,19 +205,10 @@ class TestAppliedBase:
         mesh = build_mesh(0.0, 1.0, 100, 2, DIRICHLET)
         ops = assemble(mesh)
         c = np.sin(np.pi * mesh.dof_x) ** 4
-        m, s = (dense(band).astype(np.longdouble) for band in (ops.mass, ops.stiffness))
         delta = mesh.h
-        d2 = np.longdouble(delta) ** 2
-        a = m + d2 * s
-        a64 = a.astype(float)
+        extended = ExtendedBase(ops, delta)
         for order in (1, 3):
-            y = c.astype(np.longdouble)
-            for _ in range(order + 1):
-                rhs, z = d2 * (s @ y), np.zeros_like(y)
-                for _ in range(4):
-                    z += np.linalg.solve(a64, (rhs - a @ z).astype(float))
-                y = z
-            reference = float(y @ (s @ y))
+            reference = extended.form(c, order)
             stab = stabilization_matrix(build_filter_context(ops, delta, order), 1.0)
             value = c @ stab(c) / delta**2
             assert value == pytest.approx(reference, rel=1e-8), order

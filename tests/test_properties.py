@@ -15,12 +15,14 @@ from hypothesis import assume, given, settings, strategies as st
 from lwrfem.filtering import build_filter_context, stabilization_matrix
 from lwrfem.linalg import band_matvec
 from lwrfem.mesh import DIRICHLET, PERIODIC, FeFunction, build_mesh
-from lwrfem.operators import assemble, b_residual, forcing_vector
+from lwrfem.operators import assemble, b_jacobian, b_residual, forcing_vector
 from lwrfem.scenarios import LEFT, RIGHT, Scenario, manufactured
-from lwrfem.stepping import ModelParams, Stepper, TimeGrid, run_time_filtered
+from lwrfem.stepping import (
+    NEWTON_MAX_ITER, ModelParams, Stepper, TimeGrid, be_step, run_time_filtered,
+)
 from conftest import (
     FilterOracle, applied_base, b_form, dense, dense_stabilization_base, march, norm,
-    three_level_ops,
+    operator_matrix, three_level_ops,
 )
 
 GAMMA_FILTER = 2.0 / 3.0
@@ -223,6 +225,59 @@ def test_periodic_mass_conserved(degree, n, chi, order, gamma, seed):
         for rho, _ in march(scenario, params, TimeGrid(1e-2, 12), mesh)
     ])
     assert np.abs(totals - totals[0]).max() <= 1e-14
+
+
+@PROPERTY_SETTINGS
+@given(degree=degrees, n=n_elements, kind=boundary_kinds, order=deconv_orders,
+       chi=st.floats(min_value=0.0, max_value=2.0),
+       delta_coeff=st.floats(min_value=0.1, max_value=1.0),
+       dt=st.floats(min_value=1e-4, max_value=0.05), seed=seeds)
+def test_carried_stabilization_lands_on_exact_newton(degree, n, kind, order, chi, delta_coeff,
+                                                     dt, seed):
+    # be_step carries K x through Newton, from the K of its guess that the
+    # caller gives (moved to the Dirichlet values by the columns K e_i), and
+    # keeps its factor while predicted to finish.  The reference runs the
+    # filter chain in every residual and factors a dense Jacobian at every
+    # iterate, down to a correction at rounding level.
+    mesh = build_mesh(0.0, 1.0, n, degree, kind)
+    rng = np.random.default_rng(seed)
+    left, right = rng.uniform(0.0, 0.5, 2)
+    scenario = dataclasses.replace(
+        manufactured(), dirichlet={LEFT: lambda t: left, RIGHT: lambda t: right})
+    params = ModelParams(chi=chi, delta=delta_coeff * np.sqrt(mesh.h), deconv_order=order)
+    stepper = Stepper.build(scenario, params, dt, mesh)
+    stab, coeff, t_next = stepper.stab, stepper.nonlinear_coeff, 0.3 + dt
+    prev = FeFunction(mesh, 0.3 + _fourier_series(seed)(mesh.dof_x))
+    guess = prev.coefficients + 0.5 * _fourier_series(seed + 1)(mesh.dof_x)
+    mass_prev = band_matvec(stepper.operators.mass, prev.coefficients)
+    state, _, scale, *_ = be_step(stepper, prev, mass_prev, t_next, guess,
+                                  None if stab is None else stab(guess))
+
+    rhs = mass_prev / dt + forcing_vector(scenario.forcing, t_next, mesh)
+    linear = dense(stepper.linear_part)
+    if stab is not None:
+        linear += operator_matrix(stab, mesh.n_dofs)
+    rows = [i for i, _ in stepper.constrained]
+    x = guess.copy()
+    for i, g in stepper.constrained:
+        x[i] = g(t_next)
+    for _ in range(NEWTON_MAX_ITER):
+        r = band_matvec(stepper.linear_part, x) - coeff * b_residual(FeFunction(mesh, x)) - rhs
+        if stab is not None:
+            r += stab(x)
+        jac = linear - coeff * dense(b_jacobian(FeFunction(mesh, x)))
+        for i, g in stepper.constrained:
+            r[i] = x[i] - g(t_next)
+        jac[rows] = np.eye(mesh.n_dofs)[rows]
+        d = np.linalg.solve(jac, -r)
+        x += d
+        if np.linalg.norm(d) <= 10.0 * np.finfo(float).eps * np.linalg.norm(x):
+            break
+    else:
+        raise AssertionError("the reference Newton did not converge")
+    e = state.coefficients - x
+    distance = np.sqrt(max(e @ band_matvec(stepper.operators.mass, e), 0.0))
+    assert distance <= stepper.newton_tol * scale
 
 
 def _flux(rho, params):

@@ -25,8 +25,8 @@ from lwrfem.stepping import (
     time_filter_step,
 )
 from conftest import (
-    applied_base, band, dense, energy, march, norm, operator_matrix, smooth_periodic,
-    three_level_ops,
+    ExtendedBase, applied_base, band, dense, energy, march, norm, operator_matrix,
+    smooth_periodic, three_level_ops,
 )
 
 
@@ -322,7 +322,7 @@ class TestBeStep:
         params = ModelParams(chi=0.7, delta=np.sqrt(mesh.h), deconv_order=1)
         stepper = Stepper.build(unforced(manufactured()), params, 0.05, mesh)
         state = FeFunction(mesh, np.full(mesh.n_dofs, 0.42))
-        out, iters, _, _ = step_from(stepper, state, 0.05)
+        out, iters, *_ = step_from(stepper, state, 0.05)
         assert np.abs(out.coefficients - 0.42).max() < 1e-12
         assert iters == 0
 
@@ -332,7 +332,7 @@ class TestBeStep:
         stepper = Stepper.build(unforced(manufactured()), params, 0.01, mesh)
         for _ in range(10):
             state = smooth_periodic(mesh, rng)
-            out, _, _, _ = step_from(stepper, state, 0.01)
+            out, *_ = step_from(stepper, state, 0.01)
             assert norm(out, ops) <= norm(state, ops) * (1 + 1e-12)
 
     def test_state_on_another_mesh_rejected(self, periodic_setup, rng):
@@ -395,7 +395,7 @@ class TestBeStep:
         start = guess.copy()
         start[rows] = 0.3  # be_step starts on the step's Dirichlet values
         expected, expected_iters = newton_solve(residual, dense_factor(jacobian), start, scale)
-        state, iters, step_scale, _ = be_step(stepper, prev, mass_prev, 0.01, guess)
+        state, iters, step_scale, *_ = be_step(stepper, prev, mass_prev, 0.01, guess)
         assert step_scale == scale
         assert iters == expected_iters
         assert np.abs(state.coefficients - expected).max() <= 1e-12
@@ -407,7 +407,7 @@ class TestBeStep:
         prev = FeFunction(mesh, np.sin(np.pi * mesh.dof_x) ** 4 * np.sin(0.5))
         near = prev.coefficients + 1e-3 * np.sin(3 * np.pi * mesh.dof_x)
         results = [step_from(stepper, prev, 0.51, guess) for guess in (None, near)]
-        (state_a, _, scale_a, _), (state_b, _, scale_b, _) = results
+        (state_a, _, scale_a, *_), (state_b, _, scale_b, *_) = results
         # the L2 norm of rho^{n-1}; the boundary values are 0
         assert scale_a == scale_b == norm(prev, stepper.operators)
         # both meet ||r|| <= 1e-10 scale, so they agree far below the step's change
@@ -423,13 +423,13 @@ class TestBeStep:
         zero = FeFunction(mesh, np.zeros(mesh.n_dofs))
         for scenario, most in ((manufactured(), 3), (unforced(manufactured()), 0)):
             stepper = Stepper.build(scenario, params, 1e-4, mesh)
-            state, iters, scale, _ = step_from(stepper, zero, 1e-4)
+            state, iters, scale, *_ = step_from(stepper, zero, 1e-4)
             assert scale == 0.0
             assert iters <= most
         assert not state.coefficients.any()
         # inflow data into an empty strand: the boundary value is the scale
         stepper = Stepper.build(rarefaction(), params, 1e-4, mesh)
-        state, iters, scale, _ = step_from(stepper, zero, 1e-4)
+        state, iters, scale, *_ = step_from(stepper, zero, 1e-4)
         assert scale == 0.47 and iters <= 3 and state.coefficients[0] == 0.47
 
     @pytest.mark.parametrize("chi", [0.0, 1.0])
@@ -520,26 +520,49 @@ class TestBeStep:
     ])
     def test_each_band_product_is_formed_once(self, make, degree, order, gamma, dt,
                                               monkeypatch):
-        # a residual evaluation forms 2N + 4 products (the linear part,
-        # 2N + 2 in Pi^2 and the last S of K = chi delta^2 S Pi^2), a level
-        # two (M rho^n and Z's product of the second difference), and
-        # level 0 one operator call (2N + 3) for its dissipation
-        products, residuals = [], []
-        gbmv, b_res = linalg._GBMV, stepping.b_residual
+        # K x is carried through Newton, so a step's first residual forms
+        # one product (the linear part) and each residual after a
+        # correction d two (the linear part and K d = chi delta^2 S y_{2N+2}
+        # from d's last filter unknown).  A level forms one chain for K of
+        # its state (2N + 2 filter solves and 2N + 3 products) and two more
+        # products (M rho^n and Z's product of the second difference), and
+        # Stepper.build one chain per constrained row for its column K e_i.
+        products, solves, residuals = [], [], []
+        gbmv, pbtrs, b_res = linalg._GBMV, filtering._PBTRS, stepping.b_residual
         monkeypatch.setattr(linalg, "_GBMV", lambda *a: products.append(1) or gbmv(*a))
+        monkeypatch.setattr(filtering, "_PBTRS", lambda *a: solves.append(1) or pbtrs(*a))
         monkeypatch.setattr(stepping, "b_residual", lambda rho: residuals.append(1) or b_res(rho))
         mesh = build_mesh(0.0, 1.0, 24, degree, DIRICHLET)
         params = ModelParams(chi=1.0, delta=np.sqrt(mesh.h), deconv_order=order, gamma=gamma)
         records = list(run_time_filtered(make(), params, TimeGrid(dt, 20), mesh))
         monkeypatch.undo()
-        budget = (2 * order + 4) * len(residuals) + 2 * len(records) + 2 * order + 3
-        assert sum(d.newton_iters for _, d, _ in records) > 0
-        assert len(products) <= budget
+        stepper = Stepper.build(make(), params, dt, mesh)
+        chains = len(records) + len(stepper.constrained)
+        iterations = sum(d.newton_iters for _, d, _ in records)
+        steps = len(records) - 1
+        assert iterations > 0 and len(residuals) == steps + iterations
+        chain_products = (2 * order + 3) * chains
+        assert len(products) <= 2 * iterations + steps + 2 * len(records) + chain_products
+        assert len(solves) == (2 * order + 2) * chains
         # the recorded dissipation is the operator's own of the returned state
-        stab = Stepper.build(make(), params, dt, mesh).stab
+        stab = stepper.stab
         for _, diag, rho_hat in records:
             c = rho_hat.coefficients
             assert diag.stab_dissipation == c @ stab(c)
+
+    def test_stepped_dissipation_against_extended_precision(self):
+        # the forced manufactured problem on a periodic P2 mesh, from the
+        # zero state: each recorded c . K c of rhohat against an
+        # extended-precision chain (a dissipation read off the K c that
+        # Newton carries misses it by 7.8e-10 at step 1)
+        mesh = build_mesh(0.0, 1.0, 64, 2, PERIODIC)
+        params = ModelParams(chi=1.0, delta=0.0125, deconv_order=2, gamma=2.0 / 3.0)
+        extended = ExtendedBase(assemble(mesh), params.delta)
+        weight = params.chi * params.delta**2
+        records = list(run_time_filtered(manufactured(), params, TimeGrid(0.01, 20), mesh))
+        for _, diag, rho_hat in records:
+            reference = weight * extended.form(rho_hat.coefficients, params.deconv_order)
+            assert abs(diag.stab_dissipation - reference) <= 1e-10 * abs(reference), diag.n
 
     @pytest.mark.parametrize("kind", [DIRICHLET, PERIODIC])
     def test_every_band_multiplied_is_fortran_ordered(self, kind, monkeypatch):
