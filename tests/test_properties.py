@@ -265,9 +265,9 @@ def test_carried_stabilization_lands_on_exact_newton(degree, n, kind, order, chi
         r = band_matvec(stepper.linear_part, x) - coeff * b_residual(FeFunction(mesh, x)) - rhs
         if stab is not None:
             r += stab(x)
-        jac = linear - coeff * dense(b_jacobian(FeFunction(mesh, x)))
         for i, g in stepper.constrained:
             r[i] = x[i] - g(t_next)
+        jac = linear - coeff * dense(b_jacobian(FeFunction(mesh, x)))
         jac[rows] = np.eye(mesh.n_dofs)[rows]
         d = np.linalg.solve(jac, -r)
         x += d
