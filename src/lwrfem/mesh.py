@@ -14,8 +14,8 @@ Dirichlet meshes, 2 degree on periodic ones); ``band_index`` places each
 element's DOF pairs in the band storage of ``linalg``.  This module
 assembles nothing: ``operators`` integrates and scatters.  Callables of
 x are sampled vectorised, on whole arrays of points.  Bad input (a
-degree outside {1, 2}, fewer than two elements, a point off the mesh,
-operands on different meshes) raises ValueError.
+degree outside {1, 2}, fewer than two elements, a point off the mesh)
+raises ValueError.
 """
 
 from __future__ import annotations
@@ -174,14 +174,6 @@ class FeFunction:
             )
 
 
-def require_same_mesh(*functions: FeFunction) -> Mesh1D:
-    mesh = functions[0].mesh
-    for f in functions[1:]:
-        if f.mesh is not mesh:
-            raise ValueError("operands live on different meshes")
-    return mesh
-
-
 def evaluate(f: FeFunction, x) -> float | np.ndarray:
     """Values of an FE function at points x (any shape) inside the mesh interval."""
     mesh = f.mesh
@@ -201,22 +193,6 @@ def evaluate(f: FeFunction, x) -> float | np.ndarray:
     basis = shape_values(mesh.degree, xi)  # (m, n_loc)
     values = np.einsum("mi,mi->m", f.coefficients[mesh.cell_dofs[e]], basis)
     return float(values[0]) if shape == () else values.reshape(shape)
-
-
-def element_values(
-    f: FeFunction, rule: QuadratureRule
-) -> tuple[np.ndarray, np.ndarray]:
-    """Values and physical derivatives of f at all quadrature points.
-
-    Returns (u, du) each of shape (n_elements, n_points).
-    """
-    mesh = f.mesh
-    ce = f.coefficients[mesh.cell_dofs]  # (n_el, n_loc)
-    basis = rule.values[mesh.degree]  # (n_q, n_loc)
-    dbasis = rule.derivatives[mesh.degree]
-    u = ce @ basis.T
-    du = (ce @ dbasis.T) / mesh.h
-    return u, du
 
 
 def sample_function(g: Callable, x: np.ndarray) -> np.ndarray:

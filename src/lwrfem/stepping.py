@@ -39,10 +39,12 @@ quantities that make the filtered scheme's dissipation balance explicit.
 Both schemes march in one loop, ``run_time_filtered``, a generator of
 the time levels that keeps only the two states the recurrence reads:
 backward Euler is its gamma = 0 case, where the filter correction
-vanishes.  A ``Stepper`` holds what a run keeps constant (the operators,
-the stabilization, the linear part M/dt + v_f C, the constant part of
-the Newton matrix with its (rho, rho) block view, each constrained row
-with its Dirichlet value g(t), its band positions and its column K e_i);
+vanishes.  The loop, the step and the diagnostics work on coefficient
+vectors; FeFunctions wrap them only in the records the loop yields.  A
+``Stepper`` holds what a run keeps constant (the operators, the
+stabilization, the linear part M/dt + v_f C, the constant part of the
+Newton matrix with its (rho, rho) block view, each constrained row with
+its Dirichlet value g(t), its band positions and its column K e_i);
 ``be_step`` adds the per-step work: the right-hand side, the stopping
 scale, the boundary values and Newton.  At chi delta^2 = 0 the run has
 no stabilization: no filter context is built, no filter solve is done
@@ -52,8 +54,9 @@ Each band product is formed once.  The loop forms M rho^n once per
 level: it gives the level's L2 norm and energy E, and the next step's
 right-hand side M rho^n / dt and stopping scale, which ``be_step`` takes
 from its caller.  The filter chain of K (see ``filtering``) runs once per
-step, at the state c that Newton returns: it gives the step's
-dissipation c . K c and the K c that the loop carries next to M rho^n.
+step, at the state c that Newton returns: ``be_step`` returns K c, from
+which the loop forms the step's dissipation c . K c and which it carries
+next to M rho^n.
 Everywhere else K comes by linearity: the guess's from the levels', the
 filtered state's from the time filter's combination, and each Newton
 iterate's from the last one's plus K d of the correction d, which the
@@ -92,7 +95,7 @@ import numpy as np
 
 from .filtering import Stabilization, build_filter_context, stabilization_matrix
 from .linalg import BandLU, SingularMatrixError, band_matvec, lu_solve
-from .mesh import FeFunction, Mesh1D, require_same_mesh
+from .mesh import FeFunction, Mesh1D
 from .operators import (
     AssembledOperators,
     assemble,
@@ -136,6 +139,9 @@ class ModelParams:
                              f"got {self.deconv_order}")
         if not np.isfinite(self.delta * self.delta):  # the stabilization's delta^2
             raise ValueError(f"delta^2 overflows for delta = {self.delta:g}")
+        if not np.isfinite(2.0 * self.v_f / self.rho_m):  # the nonlinear coefficient
+            raise ValueError(f"2 v_f / rho_m overflows for v_f = {self.v_f:g}, "
+                             f"rho_m = {self.rho_m:g}")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
 
@@ -158,6 +164,8 @@ class TimeGrid:
         """Grid ending at t_final, which must be a whole number of steps."""
         if not dt > 0:
             raise ValueError(f"dt must be positive, got {dt}")
+        if not np.isfinite(t_final / dt):
+            raise ValueError(f"t_final / dt overflows for t_final = {t_final:g}, dt = {dt:g}")
         n = round(t_final / dt)
         if n < 0 or abs(n * dt - t_final) > 1e-9 * abs(t_final):
             raise ValueError(
@@ -192,7 +200,7 @@ _EPS = float(np.finfo(float).eps)
 
 def newton_solve(
     residual: Callable[[np.ndarray], np.ndarray],
-    factor: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]],
+    solve: Callable[[np.ndarray, np.ndarray, bool], np.ndarray],
     guess: np.ndarray,
     scale: float,
     tol: float = NEWTON_TOL,
@@ -200,8 +208,9 @@ def newton_solve(
 ) -> tuple[np.ndarray, int]:
     """Newton iteration, its factor kept while predicted to finish; returns (x, iterations).
 
-    factor(x) factors the Jacobian J of residual at x and returns a solve:
-    solve(r) is the correction d with J(x) d = -r.  Stops once
+    solve(x, r, refactor) is the correction d with J d = -r, where J is
+    the Jacobian of residual factored at x when refactor is true and the
+    factor kept from the last such call otherwise.  Stops once
     ||residual(x)|| <= tol * scale, a threshold fixed before the first
     iteration: the caller picks scale from the problem, not from the guess,
     so that a better guess saves iterations without loosening the test
@@ -211,7 +220,8 @@ def newton_solve(
     lie in (0, 1): at 1 or more the test would accept a residual as large
     as the scale itself.
 
-    The first iteration factors at the guess.  Each later one re-solves
+    The first iteration factors at the guess, whatever the norms, so that
+    no factor from an earlier call is used.  Each later one re-solves
     with the kept factor, a simplified (chord) Newton step (Kelley, the
     chord and Shamanskii methods), when the last contraction predicts
     that one more such step reaches the threshold: with the last two
@@ -239,7 +249,7 @@ def newton_solve(
         norm = float(np.linalg.norm(r))
     threshold = tol * scale
     iters, settled = 0, False  # settled: the last correction was at rounding level
-    solve, prev_norm = None, 0.0  # the kept factor's solve and the norm before the last step
+    prev_norm = 0.0  # the residual norm before the last correction
     while not np.isfinite(norm) or (norm > threshold and not settled):
         if not np.isfinite(norm):
             raise NoConvergenceError(
@@ -250,9 +260,7 @@ def newton_solve(
                 f"no convergence after {max_iter} Newton iterations "
                 f"(residual {norm:.3e})"
             )
-        if solve is None or norm * norm > threshold * prev_norm:
-            solve = factor(x)
-        d = solve(r)
+        d = solve(x, r, iters == 0 or norm * norm > threshold * prev_norm)
         x += d
         iters += 1
         prev_norm = norm
@@ -372,14 +380,14 @@ class Stepper:
 
 
 def be_step(
-    stepper: Stepper, rho_prev: FeFunction, mass_prev: np.ndarray, t_next: float,
+    stepper: Stepper, c_prev: np.ndarray, mass_prev: np.ndarray, t_next: float,
     guess: np.ndarray | None = None, stab_guess: np.ndarray | None = None,
-) -> tuple[FeFunction, int, float, float, np.ndarray | None]:
-    """One implicit step from rho_prev to t_next, Newton started at guess.
+) -> tuple[np.ndarray, int, float, np.ndarray | None]:
+    """One implicit step from the coefficients c_prev to t_next, Newton started at guess.
 
-    mass_prev is M rho_prev, which the caller has formed once for its
-    level; it gives the right-hand side M rho_prev / dt and the stopping
-    scale.  guess holds coefficients (rho_prev by default); Newton starts
+    mass_prev is M c_prev, which the caller has formed once for its
+    level; it gives the right-hand side M c_prev / dt and the stopping
+    scale.  guess holds coefficients (c_prev by default); Newton starts
     there, with the constrained entries set to g(t_next).  stab_guess is
     K times those coefficients, which the caller has by linearity from its
     levels' (see run_time_filtered); be_step moves it to the start iterate
@@ -387,34 +395,35 @@ def be_step(
     the start iterate's K is one filter chain.  Newton stops at
     ||residual|| <= newton_tol * scale (or at a correction at rounding
     level, see newton_solve), where scale is the size of the step's data:
-    the larger of ||rho_prev||_L2 = sqrt(c . M c) and the boundary values
-    |g(t_next)|.  It is the same on every mesh that resolves the state,
-    and the guess cannot move it.  Neither dt nor the forcing enters it: a
-    scale that grew with dt f would, at dt = 1e20, accept a guess that
-    solves nothing.  Returns the new state, its Newton iterations, the
-    scale, the stabilization's dissipation c . K c at the new state c (0
-    without stabilization) and K c (None without it).
+    the larger of ||c_prev||_L2 = sqrt(c_prev . M c_prev) and the boundary
+    values |g(t_next)|.  It is the same on every mesh that resolves the
+    state, and the guess cannot move it.  Neither dt nor the forcing enters
+    it: a scale that grew with dt f would, at dt = 1e20, accept a guess
+    that solves nothing.  Returns the new coefficients c, the Newton
+    iterations, the scale and K c (None without stabilization).
 
     Newton runs no filter chain: each residual after the first takes
     K x_{k+1} = K x_k + K d_k, where the correction's last filter unknown
     gives K d_k (``Stabilization.of_correction``), from the augmented
     solve that the iteration makes anyway.  Once Newton stops, one chain
-    at the returned state c forms K c afresh, so no rounding of the sums
-    reaches the dissipation or the caller's next levels.
+    at the returned c forms K c afresh, so no rounding of the sums reaches
+    the dissipation c . K c or the caller's next levels.  Each
+    factorization goes through ``lu_solve`` into the Stepper's workspace
+    (looked up here, so that a tracer wrapping it counts factorizations);
+    the chord steps solve with ``Stepper.factors``.
     """
     mesh, scenario = stepper.operators.mesh, stepper.scenario
-    if rho_prev.mesh is not mesh:
-        raise ValueError("state does not live on the assembled mesh")
+    if np.shape(c_prev) != (mesh.n_dofs,):
+        raise ValueError(f"expected {mesh.n_dofs} coefficients, got shape {np.shape(c_prev)}")
     linear_part, nonlinear_coeff, stab = stepper.linear_part, stepper.nonlinear_coeff, stepper.stab
     bcs = [(i, g(t_next)) for i, g in stepper.constrained]
-    scale = max([float(np.sqrt(max(rho_prev.coefficients @ mass_prev, 0.0)))]
+    scale = max([float(np.sqrt(max(c_prev @ mass_prev, 0.0)))]
                 + [abs(value) for _, value in bcs])
     rhs = mass_prev / stepper.dt
     if scenario.forcing is not None:
         rhs = rhs + forcing_vector(scenario.forcing, t_next, mesh)
-    kl, ku = stepper.half_bands
     unknowns, rho_block = stepper.unknowns, stepper.rho_block
-    start = np.array(rho_prev.coefficients if guess is None else guess, dtype=float)
+    start = np.array(c_prev if guess is None else guess, dtype=float)
     shifts = [value - start[i] for i, value in bcs]
     for i, value in bcs:  # the guess meets the step's Dirichlet rows
         start[i] = value
@@ -433,86 +442,62 @@ def be_step(
             r[i] = x[i] - value
         return r
 
-    def factor(x: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        jac = b_jacobian(FeFunction(mesh, x))
-        np.subtract(linear_part, nonlinear_coeff * jac, out=rho_block)
-        rho_block[stepper.bc_entries] = stepper.bc_values
-        factored = False
+    def solve(x: np.ndarray, r: np.ndarray, refactor: bool) -> np.ndarray:
+        # newton_solve adds the correction to x, so K x follows it here
+        nonlocal stab_x
+        lifted = np.zeros(stepper.newton.shape[1])
+        lifted[::unknowns] = -r
+        if refactor:
+            jac = b_jacobian(FeFunction(mesh, x))
+            np.subtract(linear_part, nonlinear_coeff * jac, out=rho_block)
+            rho_block[stepper.bc_entries] = stepper.bc_values
+            d = lu_solve(stepper.newton, lifted, *stepper.half_bands, out=stepper.factors)
+        else:
+            d = stepper.factors.solve(lifted)
+        if stab is not None:
+            stab_x = stab_x + stab.of_correction(d)
+        return d[::unknowns]
 
-        def solve(r: np.ndarray) -> np.ndarray:
-            # The first solve factors the band into the Stepper's workspace
-            # through lu_solve (looked up here, so that a tracer wrapping
-            # it counts factorizations); later ones reuse those factors.
-            # newton_solve adds every correction it solves for to x, so K x
-            # follows it here.
-            nonlocal factored, stab_x
-            lifted = np.zeros(stepper.newton.shape[1])
-            lifted[::unknowns] = -r
-            if factored:
-                d = stepper.factors.solve(lifted)
-            else:
-                d = lu_solve(stepper.newton, lifted, kl, ku, out=stepper.factors)
-                factored = True
-            if stab is not None:
-                stab_x = stab_x + stab.of_correction(d)
-            return d[::unknowns]
-
-        return solve
-
-    coeffs, iters = newton_solve(residual, factor, start, scale, stepper.newton_tol,
-                                 stepper.newton_max_iter)
-    if stab is None:
-        return FeFunction(mesh, coeffs), iters, scale, 0.0, None
-    stab_c = stab(coeffs)
-    return FeFunction(mesh, coeffs), iters, scale, float(coeffs @ stab_c), stab_c
+    c, iters = newton_solve(residual, solve, start, scale, stepper.newton_tol,
+                            stepper.newton_max_iter)
+    return c, iters, scale, None if stab is None else stab(c)
 
 
-def _filtered(hat: np.ndarray, n1: np.ndarray, n2: np.ndarray, gamma: float) -> np.ndarray:
+def time_filter_step(hat: np.ndarray, n1: np.ndarray, n2: np.ndarray, gamma: float) -> np.ndarray:
+    """Post-step correction hat - (gamma/2)(hat - 2 n1 + n2) of three levels' vectors.
+
+    Linear in the levels, so it serves both the states and their K.
+    """
     return hat - 0.5 * gamma * (hat - 2.0 * n1 + n2)
 
 
-def time_filter_step(
-    rho_hat: FeFunction, rho_n1: FeFunction, rho_n2: FeFunction, gamma: float
-) -> FeFunction:
-    """Post-step correction rhohat - (gamma/2)(rhohat - 2 rho_n1 + rho_n2)."""
-    mesh = require_same_mesh(rho_hat, rho_n1, rho_n2)
-    return FeFunction(mesh, _filtered(rho_hat.coefficients, rho_n1.coefficients,
-                                      rho_n2.coefficients, gamma))
+def mass_norm(c: np.ndarray, mass_c: np.ndarray) -> float:
+    """Discrete L2 norm sqrt(c . M c) of the coefficients c, from mass_c = M c."""
+    return float(np.sqrt(max(c @ mass_c, 0.0)))
 
 
-def mass_norm(u: FeFunction, mass_u: np.ndarray) -> float:
-    """Discrete L2 norm sqrt(c^T M c) of u = c, from its product mass_u = M c."""
-    c = u.coefficients
-    return float(np.sqrt(max(c @ mass_u, 0.0)))
-
-
-def energy_e(
-    u_n: FeFunction, u_n1: FeFunction, mass_n: np.ndarray, mass_n1: np.ndarray
-) -> float:
+def energy_e(a: np.ndarray, b: np.ndarray, mass_a: np.ndarray, mass_b: np.ndarray) -> float:
     """E[u^n] = (1/4)(||u^n||^2 + ||2u^n - u^{n-1}||^2 + ||u^n - u^{n-1}||^2).
 
     With a = u^n and b = u^{n-1}, the three norms are formed from the two
-    products mass_n = M a and mass_n1 = M b (M(2a - b) = 2 M a - M b).
+    products mass_a = M a and mass_b = M b (M(2a - b) = 2 M a - M b).
     """
-    require_same_mesh(u_n, u_n1)
-    a, b = u_n.coefficients, u_n1.coefficients
-    return 0.25 * float(a @ mass_n + (2.0 * a - b) @ (2.0 * mass_n - mass_n1)
-                        + (a - b) @ (mass_n - mass_n1))
+    return 0.25 * float(a @ mass_a + (2.0 * a - b) @ (2.0 * mass_a - mass_b)
+                        + (a - b) @ (mass_a - mass_b))
 
 
-def energy_z(
-    u_n: FeFunction, u_n1: FeFunction, u_n2: FeFunction, operators: AssembledOperators
-) -> float:
+def energy_z(a: np.ndarray, b: np.ndarray, c: np.ndarray, mass: np.ndarray) -> float:
     """Z[u^n] = (3/4)||u^n - 2u^{n-1} + u^{n-2}||^2 (discrete second difference).
 
-    This is the curvature term appearing in the algebraic identity
-    (D[u], I[u]) = E[u^n] - E[u^{n-1}] + Z[u^n].  It forms its own product
-    M d of the second difference d: built from the three levels' products
-    instead, Z would lose about 1e-8 of its value to cancellation.
+    a, b and c are the coefficients of u^n, u^{n-1} and u^{n-2} and mass
+    the band of M.  This is the curvature term appearing in the algebraic
+    identity (D[u], I[u]) = E[u^n] - E[u^{n-1}] + Z[u^n].  It forms its
+    own product M d of the second difference d: built from the three
+    levels' products instead, Z would lose about 1e-8 of its value to
+    cancellation.
     """
-    require_same_mesh(u_n, u_n1, u_n2)
-    d = u_n.coefficients - 2.0 * u_n1.coefficients + u_n2.coefficients
-    return 0.75 * float(d @ band_matvec(operators.mass, d))
+    d = a - 2.0 * b + c
+    return 0.75 * float(d @ band_matvec(mass, d))
 
 
 def run_time_filtered(
@@ -530,52 +515,52 @@ def run_time_filtered(
     states' extrapolation.  A step whose Newton iteration fails or meets a
     singular matrix raises NoConvergenceError naming the step.
 
-    With stabilization the loop carries K rho^n next to M rho^n: K rhohat^n
-    comes from the one filter chain of its step (level 0 runs its own),
-    the time filter acts on it by linearity, and the guess's K is
-    2 K rho^{n-1} - K rho^{n-2}.
+    The loop carries coefficient vectors, and wraps them in FeFunctions
+    only for the records.  With stabilization it carries K rho^n next to
+    M rho^n: K rhohat^n comes from the one filter chain of its step (level
+    0 runs its own), the time filter acts on it by linearity, and the
+    guess's K is 2 K rho^{n-1} - K rho^{n-2}.  A level's dissipation is
+    c . K c at c = rhohat^n.
     """
     stepper = Stepper.build(scenario, params, grid.dt, mesh, newton_tol, newton_max_iter)
-    ops, stab = stepper.operators, stepper.stab
+    mass, stab = stepper.operators.mass, stepper.stab
     # rho^{n-1}, rho^{n-2}, M rho^{n-1}, K rho^{n-1} and K rho^{n-2};
     # level 0 is its own predecessor
-    rho_n1, rho_n2 = l2_project(scenario.initial_condition, mesh), None
-    mass_n1 = band_matvec(ops.mass, rho_n1.coefficients)
+    c_n1, c_n2 = l2_project(scenario.initial_condition, mesh).coefficients, None
+    mass_n1 = band_matvec(mass, c_n1)
     stab_n1 = stab_n2 = None
     for n in range(grid.n_steps + 1):
         t = n * grid.dt
-        guess, stab_guess = None, stab_n1
-        if rho_n2 is not None:
-            guess = 2.0 * rho_n1.coefficients - rho_n2.coefficients
+        if n:  # step 1 starts at rho^0, later steps at 2 rho^{n-1} - rho^{n-2}
+            guess = c_n1 if c_n2 is None else 2.0 * c_n1 - c_n2
+            stab_guess = stab_n1 if stab_n2 is None else 2.0 * stab_n1 - stab_n2
+            try:
+                hat, iters, scale, stab_hat = be_step(stepper, c_n1, mass_n1, t, guess,
+                                                      stab_guess)
+            except (NoConvergenceError, SingularMatrixError) as err:
+                raise NoConvergenceError(f"step {n} to t = {t:.6g} failed: {err}") from err
+        else:
+            hat, iters, scale = c_n1, 0, 1.0
+            stab_hat = None if stab is None else stab(hat)
+        dissipation = 0.0 if stab_hat is None else float(hat @ stab_hat)
+        c, stab_n = hat, stab_hat
+        if c_n2 is not None and params.gamma != 0.0:
+            c = time_filter_step(hat, c_n1, c_n2, params.gamma)
             if stab is not None:
-                stab_guess = 2.0 * stab_n1 - stab_n2
-        try:
-            if n:
-                rho_hat, iters, scale, dissipation, stab_n = be_step(
-                    stepper, rho_n1, mass_n1, t, guess, stab_guess)
-            else:
-                rho_hat, iters, scale = rho_n1, 0, 1.0
-                c = rho_hat.coefficients
-                stab_n = None if stab is None else stab(c)
-                dissipation = 0.0 if stab is None else float(c @ stab_n)
-        except (NoConvergenceError, SingularMatrixError) as err:
-            raise NoConvergenceError(f"step {n} to t = {t:.6g} failed: {err}") from err
-        rho = rho_hat
-        if rho_n2 is not None and params.gamma != 0.0:
-            rho = time_filter_step(rho_hat, rho_n1, rho_n2, params.gamma)
-            if stab is not None:
-                stab_n = _filtered(stab_n, stab_n1, stab_n2, params.gamma)
+                stab_n = time_filter_step(stab_hat, stab_n1, stab_n2, params.gamma)
         # M rho^n, formed once: the level's norm and energy, and the next
         # step's right-hand side and stopping scale.  Diagnostics describe
         # the accepted state; the dissipation of the step is the one
         # exerted on rhohat = I[rho^n] in step 1.
-        mass_n = band_matvec(ops.mass, rho.coefficients) if n else mass_n1
+        mass_n = band_matvec(mass, c) if n else mass_n1
         diag = StepDiagnostics(
-            n=n, t=t, l2_norm=mass_norm(rho, mass_n),
-            energy_e=energy_e(rho, rho_n1, mass_n, mass_n1),
-            zeta_z=0.0 if rho_n2 is None else energy_z(rho, rho_n1, rho_n2, ops),
+            n=n, t=t, l2_norm=mass_norm(c, mass_n),
+            energy_e=energy_e(c, c_n1, mass_n, mass_n1),
+            zeta_z=0.0 if c_n2 is None else energy_z(c, c_n1, c_n2, mass),
             newton_iters=iters, stab_dissipation=dissipation, residual_scale=scale,
         )
-        rho_n1, rho_n2, mass_n1 = rho, (rho_n1 if n else None), mass_n
+        rho = FeFunction(mesh, c)
+        rho_hat = rho if hat is c else FeFunction(mesh, hat)
+        c_n1, c_n2, mass_n1 = c, (c_n1 if n else None), mass_n
         stab_n1, stab_n2 = stab_n, stab_n1
         yield rho, diag, rho_hat

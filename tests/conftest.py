@@ -6,14 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from lwrfem.mesh import (
-    FeFunction,
-    Mesh1D,
-    QuadratureRule,
-    element_values,
-    evaluate,
-    require_same_mesh,
-)
+from lwrfem.mesh import FeFunction, Mesh1D, QuadratureRule, evaluate
 from lwrfem.filtering import FilterContext, Stabilization
 from lwrfem.linalg import band_matvec
 from lwrfem.operators import REFERENCE, AssembledOperators
@@ -34,6 +27,20 @@ def smooth_periodic(mesh: Mesh1D, rng: np.random.Generator, n_modes: int = 4) ->
         values += amps[k - 1, 0] * np.sin(2 * np.pi * k * x)
         values += amps[k - 1, 1] * np.cos(2 * np.pi * k * x)
     return FeFunction(mesh, values)
+
+
+def element_values(f: FeFunction, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
+    """Values and physical derivatives of f at all quadrature points.
+
+    Returns (u, du) each of shape (n_elements, n_points).
+    """
+    mesh = f.mesh
+    ce = f.coefficients[mesh.cell_dofs]  # (n_el, n_loc)
+    basis = rule.values[mesh.degree]  # (n_q, n_loc)
+    dbasis = rule.derivatives[mesh.degree]
+    u = ce @ basis.T
+    du = (ce @ dbasis.T) / mesh.h
+    return u, du
 
 
 def fe_values_on_rule(f: FeFunction, n_points: int = 7):
@@ -65,7 +72,7 @@ def b_form(u: FeFunction, v: FeFunction, w: FeFunction) -> float:
     that the solver's b_residual and b_jacobian use: per element,
     int u' v w = T_ijk w_i v_j u_k and int u v' w = T_ijk w_i u_j v_k.
     """
-    mesh = require_same_mesh(u, v, w)
+    mesh = u.mesh
     t = REFERENCE[mesh.degree].transport
     cu, cv, cw = (f.coefficients[mesh.cell_dofs] for f in (u, v, w))
     return float(np.einsum("ijk,ei,ej,ek->", t, cw, cv, cu)
@@ -74,13 +81,13 @@ def b_form(u: FeFunction, v: FeFunction, w: FeFunction) -> float:
 
 def norm(u: FeFunction, operators: AssembledOperators) -> float:
     """mass_norm of u, with the product M u formed here."""
-    return mass_norm(u, band_matvec(operators.mass, u.coefficients))
+    return mass_norm(u.coefficients, band_matvec(operators.mass, u.coefficients))
 
 
 def energy(u_n: FeFunction, u_n1: FeFunction, operators: AssembledOperators) -> float:
     """energy_e of (u^n, u^{n-1}), with the products M u^n and M u^{n-1} formed here."""
     mass_n, mass_n1 = (band_matvec(operators.mass, u.coefficients) for u in (u_n, u_n1))
-    return energy_e(u_n, u_n1, mass_n, mass_n1)
+    return energy_e(u_n.coefficients, u_n1.coefficients, mass_n, mass_n1)
 
 
 def total_variation(rho_h: FeFunction) -> float:
@@ -107,7 +114,7 @@ def three_level_ops(
     D[u^n] = (3/2)u^n - 2u^{n-1} + (1/2)u^{n-2}  (difference)
     I[u^n] = (3/2)u^n - u^{n-1} + (1/2)u^{n-2}   (interpolation)
     """
-    mesh = require_same_mesh(u_n, u_n1, u_n2)
+    mesh = u_n.mesh
     a, b, c = u_n.coefficients, u_n1.coefficients, u_n2.coefficients
     return (
         FeFunction(mesh, 1.5 * a - 2.0 * b + 0.5 * c),

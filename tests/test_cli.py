@@ -342,6 +342,28 @@ class TestMain:
         )
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv,message", [
+        (["run", "--t_final", "0.0001", "--dt", "1e-320"], "t_final / dt overflows"),
+        (["conv-time", "--scenario", "manufactured", "--dt_max", "1e-320"],
+         "t_final / dt overflows"),
+        (["study", "--study_times", "1e305"], "t_final / dt overflows"),
+        (["run", "--v_f", "1e308"], "2 v_f / rho_m overflows"),
+        (["run", "--rho_m", "1e-310"], "2 v_f / rho_m overflows"),
+    ])
+    def test_overflowing_ratios_exit_2(self, tmp_path, capsys, monkeypatch, argv, message):
+        # a step count or a nonlinear coefficient beyond the floats is a
+        # configuration error, refused before any run starts
+        def refuse(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(cli, "run_time_filtered", refuse)
+        command, *flags = argv
+        code = main([command, "--scenario", "shock", *flags, "--output_dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"configuration error: {message}") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
     def test_unreadable_config_file_exits_2(self, tmp_path, capsys):
         undecodable = tmp_path / "latin1.cfg"
         undecodable.write_bytes(b"scenario = shock\n# caf\xe9\n")

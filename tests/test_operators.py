@@ -8,7 +8,6 @@ from lwrfem.mesh import (
     FeFunction,
     QuadratureRule,
     build_mesh,
-    element_values,
 )
 from lwrfem.operators import (
     REFERENCE,
@@ -20,7 +19,9 @@ from lwrfem.operators import (
     scatter_band,
 )
 from lwrfem.linalg import band_matvec
-from conftest import b_form, dense, fe_values_on_rule, integrate_elementwise, random_fe
+from conftest import (
+    b_form, dense, element_values, fe_values_on_rule, integrate_elementwise, random_fe,
+)
 
 
 def quadrature_b_residual(rho):
@@ -168,12 +169,6 @@ class TestTrilinearForm:
             rhs = -integrate_elementwise(mesh, v * du * v)
             scale = max(abs(lhs), 1.0)
             assert lhs == pytest.approx(rhs, abs=1e-12 * scale)
-
-    def test_mesh_mismatch(self, rng):
-        mesh_a = build_mesh(0.0, 1.0, 8, 1, PERIODIC)
-        mesh_b = build_mesh(0.0, 1.0, 8, 1, PERIODIC)
-        with pytest.raises(ValueError, match="operands live on different meshes"):
-            b_form(random_fe(mesh_a, rng), random_fe(mesh_a, rng), random_fe(mesh_b, rng))
 
 
 class TestTransportTensor:

@@ -33,18 +33,18 @@ _EPS = float(np.finfo(float).eps)
 
 
 def start(case):
-    """(stepper, rho^0, M rho^0, t_next) of one case."""
+    """(stepper, c^0, M c^0, t_next) of one case: c^0 the coefficients of rho^0."""
     name, degree, n, kind, chi, dt = case
     scenario = SCENARIOS[name]()
     mesh = build_mesh(0.0, 1.0, n, degree, kind)
     stepper = Stepper.build(scenario, ModelParams(chi=chi, delta=np.sqrt(mesh.h),
                                                   deconv_order=1), dt, mesh)
-    rho = l2_project(lambda x: scenario.exact_solution(x, T0), mesh)
-    return stepper, rho, band_matvec(stepper.operators.mass, rho.coefficients), T0 + dt
+    c = l2_project(lambda x: scenario.exact_solution(x, T0), mesh).coefficients
+    return stepper, c, band_matvec(stepper.operators.mass, c), T0 + dt
 
 
 def run_case(case):
-    """(state, iterations, scale) of the case's step, or the error it raised."""
+    """(coefficients, iterations, scale) of the case's step, or the error it raised."""
     try:
         return be_step(*start(case))[:3]
     except NoConvergenceError as err:
@@ -73,9 +73,9 @@ def test_converged_steps_are_roots_to_threshold_or_rounding(scan):
     # r(x) recomputed from the Stepper's parts, outside Newton; a residual
     # above newton_tol * scale must lie at the rounding level of its own
     # evaluation, eps * || |linear part x| + |right-hand side| ||
-    for case, (rho, _, scale) in converged(scan).items():
+    for case, (x, _, scale) in converged(scan).items():
         stepper, _, mass_prev, t_next = start(case)
-        x, mesh = rho.coefficients, rho.mesh
+        mesh = stepper.operators.mesh
         linear = band_matvec(stepper.linear_part, x)
         rhs = mass_prev / stepper.dt
         if stepper.scenario.forcing is not None:
@@ -91,26 +91,16 @@ def test_converged_steps_are_roots_to_threshold_or_rounding(scan):
 
 
 def test_kept_factor_agrees_with_exact_newton(scan, monkeypatch):
-    # exact Newton: every iteration factors at the current iterate, the
-    # last one the residual saw
+    # exact Newton: every iteration factors at the current iterate
     newton_solve = stepping.newton_solve
 
-    def exact_newton(residual, factor, guess, scale, tol, max_iter):
-        seen = {}
-
-        def recording(x):
-            seen["x"] = x.copy()
-            return residual(x)
-
-        def refactor(x):
-            return lambda r: factor(seen["x"])(r)
-
-        return newton_solve(recording, refactor, guess, scale, tol, max_iter)
+    def exact_newton(residual, solve, guess, scale, tol, max_iter):
+        return newton_solve(residual, lambda x, r, refactor: solve(x, r, True), guess, scale,
+                            tol, max_iter)
 
     monkeypatch.setattr(stepping, "newton_solve", exact_newton)
-    for case, (rho, _, scale) in converged(scan).items():
+    for case, (c, _, scale) in converged(scan).items():
         stepper, *data = start(case)
-        exact = be_step(stepper, *data)[0]
-        d = rho.coefficients - exact.coefficients
+        d = c - be_step(stepper, *data)[0]
         distance = np.sqrt(max(d @ band_matvec(stepper.operators.mass, d), 0.0))
         assert distance <= stepper.newton_tol * scale, case
