@@ -34,11 +34,11 @@ Every operator is banded on a 1D mesh, so A is factored once per
 one LAPACK pbtrs in O(n) time.  The Newton step of the stepper poses the
 recurrence as extra unknowns of one banded system, whose blocks
 ``Stabilization.newton_blocks`` returns: this module numbers those
-unknowns and builds their equations.  A solution d of that system
-carries y_{2N+2} = Pi^2 d_u among its unknowns, so K d_u is one product
-with no filter solve (``Stabilization.of_correction``); the stepper runs
-the chain once per time step and carries K through Newton by
-linearity.  On Dirichlet
+unknowns and builds their equations, and the stepper lays them out in
+its vectors.  A solution d of that system carries y_{2N+2} = Pi^2 d_u
+among its unknowns, so K d_u is one product with no filter solve
+(``Stabilization.from_pi2``); the stepper runs the chain once per time
+step and carries K through Newton by linearity.  On Dirichlet
 meshes the filter equations are posed on all DOFs with natural boundary
 conditions (no rows are constrained), which keeps A symmetric positive
 definite.
@@ -83,15 +83,11 @@ def build_filter_context(
     )
 
 
-def _filter_solve(ctx: FilterContext, b: np.ndarray) -> np.ndarray:
-    return _PBTRS(ctx.factor, b)[0]
-
-
 def fluctuation(ctx: FilterContext, u: np.ndarray) -> np.ndarray:
     """Pi u = y_{N+1}, by N + 1 filter solves A y_k = delta^2 S y_{k-1}."""
     d2, s = ctx.delta**2, ctx.stiffness
     for _ in range(ctx.deconv_order + 1):
-        u = _filter_solve(ctx, d2 * band_matvec(s, u))
+        u = _PBTRS(ctx.factor, d2 * band_matvec(s, u))[0]
     return u
 
 
@@ -104,18 +100,11 @@ class Stabilization:
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         """K u = chi delta^2 S Pi (Pi u): 2N + 2 filter solves and 2N + 3 products."""
-        return self.weight * band_matvec(self.ctx.stiffness,
-                                         fluctuation(self.ctx, fluctuation(self.ctx, u)))
+        return self.from_pi2(fluctuation(self.ctx, fluctuation(self.ctx, u)))
 
-    def of_correction(self, d: np.ndarray) -> np.ndarray:
-        """K d_u of a solution d of the system ``newton_blocks`` poses: one product.
-
-        d holds every unknown, DOF by DOF.  Its y rows have a zero
-        right-hand side, so its last filter unknown is y_{2N+2} = Pi^2 d_u
-        and K d_u = chi delta^2 S y_{2N+2}, with no filter solve.
-        """
-        last = 2 * self.ctx.deconv_order + 2
-        return self.weight * band_matvec(self.ctx.stiffness, d[last::last + 1])
+    def from_pi2(self, y: np.ndarray) -> np.ndarray:
+        """K u = chi delta^2 S y from y = Pi^2 u: one product, no filter solve."""
+        return self.weight * band_matvec(self.ctx.stiffness, y)
 
     def newton_blocks(self, mass: np.ndarray) -> list[tuple[int, int, np.ndarray]]:
         """The chain above as blocks (row, column, band) of one banded system.

@@ -1,4 +1,4 @@
-"""Banded linear algebra kernel: a checked LU factorization, its solve and a band product.
+"""Banded linear algebra kernel: a checked LU factorization, its solve, a band product and a norm.
 
 A matrix with kl sub-diagonals and ku super-diagonals is held in LAPACK
 band storage, ab[ku + i - j, j] = a[i, j], an array of shape
@@ -26,6 +26,11 @@ the band's n nor x's rank, so ``band_matvec`` does; and it requires at
 least kl + ku + 1 result rows, so on a tiny mesh (n <= 2w, such as a
 periodic P1 mesh of 2 to 4 elements) the call asks for that many rows,
 of which the rows past n are dropped.
+
+The norm is one BLAS nrm2 call, which scales as it sums: it neither
+underflows nor overflows where the Euclidean norm itself is a finite
+nonzero double (Anderson, Algorithm 978: Safe scaling in the Level 1
+BLAS, ACM TOMS 44, 2017), and it is NaN or inf where an entry is.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ class SingularMatrixError(ValueError):
 PIVOT_RTOL = 1e-14
 
 _GBTRF, _GBTRS = get_lapack_funcs(("gbtrf", "gbtrs"), (np.zeros(1),))
-_GBMV, = get_blas_funcs(("gbmv",), (np.zeros(1),))
+_GBMV, _NRM2 = get_blas_funcs(("gbmv", "nrm2"), (np.zeros(1),))
 
 
 class BandLU:
@@ -136,3 +141,8 @@ def band_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a vector of shape ({n},), got shape {np.shape(x)}")
     w = rows // 2
     return _GBMV(max(n, rows), n, w, w, 1.0, ab, x)[:n]
+
+
+def norm2(x: np.ndarray) -> float:
+    """Euclidean norm of the entries of a non-empty float vector, by BLAS nrm2."""
+    return _NRM2(x)

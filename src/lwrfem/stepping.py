@@ -67,8 +67,8 @@ The stabilization K = chi delta^2 S Pi^2 is a dense matrix, but it is the
 product of banded ones (see ``filtering``).  So each Newton step solves
 one banded augmented system: every DOF carries rho (unknown 0) and the
 filter recurrence's y_1..y_{2N+2}, which ``filtering`` numbers and poses
-as blocks (``Stabilization.newton_blocks``; 2N + 3 unknowns, numbered
-DOF by DOF).  The rho rows read
+as blocks (``Stabilization.newton_blocks``; 2N + 3 unknowns, which this
+module lays out DOF by DOF).  The rho rows read
 
     (M/dt + v_f C - (2 v_f / rho_m) J_b) d_rho + chi delta^2 S d_y{2N+2} = -r,
 
@@ -94,7 +94,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .filtering import Stabilization, build_filter_context, stabilization_matrix
-from .linalg import BandLU, SingularMatrixError, band_matvec, lu_solve
+from .linalg import BandLU, SingularMatrixError, band_matvec, lu_solve, norm2
 from .mesh import FeFunction, Mesh1D
 from .operators import (
     AssembledOperators,
@@ -156,6 +156,8 @@ class TimeGrid:
     def __post_init__(self) -> None:
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
+        if not np.isfinite(1.0 / self.dt):  # M/dt: every entry of M is below 1 on [0, 1]
+            raise ValueError(f"1 / dt overflows for dt = {self.dt:g}")
         if self.n_steps < 0:
             raise ValueError(f"n_steps must be nonnegative, got {self.n_steps}")
 
@@ -234,7 +236,9 @@ def newton_solve(
     ||x||: x is then a root to the precision of its own digits, and the
     residual stands at the rounding level of its evaluation, which can
     lie above tol * scale (a residual holding M/dt at dt = 1e-8 does).
-    A non-finite residual norm, at the guess or after any update, raises
+    Every norm is ``norm2``, which neither underflows nor overflows, so a
+    residual of 1e-170 counts as nonzero and one of 1e200 as finite; a
+    residual holding NaN or inf, at the guess or after any update, raises
     NoConvergenceError.
     """
     if not 0 < tol < 1:
@@ -245,8 +249,7 @@ def newton_solve(
         raise ValueError(f"scale must be nonnegative, got {scale}")
     x = np.asarray(guess, dtype=float).copy()
     r = residual(x)
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite norms raise below
-        norm = float(np.linalg.norm(r))
+    norm = norm2(r)
     threshold = tol * scale
     iters, settled = 0, False  # settled: the last correction was at rounding level
     prev_norm = 0.0  # the residual norm before the last correction
@@ -265,9 +268,8 @@ def newton_solve(
         iters += 1
         prev_norm = norm
         r = residual(x)
-        with np.errstate(over="ignore", invalid="ignore"):
-            norm = float(np.linalg.norm(r))
-            settled = np.linalg.norm(d) <= NEWTON_ROUNDING * _EPS * np.linalg.norm(x)
+        norm = norm2(r)
+        settled = norm2(d) <= NEWTON_ROUNDING * _EPS * norm2(x)
     return x, iters
 
 
@@ -381,20 +383,20 @@ class Stepper:
 
 def be_step(
     stepper: Stepper, c_prev: np.ndarray, mass_prev: np.ndarray, t_next: float,
-    guess: np.ndarray | None = None, stab_guess: np.ndarray | None = None,
+    guess: np.ndarray, stab_guess: np.ndarray | None,
 ) -> tuple[np.ndarray, int, float, np.ndarray | None]:
     """One implicit step from the coefficients c_prev to t_next, Newton started at guess.
 
     mass_prev is M c_prev, which the caller has formed once for its
     level; it gives the right-hand side M c_prev / dt and the stopping
-    scale.  guess holds coefficients (c_prev by default); Newton starts
-    there, with the constrained entries set to g(t_next).  stab_guess is
-    K times those coefficients, which the caller has by linearity from its
-    levels' (see run_time_filtered); be_step moves it to the start iterate
-    with the Stepper's columns K e_i of the constrained rows.  Without it
-    the start iterate's K is one filter chain.  Newton stops at
-    ||residual|| <= newton_tol * scale (or at a correction at rounding
-    level, see newton_solve), where scale is the size of the step's data:
+    scale.  guess holds coefficients; Newton starts there, with the
+    constrained entries set to g(t_next).  stab_guess is K guess, which
+    the caller has by linearity from its levels' (see run_time_filtered),
+    and None exactly when the run has no stabilization; be_step moves it
+    to the start iterate with the Stepper's columns K e_i of the
+    constrained rows.  Newton stops at ||residual|| <= newton_tol * scale
+    (or at a correction at rounding level, see newton_solve), where
+    scale is the size of the step's data:
     the larger of ||c_prev||_L2 = sqrt(c_prev . M c_prev) and the boundary
     values |g(t_next)|.  It is the same on every mesh that resolves the
     state, and the guess cannot move it.  Neither dt nor the forcing enters
@@ -403,14 +405,14 @@ def be_step(
     iterations, the scale and K c (None without stabilization).
 
     Newton runs no filter chain: each residual after the first takes
-    K x_{k+1} = K x_k + K d_k, where the correction's last filter unknown
-    gives K d_k (``Stabilization.of_correction``), from the augmented
-    solve that the iteration makes anyway.  Once Newton stops, one chain
-    at the returned c forms K c afresh, so no rounding of the sums reaches
-    the dissipation c . K c or the caller's next levels.  Each
-    factorization goes through ``lu_solve`` into the Stepper's workspace
-    (looked up here, so that a tracer wrapping it counts factorizations);
-    the chord steps solve with ``Stepper.factors``.
+    K x_{k+1} = K x_k + K d_k, where K d_k = chi delta^2 S y_{2N+2} comes
+    from the correction's last filter unknown y_{2N+2} = Pi^2 d_k
+    (``Stabilization.from_pi2``), which the augmented solve holds anyway.
+    Once Newton stops, one chain at the returned c forms K c afresh, so no
+    rounding of the sums reaches the dissipation c . K c or the caller's
+    next levels.  Each factorization goes through ``lu_solve`` into the
+    Stepper's workspace (looked up here, so that a tracer wrapping it
+    counts factorizations); the chord steps solve with ``Stepper.factors``.
     """
     mesh, scenario = stepper.operators.mesh, stepper.scenario
     if np.shape(c_prev) != (mesh.n_dofs,):
@@ -423,14 +425,13 @@ def be_step(
     if scenario.forcing is not None:
         rhs = rhs + forcing_vector(scenario.forcing, t_next, mesh)
     unknowns, rho_block = stepper.unknowns, stepper.rho_block
-    start = np.array(c_prev if guess is None else guess, dtype=float)
+    start = np.array(guess, dtype=float)
     shifts = [value - start[i] for i, value in bcs]
     for i, value in bcs:  # the guess meets the step's Dirichlet rows
         start[i] = value
-    stab_x = None  # K x at the iterate of the next residual evaluation
-    if stab is not None:
-        stab_x = stab(start) if stab_guess is None else stab_guess + sum(
-            shift * column for shift, column in zip(shifts, stepper.bc_stab))
+    # K x at the iterate of the next residual evaluation
+    stab_x = None if stab is None else stab_guess + sum(
+        shift * column for shift, column in zip(shifts, stepper.bc_stab))
 
     def residual(x: np.ndarray) -> np.ndarray:
         r = band_matvec(linear_part, x)
@@ -454,8 +455,8 @@ def be_step(
             d = lu_solve(stepper.newton, lifted, *stepper.half_bands, out=stepper.factors)
         else:
             d = stepper.factors.solve(lifted)
-        if stab is not None:
-            stab_x = stab_x + stab.of_correction(d)
+        if stab is not None:  # the last filter unknown y_{2N+2} = Pi^2 d_rho
+            stab_x = stab_x + stab.from_pi2(d[unknowns - 1::unknowns])
         return d[::unknowns]
 
     c, iters = newton_solve(residual, solve, start, scale, stepper.newton_tol,

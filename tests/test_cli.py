@@ -349,9 +349,11 @@ class TestMain:
         (["study", "--study_times", "1e305"], "t_final / dt overflows"),
         (["run", "--v_f", "1e308"], "2 v_f / rho_m overflows"),
         (["run", "--rho_m", "1e-310"], "2 v_f / rho_m overflows"),
+        (["run", "--dt", "1e-315", "--t_final", "3.999999994e-315"], "1 / dt overflows"),
+        (["study", "--dt", "1e-315", "--study_times", "3.999999994e-315"], "1 / dt overflows"),
     ])
     def test_overflowing_ratios_exit_2(self, tmp_path, capsys, monkeypatch, argv, message):
-        # a step count or a nonlinear coefficient beyond the floats is a
+        # a step count, a 1 / dt or a nonlinear coefficient beyond the floats is a
         # configuration error, refused before any run starts
         def refuse(*args, **kwargs):
             raise AssertionError("a run started")

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.linalg import lapack
 
-from lwrfem.linalg import PIVOT_RTOL, BandLU, SingularMatrixError, band_matvec, lu_solve
+from lwrfem.linalg import (
+    PIVOT_RTOL, BandLU, SingularMatrixError, band_matvec, lu_solve, norm2,
+)
 from conftest import band, dense
 
 
@@ -183,3 +185,12 @@ def test_band_matvec_matches_dense(rng):
         for bad in (np.ones(n + 1), np.ones(n - 1), np.ones((n, 2)), np.ones((1, n))):
             with pytest.raises(ValueError, match=rf"expected a vector of shape \({n},\)"):
                 band_matvec(ab, bad)
+
+
+def test_norm2_neither_underflows_nor_overflows():
+    # squaring first would read 1e-170 as 0 and 1e200 as inf
+    assert norm2(np.array([1e-170, 0.0])) == 1e-170
+    assert norm2(np.array([1e200, -1e200])) == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
+    assert norm2(np.array([3.0, -4.0])) == 5.0
+    assert norm2(np.array([1.0, -np.inf])) == np.inf
+    assert np.isnan(norm2(np.array([np.nan, 1.0])))

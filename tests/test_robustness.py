@@ -33,14 +33,18 @@ _EPS = float(np.finfo(float).eps)
 
 
 def start(case):
-    """(stepper, c^0, M c^0, t_next) of one case: c^0 the coefficients of rho^0."""
+    """be_step's arguments (stepper, c^0, M c^0, t_next, c^0, K c^0) of one case.
+
+    c^0 holds the coefficients of rho^0, where Newton starts.
+    """
     name, degree, n, kind, chi, dt = case
     scenario = SCENARIOS[name]()
     mesh = build_mesh(0.0, 1.0, n, degree, kind)
     stepper = Stepper.build(scenario, ModelParams(chi=chi, delta=np.sqrt(mesh.h),
                                                   deconv_order=1), dt, mesh)
     c = l2_project(lambda x: scenario.exact_solution(x, T0), mesh).coefficients
-    return stepper, c, band_matvec(stepper.operators.mass, c), T0 + dt
+    stab_c = None if stepper.stab is None else stepper.stab(c)
+    return stepper, c, band_matvec(stepper.operators.mass, c), T0 + dt, c, stab_c
 
 
 def run_case(case):
@@ -74,7 +78,7 @@ def test_converged_steps_are_roots_to_threshold_or_rounding(scan):
     # above newton_tol * scale must lie at the rounding level of its own
     # evaluation, eps * || |linear part x| + |right-hand side| ||
     for case, (x, _, scale) in converged(scan).items():
-        stepper, _, mass_prev, t_next = start(case)
+        stepper, _, mass_prev, t_next, *_ = start(case)
         mesh = stepper.operators.mesh
         linear = band_matvec(stepper.linear_part, x)
         rhs = mass_prev / stepper.dt

@@ -41,10 +41,12 @@ def unforced(scenario):
     return dataclasses.replace(scenario, forcing=None)
 
 
-def step_from(stepper, state, t_next, guess=None):
-    """be_step from state's coefficients c, with the product M c formed as the march does."""
-    mass_prev = band_matvec(mass_matrix(state.mesh), state.coefficients)
-    return be_step(stepper, state.coefficients, mass_prev, t_next, guess)
+def step_from(stepper, state, t_next):
+    """be_step from state's coefficients c, started there, with M c and K c formed once."""
+    c = state.coefficients
+    mass_prev = band_matvec(mass_matrix(state.mesh), c)
+    stab_c = None if stepper.stab is None else stepper.stab(c)
+    return be_step(stepper, c, mass_prev, t_next, c, stab_c)
 
 
 def time_rates_rung(chi):
@@ -106,6 +108,11 @@ class TestModelParamsAndGrid:
         for dt, t_final in ((1e-320, 1e-4), (1e-4, 1e305)):
             with pytest.raises(ValueError, match="t_final / dt overflows"):
                 TimeGrid.to_final_time(dt, t_final)
+        # a step whose M/dt overflows is an error, not a NaN residual
+        for make in (lambda: TimeGrid(dt=1e-315, n_steps=4),
+                     lambda: TimeGrid.to_final_time(1e-315, 3.999999994e-315)):
+            with pytest.raises(ValueError, match="1 / dt overflows"):
+                make()
 
 
 class TestNewtonSolve:
@@ -146,6 +153,7 @@ class TestNewtonSolve:
         [
             lambda x: np.full_like(x, np.nan),  # non-finite at the guess
             lambda x: np.log(x),  # finite at the guess, NaN after the update
+            lambda x: np.full_like(x, np.inf),
         ],
     )
     def test_non_finite_residual_raises(self, residual):
@@ -153,6 +161,14 @@ class TestNewtonSolve:
             with pytest.raises(NoConvergenceError, match="non-finite"):
                 newton_solve(residual, dense_solve(lambda x: np.diag(1.0 / x)),
                              np.array([0.1, 5.0]), 1.0)
+
+    @pytest.mark.parametrize("root,scale", [(1e-170, 1e-200), (1e200, 1e200)])
+    def test_norms_neither_underflow_nor_overflow(self, root, scale):
+        # a norm that squares first reads the residual 1e-170 as 0 and 1e200
+        # as inf: the first would return the guess unsolved, the second fail
+        # as non-finite
+        x, iters = newton_solve(lambda x: x - root, lambda x, r, refactor: -r, np.zeros(1), scale)
+        assert iters == 1 and x[0] == root
 
     @pytest.mark.parametrize("tol", [0.0, 1.0, 2.0])
     def test_tolerance_outside_unit_interval_rejected(self, tol):
@@ -420,7 +436,8 @@ class TestBeStep:
         start = guess.copy()
         start[rows] = 0.3  # be_step starts on the step's Dirichlet values
         expected, expected_iters = newton_solve(residual, dense_solve(jacobian), start, scale)
-        state, iters, step_scale, _ = be_step(stepper, prev.coefficients, mass_prev, 0.01, guess)
+        state, iters, step_scale, _ = be_step(stepper, prev.coefficients, mass_prev, 0.01, guess,
+                                              stepper.stab(guess))
         assert step_scale == scale
         assert iters == expected_iters
         assert np.abs(state - expected).max() <= 1e-12
@@ -431,7 +448,9 @@ class TestBeStep:
         stepper = Stepper.build(manufactured(), params, 0.01, mesh)
         prev = FeFunction(mesh, np.sin(np.pi * mesh.dof_x) ** 4 * np.sin(0.5))
         near = prev.coefficients + 1e-3 * np.sin(3 * np.pi * mesh.dof_x)
-        results = [step_from(stepper, prev, 0.51, guess) for guess in (None, near)]
+        mass_prev = band_matvec(stepper.operators.mass, prev.coefficients)
+        results = [be_step(stepper, prev.coefficients, mass_prev, 0.51, guess, stepper.stab(guess))
+                   for guess in (prev.coefficients, near)]
         (state_a, _, scale_a, *_), (state_b, _, scale_b, *_) = results
         # the L2 norm of rho^{n-1}; the boundary values are 0
         assert scale_a == scale_b == norm(prev, stepper.operators)
