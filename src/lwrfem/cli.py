@@ -29,6 +29,7 @@ import argparse
 import dataclasses
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -66,14 +67,10 @@ def _parse_float(text) -> float:
     return value
 
 
-def _parse_list(item: Callable) -> Callable:
-    """Parser of comma-separated values (or a sequence), each read by item."""
-
-    def parse(text) -> tuple:
-        parts = text if isinstance(text, (tuple, list)) else str(text).split(",")
-        return tuple(item(v) for v in parts if str(v).strip())
-
-    return parse
+def _parse_list(item: Callable, text) -> tuple:
+    """Comma-separated values (or a sequence), each read by item."""
+    parts = text if isinstance(text, (tuple, list)) else str(text).split(",")
+    return tuple(item(v) for v in parts if str(v).strip())
 
 
 @dataclasses.dataclass(frozen=True, kw_only=True)
@@ -149,12 +146,12 @@ class RunConfig:
         """The named scenario, without its exact solution where that does not hold.
 
         The exact solutions are those of v_f = rho_m = 1.  A periodic mesh
-        drops the Dirichlet data, and with it any solution driven by
-        nonzero inflow data (rarefaction, shock: their g at t = 0); the
-        manufactured one, 1-periodic and zero at both ends, still holds.
+        drops the Dirichlet values, and with them any solution driven by a
+        nonzero inflow value (rarefaction, shock); the manufactured one,
+        1-periodic and zero at both ends, still holds.
         """
         scenario = SCENARIOS[self.scenario]()
-        inflow = any(g(0.0) != 0.0 for g in scenario.dirichlet.values())
+        inflow = any(value != 0.0 for value in scenario.dirichlet.values())
         if self.v_f == self.rho_m == 1.0 and not (inflow and self.boundary_kind == PERIODIC):
             return scenario
         return dataclasses.replace(scenario, exact_solution=None)
@@ -188,8 +185,8 @@ _TYPE_PARSERS = {
     "str": str,
     "int": int,
     "float": _parse_float,
-    "tuple[int, ...]": _parse_list(int),
-    "tuple[float, ...]": _parse_list(_parse_float),
+    "tuple[int, ...]": partial(_parse_list, int),
+    "tuple[float, ...]": partial(_parse_list, _parse_float),
 }
 # key -> converter, in RunConfig field order
 KEY_PARSERS: dict[str, Callable] = {
@@ -332,9 +329,8 @@ def cmd_run(config: RunConfig) -> tuple[list[Path], int]:
     out = Path(config.output_dir)
     profile, diagnostics = out / "profile.csv", out / "diagnostics.csv"
     steps = _solve(config, config.make_mesh(), grid)
-    [final] = _guarded_map(
-        [lambda: _write_diagnostics(diagnostics, config, steps)], 1, "run failed"
-    )
+    [final] = _guarded_map(partial(_write_diagnostics, diagnostics, config), [steps], 1,
+                           "run failed")
     if final is None:
         return [], 1
     final_state, final_diag, _ = final
@@ -342,24 +338,24 @@ def cmd_run(config: RunConfig) -> tuple[list[Path], int]:
     return [profile, diagnostics], 0
 
 
-def _guarded_map(fns: Sequence[Callable], jobs: int, what: str) -> list:
-    """Call each fn, up to jobs at a time, in order of the results.
+def _guarded_map(fn: Callable, items: Sequence, jobs: int, what: str) -> list:
+    """fn(item) for each item, up to jobs at a time, in the items' order.
 
     A call that raises NoConvergenceError is reported on stderr as
     ``what: error`` and gives None; the remaining calls still run.
     """
 
-    def guarded(fn: Callable):
+    def guarded(item):
         try:
-            return fn()
+            return fn(item)
         except NoConvergenceError as err:
             print(f"{what}: {err}", file=sys.stderr)
             return None
 
     if jobs == 1:
-        return [guarded(fn) for fn in fns]
+        return [guarded(item) for item in items]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(guarded, fns))
+        return list(pool.map(guarded, items))
 
 
 def _write_convergence(
@@ -385,12 +381,9 @@ def _ladder(
             f"{config.scenario!r} has an exact solution only at v_f = rho_m = 1"
             " and, if its Dirichlet data is nonzero, on a Dirichlet mesh"
         )
-
-    def rung(mesh: Mesh1D, grid: TimeGrid) -> Callable[[], float]:
-        return lambda: run_error_inf(_solve(config, mesh, grid), exact)
-
     errors = _guarded_map(
-        [rung(mesh, grid) for _, mesh, grid in rungs], config.jobs, "rung failed"
+        lambda rung: run_error_inf(_solve(config, *rung[1:]), exact),
+        rungs, config.jobs, "rung failed",
     )
     results = [(resolution, error) for (resolution, _, _), error in zip(rungs, errors)]
     path = Path(config.output_dir) / name
@@ -413,6 +406,10 @@ def cmd_convergence_time(config: RunConfig) -> tuple[list[Path], int]:
     return _ladder(config, "convergence_time.csv", rungs)
 
 
+def _profile_name(member: RunConfig, t: float) -> str:
+    return f"profile_chi{member.chi:g}_N{member.deconv_order}_P{member.degree}_t{t:g}.csv"
+
+
 def cmd_scenario_study(config: RunConfig) -> tuple[list[Path], int]:
     """Sweep chi (and optionally deconvolution order, degree); write profiles."""
     scenario = config.get_scenario()
@@ -429,28 +426,31 @@ def cmd_scenario_study(config: RunConfig) -> tuple[list[Path], int]:
         for n_dec in config.deconv_list or (config.deconv_order,)
         for chi in config.chi_list
     ]
+    # %g keeps 6 digits, so profiles whose values differ only further on, or
+    # repeat, would share a file: every name is checked before any run, at
+    # the level's time i dt as the run forms it
+    labels: dict[str, str] = {}  # file name -> the profile's values
+    for member in members:
+        for t, i in zip(times, indices):
+            name = _profile_name(member, i * config.dt)
+            label = f"chi={member.chi!r} N={member.deconv_order} P={member.degree} t={t!r}"
+            if name in labels:
+                raise ConfigError(f"study profiles {labels[name]} and {label} both write {name}")
+            labels[name] = label
 
-    def snapshots(member: RunConfig) -> Callable[[], list]:
-        def run() -> list:
-            steps = _solve(member, member.make_mesh(), grid)
-            kept = {d.n: (state, d) for state, d, _ in steps if d.n in indices}
-            return [kept[i] for i in indices]
+    def snapshots(member: RunConfig) -> list:
+        steps = _solve(member, member.make_mesh(), grid)
+        kept = {d.n: (state, d) for state, d, _ in steps if d.n in indices}
+        return [kept[i] for i in indices]
 
-        return run
-
-    outputs = _guarded_map(
-        [snapshots(member) for member in members], config.jobs, "study member failed"
-    )
+    outputs = _guarded_map(snapshots, members, config.jobs, "study member failed")
     paths: list[Path] = []
     out = Path(config.output_dir)
     for member, records in zip(members, outputs):
         for state, diag in records or ():
-            name = (
-                f"profile_chi{member.chi:g}_N{member.deconv_order}"
-                f"_P{member.degree}_t{diag.t:g}.csv"
-            )
-            _write_profile(out / name, member, state, diag.t, scenario)
-            paths.append(out / name)
+            path = out / _profile_name(member, diag.t)
+            _write_profile(path, member, state, diag.t, scenario)
+            paths.append(path)
     return paths, outputs.count(None)
 
 

@@ -1,9 +1,9 @@
 """Experiment configurations: manufactured solution, rarefaction, shock.
 
-Each scenario bundles initial data, Dirichlet data keyed by the ends it
-constrains, the forcing term (if any), the exact solution (when known),
-and the settings in which its experiment departs from the RunConfig
-defaults.  All callables accept numpy arrays.
+Each scenario bundles initial data, the constant Dirichlet value of each
+end it constrains, the forcing term (if any), the exact solution (when
+known), and the settings in which its experiment departs from the
+RunConfig defaults.  All callables accept numpy arrays.
 
 The model is the LWR density equation with Greenshield's closure,
 
@@ -33,7 +33,7 @@ class Scenario:
     """One experiment: data, Dirichlet values, and defaults."""
 
     initial_condition: Callable
-    dirichlet: dict[str, Callable]  # g(t) for each end carrying Dirichlet data
+    dirichlet: dict[str, float]  # the value g of each end carrying Dirichlet data
     forcing: Callable | None
     exact_solution: Callable | None
     # the settings, keyed by configuration key, in which this experiment
@@ -61,7 +61,7 @@ def manufactured() -> Scenario:
     """
     return Scenario(
         initial_condition=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        dirichlet=dict.fromkeys((LEFT, RIGHT), lambda t: 0.0),
+        dirichlet=dict.fromkeys((LEFT, RIGHT), 0.0),
         forcing=_manufactured_forcing,
         exact_solution=_manufactured_exact,
         defaults=dict(n_elements=100, degree=2, deconv_order=1, delta_coeff=0.1, dt=0.01),
@@ -87,7 +87,7 @@ def rarefaction() -> Scenario:
     """
     return Scenario(
         initial_condition=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        dirichlet={LEFT: lambda t: 0.47},
+        dirichlet={LEFT: 0.47},
         forcing=None,
         exact_solution=_rarefaction_exact,
         defaults={},
@@ -111,7 +111,7 @@ def shock() -> Scenario:
     one_third = 1.0 / 3.0
     return Scenario(
         initial_condition=lambda x: np.full_like(np.asarray(x, dtype=float), one_third),
-        dirichlet={LEFT: lambda t: 0.25},
+        dirichlet={LEFT: 0.25},
         forcing=None,
         exact_solution=_shock_exact,
         defaults=dict(chi=1.0),

@@ -44,9 +44,9 @@ vectors; FeFunctions wrap them only in the records the loop yields.  A
 ``Stepper`` holds what a run keeps constant (the operators, the
 stabilization, the linear part M/dt + v_f C, the constant part of the
 Newton matrix with its (rho, rho) block view, each constrained row with
-its Dirichlet value g(t), its band positions and its column K e_i);
+its Dirichlet value g, its band positions and its column K e_i);
 ``be_step`` adds the per-step work: the right-hand side, the stopping
-scale, the boundary values and Newton.  At chi delta^2 = 0 the run has
+scale, the start iterate and Newton.  At chi delta^2 = 0 the run has
 no stabilization: no filter context is built, no filter solve is done
 and rho is the one unknown.
 
@@ -80,9 +80,9 @@ workspace the ``Stepper`` holds, and each solve with it (gbtrs) is O(n)
 too.
 
 Dirichlet data is enforced by row replacement: the residual row of the
-constrained end's node becomes rho_i - g(t^n) and the matching Newton
-row an identity row, with its coupling to y_{2N+2} masked out, so the same
-banded solve serves both boundary kinds.  Forcing is evaluated
+constrained end's node becomes rho_i - g, with g the end's constant
+value, and the matching Newton row an identity row, with its coupling to
+y_{2N+2} masked out, so the same banded solve serves both boundary kinds.  Forcing is evaluated
 implicitly at the new time level.
 """
 
@@ -342,7 +342,7 @@ class Stepper:
     rho_block: np.ndarray  # the (rho, rho) block of newton, DOF-level band storage
     bc_entries: tuple[np.ndarray, np.ndarray]  # (band rows, columns)
     bc_values: np.ndarray  # 1 on the diagonal, 0 elsewhere
-    constrained: tuple[tuple[int, Callable], ...]  # Dirichlet (row, g) pairs
+    constrained: tuple[tuple[int, float], ...]  # Dirichlet (row, value) pairs
     bc_stab: tuple[np.ndarray, ...]  # K e_i of each constrained row i; () without stab
     nonlinear_coeff: float  # 2 v_f / rho_m
     dt: float
@@ -390,15 +390,15 @@ def be_step(
     mass_prev is M c_prev, which the caller has formed once for its
     level; it gives the right-hand side M c_prev / dt and the stopping
     scale.  guess holds coefficients; Newton starts there, with the
-    constrained entries set to g(t_next).  stab_guess is K guess, which
-    the caller has by linearity from its levels' (see run_time_filtered),
-    and None exactly when the run has no stabilization; be_step moves it
-    to the start iterate with the Stepper's columns K e_i of the
-    constrained rows.  Newton stops at ||residual|| <= newton_tol * scale
-    (or at a correction at rounding level, see newton_solve), where
-    scale is the size of the step's data:
-    the larger of ||c_prev||_L2 = sqrt(c_prev . M c_prev) and the boundary
-    values |g(t_next)|.  It is the same on every mesh that resolves the
+    constrained entries set to their Dirichlet values.  stab_guess is K
+    guess, which the caller has by linearity from its levels' (see
+    run_time_filtered), and None exactly when the run has no
+    stabilization; be_step moves it to the start iterate with the
+    Stepper's columns K e_i of the constrained rows.  Newton stops at
+    ||residual|| <= newton_tol * scale (or at a correction at rounding
+    level, see newton_solve), where scale is the size of the step's data:
+    the larger of ||c_prev||_L2 = sqrt(c_prev . M c_prev) and the
+    Dirichlet values |g|.  It is the same on every mesh that resolves the
     state, and the guess cannot move it.  Neither dt nor the forcing enters
     it: a scale that grew with dt f would, at dt = 1e20, accept a guess
     that solves nothing.  Returns the new coefficients c, the Newton
@@ -418,16 +418,15 @@ def be_step(
     if np.shape(c_prev) != (mesh.n_dofs,):
         raise ValueError(f"expected {mesh.n_dofs} coefficients, got shape {np.shape(c_prev)}")
     linear_part, nonlinear_coeff, stab = stepper.linear_part, stepper.nonlinear_coeff, stepper.stab
-    bcs = [(i, g(t_next)) for i, g in stepper.constrained]
     scale = max([float(np.sqrt(max(c_prev @ mass_prev, 0.0)))]
-                + [abs(value) for _, value in bcs])
+                + [abs(value) for _, value in stepper.constrained])
     rhs = mass_prev / stepper.dt
     if scenario.forcing is not None:
         rhs = rhs + forcing_vector(scenario.forcing, t_next, mesh)
     unknowns, rho_block = stepper.unknowns, stepper.rho_block
     start = np.array(guess, dtype=float)
-    shifts = [value - start[i] for i, value in bcs]
-    for i, value in bcs:  # the guess meets the step's Dirichlet rows
+    shifts = [value - start[i] for i, value in stepper.constrained]
+    for i, value in stepper.constrained:  # the guess meets the Dirichlet rows
         start[i] = value
     # K x at the iterate of the next residual evaluation
     stab_x = None if stab is None else stab_guess + sum(
@@ -439,7 +438,7 @@ def be_step(
             r += stab_x
         r -= nonlinear_coeff * b_residual(FeFunction(mesh, x))
         r -= rhs
-        for i, value in bcs:
+        for i, value in stepper.constrained:
             r[i] = x[i] - value
         return r
 

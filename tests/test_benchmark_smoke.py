@@ -11,9 +11,14 @@ the scenario's ``initial_condition``.  A change that breaks that
 contract makes the benchmark report ``correct: false`` with no metrics,
 so this runs it as declared in ``BENCHMARK.json``, for a single
 execution per workload; and once traced per workload, so that a change
-losing a per-layer metric fails here too.
+losing a per-layer metric fails here too.  A quick check that every
+library name the tracer wraps still exists runs first: a renamed site
+whose metric the benchmark does not declare would otherwise go untraced
+without a failure.
 """
 
+import importlib
+import importlib.util
 import json
 import math
 import subprocess
@@ -23,6 +28,21 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+
+
+def _lookup_sites():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return [(module, attr) for module, attr, _, _ in tracer.LOOKUP_SITES]
+
+
+def test_every_traced_lookup_site_exists():
+    # lwrfem.cli.run_backward_euler went with the one time-marching loop
+    absent = [f"{module}.{attr}" for module, attr in _lookup_sites()
+              if not callable(getattr(importlib.import_module(module), attr, None))]
+    assert absent == ["lwrfem.cli.run_backward_euler"]
 
 
 def _run(workload, *flags):

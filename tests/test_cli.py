@@ -366,6 +366,31 @@ class TestMain:
         assert err.startswith(f"configuration error: {message}") and err.count("\n") == 1
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--chi_list", "0.1,0.1000001", "--study_times", "0.001"],
+         "chi=0.1 N=0 P=1 t=0.001 and chi=0.1000001 N=0 P=1 t=0.001 both write "
+         "profile_chi0.1_N0_P1_t0.001.csv"),
+        (["--chi_list", "0", "--dt", "1e-7", "--study_times", "0.1,0.1000001"],
+         "chi=0.0 N=0 P=1 t=0.1 and chi=0.0 N=0 P=1 t=0.1000001 both write "
+         "profile_chi0_N0_P1_t0.1.csv"),
+        (["--chi_list", "1", "--deconv_list", "1,1", "--study_times", "0.001"],
+         "chi=1.0 N=1 P=1 t=0.001 and chi=1.0 N=1 P=1 t=0.001 both write "
+         "profile_chi1_N1_P1_t0.001.csv"),
+    ])
+    def test_study_profile_name_collision_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                  flags, message):
+        # %g keeps 6 significant digits: two profiles with one file name would
+        # leave one file, so the study refuses them before any run starts
+        def refuse(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(cli, "run_time_filtered", refuse)
+        code = main(["study", "--scenario", "shock", *flags, "--output_dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"configuration error: study profiles {message}\n"
+        assert not list(tmp_path.iterdir())
+
     def test_unreadable_config_file_exits_2(self, tmp_path, capsys):
         undecodable = tmp_path / "latin1.cfg"
         undecodable.write_bytes(b"scenario = shock\n# caf\xe9\n")

@@ -16,7 +16,7 @@ from lwrfem.filtering import build_filter_context, stabilization_matrix
 from lwrfem.linalg import band_matvec
 from lwrfem.mesh import DIRICHLET, PERIODIC, FeFunction, build_mesh
 from lwrfem.operators import assemble, b_jacobian, b_residual, forcing_vector
-from lwrfem.scenarios import LEFT, RIGHT, Scenario, manufactured
+from lwrfem.scenarios import LEFT, RIGHT, Scenario, manufactured, shock
 from lwrfem.stepping import (
     NEWTON_MAX_ITER, ModelParams, Stepper, TimeGrid, be_step, run_time_filtered,
 )
@@ -26,6 +26,7 @@ from conftest import (
 )
 
 GAMMA_FILTER = 2.0 / 3.0
+_EPS = float(np.finfo(float).eps)
 
 PROPERTY_SETTINGS = settings(
     derandomize=True, deadline=None, max_examples=20, database=None
@@ -206,6 +207,44 @@ def test_one_step_two_step_equivalence(degree, n, chi, delta, order, dt):
 
 
 @PROPERTY_SETTINGS
+@given(n=st.integers(min_value=8, max_value=64), chi=st.floats(min_value=0.0, max_value=1.0),
+       order=st.sampled_from([0, 1]), dt=st.sampled_from([1e-4, 1e-3, 1e-2]))
+def test_filtered_dirichlet_row_is_that_of_the_one_step_scheme(n, chi, order, dt):
+    # The shock's projected level 0 misses its inflow value g (1/3 against
+    # 1/4).  Each backward Euler step puts rhohat^n on g, and the filter
+    # then combines the levels' boundary entries too, so the accepted
+    # error e^n = rho^n_0 - g follows e^n = gamma e^{n-1} - (gamma/2) e^{n-2}
+    # (e^1 = 0) and decays like (gamma/2)^{n/2}.  That is the boundary
+    # condition of the equivalent one-step scheme, I[rho^n]_0 = rhohat^n_0
+    # = g (Guzel and Layton, BIT 2018), whose interior rows it solves.
+    scenario = shock()
+    g = scenario.dirichlet[LEFT]
+    mesh = build_mesh(0.0, 1.0, n, 1, DIRICHLET)
+    ops = assemble(mesh)
+    delta = np.sqrt(mesh.h)
+    params = ModelParams(chi=chi, delta=delta, deconv_order=order, gamma=GAMMA_FILTER)
+    stab = stabilization_matrix(build_filter_context(ops, delta, order), chi)
+    newton_tol = 1e-10
+    records = list(run_time_filtered(scenario, params, TimeGrid(dt, 12), mesh,
+                                     newton_tol=newton_tol))
+    assert all(hat.coefficients[0] == g for _, _, hat in records[1:])
+    e = [rho.coefficients[0] - g for rho, _, _ in records]
+    assert e[0] == pytest.approx(1.0 / 12.0) and e[1] == 0.0
+    assert e[2] == pytest.approx(-e[0] / 3.0)  # the accepted state leaves g
+    for k in range(2, len(e)):
+        assert abs(e[k] - (GAMMA_FILTER * e[k - 1] - 0.5 * GAMMA_FILTER * e[k - 2])) <= 1e-16
+        d, i = three_level_ops(records[k][0], records[k - 1][0], records[k - 2][0])
+        assert i.coefficients[0] == pytest.approx(g, rel=2 * _EPS, abs=0.0)
+        residual = (
+            band_matvec(ops.mass, d.coefficients) / dt
+            + params.v_f * band_matvec(ops.convection, i.coefficients)
+            - (2.0 * params.v_f / params.rho_m) * b_residual(i)
+            + stab(i.coefficients)
+        )
+        assert np.abs(residual[1:]).max() <= 10.0 * newton_tol * records[k][1].residual_scale
+
+
+@PROPERTY_SETTINGS
 @given(degree=degrees, n=st.integers(min_value=4, max_value=24),
        chi=st.floats(min_value=0.0, max_value=1.0), order=st.sampled_from([0, 1, 3]),
        gamma=st.sampled_from([0.0, 0.5, GAMMA_FILTER]), seed=seeds)
@@ -243,7 +282,7 @@ def test_carried_stabilization_lands_on_exact_newton(degree, n, kind, order, chi
     rng = np.random.default_rng(seed)
     left, right = rng.uniform(0.0, 0.5, 2)
     scenario = dataclasses.replace(
-        manufactured(), dirichlet={LEFT: lambda t: left, RIGHT: lambda t: right})
+        manufactured(), dirichlet={LEFT: left, RIGHT: right})
     params = ModelParams(chi=chi, delta=delta_coeff * np.sqrt(mesh.h), deconv_order=order)
     stepper = Stepper.build(scenario, params, dt, mesh)
     stab, coeff, t_next = stepper.stab, stepper.nonlinear_coeff, 0.3 + dt
@@ -260,13 +299,13 @@ def test_carried_stabilization_lands_on_exact_newton(degree, n, kind, order, chi
     rows = [i for i, _ in stepper.constrained]
     x = guess.copy()
     for i, g in stepper.constrained:
-        x[i] = g(t_next)
+        x[i] = g
     for _ in range(NEWTON_MAX_ITER):
         r = band_matvec(stepper.linear_part, x) - coeff * b_residual(FeFunction(mesh, x)) - rhs
         if stab is not None:
             r += stab(x)
         for i, g in stepper.constrained:
-            r[i] = x[i] - g(t_next)
+            r[i] = x[i] - g
         jac = linear - coeff * dense(b_jacobian(FeFunction(mesh, x)))
         jac[rows] = np.eye(mesh.n_dofs)[rows]
         d = np.linalg.solve(jac, -r)
@@ -303,7 +342,7 @@ def test_dirichlet_flux_balance(degree, n, chi, order, rho_l, rho_r, forced):
     else:  # a Riemann problem rho_l | rho_r with inflow data at x = 0
         scenario = Scenario(
             initial_condition=lambda x: np.where(np.asarray(x) < 0.2, rho_l, rho_r),
-            dirichlet={LEFT: lambda t: rho_l}, forcing=None, exact_solution=None,
+            dirichlet={LEFT: rho_l}, forcing=None, exact_solution=None,
             defaults={},
         )
     params = ModelParams(chi=chi, delta=np.sqrt(mesh.h), deconv_order=order)
@@ -328,7 +367,7 @@ def test_dirichlet_flux_balance(degree, n, chi, order, rho_l, rho_r, forced):
         # to rounding where the scale is 0 (the forced step from zero data)
         free = np.delete(residual, constrained)
         assert np.abs(free).max() <= 10.0 * newton_tol * diag.residual_scale + 1e-13 * size
-        g = [scenario.dirichlet[end](diag.t) for end in (LEFT, RIGHT)[:len(constrained)]]
+        g = [scenario.dirichlet[end] for end in (LEFT, RIGHT)[:len(constrained)]]
         inflow = _flux(g[0], params) + residual[0]
         outflow = _flux(g[1], params) - residual[-1] if forced else _flux(c[-1], params)
         allowed = 10.0 * np.sqrt(mesh.n_dofs) * newton_tol * diag.residual_scale
@@ -356,7 +395,7 @@ def test_shock_moves_at_rankine_hugoniot_speed(rho_l, rho_r):
     mesh = build_mesh(0.0, 1.0, 128, 1, DIRICHLET)
     scenario = Scenario(
         initial_condition=lambda x: np.where(np.asarray(x) < 0.2, rho_l, rho_r),
-        dirichlet={LEFT: lambda t: rho_l}, forcing=None, exact_solution=None, defaults={},
+        dirichlet={LEFT: rho_l}, forcing=None, exact_solution=None, defaults={},
     )
     params = ModelParams(chi=1.0, delta=np.sqrt(mesh.h))
     dt, times = 5e-3, (0.2, 0.6)

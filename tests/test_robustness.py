@@ -88,7 +88,7 @@ def test_converged_steps_are_roots_to_threshold_or_rounding(scan):
         if stepper.stab is not None:
             r += stepper.stab(x)
         for i, g in stepper.constrained:
-            r[i] = x[i] - g(t_next)
+            r[i] = x[i] - g
         norm = np.linalg.norm(r)
         rounding = _EPS * np.linalg.norm(np.abs(linear) + np.abs(rhs))
         assert norm <= stepper.newton_tol * scale or norm <= rounding, case

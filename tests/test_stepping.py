@@ -396,10 +396,9 @@ class TestBeStep:
             stepper.linear_part, ops.mass / 0.1 + params.v_f * ops.convection
         )
         assert stepper.nonlinear_coeff == 1.0
-        left, right = (lambda t: 0.1), (lambda t: 0.2)
-        both_ends = dataclasses.replace(manufactured(), dirichlet={LEFT: left, RIGHT: right})
+        both_ends = dataclasses.replace(manufactured(), dirichlet={LEFT: 0.1, RIGHT: 0.2})
         rows = Stepper.build(both_ends, params, 0.1, mesh).constrained
-        assert rows == ((0, left), (mesh.n_dofs - 1, right))
+        assert rows == ((0, 0.1), (mesh.n_dofs - 1, 0.2))
         periodic = build_mesh(0.0, 1.0, 12, 2, PERIODIC)
         assert Stepper.build(both_ends, params, 0.1, periodic).constrained == ()
 
@@ -411,7 +410,7 @@ class TestBeStep:
         # both from the same extrapolated guess with the same stopping scale
         mesh = build_mesh(0.0, 1.0, 10, degree, kind)
         params = ModelParams(chi=0.8, delta=0.15, deconv_order=order)
-        scenario = dataclasses.replace(manufactured(), dirichlet={LEFT: lambda t: 0.3})
+        scenario = dataclasses.replace(manufactured(), dirichlet={LEFT: 0.3})
         stepper = Stepper.build(scenario, params, 0.01, mesh)
         ops, c = stepper.operators, stepper.nonlinear_coeff
         prev = FeFunction(mesh, 0.3 + 0.1 * np.sin(2 * np.pi * mesh.dof_x))
