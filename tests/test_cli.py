@@ -376,7 +376,7 @@ class TestMain:
         (["--chi_list", "1", "--deconv_list", "1,1", "--study_times", "0.001"],
          "chi=1.0 N=1 P=1 t=0.001 and chi=1.0 N=1 P=1 t=0.001 both write "
          "profile_chi1_N1_P1_t0.001.csv"),
-    ])
+    ], ids=["chi", "study_times", "repeated_deconv"])
     def test_study_profile_name_collision_exits_2(self, tmp_path, capsys, monkeypatch,
                                                   flags, message):
         # %g keeps 6 significant digits: two profiles with one file name would

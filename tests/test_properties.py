@@ -216,7 +216,8 @@ def test_filtered_dirichlet_row_is_that_of_the_one_step_scheme(n, chi, order, dt
     # error e^n = rho^n_0 - g follows e^n = gamma e^{n-1} - (gamma/2) e^{n-2}
     # (e^1 = 0) and decays like (gamma/2)^{n/2}.  That is the boundary
     # condition of the equivalent one-step scheme, I[rho^n]_0 = rhohat^n_0
-    # = g (Guzel and Layton, BIT 2018), whose interior rows it solves.
+    # = g (Guzel and Layton, BIT 2018), whose other rows the states solve:
+    # every row but 0, as the outflow end is free.
     scenario = shock()
     g = scenario.dirichlet[LEFT]
     mesh = build_mesh(0.0, 1.0, n, 1, DIRICHLET)
