@@ -12,7 +12,6 @@ from .linalg import SingularMatrixError, lu_solve
 from .mesh import (
     DIRICHLET,
     PERIODIC,
-    FeFunction,
     Mesh1D,
     QuadratureRule,
     build_mesh,

@@ -1,11 +1,11 @@
 """Error norms and convergence-table rows.
 
-The error norm is the L2 distance between a finite-element function and
-an exact solution, integrated with a 5-point Gauss rule (one order above
-the assembly rule so quadrature error stays below discretization error
-on the finest grids).  The run-level error is the discrete
-max-over-steps of these norms, folded over a run's records as they
-arrive; every iterate participates.
+The error norm is the L2 distance between a finite-element state, given
+by its mesh and coefficient vector, and an exact solution, integrated
+with a 5-point Gauss rule (one order above the assembly rule so
+quadrature error stays below discretization error on the finest grids).
+The run-level error is the discrete max-over-steps of these norms,
+folded over a run's records as they arrive; every iterate participates.
 """
 
 from __future__ import annotations
@@ -15,27 +15,27 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .mesh import ERROR_RULE, FeFunction, sample_function
+from .mesh import ERROR_RULE, Mesh1D, check_state, sample_function
 from .stepping import StepRecord
 
 
-def _error_norm(rho_h: FeFunction, exact_values: np.ndarray) -> float:
-    """||rho_h - exact||, given exact at the mesh's ERROR_RULE points."""
+def _error_norm(mesh: Mesh1D, c: np.ndarray, exact_values: np.ndarray) -> float:
+    """||rho_h - exact|| for the coefficients c of rho_h, given exact at the ERROR_RULE points."""
     rule = ERROR_RULE
-    diff = rho_h.coefficients[rho_h.mesh.cell_dofs] @ rule.values[rho_h.mesh.degree].T
+    diff = check_state(mesh, c)[mesh.cell_dofs] @ rule.values[mesh.degree].T
     diff -= exact_values
-    value = rho_h.mesh.h * np.einsum("q,eq->", rule.weights, diff * diff)
+    value = mesh.h * np.einsum("q,eq->", rule.weights, diff * diff)
     return float(np.sqrt(max(value, 0.0)))
 
 
-def l2_error(rho_h: FeFunction, exact: Callable, t: float) -> float:
-    """||rho_h - exact(., t)|| by elementwise 5-point quadrature."""
-    xq = rho_h.mesh.quad_points(ERROR_RULE)
-    return _error_norm(rho_h, sample_function(lambda x: exact(x, t), xq))
+def l2_error(mesh: Mesh1D, c: np.ndarray, exact: Callable, t: float) -> float:
+    """||rho_h - exact(., t)|| for the coefficients c of rho_h, by 5-point quadrature."""
+    xq = mesh.quad_points(ERROR_RULE)
+    return _error_norm(mesh, c, sample_function(lambda x: exact(x, t), xq))
 
 
-def run_error_inf(steps: Iterable[StepRecord], exact: Callable) -> float:
-    """Max error over every iterate of a run's records, pre-filter states included.
+def run_error_inf(mesh: Mesh1D, steps: Iterable[StepRecord], exact: Callable) -> float:
+    """Max error over every iterate of a run's records on mesh, pre-filter states included.
 
     Time-filtered runs produce two iterates per level (the backward
     Euler state and its filtered correction); convergence reporting
@@ -43,13 +43,11 @@ def run_error_inf(steps: Iterable[StepRecord], exact: Callable) -> float:
     The quadrature points are formed once per run and the exact solution
     is sampled once per level, for both iterates.
     """
-    errors, xq = [], None
-    for rho, diag, rho_hat in steps:
-        if xq is None:
-            xq = rho.mesh.quad_points(ERROR_RULE)
+    errors, xq = [], mesh.quad_points(ERROR_RULE)
+    for c, diag, c_hat in steps:
         values = sample_function(lambda x: exact(x, diag.t), xq)
-        errors += [_error_norm(state, values)
-                   for state in ((rho,) if rho_hat is rho else (rho, rho_hat))]
+        errors += [_error_norm(mesh, state, values)
+                   for state in ((c,) if c_hat is c else (c, c_hat))]
     return max(errors)
 
 

@@ -17,8 +17,9 @@ configuration; floats are printed with 17 significant digits so
 repeated runs are bit-identical.
 
 Exit codes: 0 success, 1 if the run or any ladder rung or sweep member
-failed (a step whose Newton iteration fails or meets a singular matrix),
-2 on a ConfigError: among them a newton_tol outside (0, 1), and a ladder
+failed (a step whose Newton iteration fails or meets a singular matrix,
+or a filter matrix M + delta^2 S that cannot be factored), 2 on a
+ConfigError: among them a newton_tol outside (0, 1), and a ladder
 without an exact solution (v_f or rho_m other than 1, or a scenario with
 nonzero inflow data on a periodic mesh).
 """
@@ -68,9 +69,8 @@ def _parse_float(text) -> float:
 
 
 def _parse_list(item: Callable, text) -> tuple:
-    """Comma-separated values (or a sequence), each read by item."""
-    parts = text if isinstance(text, (tuple, list)) else str(text).split(",")
-    return tuple(item(v) for v in parts if str(v).strip())
+    """Comma-separated values, each read by item."""
+    return tuple(item(v) for v in str(text).split(",") if v.strip())
 
 
 @dataclasses.dataclass(frozen=True, kw_only=True)
@@ -281,10 +281,10 @@ def _write_lines(path: Path, header: str, lines: list[str]) -> None:
 
 
 def _write_profile(
-    path: Path, config: RunConfig, state, t: float, scenario: Scenario
+    path: Path, config: RunConfig, mesh: Mesh1D, c: np.ndarray, t: float, scenario: Scenario
 ) -> None:
-    xs = np.linspace(state.mesh.x_left, state.mesh.x_right, 512)
-    rho = evaluate(state, xs)
+    xs = np.linspace(mesh.x_left, mesh.x_right, 512)
+    rho = evaluate(mesh, c, xs)
     exact = (
         scenario.exact_solution(xs, t)
         if scenario.exact_solution is not None
@@ -328,13 +328,14 @@ def cmd_run(config: RunConfig) -> tuple[list[Path], int]:
     grid = _time_grid(config.dt, config.t_final)
     out = Path(config.output_dir)
     profile, diagnostics = out / "profile.csv", out / "diagnostics.csv"
-    steps = _solve(config, config.make_mesh(), grid)
+    mesh = config.make_mesh()
+    steps = _solve(config, mesh, grid)
     [final] = _guarded_map(partial(_write_diagnostics, diagnostics, config), [steps], 1,
                            "run failed")
     if final is None:
         return [], 1
-    final_state, final_diag, _ = final
-    _write_profile(profile, config, final_state, final_diag.t, config.get_scenario())
+    final_c, final_diag, _ = final
+    _write_profile(profile, config, mesh, final_c, final_diag.t, config.get_scenario())
     return [profile, diagnostics], 0
 
 
@@ -382,7 +383,7 @@ def _ladder(
             " and, if its Dirichlet data is nonzero, on a Dirichlet mesh"
         )
     errors = _guarded_map(
-        lambda rung: run_error_inf(_solve(config, *rung[1:]), exact),
+        lambda rung: run_error_inf(rung[1], _solve(config, *rung[1:]), exact),
         rungs, config.jobs, "rung failed",
     )
     results = [(resolution, error) for (resolution, _, _), error in zip(rungs, errors)]
@@ -439,17 +440,17 @@ def cmd_scenario_study(config: RunConfig) -> tuple[list[Path], int]:
             labels[name] = label
 
     def snapshots(member: RunConfig) -> list:
-        steps = _solve(member, member.make_mesh(), grid)
-        kept = {d.n: (state, d) for state, d, _ in steps if d.n in indices}
+        mesh = member.make_mesh()
+        kept = {d.n: (mesh, c, d) for c, d, _ in _solve(member, mesh, grid) if d.n in indices}
         return [kept[i] for i in indices]
 
     outputs = _guarded_map(snapshots, members, config.jobs, "study member failed")
     paths: list[Path] = []
     out = Path(config.output_dir)
     for member, records in zip(members, outputs):
-        for state, diag in records or ():
+        for mesh, c, diag in records or ():
             path = out / _profile_name(member, diag.t)
-            _write_profile(path, member, state, diag.t, scenario)
+            _write_profile(path, member, mesh, c, diag.t, scenario)
             paths.append(path)
     return paths, outputs.count(None)
 

@@ -49,12 +49,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky_banded, get_lapack_funcs
+from scipy.linalg import get_lapack_funcs
 
-from .linalg import band_matvec
+from .linalg import SingularMatrixError, band_matvec
 from .operators import AssembledOperators
 
-_PBTRS, = get_lapack_funcs(("pbtrs",), (np.zeros(1),))
+_PBTRF, _PBTRS = get_lapack_funcs(("pbtrf", "pbtrs"), (np.zeros(1),))
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,16 +70,25 @@ class FilterContext:
 def build_filter_context(
     operators: AssembledOperators, delta: float, deconv_order: int
 ) -> FilterContext:
-    """Factor A = M + delta^2 S once, for the filter solves of Pi = (I - F)^{N+1}."""
+    """Factor A = M + delta^2 S once, for the filter solves of Pi = (I - F)^{N+1}.
+
+    Raises SingularMatrixError, naming delta, when pbtrf finds a leading
+    minor of A that is not positive definite: S maps constants to zero, so
+    once delta^2 S swamps M, A is singular in double precision.
+    """
     if delta < 0:
         raise ValueError(f"filter radius must be nonnegative, got {delta}")
     if deconv_order < 0:
         raise ValueError(f"deconvolution order must be nonnegative, got {deconv_order}")
     w = operators.mesh.half_band
     upper = (operators.mass + delta**2 * operators.stiffness)[: w + 1]
+    factor, info = _PBTRF(upper)
+    if info:
+        raise SingularMatrixError(f"filter matrix M + delta^2 S is not positive definite "
+                                  f"at delta = {delta:g} (leading minor {info})")
     return FilterContext(
         delta=float(delta), deconv_order=deconv_order, stiffness=operators.stiffness,
-        factor=np.asfortranarray(cholesky_banded(upper, check_finite=False)),
+        factor=np.asfortranarray(factor),
     )
 
 

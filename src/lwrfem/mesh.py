@@ -1,4 +1,4 @@
-"""Uniform 1D Lagrange meshes, quadrature, and finite-element functions.
+"""Uniform 1D Lagrange meshes, quadrature, and finite-element states.
 
 The reference element is [0, 1] with an affine map onto each physical
 element.  P1 carries vertex nodes; P2 adds a midpoint node, locally
@@ -12,10 +12,12 @@ the DOF map is plain index arithmetic, and every operator assembled on
 the mesh is banded, with half-bandwidth ``half_band`` (degree on
 Dirichlet meshes, 2 degree on periodic ones); ``band_index`` places each
 element's DOF pairs in the band storage of ``linalg``.  This module
-assembles nothing: ``operators`` integrates and scatters.  Callables of
-x are sampled vectorised, on whole arrays of points.  Bad input (a
-degree outside {1, 2}, fewer than two elements, a point off the mesh)
-raises ValueError.
+assembles nothing: ``operators`` integrates and scatters.  A discrete
+state is its coefficient vector, one float per DOF, passed next to its
+mesh; ``check_state`` is the one check of its length.  Callables of x
+are sampled vectorised, on whole arrays of points.  Bad input (a degree
+outside {1, 2}, fewer than two elements, a point off the mesh, a state
+of another length than n_dofs) raises ValueError.
 """
 
 from __future__ import annotations
@@ -158,25 +160,17 @@ def build_mesh(
     )
 
 
-@dataclass(eq=False)
-class FeFunction:
-    """Finite-element function: a coefficient per degree of freedom."""
-
-    mesh: Mesh1D
-    coefficients: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.coefficients = np.asarray(self.coefficients, dtype=float)
-        if self.coefficients.shape != (self.mesh.n_dofs,):
-            raise ValueError(
-                f"expected {self.mesh.n_dofs} coefficients, "
-                f"got shape {self.coefficients.shape}"
-            )
+def check_state(mesh: Mesh1D, c) -> np.ndarray:
+    """c as a float vector of the mesh's n_dofs coefficients; ValueError for another shape."""
+    c = np.asarray(c, dtype=float)
+    if c.shape != (mesh.n_dofs,):
+        raise ValueError(f"expected {mesh.n_dofs} coefficients, got shape {c.shape}")
+    return c
 
 
-def evaluate(f: FeFunction, x) -> float | np.ndarray:
-    """Values of an FE function at points x (any shape) inside the mesh interval."""
-    mesh = f.mesh
+def evaluate(mesh: Mesh1D, c: np.ndarray, x) -> float | np.ndarray:
+    """Values of the state with coefficients c at points x (any shape) inside the mesh interval."""
+    c = check_state(mesh, c)
     shape = np.shape(x)
     x_arr = np.asarray(x, dtype=float).ravel()
 
@@ -191,7 +185,7 @@ def evaluate(f: FeFunction, x) -> float | np.ndarray:
     )
     xi = (x_arr - (mesh.x_left + e * mesh.h)) / mesh.h
     basis = shape_values(mesh.degree, xi)  # (m, n_loc)
-    values = np.einsum("mi,mi->m", f.coefficients[mesh.cell_dofs[e]], basis)
+    values = np.einsum("mi,mi->m", c[mesh.cell_dofs[e]], basis)
     return float(values[0]) if shape == () else values.reshape(shape)
 
 

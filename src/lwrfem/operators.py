@@ -4,7 +4,8 @@ Assembles the mass matrix M_ij = (phi_j, phi_i), stiffness matrix
 S_ij = (dphi_j/dx, dphi_i/dx), convection matrix C_ij = (dphi_j/dx, phi_i),
 load and forcing vectors (f, phi_i) and the L2 projection, plus the
 residual vector b(rho, rho, phi_i) and Newton Jacobian of the
-skew-symmetric trilinear form
+skew-symmetric trilinear form, each at a state given by its mesh and
+coefficient vector c,
 
     b(u, v, w) = (1/3) int ( d(uv)/dx + u dv/dx ) w dx
                = (1/3) int ( u' v + 2 u v' ) w dx.
@@ -31,7 +32,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .linalg import lu_solve
-from .mesh import ASSEMBLY_RULE, FeFunction, Mesh1D, sample_function
+from .mesh import ASSEMBLY_RULE, Mesh1D, check_state, sample_function
 
 
 class ReferenceElement(NamedTuple):
@@ -116,11 +117,11 @@ def load_vector(mesh: Mesh1D, values: np.ndarray) -> np.ndarray:
     return np.bincount(mesh.cell_dofs.ravel(), local.ravel(), minlength=mesh.n_dofs)
 
 
-def l2_project(g: Callable, mesh: Mesh1D) -> FeFunction:
-    """L2 projection of g onto the FE space: one banded mass-matrix solve."""
+def l2_project(g: Callable, mesh: Mesh1D) -> np.ndarray:
+    """Coefficients of the L2 projection of g onto the FE space: one banded mass-matrix solve."""
     rhs = load_vector(mesh, sample_function(g, mesh.quad_points(ASSEMBLY_RULE)))
     w = mesh.half_band
-    return FeFunction(mesh, lu_solve(mass_matrix(mesh), rhs, w, w))
+    return lu_solve(mass_matrix(mesh), rhs, w, w)
 
 
 def forcing_vector(f: Callable, t: float, mesh: Mesh1D) -> np.ndarray:
@@ -130,24 +131,22 @@ def forcing_vector(f: Callable, t: float, mesh: Mesh1D) -> np.ndarray:
     )
 
 
-def b_residual(rho: FeFunction) -> np.ndarray:
+def b_residual(mesh: Mesh1D, c: np.ndarray) -> np.ndarray:
     """Vector of b(rho, rho, phi_i) = int rho rho' phi_i dx: per element T_ijk c_j c_k."""
-    mesh = rho.mesh
     n_loc = mesh.degree + 1
-    ce = rho.coefficients[mesh.cell_dofs]  # (n_el, n_loc)
+    ce = check_state(mesh, c)[mesh.cell_dofs]  # (n_el, n_loc)
     pairs = (ce[:, :, None] * ce[:, None, :]).reshape(len(ce), -1)  # c_j c_k
     local = pairs @ REFERENCE[mesh.degree].transport.reshape(n_loc, -1).T
     return np.bincount(mesh.cell_dofs.ravel(), local.ravel(), minlength=mesh.n_dofs)
 
 
-def b_jacobian(rho: FeFunction) -> np.ndarray:
+def b_jacobian(mesh: Mesh1D, c: np.ndarray) -> np.ndarray:
     """Derivative of b_residual, in band storage: per element (T_ijk + T_ikj) c_k.
 
     J d = b(d, rho, phi_i) + b(rho, d, phi_i) = int (rho d' + rho' d) phi_i dx.
     """
-    mesh = rho.mesh
     n_loc = mesh.degree + 1
     t = REFERENCE[mesh.degree].transport
     both = (t + t.transpose(0, 2, 1)).reshape(-1, n_loc)  # rows (i, j), columns k
-    local = rho.coefficients[mesh.cell_dofs] @ both.T
+    local = check_state(mesh, c)[mesh.cell_dofs] @ both.T
     return scatter_band(mesh, local.reshape(-1, n_loc, n_loc))

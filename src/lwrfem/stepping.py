@@ -39,8 +39,9 @@ quantities that make the filtered scheme's dissipation balance explicit.
 Both schemes march in one loop, ``run_time_filtered``, a generator of
 the time levels that keeps only the two states the recurrence reads:
 backward Euler is its gamma = 0 case, where the filter correction
-vanishes.  The loop, the step and the diagnostics work on coefficient
-vectors; FeFunctions wrap them only in the records the loop yields.  A
+vanishes.  A state is its coefficient vector, of the mesh's n_dofs
+entries: the loop, the step, the diagnostics and the records the loop
+yields all hold such vectors, and the mesh travels beside them.  A
 ``Stepper`` holds what a run keeps constant (the operators, the
 stabilization, the linear part M/dt + v_f C, the constant part of the
 Newton matrix with its (rho, rho) block view, each constrained row with
@@ -95,7 +96,7 @@ import numpy as np
 
 from .filtering import Stabilization, build_filter_context, stabilization_matrix
 from .linalg import BandLU, SingularMatrixError, band_matvec, lu_solve, norm2
-from .mesh import FeFunction, Mesh1D
+from .mesh import Mesh1D, check_state
 from .operators import (
     AssembledOperators,
     assemble,
@@ -190,7 +191,7 @@ class StepDiagnostics:
     residual_scale: float = 1.0  # the Newton threshold is newton_tol times this
 
 
-StepRecord = tuple[FeFunction, StepDiagnostics, FeFunction]  # rho^n, diag, rhohat^n
+StepRecord = tuple[np.ndarray, StepDiagnostics, np.ndarray]  # rho^n, diag, rhohat^n
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 25
@@ -415,8 +416,7 @@ def be_step(
     counts factorizations); the chord steps solve with ``Stepper.factors``.
     """
     mesh, scenario = stepper.operators.mesh, stepper.scenario
-    if np.shape(c_prev) != (mesh.n_dofs,):
-        raise ValueError(f"expected {mesh.n_dofs} coefficients, got shape {np.shape(c_prev)}")
+    c_prev = check_state(mesh, c_prev)
     linear_part, nonlinear_coeff, stab = stepper.linear_part, stepper.nonlinear_coeff, stepper.stab
     scale = max([float(np.sqrt(max(c_prev @ mass_prev, 0.0)))]
                 + [abs(value) for _, value in stepper.constrained])
@@ -436,7 +436,7 @@ def be_step(
         r = band_matvec(linear_part, x)
         if stab is not None:
             r += stab_x
-        r -= nonlinear_coeff * b_residual(FeFunction(mesh, x))
+        r -= nonlinear_coeff * b_residual(mesh, x)
         r -= rhs
         for i, value in stepper.constrained:
             r[i] = x[i] - value
@@ -448,7 +448,7 @@ def be_step(
         lifted = np.zeros(stepper.newton.shape[1])
         lifted[::unknowns] = -r
         if refactor:
-            jac = b_jacobian(FeFunction(mesh, x))
+            jac = b_jacobian(mesh, x)
             np.subtract(linear_part, nonlinear_coeff * jac, out=rho_block)
             rho_block[stepper.bc_entries] = stepper.bc_values
             d = lu_solve(stepper.newton, lifted, *stepper.half_bands, out=stepper.factors)
@@ -513,20 +513,25 @@ def run_time_filtered(
     initial condition, recorded like a step that took no Newton iterations.
     From step 2 on, Newton starts at 2 rho^{n-1} - rho^{n-2}, the accepted
     states' extrapolation.  A step whose Newton iteration fails or meets a
-    singular matrix raises NoConvergenceError naming the step.
+    singular matrix raises NoConvergenceError naming the step, and so does
+    a filter matrix that the set-up cannot factor (``Stepper.build``).
 
-    The loop carries coefficient vectors, and wraps them in FeFunctions
-    only for the records.  With stabilization it carries K rho^n next to
+    The loop carries coefficient vectors, and its records are those
+    vectors themselves, so rhohat^n is rho^n exactly where no filter
+    applies.  With stabilization it carries K rho^n next to
     M rho^n: K rhohat^n comes from the one filter chain of its step (level
     0 runs its own), the time filter acts on it by linearity, and the
     guess's K is 2 K rho^{n-1} - K rho^{n-2}.  A level's dissipation is
     c . K c at c = rhohat^n.
     """
-    stepper = Stepper.build(scenario, params, grid.dt, mesh, newton_tol, newton_max_iter)
+    try:
+        stepper = Stepper.build(scenario, params, grid.dt, mesh, newton_tol, newton_max_iter)
+    except SingularMatrixError as err:
+        raise NoConvergenceError(f"set-up failed: {err}") from err
     mass, stab = stepper.operators.mass, stepper.stab
     # rho^{n-1}, rho^{n-2}, M rho^{n-1}, K rho^{n-1} and K rho^{n-2};
     # level 0 is its own predecessor
-    c_n1, c_n2 = l2_project(scenario.initial_condition, mesh).coefficients, None
+    c_n1, c_n2 = l2_project(scenario.initial_condition, mesh), None
     mass_n1 = band_matvec(mass, c_n1)
     stab_n1 = stab_n2 = None
     for n in range(grid.n_steps + 1):
@@ -559,8 +564,6 @@ def run_time_filtered(
             zeta_z=0.0 if c_n2 is None else energy_z(c, c_n1, c_n2, mass),
             newton_iters=iters, stab_dissipation=dissipation, residual_scale=scale,
         )
-        rho = FeFunction(mesh, c)
-        rho_hat = rho if hat is c else FeFunction(mesh, hat)
         c_n1, c_n2, mass_n1 = c, (c_n1 if n else None), mass_n
         stab_n1, stab_n2 = stab_n, stab_n1
-        yield rho, diag, rho_hat
+        yield c, diag, hat

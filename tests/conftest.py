@@ -6,36 +6,37 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from lwrfem.mesh import FeFunction, Mesh1D, QuadratureRule, evaluate
+from lwrfem.mesh import Mesh1D, QuadratureRule, evaluate
 from lwrfem.filtering import FilterContext, Stabilization
 from lwrfem.linalg import band_matvec
 from lwrfem.operators import REFERENCE, AssembledOperators
 from lwrfem.stepping import StepDiagnostics, energy_e, mass_norm, run_time_filtered
 
 
-def random_fe(mesh: Mesh1D, rng: np.random.Generator, scale: float = 1.0) -> FeFunction:
-    """FE function with independent normal coefficients."""
-    return FeFunction(mesh, scale * rng.standard_normal(mesh.n_dofs))
+def random_fe(mesh: Mesh1D, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+    """Coefficients of an FE state, independent normals."""
+    return scale * rng.standard_normal(mesh.n_dofs)
 
 
-def smooth_periodic(mesh: Mesh1D, rng: np.random.Generator, n_modes: int = 4) -> FeFunction:
-    """Random low-frequency Fourier combination sampled at the nodes."""
+def smooth_periodic(mesh: Mesh1D, rng: np.random.Generator, n_modes: int = 4) -> np.ndarray:
+    """Coefficients of a random low-frequency Fourier combination sampled at the nodes."""
     amps = rng.uniform(-1.0, 1.0, size=(n_modes, 2))
     x = mesh.dof_x
     values = np.zeros_like(x)
     for k in range(1, n_modes + 1):
         values += amps[k - 1, 0] * np.sin(2 * np.pi * k * x)
         values += amps[k - 1, 1] * np.cos(2 * np.pi * k * x)
-    return FeFunction(mesh, values)
+    return values
 
 
-def element_values(f: FeFunction, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
-    """Values and physical derivatives of f at all quadrature points.
+def element_values(
+    mesh: Mesh1D, c: np.ndarray, rule: QuadratureRule
+) -> tuple[np.ndarray, np.ndarray]:
+    """Values and physical derivatives of the state c at all quadrature points.
 
     Returns (u, du) each of shape (n_elements, n_points).
     """
-    mesh = f.mesh
-    ce = f.coefficients[mesh.cell_dofs]  # (n_el, n_loc)
+    ce = c[mesh.cell_dofs]  # (n_el, n_loc)
     basis = rule.values[mesh.degree]  # (n_q, n_loc)
     dbasis = rule.derivatives[mesh.degree]
     u = ce @ basis.T
@@ -43,10 +44,10 @@ def element_values(f: FeFunction, rule: QuadratureRule) -> tuple[np.ndarray, np.
     return u, du
 
 
-def fe_values_on_rule(f: FeFunction, n_points: int = 7):
-    """(values, derivatives) of f at an n-point Gauss rule per element."""
+def fe_values_on_rule(mesh: Mesh1D, c: np.ndarray, n_points: int = 7):
+    """(values, derivatives) of the state c at an n-point Gauss rule per element."""
     rule = QuadratureRule.gauss_legendre(n_points)
-    return element_values(f, rule)
+    return element_values(mesh, c, rule)
 
 
 def integrate_elementwise(mesh: Mesh1D, pointwise: np.ndarray, n_points: int = 7) -> float:
@@ -55,71 +56,65 @@ def integrate_elementwise(mesh: Mesh1D, pointwise: np.ndarray, n_points: int = 7
     return float(mesh.h * np.einsum("q,eq->", rule.weights, pointwise))
 
 
-def simpson_l2_error(f: FeFunction, g, n_sub: int = 4001) -> float:
-    """Reference ||f - g|| by composite Simpson on a fine uniform grid."""
-    mesh = f.mesh
+def simpson_l2_error(mesh: Mesh1D, c: np.ndarray, g, n_sub: int = 4001) -> float:
+    """Reference ||u - g|| of the state u with coefficients c, by composite Simpson."""
     xs = np.linspace(mesh.x_left, mesh.x_right, n_sub)
-    diff = np.asarray(evaluate(f, xs)) - np.asarray(g(xs))
+    diff = np.asarray(evaluate(mesh, c, xs)) - np.asarray(g(xs))
     from scipy.integrate import simpson
 
     return float(np.sqrt(max(simpson(diff * diff, x=xs), 0.0)))
 
 
-def b_form(u: FeFunction, v: FeFunction, w: FeFunction) -> float:
-    """Trilinear form b(u, v, w) = (1/3) int (u'v + 2uv') w dx.
+def b_form(mesh: Mesh1D, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> float:
+    """Trilinear form b(u, v, w) = (1/3) int (u'v + 2uv') w dx of three states on mesh.
 
     A contraction of the element tensor T_ijk = int phi_j phi_k' phi_i dx
     that the solver's b_residual and b_jacobian use: per element,
     int u' v w = T_ijk w_i v_j u_k and int u v' w = T_ijk w_i u_j v_k.
     """
-    mesh = u.mesh
     t = REFERENCE[mesh.degree].transport
-    cu, cv, cw = (f.coefficients[mesh.cell_dofs] for f in (u, v, w))
+    cu, cv, cw = (f[mesh.cell_dofs] for f in (u, v, w))
     return float(np.einsum("ijk,ei,ej,ek->", t, cw, cv, cu)
                  + 2.0 * np.einsum("ijk,ei,ej,ek->", t, cw, cu, cv)) / 3.0
 
 
-def norm(u: FeFunction, operators: AssembledOperators) -> float:
+def norm(u: np.ndarray, operators: AssembledOperators) -> float:
     """mass_norm of u, with the product M u formed here."""
-    return mass_norm(u.coefficients, band_matvec(operators.mass, u.coefficients))
+    return mass_norm(u, band_matvec(operators.mass, u))
 
 
-def energy(u_n: FeFunction, u_n1: FeFunction, operators: AssembledOperators) -> float:
+def energy(u_n: np.ndarray, u_n1: np.ndarray, operators: AssembledOperators) -> float:
     """energy_e of (u^n, u^{n-1}), with the products M u^n and M u^{n-1} formed here."""
-    mass_n, mass_n1 = (band_matvec(operators.mass, u.coefficients) for u in (u_n, u_n1))
-    return energy_e(u_n.coefficients, u_n1.coefficients, mass_n, mass_n1)
+    mass_n, mass_n1 = (band_matvec(operators.mass, u) for u in (u_n, u_n1))
+    return energy_e(u_n, u_n1, mass_n, mass_n1)
 
 
-def total_variation(rho_h: FeFunction) -> float:
+def total_variation(mesh: Mesh1D, c: np.ndarray) -> float:
     """Sum of |jumps| between consecutive nodal values (increasing x)."""
-    by_x = rho_h.coefficients[np.argsort(rho_h.mesh.dof_x)]  # periodic DOFs zig-zag
+    by_x = c[np.argsort(mesh.dof_x)]  # periodic DOFs zig-zag
     return float(np.abs(np.diff(by_x)).sum())
 
 
-def overshoot(rho_h: FeFunction, reference_max: float) -> float:
+def overshoot(c: np.ndarray, reference_max: float) -> float:
     """Nodal exceedance above a reference ceiling, max(0, max rho - ref)."""
-    return float(max(0.0, rho_h.coefficients.max() - reference_max))
+    return float(max(0.0, c.max() - reference_max))
 
 
-def march(*args, **kwargs) -> list[tuple[FeFunction, StepDiagnostics]]:
+def march(*args, **kwargs) -> list[tuple[np.ndarray, StepDiagnostics]]:
     """(state, diagnostics) of every level of run_time_filtered, kept for indexing."""
     return [(rho, diag) for rho, diag, _ in run_time_filtered(*args, **kwargs)]
 
 
 def three_level_ops(
-    u_n: FeFunction, u_n1: FeFunction, u_n2: FeFunction
-) -> tuple[FeFunction, FeFunction]:
+    a: np.ndarray, b: np.ndarray, c: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """(D[u^n], I[u^n]) of the one-step form of the gamma = 2/3 filtered scheme.
 
+    a, b and c are the coefficients of u^n, u^{n-1} and u^{n-2};
     D[u^n] = (3/2)u^n - 2u^{n-1} + (1/2)u^{n-2}  (difference)
     I[u^n] = (3/2)u^n - u^{n-1} + (1/2)u^{n-2}   (interpolation)
     """
-    mesh = u_n.mesh
-    a, b, c = u_n.coefficients, u_n1.coefficients, u_n2.coefficients
-    return (
-        FeFunction(mesh, 1.5 * a - 2.0 * b + 0.5 * c),
-        FeFunction(mesh, 1.5 * a - b + 0.5 * c),
-    )
+    return 1.5 * a - 2.0 * b + 0.5 * c, 1.5 * a - b + 0.5 * c
 
 
 def dense(ab: np.ndarray, kl: int | None = None, ku: int | None = None) -> np.ndarray:
@@ -198,9 +193,10 @@ class ExtendedBase:
 class FilterOracle:
     """Filter G, van Cittert deconvolution D_N and fluctuation u - D_N(G(u)).
 
-    Applies D_N by repeated filter solves, as approximate deconvolution
-    does, with its own dense factorization of M + delta^2 S, so it shares
-    no code path with the solver's banded filter solves.
+    Acts on coefficient vectors.  Applies D_N by repeated filter solves,
+    as approximate deconvolution does, with its own dense factorization
+    of M + delta^2 S, so it shares no code path with the solver's banded
+    filter solves.
     """
 
     def __init__(self, operators: AssembledOperators, delta: float, deconv_order: int):
@@ -210,24 +206,22 @@ class FilterOracle:
         self.mass = dense(operators.mass)
         self._lu = scipy.linalg.lu_factor(self.mass + delta**2 * dense(operators.stiffness))
 
-    def filter(self, u: FeFunction) -> FeFunction:
+    def filter(self, u: np.ndarray) -> np.ndarray:
         """Filtered field: solve (M + delta^2 S) ubar = M u."""
-        rhs = self.mass @ u.coefficients
-        return FeFunction(u.mesh, scipy.linalg.lu_solve(self._lu, rhs))
+        return scipy.linalg.lu_solve(self._lu, self.mass @ u)
 
-    def deconvolve(self, ubar: FeFunction) -> FeFunction:
+    def deconvolve(self, ubar: np.ndarray) -> np.ndarray:
         """D_N ubar = sum_{n=0..N} (I - G)^n ubar."""
-        acc = ubar.coefficients.copy()
-        term = ubar.coefficients.copy()
+        acc = ubar.copy()
+        term = ubar.copy()
         for _ in range(self.deconv_order):
-            term = term - self.filter(FeFunction(ubar.mesh, term)).coefficients
+            term = term - self.filter(term)
             acc = acc + term
-        return FeFunction(ubar.mesh, acc)
+        return acc
 
-    def fluctuation(self, u: FeFunction) -> FeFunction:
+    def fluctuation(self, u: np.ndarray) -> np.ndarray:
         """Unresolved remainder u - D_N(G(u))."""
-        smooth = self.deconvolve(self.filter(u))
-        return FeFunction(u.mesh, u.coefficients - smooth.coefficients)
+        return u - self.deconvolve(self.filter(u))
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@ import pytest
 
 from lwrfem import analysis
 from lwrfem.analysis import convergence_table, l2_error, run_error_inf
-from lwrfem.mesh import DIRICHLET, PERIODIC, FeFunction, build_mesh
+from lwrfem.mesh import DIRICHLET, PERIODIC, build_mesh
 from lwrfem.operators import assemble, l2_project
 from lwrfem.scenarios import manufactured, shock
 from lwrfem.stepping import StepDiagnostics
@@ -22,20 +22,21 @@ def make_record(state, t):
 class TestL2Error:
     def test_zero_against_own_polynomial(self):
         mesh = build_mesh(0.0, 1.0, 6, 2, DIRICHLET)
-        f = FeFunction(mesh, 1.0 + 2.0 * mesh.dof_x**2)
+        f = 1.0 + 2.0 * mesh.dof_x**2
         exact = lambda x, t: 1.0 + 2.0 * np.asarray(x) ** 2
-        assert l2_error(f, exact, 0.0) < 1e-14
+        assert l2_error(mesh, f, exact, 0.0) < 1e-14
 
     def test_unit_constant(self):
         mesh = build_mesh(0.0, 1.0, 6, 1, DIRICHLET)
-        zero = FeFunction(mesh, np.zeros(mesh.n_dofs))
-        assert l2_error(zero, lambda x, t: np.ones_like(x), 0.0) == pytest.approx(1.0, abs=1e-13)
+        zero = np.zeros(mesh.n_dofs)
+        unit = l2_error(mesh, zero, lambda x, t: np.ones_like(x), 0.0)
+        assert unit == pytest.approx(1.0, abs=1e-13)
 
     def test_sine_closed_form(self):
         # integral of sin^2(2 pi x) over [0, 1] is 1/2
         mesh = build_mesh(0.0, 1.0, 24, 1, DIRICHLET)
-        zero = FeFunction(mesh, np.zeros(mesh.n_dofs))
-        err = l2_error(zero, lambda x, t: np.sin(2 * np.pi * x), 0.0)
+        zero = np.zeros(mesh.n_dofs)
+        err = l2_error(mesh, zero, lambda x, t: np.sin(2 * np.pi * x), 0.0)
         assert err == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-6)
 
     def test_agrees_with_mass_norm_for_zero_exact(self, rng):
@@ -43,7 +44,7 @@ class TestL2Error:
         ops = assemble(mesh)
         for _ in range(10):
             f = random_fe(mesh, rng)
-            quad = l2_error(f, lambda x, t: np.zeros_like(x), 0.0)
+            quad = l2_error(mesh, f, lambda x, t: np.zeros_like(x), 0.0)
             assert quad == pytest.approx(norm(f, ops), abs=1e-12)
 
 
@@ -53,13 +54,13 @@ class TestTripleNorm:
         f = random_fe(mesh, rng)
         exact = lambda x, t: np.zeros_like(x)
         trajectory = [make_record(f, 0.0)]
-        assert run_error_inf(trajectory, exact) == l2_error(f, exact, 0.0)
+        assert run_error_inf(mesh, trajectory, exact) == l2_error(mesh, f, exact, 0.0)
 
     def test_monotone_under_extension(self, rng):
         mesh = build_mesh(0.0, 1.0, 8, 1, DIRICHLET)
         exact = lambda x, t: np.zeros_like(x)
         trajectory = [make_record(random_fe(mesh, rng), 0.1 * n) for n in range(5)]
-        values = [run_error_inf(trajectory[: k + 1], exact) for k in range(5)]
+        values = [run_error_inf(mesh, trajectory[: k + 1], exact) for k in range(5)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_pre_filter_states_count_once_each(self, rng, monkeypatch):
@@ -69,14 +70,14 @@ class TestTripleNorm:
         state, diag, _ = make_record(small, 0.1)
         records = [make_record(small, 0.0), (state, diag, large)]
         calls, measure = [], analysis._error_norm
-        expected = l2_error(large, exact, 0.1)
+        expected = l2_error(mesh, large, exact, 0.1)
 
         def counted(*args):
             calls.append(args)
             return measure(*args)
 
         monkeypatch.setattr(analysis, "_error_norm", counted)
-        assert run_error_inf(records, exact) == expected
+        assert run_error_inf(mesh, records, exact) == expected
         assert len(calls) == 3  # one per distinct iterate
 
     def test_projected_exact_trajectory_scales_at_third_order(self):
@@ -90,7 +91,7 @@ class TestTripleNorm:
                 make_record(l2_project(lambda x: sc.exact_solution(x, t), mesh), t)
                 for t in (0.25, 0.5, 0.75, 1.0)
             ]
-            values.append(run_error_inf(trajectory, sc.exact_solution))
+            values.append(run_error_inf(mesh, trajectory, sc.exact_solution))
         assert values[0] > 0.0
         assert values[0] / values[1] == pytest.approx(8.0, rel=0.2)
 
@@ -125,23 +126,22 @@ class TestConvergenceTable:
 class TestOscillationMetrics:
     def test_constant_function(self):
         mesh = build_mesh(0.0, 1.0, 9, 1, DIRICHLET)
-        c = FeFunction(mesh, np.full(mesh.n_dofs, 0.4))
-        assert total_variation(c) == 0.0
+        c = np.full(mesh.n_dofs, 0.4)
+        assert total_variation(mesh, c) == 0.0
         assert overshoot(c, 0.4) == 0.0
 
     def test_monotone_profile(self):
         mesh = build_mesh(0.0, 1.0, 4, 1, DIRICHLET)
-        f = FeFunction(mesh, np.array([0.1, 0.15, 0.2, 0.5, 0.9]))
-        assert total_variation(f) == pytest.approx(0.8, abs=1e-15)
+        f = np.array([0.1, 0.15, 0.2, 0.5, 0.9])
+        assert total_variation(mesh, f) == pytest.approx(0.8, abs=1e-15)
 
     def test_exact_shock_profile_variation(self):
         sc = shock()
         mesh = build_mesh(0.0, 1.0, 128, 1, DIRICHLET)
-        profile = FeFunction(mesh, sc.exact_solution(mesh.dof_x, 1.0))
-        assert total_variation(profile) == pytest.approx(1.0 / 12.0, abs=1e-12)
+        profile = sc.exact_solution(mesh.dof_x, 1.0)
+        assert total_variation(mesh, profile) == pytest.approx(1.0 / 12.0, abs=1e-12)
 
     def test_overshoot_measures_exceedance(self):
-        mesh = build_mesh(0.0, 1.0, 4, 1, DIRICHLET)
-        f = FeFunction(mesh, np.array([0.0, 0.3, 0.45, 0.3, 0.0]))
+        f = np.array([0.0, 0.3, 0.45, 0.3, 0.0])
         assert overshoot(f, 1.0 / 3.0) == pytest.approx(0.45 - 1.0 / 3.0, abs=1e-15)
         assert overshoot(f, 0.5) == 0.0

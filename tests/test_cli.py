@@ -447,6 +447,30 @@ class TestMain:
             assert captured.err.count("\n") == 1
             assert captured.out == "" and not list(tmp_path.iterdir())
 
+    @pytest.mark.filterwarnings("error")
+    def test_unfactorable_filter_matrix_fails_the_run(self, tmp_path, capsys):
+        # at delta = 1e6, delta^2 S swamps M and the Cholesky factorization
+        # of M + delta^2 S fails in the set-up: a failed run, not a traceback
+        failed = "set-up failed: filter matrix M + delta^2 S is not positive definite at delta"
+        argv = ["run", "--scenario", "shock", "--delta_exp", "0", "--delta_coeff", "1e6",
+                "--t_final", "0.001", "--output_dir", str(tmp_path / "run")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"run failed: {failed} = 1e+06 (")
+        assert captured.err.count("\n") == 1
+        assert captured.out == "" and not list(tmp_path.iterdir())
+        # the ladder marks the rung failed and still writes its table
+        out = tmp_path / "ladder"
+        argv = ["conv-time", "--scenario", "manufactured", "--chi", "1", "--delta_coeff", "1e6",
+                "--delta_exp", "0", "--time_levels", "1", "--output_dir", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"rung failed: {failed} = 1e+06 (")
+        assert captured.err.count("\n") == 1
+        assert captured.out == f"{out / 'convergence_time.csv'}\n"
+        _, rows = read_rows(out / "convergence_time.csv")
+        assert rows == [["1/10", "0.10000000000000001", "failed", ""]]
+
     @pytest.mark.parametrize("scenario", ["manufactured", "rarefaction", "shock"])
     def test_zero_newton_iterations_fail_step_1(self, scenario, tmp_path, capsys):
         # step 1 starts Newton at the initial state, which solves no step

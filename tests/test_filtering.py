@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from lwrfem.filtering import build_filter_context, stabilization_matrix
-from lwrfem.linalg import band_matvec
-from lwrfem.mesh import DIRICHLET, PERIODIC, FeFunction, build_mesh
+from lwrfem.linalg import SingularMatrixError, band_matvec
+from lwrfem.mesh import DIRICHLET, PERIODIC, build_mesh
 from lwrfem.operators import assemble, l2_project
 from conftest import (
     ExtendedBase, FilterOracle, applied_base, dense, dense_stabilization_base,
@@ -31,9 +33,9 @@ class TestFilterMatrix:
         mesh, ops, ctx = setup
         for _ in range(10):
             u = random_fe(mesh, rng)
-            ubar = oracle.filter(u).coefficients
+            ubar = oracle.filter(u)
             lhs = band_matvec(ops.mass + ctx.delta**2 * ops.stiffness, ubar)
-            rhs = band_matvec(ops.mass, u.coefficients)
+            rhs = band_matvec(ops.mass, u)
             assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(rhs).max()
 
     def test_fluctuation_kills_constants(self, setup):
@@ -56,18 +58,27 @@ class TestFilterMatrix:
         with pytest.raises(ValueError):
             build_filter_context(ops, delta=0.1, deconv_order=-1)
 
+    @pytest.mark.parametrize("degree,n,delta", [(1, 128, 1e6), (2, 100, 1e6), (1, 128, 1e12)])
+    def test_unfactorable_filter_matrix_is_singular(self, degree, n, delta):
+        # delta^2 S swamps M, and S maps constants to zero: the Cholesky
+        # factorization of M + delta^2 S fails, and says which delta
+        ops = assemble(build_mesh(0.0, 1.0, n, degree, DIRICHLET))
+        message = f"filter matrix M + delta^2 S is not positive definite at delta = {delta:g} ("
+        with pytest.raises(SingularMatrixError, match=re.escape(message)):
+            build_filter_context(ops, delta=delta, deconv_order=1)
+
 
 class TestApplyFilter:
     def test_preserves_constants_periodic(self, setup, oracle):
         mesh, _, _ = setup
-        c = FeFunction(mesh, np.full(mesh.n_dofs, 3.2))
-        assert np.abs(oracle.filter(c).coefficients - 3.2).max() < 1e-12
+        c = np.full(mesh.n_dofs, 3.2)
+        assert np.abs(oracle.filter(c) - 3.2).max() < 1e-12
 
     def test_zero_radius_is_identity(self, setup, rng):
         mesh, ops, _ = setup
         oracle0 = FilterOracle(ops, delta=0.0, deconv_order=1)
         u = random_fe(mesh, rng)
-        assert np.abs(oracle0.filter(u).coefficients - u.coefficients).max() < 1e-11
+        assert np.abs(oracle0.filter(u) - u).max() < 1e-11
 
     def test_sine_mode_attenuation_matches_symbol(self):
         # dense-solve path against the continuous transfer factor 1/(1 + delta^2 (2 pi)^2)
@@ -78,8 +89,7 @@ class TestApplyFilter:
         ubar = oracle.filter(u)
         assert norm(ubar, ops) < norm(u, ops)
         symbol = 1.0 / (1.0 + oracle.delta**2 * (2 * np.pi) ** 2)
-        diff = FeFunction(mesh, ubar.coefficients - symbol * u.coefficients)
-        assert norm(diff, ops) <= 0.01 * norm(u, ops)
+        assert norm(ubar - symbol * u, ops) <= 0.01 * norm(u, ops)
 
     def test_contractive_in_mass_norm(self, setup, oracle, rng):
         mesh, ops, _ = setup
@@ -93,34 +103,34 @@ class TestDeconvolve:
         mesh, ops, _ = setup
         oracle0 = FilterOracle(ops, delta=0.2, deconv_order=0)
         u = random_fe(mesh, rng)
-        assert np.allclose(oracle0.deconvolve(u).coefficients, u.coefficients, atol=1e-14)
+        assert np.allclose(oracle0.deconvolve(u), u, atol=1e-14)
 
     def test_order_one_expansion(self, setup, oracle, rng):
         # D_1 ubar = 2 ubar - filter(ubar)
         mesh, _, _ = setup
         ubar = random_fe(mesh, rng)
-        expected = 2.0 * ubar.coefficients - oracle.filter(ubar).coefficients
-        assert np.allclose(oracle.deconvolve(ubar).coefficients, expected, atol=1e-12)
+        expected = 2.0 * ubar - oracle.filter(ubar)
+        assert np.allclose(oracle.deconvolve(ubar), expected, atol=1e-12)
 
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
     def test_constants_fixed_for_any_order(self, setup, order):
         mesh, ops, _ = setup
         oracle = FilterOracle(ops, delta=0.3, deconv_order=order)
-        c = FeFunction(mesh, np.full(mesh.n_dofs, -1.1))
-        assert np.abs(oracle.deconvolve(c).coefficients + 1.1).max() < 1e-11
+        c = np.full(mesh.n_dofs, -1.1)
+        assert np.abs(oracle.deconvolve(c) + 1.1).max() < 1e-11
 
 
 class TestFluctuation:
     def test_constants_give_zero(self, setup, oracle):
         mesh, _, _ = setup
-        c = FeFunction(mesh, np.full(mesh.n_dofs, 5.0))
-        assert np.abs(oracle.fluctuation(c).coefficients).max() < 1e-11
+        c = np.full(mesh.n_dofs, 5.0)
+        assert np.abs(oracle.fluctuation(c)).max() < 1e-11
 
     def test_zero_radius_gives_zero(self, setup, rng):
         mesh, ops, _ = setup
         oracle0 = FilterOracle(ops, delta=0.0, deconv_order=2)
         u = random_fe(mesh, rng)
-        assert np.abs(oracle0.fluctuation(u).coefficients).max() < 1e-10
+        assert np.abs(oracle0.fluctuation(u)).max() < 1e-10
 
     def test_matrix_and_operator_paths_agree(self, setup, oracle, rng):
         # u^T (Pi^T S Pi) v against the iterative fluctuation oracle
@@ -129,23 +139,17 @@ class TestFluctuation:
             u, v = random_fe(mesh, rng), random_fe(mesh, rng)
             u_star, v_star = oracle.fluctuation(u), oracle.fluctuation(v)
             stiffness = dense(ops.stiffness)
-            via_ops = u_star.coefficients @ (stiffness @ v_star.coefficients)
-            via_matrix = u.coefficients @ (applied_base(ctx) @ v.coefficients)
-            scale = np.sqrt(
-                u_star.coefficients @ (stiffness @ u_star.coefficients)
-                * (v_star.coefficients @ (stiffness @ v_star.coefficients))
-            )
+            via_ops = u_star @ (stiffness @ v_star)
+            via_matrix = u @ (applied_base(ctx) @ v)
+            scale = np.sqrt((u_star @ (stiffness @ u_star)) * (v_star @ (stiffness @ v_star)))
             assert abs(via_matrix - via_ops) <= 1e-11 * scale
 
     def test_linearity(self, setup, oracle, rng):
         mesh, _, _ = setup
         u, v = random_fe(mesh, rng), random_fe(mesh, rng)
         a, b = 0.7, -1.3
-        combo = FeFunction(mesh, a * u.coefficients + b * v.coefficients)
-        expected = (
-            a * oracle.fluctuation(u).coefficients + b * oracle.fluctuation(v).coefficients
-        )
-        assert np.abs(oracle.fluctuation(combo).coefficients - expected).max() < 1e-12
+        expected = a * oracle.fluctuation(u) + b * oracle.fluctuation(v)
+        assert np.abs(oracle.fluctuation(a * u + b * v) - expected).max() < 1e-12
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_higher_deconvolution_reduces_smooth_fluctuation(self, k):
@@ -179,11 +183,11 @@ class TestStabilizationMatrix:
         for _ in range(10):
             u = random_fe(mesh, rng)
             star = oracle.fluctuation(u)
-            _, dstar = fe_values_on_rule(star)
+            _, dstar = fe_values_on_rule(mesh, star)
             expected = chi * ctx.delta**2 * integrate_elementwise(mesh, dstar * dstar)
-            product = stab(u.coefficients)
-            dissipation = u.coefficients @ product
-            assert u.coefficients @ product == pytest.approx(expected, rel=1e-10)
+            product = stab(u)
+            dissipation = u @ product
+            assert u @ product == pytest.approx(expected, rel=1e-10)
             assert dissipation == pytest.approx(expected, rel=1e-10)
 
 

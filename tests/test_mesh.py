@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 
-from lwrfem.analysis import l2_error
+from lwrfem.analysis import l2_error, run_error_inf
 from lwrfem.mesh import (
     DIRICHLET,
     PERIODIC,
-    FeFunction,
     QuadratureRule,
     build_mesh,
+    check_state,
     evaluate,
     shape_values,
 )
-from lwrfem.operators import l2_project, scatter_band
+from lwrfem.operators import b_jacobian, b_residual, l2_project, scatter_band
+from lwrfem.stepping import StepDiagnostics
 from conftest import dense, simpson_l2_error
 
 
@@ -82,19 +83,17 @@ class TestEvaluate:
     @pytest.mark.parametrize("degree,kind", [(1, DIRICHLET), (2, DIRICHLET), (1, PERIODIC), (2, PERIODIC)])
     def test_partition_of_unity(self, degree, kind, rng):
         mesh = build_mesh(0.0, 1.0, 8, degree, kind)
-        ones = FeFunction(mesh, np.ones(mesh.n_dofs))
+        ones = np.ones(mesh.n_dofs)
         xs = rng.uniform(0.0, 1.0, size=50)
-        assert np.abs(np.asarray(evaluate(ones, xs)) - 1.0).max() < 1e-14
+        assert np.abs(np.asarray(evaluate(mesh, ones, xs)) - 1.0).max() < 1e-14
 
     def test_p1_reproduces_linears(self):
         mesh = build_mesh(0.0, 1.0, 7, 1, DIRICHLET)
-        f = FeFunction(mesh, mesh.dof_x)
-        assert evaluate(f, 0.3) == pytest.approx(0.3, abs=1e-14)
+        assert evaluate(mesh, mesh.dof_x, 0.3) == pytest.approx(0.3, abs=1e-14)
 
     def test_p2_reproduces_quadratics(self):
         mesh = build_mesh(0.0, 1.0, 4, 2, DIRICHLET)
-        f = FeFunction(mesh, mesh.dof_x**2)
-        assert evaluate(f, 0.37) == pytest.approx(0.1369, abs=1e-14)
+        assert evaluate(mesh, mesh.dof_x**2, 0.37) == pytest.approx(0.1369, abs=1e-14)
 
     @pytest.mark.parametrize("degree", [1, 2])
     def test_interpolation_reproduces_basis_degree(self, degree, rng):
@@ -104,35 +103,49 @@ class TestEvaluate:
         def poly(x):
             return sum(c * np.asarray(x) ** k for k, c in enumerate(coeffs))
 
-        f = FeFunction(mesh, poly(mesh.dof_x))
         xs = rng.uniform(0.0, 1.0, size=40)
-        assert np.abs(np.asarray(evaluate(f, xs)) - poly(xs)).max() < 1e-13
+        assert np.abs(np.asarray(evaluate(mesh, poly(mesh.dof_x), xs)) - poly(xs)).max() < 1e-13
 
     def test_out_of_domain(self):
         mesh = build_mesh(0.0, 1.0, 4, 1, DIRICHLET)
-        f = FeFunction(mesh, np.zeros(5))
         with pytest.raises(ValueError, match=r"point outside \[0\.0, 1\.0\]"):
-            evaluate(f, 1.5)
+            evaluate(mesh, np.zeros(5), 1.5)
 
     def test_continuity_across_element_boundaries(self, rng):
         # slopes are O(1/h), so a 1e-12 straddle moves the value by ~1e-10;
         # a genuine jump would register as O(1)
         mesh = build_mesh(0.0, 1.0, 8, 2, PERIODIC)
-        f = FeFunction(mesh, rng.standard_normal(mesh.n_dofs))
+        f = rng.standard_normal(mesh.n_dofs)
         for vertex in np.arange(1, 8) / 8.0:
-            left = evaluate(f, vertex - 1e-12)
-            right = evaluate(f, vertex + 1e-12)
+            left = evaluate(mesh, f, vertex - 1e-12)
+            right = evaluate(mesh, f, vertex + 1e-12)
             assert left == pytest.approx(right, abs=1e-8)
 
     def test_periodic_wraparound_value(self, rng):
         mesh = build_mesh(0.0, 1.0, 8, 2, PERIODIC)
-        f = FeFunction(mesh, rng.standard_normal(mesh.n_dofs))
-        assert evaluate(f, 1.0) == pytest.approx(evaluate(f, 0.0), abs=1e-12)
+        f = rng.standard_normal(mesh.n_dofs)
+        assert evaluate(mesh, f, 1.0) == pytest.approx(evaluate(mesh, f, 0.0), abs=1e-12)
 
     def test_coefficient_count_enforced(self):
         mesh = build_mesh(0.0, 1.0, 4, 1, DIRICHLET)
-        with pytest.raises(ValueError):
-            FeFunction(mesh, np.zeros(3))
+        for shape in (3, 6, (5, 1)):
+            with pytest.raises(ValueError, match=r"expected 5 coefficients, got shape"):
+                check_state(mesh, np.zeros(shape))
+        assert check_state(mesh, [0, 1, 2, 3, 4]).dtype == float
+
+    @pytest.mark.parametrize("call", [
+        lambda mesh, c: evaluate(mesh, c, 0.5),
+        b_residual,
+        b_jacobian,
+        lambda mesh, c: l2_error(mesh, c, lambda x, t: x, 0.0),
+        lambda mesh, c: run_error_inf(
+            mesh, [(c, StepDiagnostics(0, 0.0, 0.0, 0.0, 0.0, 0, 0.0), c)], lambda x, t: x),
+    ], ids=["evaluate", "b_residual", "b_jacobian", "l2_error", "run_error_inf"])
+    def test_state_taking_functions_reject_a_longer_vector(self, call):
+        # indexing by cell_dofs alone would read the first n_dofs entries
+        mesh = build_mesh(0.0, 1.0, 4, 2, PERIODIC)
+        with pytest.raises(ValueError, match=r"expected 8 coefficients, got shape \(9,\)"):
+            call(mesh, np.zeros(mesh.n_dofs + 1))
 
     def test_shape_values_reject_bad_degree(self):
         with pytest.raises(ValueError, match="degree must be 1 or 2, got 3"):
@@ -143,13 +156,13 @@ class TestL2Project:
     def test_constants_project_to_constants(self):
         mesh = build_mesh(0.0, 1.0, 6, 2, PERIODIC)
         f = l2_project(lambda x: 2.5 * np.ones_like(np.asarray(x, dtype=float)), mesh)
-        assert np.abs(f.coefficients - 2.5).max() < 1e-12
+        assert np.abs(f - 2.5).max() < 1e-12
 
     def test_projection_is_identity_on_fe_functions(self, rng):
         mesh = build_mesh(0.0, 1.0, 9, 1, DIRICHLET)
-        g = FeFunction(mesh, rng.standard_normal(mesh.n_dofs))
-        projected = l2_project(lambda x: np.asarray(evaluate(g, x)), mesh)
-        assert np.abs(projected.coefficients - g.coefficients).max() < 1e-12
+        g = rng.standard_normal(mesh.n_dofs)
+        projected = l2_project(lambda x: np.asarray(evaluate(mesh, g, x)), mesh)
+        assert np.abs(projected - g).max() < 1e-12
 
     def test_second_order_projection_error(self):
         # oracle: fine-grid Simpson quadrature of the error integral
@@ -157,7 +170,7 @@ class TestL2Project:
         errors = []
         for n in (16, 32):
             mesh = build_mesh(0.0, 1.0, n, 1, PERIODIC)
-            errors.append(simpson_l2_error(l2_project(g, mesh), g))
+            errors.append(simpson_l2_error(mesh, l2_project(g, mesh), g))
         ratio = errors[0] / errors[1]
         assert 3.6 < ratio < 4.4
 
@@ -166,6 +179,6 @@ class TestL2Project:
         g = lambda x: np.sin(2 * np.pi * x) + 0.3 * np.cos(4 * np.pi * x)
         mesh = build_mesh(0.0, 1.0, 12, degree, PERIODIC)
         exact = lambda x, t: g(x)
-        proj_err = l2_error(l2_project(g, mesh), exact, 0.0)
-        interp_err = l2_error(FeFunction(mesh, g(mesh.dof_x)), exact, 0.0)
+        proj_err = l2_error(mesh, l2_project(g, mesh), exact, 0.0)
+        interp_err = l2_error(mesh, g(mesh.dof_x), exact, 0.0)
         assert proj_err <= interp_err + 1e-12

@@ -5,7 +5,6 @@ from lwrfem.mesh import (
     ASSEMBLY_RULE,
     DIRICHLET,
     PERIODIC,
-    FeFunction,
     QuadratureRule,
     build_mesh,
 )
@@ -24,17 +23,17 @@ from conftest import (
 )
 
 
-def quadrature_b_residual(rho):
+def quadrature_b_residual(mesh, rho):
     """b(rho, rho, phi_i) from rho rho' at the assembly quadrature points."""
-    uq, duq = element_values(rho, ASSEMBLY_RULE)
-    return load_vector(rho.mesh, uq * duq)
+    uq, duq = element_values(mesh, rho, ASSEMBLY_RULE)
+    return load_vector(mesh, uq * duq)
 
 
-def quadrature_b_jacobian(rho):
+def quadrature_b_jacobian(mesh, rho):
     """Band storage of int (rho phi_j' + rho' phi_j) phi_i dx, by quadrature."""
-    mesh, rule = rho.mesh, ASSEMBLY_RULE
+    rule = ASSEMBLY_RULE
     basis, dbasis = rule.values[mesh.degree], rule.derivatives[mesh.degree]
-    uq, duq = element_values(rho, rule)
+    uq, duq = element_values(mesh, rho, rule)
     local = mesh.h * np.einsum("q,eq,qj,qi->eij", rule.weights, uq, dbasis / mesh.h, basis)
     local += mesh.h * np.einsum("q,eq,qj,qi->eij", rule.weights, duq, basis, basis)
     return scatter_band(mesh, local)
@@ -109,22 +108,22 @@ class TestForcingVector:
 
 class TestTrilinearForm:
     def test_constants_give_zero(self, periodic_mesh):
-        c = FeFunction(periodic_mesh, np.full(periodic_mesh.n_dofs, 1.7))
-        w = FeFunction(periodic_mesh, np.full(periodic_mesh.n_dofs, -0.4))
-        assert b_form(c, c, w) == pytest.approx(0.0, abs=1e-14)
+        c = np.full(periodic_mesh.n_dofs, 1.7)
+        w = np.full(periodic_mesh.n_dofs, -0.4)
+        assert b_form(periodic_mesh, c, c, w) == pytest.approx(0.0, abs=1e-14)
 
     def test_skew_symmetry_random_triples(self, rng):
         mesh = build_mesh(0.0, 1.0, 10, 2, PERIODIC)
         for _ in range(100):
             u, v, w = (random_fe(mesh, rng) for _ in range(3))
-            scale = max(abs(b_form(u, v, w)), 1.0)
-            assert abs(b_form(u, v, w) + b_form(u, w, v)) <= 1e-12 * scale
+            scale = max(abs(b_form(mesh, u, v, w)), 1.0)
+            assert abs(b_form(mesh, u, v, w) + b_form(mesh, u, w, v)) <= 1e-12 * scale
 
     def test_vanishes_with_repeated_last_arguments(self, rng):
         mesh = build_mesh(0.0, 1.0, 10, 1, PERIODIC)
         for _ in range(20):
             u, w = random_fe(mesh, rng), random_fe(mesh, rng)
-            assert abs(b_form(u, w, w)) <= 1e-12 * max(1.0, np.abs(w.coefficients).max()) ** 3
+            assert abs(b_form(mesh, u, w, w)) <= 1e-12 * max(1.0, np.abs(w).max()) ** 3
 
     @pytest.mark.parametrize("degree", [1, 2])
     def test_identity_two_term_split(self, degree, rng):
@@ -132,15 +131,15 @@ class TestTrilinearForm:
         mesh = build_mesh(0.0, 1.0, 8, degree, PERIODIC)
         for _ in range(30):
             fu, fv, fw = (random_fe(mesh, rng) for _ in range(3))
-            u, du = fe_values_on_rule(fu)
-            v, dv = fe_values_on_rule(fv)
-            w, dw = fe_values_on_rule(fw)
+            u, du = fe_values_on_rule(mesh, fu)
+            v, dv = fe_values_on_rule(mesh, fv)
+            w, dw = fe_values_on_rule(mesh, fw)
             expected = (
                 integrate_elementwise(mesh, u * dv * w)
                 - integrate_elementwise(mesh, v * dw * u)
             ) / 3.0
             scale = max(abs(expected), 1.0)
-            assert b_form(fu, fv, fw) == pytest.approx(expected, abs=1e-12 * scale)
+            assert b_form(mesh, fu, fv, fw) == pytest.approx(expected, abs=1e-12 * scale)
 
     @pytest.mark.parametrize("degree", [1, 2])
     def test_identity_first_slot_by_parts(self, degree, rng):
@@ -148,23 +147,23 @@ class TestTrilinearForm:
         mesh = build_mesh(0.0, 1.0, 8, degree, PERIODIC)
         for _ in range(30):
             fu, fv, fw = (random_fe(mesh, rng) for _ in range(3))
-            u, du = fe_values_on_rule(fu)
-            v, dv = fe_values_on_rule(fv)
-            w, dw = fe_values_on_rule(fw)
+            u, du = fe_values_on_rule(mesh, fu)
+            v, dv = fe_values_on_rule(mesh, fv)
+            w, dw = fe_values_on_rule(mesh, fw)
             expected = (
                 -integrate_elementwise(mesh, v * du * w)
                 - 2.0 * integrate_elementwise(mesh, v * dw * u)
             ) / 3.0
             scale = max(abs(expected), 1.0)
-            assert b_form(fu, fv, fw) == pytest.approx(expected, abs=1e-12 * scale)
+            assert b_form(mesh, fu, fv, fw) == pytest.approx(expected, abs=1e-12 * scale)
 
     def test_identity_quadratic_transport(self, rng):
         # 2 int u v' v dx = - int v u' v dx under periodicity
         mesh = build_mesh(0.0, 1.0, 8, 2, PERIODIC)
         for _ in range(30):
             fu, fv = random_fe(mesh, rng), random_fe(mesh, rng)
-            u, du = fe_values_on_rule(fu)
-            v, dv = fe_values_on_rule(fv)
+            u, du = fe_values_on_rule(mesh, fu)
+            v, dv = fe_values_on_rule(mesh, fv)
             lhs = 2.0 * integrate_elementwise(mesh, u * dv * v)
             rhs = -integrate_elementwise(mesh, v * du * v)
             scale = max(abs(lhs), 1.0)
@@ -197,45 +196,45 @@ class TestTransportTensor:
         mesh = build_mesh(0.0, 1.0, 9, degree, kind)
         for _ in range(10):
             rho = random_fe(mesh, rng)
-            assert np.abs(b_residual(rho) - quadrature_b_residual(rho)).max() <= 1e-14
-            assert np.abs(b_jacobian(rho) - quadrature_b_jacobian(rho)).max() <= 1e-14
+            assert np.abs(b_residual(mesh, rho) - quadrature_b_residual(mesh, rho)).max() <= 1e-14
+            assert np.abs(b_jacobian(mesh, rho) - quadrature_b_jacobian(mesh, rho)).max() <= 1e-14
 
 
 class TestBResidual:
     def test_constant_state_gives_zero(self, periodic_mesh):
-        c = FeFunction(periodic_mesh, np.full(periodic_mesh.n_dofs, 0.9))
-        assert np.abs(b_residual(c)).max() < 1e-14
+        c = np.full(periodic_mesh.n_dofs, 0.9)
+        assert np.abs(b_residual(periodic_mesh, c)).max() < 1e-14
 
     def test_entries_match_scalar_form(self, rng):
         mesh = build_mesh(0.0, 1.0, 6, 2, PERIODIC)
         rho = random_fe(mesh, rng)
-        res = b_residual(rho)
+        res = b_residual(mesh, rho)
         for i in range(mesh.n_dofs):
-            basis = FeFunction(mesh, np.eye(mesh.n_dofs)[i])
-            assert res[i] == pytest.approx(b_form(rho, rho, basis), abs=1e-13)
+            basis = np.eye(mesh.n_dofs)[i]
+            assert res[i] == pytest.approx(b_form(mesh, rho, rho, basis), abs=1e-13)
 
     def test_energy_neutrality_periodic(self, rng):
         mesh = build_mesh(0.0, 1.0, 12, 1, PERIODIC)
         for _ in range(20):
             rho = random_fe(mesh, rng)
-            value = rho.coefficients @ b_residual(rho)
-            scale = max(np.abs(rho.coefficients).max() ** 3, 1.0)
+            value = rho @ b_residual(mesh, rho)
+            scale = max(np.abs(rho).max() ** 3, 1.0)
             assert abs(value) <= 1e-12 * scale
 
 
 class TestBJacobian:
     def test_zero_state_gives_zero_matrix(self, periodic_mesh):
-        zero = FeFunction(periodic_mesh, np.zeros(periodic_mesh.n_dofs))
-        assert np.abs(b_jacobian(zero)).max() == 0.0
+        zero = np.zeros(periodic_mesh.n_dofs)
+        assert np.abs(b_jacobian(periodic_mesh, zero)).max() == 0.0
 
     def test_finite_difference_oracle(self, rng):
         mesh = build_mesh(0.0, 1.0, 8, 2, PERIODIC)
         rho, direction = random_fe(mesh, rng), random_fe(mesh, rng)
-        jac = b_jacobian(rho)
+        jac = b_jacobian(mesh, rho)
         eps = 1e-6
-        bumped = FeFunction(mesh, rho.coefficients + eps * direction.coefficients)
-        fd = (b_residual(bumped) - b_residual(rho)) / eps
-        assert np.abs(fd - band_matvec(jac, direction.coefficients)).max() < 50.0 * eps
+        bumped = rho + eps * direction
+        fd = (b_residual(mesh, bumped) - b_residual(mesh, rho)) / eps
+        assert np.abs(fd - band_matvec(jac, direction)).max() < 50.0 * eps
 
     @pytest.mark.parametrize("kind", [DIRICHLET, PERIODIC])
     @pytest.mark.parametrize("degree", [1, 2])
@@ -244,22 +243,20 @@ class TestBJacobian:
         mesh = build_mesh(0.0, 1.0, 9, degree, kind)
         rho, direction = random_fe(mesh, rng), random_fe(mesh, rng)
         eps = 1e-3
-        bumped = [FeFunction(mesh, rho.coefficients + sign * eps * direction.coefficients)
-                  for sign in (1.0, -1.0)]
-        fd = (b_residual(bumped[0]) - b_residual(bumped[1])) / (2.0 * eps)
-        exact = band_matvec(b_jacobian(rho), direction.coefficients)
+        bumped = [rho + sign * eps * direction for sign in (1.0, -1.0)]
+        fd = (b_residual(mesh, bumped[0]) - b_residual(mesh, bumped[1])) / (2.0 * eps)
+        exact = band_matvec(b_jacobian(mesh, rho), direction)
         assert np.abs(fd - exact).max() <= 1e-11
 
     def test_linearity_in_state(self, rng):
         mesh = build_mesh(0.0, 1.0, 8, 1, PERIODIC)
         rho = random_fe(mesh, rng)
-        doubled = FeFunction(mesh, 2.0 * rho.coefficients)
-        assert np.allclose(b_jacobian(doubled), 2.0 * b_jacobian(rho), atol=1e-13)
+        assert np.allclose(b_jacobian(mesh, 2.0 * rho), 2.0 * b_jacobian(mesh, rho), atol=1e-13)
 
     def test_jacobian_action_on_state_doubles_residual(self, rng):
         # b is quadratic in rho, so J(rho) rho = 2 b_residual(rho)
         mesh = build_mesh(0.0, 1.0, 8, 2, PERIODIC)
         rho = random_fe(mesh, rng)
         assert np.allclose(
-            band_matvec(b_jacobian(rho), rho.coefficients), 2.0 * b_residual(rho), atol=1e-12
+            band_matvec(b_jacobian(mesh, rho), rho), 2.0 * b_residual(mesh, rho), atol=1e-12
         )

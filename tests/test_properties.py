@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from lwrfem.filtering import build_filter_context, stabilization_matrix
 from lwrfem.linalg import band_matvec
-from lwrfem.mesh import DIRICHLET, PERIODIC, FeFunction, build_mesh
+from lwrfem.mesh import DIRICHLET, PERIODIC, build_mesh
 from lwrfem.operators import assemble, b_jacobian, b_residual, forcing_vector
 from lwrfem.scenarios import LEFT, RIGHT, Scenario, manufactured, shock
 from lwrfem.stepping import (
@@ -41,7 +41,7 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 def _random_fe(mesh, seed):
-    return FeFunction(mesh, np.random.default_rng(seed).standard_normal(mesh.n_dofs))
+    return np.random.default_rng(seed).standard_normal(mesh.n_dofs)
 
 
 @PROPERTY_SETTINGS
@@ -49,13 +49,11 @@ def _random_fe(mesh, seed):
 def test_b_form_skew_symmetric_on_periodic_meshes(degree, n, seed):
     mesh = build_mesh(0.0, 1.0, n, degree, PERIODIC)
     u, v, w = (_random_fe(mesh, seed + k) for k in range(3))
-    value = b_form(u, v, w)
+    value = b_form(mesh, u, v, w)
     # each term of b(u, v, w) is bounded by max|u| max|v| max|w| times the
     # largest derivative factor, about (degree n)
-    scale = degree * n * np.prod(
-        [np.abs(f.coefficients).max() for f in (u, v, w)]
-    )
-    assert abs(value + b_form(u, w, v)) <= 1e-12 * scale
+    scale = degree * n * np.prod([np.abs(f).max() for f in (u, v, w)])
+    assert abs(value + b_form(mesh, u, w, v)) <= 1e-12 * scale
 
 
 @PROPERTY_SETTINGS
@@ -85,11 +83,11 @@ def test_stabilization_base_matches_oracle_fluctuations(degree, n, kind, delta, 
     base = applied_base(build_filter_context(ops, delta, order))
     oracle = FilterOracle(ops, delta, order)
     u, v = (_random_fe(mesh, seed + k) for k in range(2))
-    fu, fv = (oracle.fluctuation(f).coefficients for f in (u, v))
+    fu, fv = (oracle.fluctuation(f) for f in (u, v))
     stiffness = dense(ops.stiffness)
     expected = fu @ (stiffness @ fv)
     scale = np.sqrt((fu @ stiffness @ fu) * (fv @ stiffness @ fv))
-    assert abs(u.coefficients @ (base @ v.coefficients) - expected) <= 1e-10 * scale
+    assert abs(u @ (base @ v) - expected) <= 1e-10 * scale
 
 
 @PROPERTY_SETTINGS
@@ -143,10 +141,9 @@ def test_unfiltered_energy_inequality(degree, n, chi, delta_coeff, order, n_step
 
     # the diagnostics are the Stepper's own quadratic forms of the states
     stepper = Stepper.build(scenario, params, grid.dt, mesh)
-    state = trajectory[-1][0]
-    c = state.coefficients
+    c = trajectory[-1][0]
     assert dissipation[-1] == (0.0 if stepper.stab is None else c @ stepper.stab(c))
-    assert norms[-1] == norm(state, stepper.operators)
+    assert norms[-1] == norm(c, stepper.operators)
 
 
 @PROPERTY_SETTINGS
@@ -196,10 +193,10 @@ def test_one_step_two_step_equivalence(degree, n, chi, delta, order, dt):
         d, i = three_level_ops(trajectory[k][0], trajectory[k - 1][0],
                                trajectory[k - 2][0])
         residual = (
-            band_matvec(ops.mass, d.coefficients) / dt
-            + params.v_f * band_matvec(ops.convection, i.coefficients)
-            - (2.0 * params.v_f / params.rho_m) * b_residual(i)
-            + stab(i.coefficients)
+            band_matvec(ops.mass, d) / dt
+            + params.v_f * band_matvec(ops.convection, i)
+            - (2.0 * params.v_f / params.rho_m) * b_residual(mesh, i)
+            + stab(i)
             - forcing_vector(scenario.forcing, k * dt, mesh)
         )
         allowed = 10.0 * newton_tol * trajectory[k][1].residual_scale
@@ -228,19 +225,19 @@ def test_filtered_dirichlet_row_is_that_of_the_one_step_scheme(n, chi, order, dt
     newton_tol = 1e-10
     records = list(run_time_filtered(scenario, params, TimeGrid(dt, 12), mesh,
                                      newton_tol=newton_tol))
-    assert all(hat.coefficients[0] == g for _, _, hat in records[1:])
-    e = [rho.coefficients[0] - g for rho, _, _ in records]
+    assert all(hat[0] == g for _, _, hat in records[1:])
+    e = [rho[0] - g for rho, _, _ in records]
     assert e[0] == pytest.approx(1.0 / 12.0) and e[1] == 0.0
     assert e[2] == pytest.approx(-e[0] / 3.0)  # the accepted state leaves g
     for k in range(2, len(e)):
         assert abs(e[k] - (GAMMA_FILTER * e[k - 1] - 0.5 * GAMMA_FILTER * e[k - 2])) <= 1e-16
         d, i = three_level_ops(records[k][0], records[k - 1][0], records[k - 2][0])
-        assert i.coefficients[0] == pytest.approx(g, rel=2 * _EPS, abs=0.0)
+        assert i[0] == pytest.approx(g, rel=2 * _EPS, abs=0.0)
         residual = (
-            band_matvec(ops.mass, d.coefficients) / dt
-            + params.v_f * band_matvec(ops.convection, i.coefficients)
-            - (2.0 * params.v_f / params.rho_m) * b_residual(i)
-            + stab(i.coefficients)
+            band_matvec(ops.mass, d) / dt
+            + params.v_f * band_matvec(ops.convection, i)
+            - (2.0 * params.v_f / params.rho_m) * b_residual(mesh, i)
+            + stab(i)
         )
         assert np.abs(residual[1:]).max() <= 10.0 * newton_tol * records[k][1].residual_scale
 
@@ -261,7 +258,7 @@ def test_periodic_mass_conserved(degree, n, chi, order, gamma, seed):
     params = ModelParams(chi=chi, delta=np.sqrt(mesh.h), deconv_order=order, gamma=gamma)
     mass = assemble(mesh).mass
     totals = np.array([
-        band_matvec(mass, rho.coefficients).sum()
+        band_matvec(mass, rho).sum()
         for rho, _ in march(scenario, params, TimeGrid(1e-2, 12), mesh)
     ])
     assert np.abs(totals - totals[0]).max() <= 1e-14
@@ -287,10 +284,10 @@ def test_carried_stabilization_lands_on_exact_newton(degree, n, kind, order, chi
     params = ModelParams(chi=chi, delta=delta_coeff * np.sqrt(mesh.h), deconv_order=order)
     stepper = Stepper.build(scenario, params, dt, mesh)
     stab, coeff, t_next = stepper.stab, stepper.nonlinear_coeff, 0.3 + dt
-    prev = FeFunction(mesh, 0.3 + _fourier_series(seed)(mesh.dof_x))
-    guess = prev.coefficients + 0.5 * _fourier_series(seed + 1)(mesh.dof_x)
-    mass_prev = band_matvec(stepper.operators.mass, prev.coefficients)
-    state, _, scale, _ = be_step(stepper, prev.coefficients, mass_prev, t_next, guess,
+    prev = 0.3 + _fourier_series(seed)(mesh.dof_x)
+    guess = prev + 0.5 * _fourier_series(seed + 1)(mesh.dof_x)
+    mass_prev = band_matvec(stepper.operators.mass, prev)
+    state, _, scale, _ = be_step(stepper, prev, mass_prev, t_next, guess,
                                  None if stab is None else stab(guess))
 
     rhs = mass_prev / dt + forcing_vector(scenario.forcing, t_next, mesh)
@@ -302,12 +299,12 @@ def test_carried_stabilization_lands_on_exact_newton(degree, n, kind, order, chi
     for i, g in stepper.constrained:
         x[i] = g
     for _ in range(NEWTON_MAX_ITER):
-        r = band_matvec(stepper.linear_part, x) - coeff * b_residual(FeFunction(mesh, x)) - rhs
+        r = band_matvec(stepper.linear_part, x) - coeff * b_residual(mesh, x) - rhs
         if stab is not None:
             r += stab(x)
         for i, g in stepper.constrained:
             r[i] = x[i] - g
-        jac = linear - coeff * dense(b_jacobian(FeFunction(mesh, x)))
+        jac = linear - coeff * dense(b_jacobian(mesh, x))
         jac[rows] = np.eye(mesh.n_dofs)[rows]
         d = np.linalg.solve(jac, -r)
         x += d
@@ -352,13 +349,12 @@ def test_dirichlet_flux_balance(degree, n, chi, order, rho_l, rho_r, forced):
     newton_tol, dt = 1e-10, 0.01
     trajectory = march(scenario, params, TimeGrid(dt, 5), mesh, newton_tol=newton_tol)
     constrained = [0] + ([mesh.n_dofs - 1] if forced else [])
-    for (prev, _), (rho, diag) in zip(trajectory, trajectory[1:]):
-        c = rho.coefficients
+    for (prev, _), (c, diag) in zip(trajectory, trajectory[1:]):
         force = (np.zeros(mesh.n_dofs) if scenario.forcing is None
                  else forcing_vector(scenario.forcing, diag.t, mesh))
-        mass_change = band_matvec(ops.mass, c - prev.coefficients) / dt
+        mass_change = band_matvec(ops.mass, c - prev) / dt
         residual = (mass_change + params.v_f * band_matvec(ops.convection, c)
-                    - (2.0 * params.v_f / params.rho_m) * b_residual(rho) + stab(c) - force)
+                    - (2.0 * params.v_f / params.rho_m) * b_residual(mesh, c) + stab(c) - force)
         size = (np.abs(band_matvec(ops.mass, c)).sum() / dt + np.abs(force).sum()
                 + np.abs(residual).sum())
         # the row sums: an identity of the discrete operators, to rounding
@@ -375,9 +371,9 @@ def test_dirichlet_flux_balance(degree, n, chi, order, rho_l, rho_r, forced):
         assert abs(mass_change.sum() - (inflow - outflow + force.sum())) <= allowed + 1e-13 * size
 
 
-def _shock_front(rho, level):
-    """Where rho_h last crosses level, by linear interpolation between DOFs."""
-    x, c = rho.mesh.dof_x, rho.coefficients
+def _shock_front(mesh, c, level):
+    """Where the state c last crosses level, by linear interpolation between DOFs."""
+    x = mesh.dof_x
     k = np.nonzero((c[:-1] - level) * (c[1:] - level) <= 0.0)[0][-1]
     return x[k] + (level - c[k]) / (c[k + 1] - c[k]) * (x[k + 1] - x[k])
 
@@ -402,7 +398,7 @@ def test_shock_moves_at_rankine_hugoniot_speed(rho_l, rho_r):
     dt, times = 5e-3, (0.2, 0.6)
     levels = {round(t / dt): t for t in times}
     fronts = [
-        _shock_front(rho, 0.5 * (rho_l + rho_r))
+        _shock_front(mesh, rho, 0.5 * (rho_l + rho_r))
         for rho, diag, _ in run_time_filtered(scenario, params, TimeGrid(dt, 120), mesh)
         if diag.n in levels
     ]

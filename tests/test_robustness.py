@@ -15,7 +15,7 @@ import pytest
 
 from lwrfem import stepping
 from lwrfem.linalg import band_matvec
-from lwrfem.mesh import FeFunction, build_mesh
+from lwrfem.mesh import build_mesh
 from lwrfem.operators import b_residual, forcing_vector, l2_project
 from lwrfem.scenarios import SCENARIOS
 from lwrfem.stepping import ModelParams, NoConvergenceError, Stepper, be_step
@@ -42,7 +42,7 @@ def start(case):
     mesh = build_mesh(0.0, 1.0, n, degree, kind)
     stepper = Stepper.build(scenario, ModelParams(chi=chi, delta=np.sqrt(mesh.h),
                                                   deconv_order=1), dt, mesh)
-    c = l2_project(lambda x: scenario.exact_solution(x, T0), mesh).coefficients
+    c = l2_project(lambda x: scenario.exact_solution(x, T0), mesh)
     stab_c = None if stepper.stab is None else stepper.stab(c)
     return stepper, c, band_matvec(stepper.operators.mass, c), T0 + dt, c, stab_c
 
@@ -84,7 +84,7 @@ def test_converged_steps_are_roots_to_threshold_or_rounding(scan):
         rhs = mass_prev / stepper.dt
         if stepper.scenario.forcing is not None:
             rhs = rhs + forcing_vector(stepper.scenario.forcing, t_next, mesh)
-        r = linear - stepper.nonlinear_coeff * b_residual(FeFunction(mesh, x)) - rhs
+        r = linear - stepper.nonlinear_coeff * b_residual(mesh, x) - rhs
         if stepper.stab is not None:
             r += stepper.stab(x)
         for i, g in stepper.constrained:

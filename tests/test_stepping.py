@@ -10,7 +10,7 @@ from lwrfem.analysis import l2_error, run_error_inf
 from lwrfem.cli import parse_config
 from lwrfem.filtering import build_filter_context, stabilization_matrix
 from lwrfem.linalg import SingularMatrixError, band_matvec, lu_solve
-from lwrfem.mesh import DIRICHLET, PERIODIC, FeFunction, build_mesh
+from lwrfem.mesh import DIRICHLET, PERIODIC, build_mesh
 from lwrfem.operators import assemble, b_jacobian, b_residual, forcing_vector, mass_matrix
 from lwrfem.scenarios import LEFT, RIGHT, manufactured, rarefaction, shock
 from lwrfem.stepping import (
@@ -41,10 +41,9 @@ def unforced(scenario):
     return dataclasses.replace(scenario, forcing=None)
 
 
-def step_from(stepper, state, t_next):
-    """be_step from state's coefficients c, started there, with M c and K c formed once."""
-    c = state.coefficients
-    mass_prev = band_matvec(mass_matrix(state.mesh), c)
+def step_from(stepper, mesh, c, t_next):
+    """be_step from the coefficients c on mesh, started there, with M c and K c formed once."""
+    mass_prev = band_matvec(mass_matrix(mesh), c)
     stab_c = None if stepper.stab is None else stepper.stab(c)
     return be_step(stepper, c, mass_prev, t_next, c, stab_c)
 
@@ -285,17 +284,15 @@ class TestThreeLevelOps:
         mesh, _ = periodic_setup
         u = smooth_periodic(mesh, rng)
         d, i = three_level_ops(u, u, u)
-        assert np.allclose(i.coefficients, u.coefficients, atol=1e-15)
-        assert np.abs(d.coefficients).max() < 1e-15
+        assert np.allclose(i, u, atol=1e-15)
+        assert np.abs(d).max() < 1e-15
 
     def test_constant_arithmetic(self, periodic_setup):
         mesh, _ = periodic_setup
-        c3 = FeFunction(mesh, np.full(mesh.n_dofs, 3.0))
-        c2 = FeFunction(mesh, np.full(mesh.n_dofs, 2.0))
-        c1 = FeFunction(mesh, np.full(mesh.n_dofs, 1.0))
+        c3, c2, c1 = (np.full(mesh.n_dofs, value) for value in (3.0, 2.0, 1.0))
         d, i = three_level_ops(c3, c2, c1)
-        assert np.allclose(i.coefficients, 3.0, atol=1e-15)
-        assert np.allclose(d.coefficients, 1.0, atol=1e-15)
+        assert np.allclose(i, 3.0, atol=1e-15)
+        assert np.allclose(d, 1.0, atol=1e-15)
 
     def test_three_level_product_identity(self, rng):
         # (3a/2 - 2b + c/2)(3a/2 - b + c/2) telescopes into energy terms
@@ -311,7 +308,7 @@ class TestThreeLevelOps:
 class TestTimeFilterStep:
     def test_identity_when_history_flat(self, periodic_setup, rng):
         mesh, _ = periodic_setup
-        u = smooth_periodic(mesh, rng).coefficients
+        u = smooth_periodic(mesh, rng)
         out = time_filter_step(u, u, u, 2.0 / 3.0)
         assert np.allclose(out, u, atol=1e-15)
 
@@ -331,9 +328,9 @@ class TestTimeFilterStep:
 class TestEnergies:
     def test_zero_states(self, periodic_setup):
         mesh, ops = periodic_setup
-        z = FeFunction(mesh, np.zeros(mesh.n_dofs))
+        z = np.zeros(mesh.n_dofs)
         assert energy(z, z, ops) == 0.0
-        assert energy_z(*[z.coefficients] * 3, ops.mass) == 0.0
+        assert energy_z(z, z, z, ops.mass) == 0.0
 
     def test_equal_states_halve_norm_squared(self, periodic_setup, rng):
         mesh, ops = periodic_setup
@@ -345,8 +342,8 @@ class TestEnergies:
         # u^n = 2 u^{n-1} - u^{n-2} has zero discrete second difference
         mesh, ops = periodic_setup
         u1, u2 = smooth_periodic(mesh, rng), smooth_periodic(mesh, rng)
-        u0 = 2.0 * u1.coefficients - u2.coefficients
-        assert energy_z(u0, u1.coefficients, u2.coefficients, ops.mass) == pytest.approx(
+        u0 = 2.0 * u1 - u2
+        assert energy_z(u0, u1, u2, ops.mass) == pytest.approx(
             0.0, abs=1e-14)
 
     def test_nonnegative(self, periodic_setup, rng):
@@ -354,7 +351,7 @@ class TestEnergies:
         for _ in range(20):
             u = [smooth_periodic(mesh, rng) for _ in range(3)]
             assert energy(u[0], u[1], ops) >= 0.0
-            assert energy_z(*[v.coefficients for v in u], ops.mass) >= 0.0
+            assert energy_z(*u, ops.mass) >= 0.0
 
 
 class TestBeStep:
@@ -362,8 +359,7 @@ class TestBeStep:
         mesh, _ = periodic_setup
         params = ModelParams(chi=0.7, delta=np.sqrt(mesh.h), deconv_order=1)
         stepper = Stepper.build(unforced(manufactured()), params, 0.05, mesh)
-        state = FeFunction(mesh, np.full(mesh.n_dofs, 0.42))
-        out, iters, *_ = step_from(stepper, state, 0.05)
+        out, iters, *_ = step_from(stepper, mesh, np.full(mesh.n_dofs, 0.42), 0.05)
         assert np.abs(out - 0.42).max() < 1e-12
         assert iters == 0
 
@@ -373,15 +369,15 @@ class TestBeStep:
         stepper = Stepper.build(unforced(manufactured()), params, 0.01, mesh)
         for _ in range(10):
             state = smooth_periodic(mesh, rng)
-            out, *_ = step_from(stepper, state, 0.01)
-            assert norm(FeFunction(mesh, out), ops) <= norm(state, ops) * (1 + 1e-12)
+            out, *_ = step_from(stepper, mesh, state, 0.01)
+            assert norm(out, ops) <= norm(state, ops) * (1 + 1e-12)
 
     def test_state_on_another_mesh_rejected(self, periodic_setup, rng):
         mesh, _ = periodic_setup
         stepper = Stepper.build(unforced(manufactured()), ModelParams(), 0.01, mesh)
         other = build_mesh(0.0, 1.0, 32, 2, PERIODIC)
         with pytest.raises(ValueError, match=f"expected {mesh.n_dofs} coefficients, got shape"):
-            step_from(stepper, smooth_periodic(other, rng), 0.01)
+            step_from(stepper, other, smooth_periodic(other, rng), 0.01)
 
     def test_stepper_holds_the_run_constants(self):
         mesh = build_mesh(0.0, 1.0, 12, 2, DIRICHLET)
@@ -413,29 +409,29 @@ class TestBeStep:
         scenario = dataclasses.replace(manufactured(), dirichlet={LEFT: 0.3})
         stepper = Stepper.build(scenario, params, 0.01, mesh)
         ops, c = stepper.operators, stepper.nonlinear_coeff
-        prev = FeFunction(mesh, 0.3 + 0.1 * np.sin(2 * np.pi * mesh.dof_x))
-        guess = 2.0 * prev.coefficients - (0.3 + 0.1 * np.sin(2 * np.pi * mesh.dof_x - 0.1))
+        prev = 0.3 + 0.1 * np.sin(2 * np.pi * mesh.dof_x)
+        guess = 2.0 * prev - (0.3 + 0.1 * np.sin(2 * np.pi * mesh.dof_x - 0.1))
         rows = [i for i, _ in stepper.constrained]
-        mass_prev = band_matvec(ops.mass, prev.coefficients)
-        scale = max([np.sqrt(prev.coefficients @ mass_prev)] + [0.3] * len(rows))
+        mass_prev = band_matvec(ops.mass, prev)
+        scale = max([np.sqrt(prev @ mass_prev)] + [0.3] * len(rows))
         stab_matrix = operator_matrix(stepper.stab, mesh.n_dofs)
         linear = dense(stepper.linear_part) + stab_matrix
         rhs = mass_prev / 0.01 + forcing_vector(scenario.forcing, 0.01, mesh)
 
         def residual(x):
-            r = linear @ x - c * b_residual(FeFunction(mesh, x)) - rhs
+            r = linear @ x - c * b_residual(mesh, x) - rhs
             r[rows] = x[rows] - 0.3
             return r
 
         def jacobian(x):
-            jac = linear - c * dense(b_jacobian(FeFunction(mesh, x)))
+            jac = linear - c * dense(b_jacobian(mesh, x))
             jac[rows] = np.eye(mesh.n_dofs)[rows]
             return jac
 
         start = guess.copy()
         start[rows] = 0.3  # be_step starts on the step's Dirichlet values
         expected, expected_iters = newton_solve(residual, dense_solve(jacobian), start, scale)
-        state, iters, step_scale, _ = be_step(stepper, prev.coefficients, mass_prev, 0.01, guess,
+        state, iters, step_scale, _ = be_step(stepper, prev, mass_prev, 0.01, guess,
                                               stepper.stab(guess))
         assert step_scale == scale
         assert iters == expected_iters
@@ -445,16 +441,16 @@ class TestBeStep:
         mesh = build_mesh(0.0, 1.0, 16, 2, DIRICHLET)
         params = ModelParams(chi=1.0, delta=0.1, deconv_order=1)
         stepper = Stepper.build(manufactured(), params, 0.01, mesh)
-        prev = FeFunction(mesh, np.sin(np.pi * mesh.dof_x) ** 4 * np.sin(0.5))
-        near = prev.coefficients + 1e-3 * np.sin(3 * np.pi * mesh.dof_x)
-        mass_prev = band_matvec(stepper.operators.mass, prev.coefficients)
-        results = [be_step(stepper, prev.coefficients, mass_prev, 0.51, guess, stepper.stab(guess))
-                   for guess in (prev.coefficients, near)]
+        prev = np.sin(np.pi * mesh.dof_x) ** 4 * np.sin(0.5)
+        near = prev + 1e-3 * np.sin(3 * np.pi * mesh.dof_x)
+        mass_prev = band_matvec(stepper.operators.mass, prev)
+        results = [be_step(stepper, prev, mass_prev, 0.51, guess, stepper.stab(guess))
+                   for guess in (prev, near)]
         (state_a, _, scale_a, *_), (state_b, _, scale_b, *_) = results
         # the L2 norm of rho^{n-1}; the boundary values are 0
         assert scale_a == scale_b == norm(prev, stepper.operators)
         # both meet ||r|| <= 1e-10 scale, so they agree far below the step's change
-        change = np.abs(state_a - prev.coefficients).max()
+        change = np.abs(state_a - prev).max()
         assert np.abs(state_a - state_b).max() <= 1e-9 * change
 
     def test_zero_data_converges(self):
@@ -463,16 +459,16 @@ class TestBeStep:
         # and zero data without forcing is a steady state at once
         mesh = build_mesh(0.0, 1.0, 50, 2, DIRICHLET)
         params = ModelParams(chi=1.0, delta=0.1 * np.sqrt(mesh.h), deconv_order=1)
-        zero = FeFunction(mesh, np.zeros(mesh.n_dofs))
+        zero = np.zeros(mesh.n_dofs)
         for scenario, most in ((manufactured(), 3), (unforced(manufactured()), 0)):
             stepper = Stepper.build(scenario, params, 1e-4, mesh)
-            state, iters, scale, *_ = step_from(stepper, zero, 1e-4)
+            state, iters, scale, *_ = step_from(stepper, mesh, zero, 1e-4)
             assert scale == 0.0
             assert iters <= most
         assert not state.any()
         # inflow data into an empty strand: the boundary value is the scale
         stepper = Stepper.build(rarefaction(), params, 1e-4, mesh)
-        state, iters, scale, *_ = step_from(stepper, zero, 1e-4)
+        state, iters, scale, *_ = step_from(stepper, mesh, zero, 1e-4)
         assert scale == 0.47 and iters <= 3 and state[0] == 0.47
 
     @pytest.mark.parametrize("chi", [0.0, 1.0])
@@ -523,7 +519,7 @@ class TestBeStep:
         params = ModelParams(delta=0.1 * np.sqrt(mesh.h), deconv_order=1)
         stepper = Stepper.build(manufactured(), params, 1e20, mesh)
         with pytest.raises(SingularMatrixError):
-            step_from(stepper, FeFunction(mesh, np.zeros(mesh.n_dofs)), 1e20)
+            step_from(stepper, mesh, np.zeros(mesh.n_dofs), 1e20)
 
     @pytest.mark.parametrize("chi", [0.0, 1.0])
     def test_no_filter_solves_at_zero_weight(self, chi, monkeypatch):
@@ -573,7 +569,8 @@ class TestBeStep:
         gbmv, pbtrs, b_res = linalg._GBMV, filtering._PBTRS, stepping.b_residual
         monkeypatch.setattr(linalg, "_GBMV", lambda *a: products.append(1) or gbmv(*a))
         monkeypatch.setattr(filtering, "_PBTRS", lambda *a: solves.append(1) or pbtrs(*a))
-        monkeypatch.setattr(stepping, "b_residual", lambda rho: residuals.append(1) or b_res(rho))
+        monkeypatch.setattr(stepping, "b_residual",
+                            lambda mesh, c: residuals.append(1) or b_res(mesh, c))
         mesh = build_mesh(0.0, 1.0, 24, degree, DIRICHLET)
         params = ModelParams(chi=1.0, delta=np.sqrt(mesh.h), deconv_order=order, gamma=gamma)
         records = list(run_time_filtered(make(), params, TimeGrid(dt, 20), mesh))
@@ -588,8 +585,7 @@ class TestBeStep:
         assert len(solves) == (2 * order + 2) * chains
         # the recorded dissipation is the operator's own of the returned state
         stab = stepper.stab
-        for _, diag, rho_hat in records:
-            c = rho_hat.coefficients
+        for _, diag, c in records:
             assert diag.stab_dissipation == c @ stab(c)
 
     def test_stepped_dissipation_against_extended_precision(self):
@@ -603,7 +599,7 @@ class TestBeStep:
         weight = params.chi * params.delta**2
         records = list(run_time_filtered(manufactured(), params, TimeGrid(0.01, 20), mesh))
         for _, diag, rho_hat in records:
-            reference = weight * extended.form(rho_hat.coefficients, params.deconv_order)
+            reference = weight * extended.form(rho_hat, params.deconv_order)
             assert abs(diag.stab_dissipation - reference) <= 1e-10 * abs(reference), diag.n
 
     @pytest.mark.parametrize("kind", [DIRICHLET, PERIODIC])
@@ -622,7 +618,7 @@ class TestBeStep:
         mesh = build_mesh(0.0, 1.0, 10, 1, DIRICHLET)
         params = ModelParams(delta=0.1 * np.sqrt(mesh.h), gamma=gamma)
         steps = run_time_filtered(manufactured(), params, TimeGrid(0.1, 5), mesh)
-        level_0 = weakref.ref(next(steps)[0].coefficients)
+        level_0 = weakref.ref(next(steps)[0])
         next(steps)
         assert level_0() is not None  # rho^{n-2} of the step to level 2
         next(steps)
@@ -644,7 +640,7 @@ class TestBeStep:
             grid = TimeGrid.to_final_time(dt, 0.5)
             trajectory = march(scenario, params, grid, mesh)
             state, diag = trajectory[-1]
-            errors.append(l2_error(state, scenario.exact_solution, diag.t))
+            errors.append(l2_error(mesh, state, scenario.exact_solution, diag.t))
         assert 1.7 < errors[0] / errors[1] < 2.3
 
     def test_dirichlet_rows_exact(self):
@@ -657,8 +653,8 @@ class TestBeStep:
             march(scenario, dataclasses.replace(params, gamma=2.0 / 3.0), grid, mesh),
         ):
             for state, diag in trajectory[1:]:
-                assert abs(state.coefficients[0]) <= 1e-12
-                assert abs(state.coefficients[-1]) <= 1e-12
+                assert abs(state[0]) <= 1e-12
+                assert abs(state[-1]) <= 1e-12
 
 
 class TestRunAlgorithm1:
@@ -668,7 +664,7 @@ class TestRunAlgorithm1:
         params = ModelParams(delta=0.1 * np.sqrt(mesh.h))
         trajectory = march(scenario, params, TimeGrid(0.1, 0), mesh)
         assert len(trajectory) == 1
-        assert np.abs(trajectory[0][0].coefficients).max() < 1e-12
+        assert np.abs(trajectory[0][0]).max() < 1e-12
 
     def test_energy_inequality_periodic_unforced(self, rng):
         mesh = build_mesh(0.0, 1.0, 24, 1, PERIODIC)
@@ -692,7 +688,7 @@ class TestRunAlgorithm1:
         mesh = build_mesh(0.0, 1.0, 100, 2, DIRICHLET)
         params = ModelParams(chi=0.0, delta=0.1 * np.sqrt(mesh.h), deconv_order=1)
         steps = run_time_filtered(scenario, params, TimeGrid(0.1, 10), mesh)
-        error = run_error_inf(steps, scenario.exact_solution)  # unfiltered: one iterate per level
+        error = run_error_inf(mesh, steps, scenario.exact_solution)  # unfiltered: one per level
         assert error == pytest.approx(1.97e-2, rel=0.25)
 
 
@@ -707,7 +703,7 @@ class TestRunAlgorithm2:
         for n_steps in (10, 20):
             grid = TimeGrid(1.0 / n_steps, n_steps)
             errors.append(max(  # over the filtered states only
-                l2_error(state, scenario.exact_solution, diag.t)
+                l2_error(mesh, state, scenario.exact_solution, diag.t)
                 for state, diag in march(scenario, params, grid, mesh)
             ))
         assert errors[1] == pytest.approx(1.26e-3, rel=0.25)
@@ -743,10 +739,10 @@ class TestRunAlgorithm2:
             state_n2 = trajectory[n - 2][0]
             d, i = three_level_ops(state_n, state_n1, state_n2)
             residual = (
-                band_matvec(ops.mass, d.coefficients) / grid.dt
-                + params.v_f * band_matvec(ops.convection, i.coefficients)
-                - (2.0 * params.v_f / params.rho_m) * b_residual(i)
-                + stab(i.coefficients)
+                band_matvec(ops.mass, d) / grid.dt
+                + params.v_f * band_matvec(ops.convection, i)
+                - (2.0 * params.v_f / params.rho_m) * b_residual(mesh, i)
+                + stab(i)
                 - forcing_vector(scenario.forcing, n * grid.dt, mesh)
             )
             scale = trajectory[n][1].residual_scale
