@@ -22,7 +22,8 @@ from .stepping import StepRecord
 def _error_norm(mesh: Mesh1D, c: np.ndarray, exact_values: np.ndarray) -> float:
     """||rho_h - exact|| for the coefficients c of rho_h, given exact at the ERROR_RULE points."""
     rule = ERROR_RULE
-    diff = check_state(mesh, c)[mesh.cell_dofs] @ rule.values[mesh.degree].T
+    # (n_el, q), the layout of exact_values, so the sum below keeps its order
+    diff = check_state(mesh, c)[mesh.cell_dofs].T @ rule.values[mesh.degree].T
     diff -= exact_values
     value = mesh.h * np.einsum("q,eq->", rule.weights, diff * diff)
     return float(np.sqrt(max(value, 0.0)))

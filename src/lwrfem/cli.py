@@ -1,6 +1,6 @@
 """Command-line driver for runs, convergence ladders, and parameter studies.
 
-Subcommands:
+Commands:
 
     run         single run; writes a profile snapshot and per-step diagnostics
     conv-space  halving ladder over the mesh width at fixed dt
@@ -10,11 +10,11 @@ Subcommands:
 
 Configuration is line-oriented ``key = value`` text with ``#`` comments,
 each key at most once per file; every key can also be given as a
-``--key value`` flag, and flags override file values which override the
-scenario's defaults, which override RunConfig's.  All output files are
-CSV with one leading comment line echoing the full effective
-configuration; floats are printed with 17 significant digits so
-repeated runs are bit-identical.
+``--key value`` flag, before or after the command, and flags override
+file values which override the scenario's defaults, which override
+RunConfig's.  All output files are CSV with one leading comment line
+echoing the full effective configuration; floats are printed with 17
+significant digits so repeated runs are bit-identical.
 
 Exit codes: 0 success, 1 if the run or any ladder rung or sweep member
 failed (a step whose Newton iteration fails or meets a singular matrix,
@@ -291,10 +291,7 @@ def _write_profile(
         else np.full_like(xs, np.nan)
     )
     lines = ["x,rho_h,rho_exact"]
-    lines += [
-        f"{_fmt(float(x))},{_fmt(float(r))},{_fmt(float(e))}"
-        for x, r, e in zip(xs, rho, exact)
-    ]
+    lines += ["%.17g,%.17g,%.17g" % row for row in zip(xs.tolist(), rho.tolist(), exact.tolist())]
     _write_lines(path, config.header_line(), lines)
 
 
@@ -312,8 +309,9 @@ def _write_diagnostics(
             out.write("n,t,l2_norm,energy_E,zeta_Z,newton_iters,stab_dissipation\n")
             for record in steps:
                 d = record[1]
-                out.write(f"{d.n},{_fmt(d.t)},{_fmt(d.l2_norm)},{_fmt(d.energy_e)},"
-                          f"{_fmt(d.zeta_z)},{d.newton_iters},{_fmt(d.stab_dissipation)}\n")
+                out.write("%d,%.17g,%.17g,%.17g,%.17g,%d,%.17g\n" % (
+                    d.n, d.t, d.l2_norm, d.energy_e, d.zeta_z, d.newton_iters,
+                    d.stab_dissipation))
     except BaseException:
         partial.unlink(missing_ok=True)
         for directory in made:
@@ -464,16 +462,15 @@ COMMANDS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """One parser: the command as a positional choice, each key once, flags in any order."""
     parser = argparse.ArgumentParser(
         prog="lwrfem",
         description="Stabilized FEM solver for the LWR density model",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", default=None, help="path to a key = value file")
-        for key in KEY_PARSERS:
-            cmd.add_argument(f"--{key}", default=None, metavar="VALUE")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", default=None, help="path to a key = value file")
+    for key in KEY_PARSERS:
+        parser.add_argument(f"--{key}", default=None, metavar="VALUE")
     return parser
 
 

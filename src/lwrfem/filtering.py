@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .linalg import SingularMatrixError, band_matvec
+from .linalg import PIVOT_RTOL, SingularMatrixError, band_matvec
 from .operators import AssembledOperators
 
 _PBTRF, _PBTRS = get_lapack_funcs(("pbtrf", "pbtrs"), (np.zeros(1),))
@@ -73,8 +73,11 @@ def build_filter_context(
     """Factor A = M + delta^2 S once, for the filter solves of Pi = (I - F)^{N+1}.
 
     Raises SingularMatrixError, naming delta, when pbtrf finds a leading
-    minor of A that is not positive definite: S maps constants to zero, so
-    once delta^2 S swamps M, A is singular in double precision.
+    minor of A that is not positive definite, or when a pivot of the
+    factor A = U^T U, U_ii^2, falls below PIVOT_RTOL times the largest
+    entry magnitude of A, the threshold of ``BandLU.factor``: S maps
+    constants to zero, so once delta^2 S swamps M, A is singular in
+    double precision, and pbtrf tests only each pivot's sign.
     """
     if delta < 0:
         raise ValueError(f"filter radius must be nonnegative, got {delta}")
@@ -86,6 +89,10 @@ def build_filter_context(
     if info:
         raise SingularMatrixError(f"filter matrix M + delta^2 S is not positive definite "
                                   f"at delta = {delta:g} (leading minor {info})")
+    pivot, threshold = (factor[w] ** 2).min(), PIVOT_RTOL * np.abs(upper).max()
+    if pivot < threshold:
+        raise SingularMatrixError(f"filter matrix M + delta^2 S is singular at delta = "
+                                  f"{delta:g} (pivot {pivot:.3e} below threshold {threshold:.3e})")
     return FilterContext(
         delta=float(delta), deconv_order=deconv_order, stiffness=operators.stiffness,
         factor=np.asfortranarray(factor),

@@ -11,7 +11,12 @@ so that the wrap-around coupling stays next to the diagonal.  Either way
 the DOF map is plain index arithmetic, and every operator assembled on
 the mesh is banded, with half-bandwidth ``half_band`` (degree on
 Dirichlet meshes, 2 degree on periodic ones); ``band_index`` places each
-element's DOF pairs in the band storage of ``linalg``.  This module
+element's DOF pairs in the band storage of ``linalg``.  Both maps are
+slot-major: ``cell_dofs[i, e]`` is the global DOF of local slot i on
+element e, and ``band_index[i, j, e]`` the band position of the pair
+(i, j) on element e, each stored once as a contiguous array, so that
+every gather, contraction and scatter over the elements runs the
+elements in its innermost loop.  This module
 assembles nothing: ``operators`` integrates and scatters.  A discrete
 state is its coefficient vector, one float per DOF, passed next to its
 mesh; ``check_state`` is the one check of its length.  Callables of x
@@ -98,10 +103,10 @@ class Mesh1D:
     boundary_kind: str
     h: float
     n_dofs: int
-    cell_dofs: np.ndarray  # (n_elements, degree + 1) global indices
+    cell_dofs: np.ndarray  # (degree + 1, n_elements) global indices
     dof_x: np.ndarray  # coordinate of each DOF
     half_band: int  # largest |i - j| over the DOF pairs an element couples
-    band_index: np.ndarray  # flat (Fortran order) band position of each cell_dofs pair
+    band_index: np.ndarray  # (n_loc, n_loc, n_elements) flat (Fortran order) band positions
 
     def quad_points(self, rule: QuadratureRule) -> np.ndarray:
         """Physical quadrature coordinates, shape (n_elements, n_points)."""
@@ -133,7 +138,7 @@ def build_mesh(
         n_dofs = degree * n_elements + 1
 
     local = np.arange(degree + 1)
-    cell_dofs = degree * np.arange(n_elements)[:, None] + local[None, :]
+    cell_dofs = local[:, None] + degree * np.arange(n_elements)[None, :]
     position = np.arange(n_dofs)  # left-to-right position of each DOF
     if boundary_kind == PERIODIC:
         cell_dofs = cell_dofs % n_dofs  # last vertex wraps onto the first
@@ -142,7 +147,7 @@ def build_mesh(
         cell_dofs = number[cell_dofs]
         position = np.argsort(number)
 
-    rows, cols = cell_dofs[:, :, None], cell_dofs[:, None, :]
+    rows, cols = cell_dofs[:, None, :], cell_dofs[None, :, :]
     half_band = int(np.abs(rows - cols).max())
     dof_x = x_left + position * (h / degree)
     return Mesh1D(
@@ -185,7 +190,7 @@ def evaluate(mesh: Mesh1D, c: np.ndarray, x) -> float | np.ndarray:
     )
     xi = (x_arr - (mesh.x_left + e * mesh.h)) / mesh.h
     basis = shape_values(mesh.degree, xi)  # (m, n_loc)
-    values = np.einsum("mi,mi->m", c[mesh.cell_dofs[e]], basis)
+    values = np.einsum("im,mi->m", c[mesh.cell_dofs[:, e]], basis)
     return float(values[0]) if shape == () else values.reshape(shape)
 
 

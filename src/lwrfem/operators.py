@@ -21,7 +21,10 @@ residual and the Jacobian contract that one tensor with the element
 coefficients c and form no quadrature values.  The matrices, the Jacobian
 included, are scattered element by element straight into band storage
 (``scatter_band``): entry (i, j) sits at ab[w + i - j, j] with w the
-mesh's half-bandwidth.
+mesh's half-bandwidth.  Element arrays follow the mesh's slot-major DOF
+map, the element index last: coefficients ce[j, e], element vectors
+local[i, e] and element matrices local[i, j, e], so each contraction is
+one matrix product over all elements and each scatter one bincount.
 """
 
 from __future__ import annotations
@@ -80,7 +83,7 @@ class AssembledOperators:
 
 
 def scatter_band(mesh: Mesh1D, local: np.ndarray) -> np.ndarray:
-    """Sum element blocks local[e, i, j] (or one block for all) into band storage.
+    """Sum element blocks local[i, j, e] (or one block local[i, j] for all) into band storage.
 
     The result ab, of shape (2 w + 1, n_dofs) with w = mesh.half_band and in
     Fortran order, holds entry (i, j) of the assembled matrix at
@@ -88,7 +91,7 @@ def scatter_band(mesh: Mesh1D, local: np.ndarray) -> np.ndarray:
     """
     w, index = mesh.half_band, mesh.band_index
     if local.shape != index.shape:  # one block for all elements
-        local = np.broadcast_to(local, index.shape)
+        local = np.broadcast_to(local[:, :, None], index.shape)
     flat = np.bincount(index.ravel(), local.ravel(), minlength=(2 * w + 1) * mesh.n_dofs)
     return flat.reshape((2 * w + 1, mesh.n_dofs), order="F")
 
@@ -113,7 +116,7 @@ def load_vector(mesh: Mesh1D, values: np.ndarray) -> np.ndarray:
     """Vector of (g, phi_i) from g's values at the assembly quadrature points."""
     rule = ASSEMBLY_RULE
     basis = rule.values[mesh.degree]
-    local = mesh.h * ((values * rule.weights) @ basis)
+    local = mesh.h * (basis.T @ (values * rule.weights).T)  # (n_loc, n_el)
     return np.bincount(mesh.cell_dofs.ravel(), local.ravel(), minlength=mesh.n_dofs)
 
 
@@ -134,9 +137,9 @@ def forcing_vector(f: Callable, t: float, mesh: Mesh1D) -> np.ndarray:
 def b_residual(mesh: Mesh1D, c: np.ndarray) -> np.ndarray:
     """Vector of b(rho, rho, phi_i) = int rho rho' phi_i dx: per element T_ijk c_j c_k."""
     n_loc = mesh.degree + 1
-    ce = check_state(mesh, c)[mesh.cell_dofs]  # (n_el, n_loc)
-    pairs = (ce[:, :, None] * ce[:, None, :]).reshape(len(ce), -1)  # c_j c_k
-    local = pairs @ REFERENCE[mesh.degree].transport.reshape(n_loc, -1).T
+    ce = check_state(mesh, c)[mesh.cell_dofs]  # (n_loc, n_el)
+    pairs = (ce[:, None, :] * ce[None, :, :]).reshape(n_loc * n_loc, -1)  # c_j c_k
+    local = REFERENCE[mesh.degree].transport.reshape(n_loc, -1) @ pairs
     return np.bincount(mesh.cell_dofs.ravel(), local.ravel(), minlength=mesh.n_dofs)
 
 
@@ -148,5 +151,5 @@ def b_jacobian(mesh: Mesh1D, c: np.ndarray) -> np.ndarray:
     n_loc = mesh.degree + 1
     t = REFERENCE[mesh.degree].transport
     both = (t + t.transpose(0, 2, 1)).reshape(-1, n_loc)  # rows (i, j), columns k
-    local = check_state(mesh, c)[mesh.cell_dofs] @ both.T
-    return scatter_band(mesh, local.reshape(-1, n_loc, n_loc))
+    local = both @ check_state(mesh, c)[mesh.cell_dofs]
+    return scatter_band(mesh, local.reshape(n_loc, n_loc, -1))

@@ -36,7 +36,7 @@ def element_values(
 
     Returns (u, du) each of shape (n_elements, n_points).
     """
-    ce = c[mesh.cell_dofs]  # (n_el, n_loc)
+    ce = c[mesh.cell_dofs].T  # (n_el, n_loc)
     basis = rule.values[mesh.degree]  # (n_q, n_loc)
     dbasis = rule.derivatives[mesh.degree]
     u = ce @ basis.T
@@ -74,8 +74,8 @@ def b_form(mesh: Mesh1D, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> float:
     """
     t = REFERENCE[mesh.degree].transport
     cu, cv, cw = (f[mesh.cell_dofs] for f in (u, v, w))
-    return float(np.einsum("ijk,ei,ej,ek->", t, cw, cv, cu)
-                 + 2.0 * np.einsum("ijk,ei,ej,ek->", t, cw, cu, cv)) / 3.0
+    return float(np.einsum("ijk,ie,je,ke->", t, cw, cv, cu)
+                 + 2.0 * np.einsum("ijk,ie,je,ke->", t, cw, cu, cv)) / 3.0
 
 
 def norm(u: np.ndarray, operators: AssembledOperators) -> float:

@@ -471,6 +471,20 @@ class TestMain:
         _, rows = read_rows(out / "convergence_time.csv")
         assert rows == [["1/10", "0.10000000000000001", "failed", ""]]
 
+    @pytest.mark.filterwarnings("error")
+    def test_filter_factor_without_precision_fails_the_set_up(self, tmp_path, capsys):
+        # at delta = 1e9 pbtrf accepts the factor of M + delta^2 S, whose
+        # smallest pivot carries no precision: the set-up fails naming delta,
+        # where the Newton matrix of step 1 was blamed before
+        argv = ["run", "--scenario", "shock", "--delta_exp", "0", "--t_final", "0.001"]
+        assert main([*argv, "--delta_coeff", "1e9", "--output_dir", str(tmp_path / "a")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("run failed: set-up failed: filter matrix M + delta^2 S "
+                                       "is singular at delta = 1e+09 (pivot ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == "" and not list(tmp_path.iterdir())
+        assert main([*argv, "--delta_coeff", "1e4", "--output_dir", str(tmp_path / "b")]) == 0
+
     @pytest.mark.parametrize("scenario", ["manufactured", "rarefaction", "shock"])
     def test_zero_newton_iterations_fail_step_1(self, scenario, tmp_path, capsys):
         # step 1 starts Newton at the initial state, which solves no step
@@ -573,3 +587,72 @@ class TestMain:
         )
         assert main(["run", "--config", str(config)]) == 0
         assert (tmp_path / "out" / "profile.csv").exists()
+
+
+class TestParser:
+    """The one parser: the command is a positional choice, each key a flag once."""
+
+    # a value for every key, none of them a default
+    VALUES = {
+        "scenario": "rarefaction", "n_elements": "7", "degree": "2",
+        "boundary_kind": "periodic", "v_f": "2", "rho_m": "3", "chi": "0.5",
+        "deconv_order": "2", "gamma": "0.5", "delta_coeff": "0.3", "delta_exp": "0.25",
+        "dt": "0.001", "t_final": "0.5", "newton_tol": "1e-9", "newton_max_iter": "7",
+        "algorithm": "1", "output_dir": "elsewhere", "space_min_elements": "3",
+        "space_levels": "2", "dt_max": "0.05", "time_levels": "2", "chi_list": "0.5,2",
+        "deconv_list": "1,2", "degree_list": "1,2", "study_times": "0.25", "jobs": "2",
+    }
+
+    @pytest.fixture
+    def received(self, monkeypatch):
+        """The configurations main hands to each command, which runs nothing."""
+        configs = []
+
+        def record(config):
+            configs.append(config)
+            return [], 0
+
+        for name in cli.COMMANDS:
+            monkeypatch.setitem(cli.COMMANDS, name, record)
+        return configs
+
+    def test_values_cover_every_key(self):
+        assert list(self.VALUES) == list(cli.KEY_PARSERS)
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_every_command_accepts_every_key_as_flag_and_from_file(self, command, tmp_path,
+                                                                    received):
+        expected = {key: cli.KEY_PARSERS[key](raw) for key, raw in self.VALUES.items()}
+        flags = [arg for key, raw in self.VALUES.items() for arg in (f"--{key}", raw)]
+        config = tmp_path / "all.cfg"
+        config.write_text("".join(f"{key} = {raw}\n" for key, raw in self.VALUES.items()))
+        assert main([command, *flags]) == 0
+        assert main([command, "--config", str(config)]) == 0
+        assert len(received) == 2
+        for got in received:
+            assert {key: getattr(got, key) for key in expected} == expected
+
+    def test_config_accepted_before_the_command(self, tmp_path, received):
+        config = tmp_path / "case.cfg"
+        config.write_text("scenario = manufactured\nn_elements = 12\n")
+        assert main(["--config", str(config), "conv-time", "--chi", "1"]) == 0
+        [got] = received
+        assert (got.scenario, got.n_elements, got.chi) == ("manufactured", 12, 1.0)
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--scenario", "shock"],
+        ["run", "--scenario", "shock", "--no_such_key", "1"],
+        ["--scenario", "shock"],
+    ], ids=["unknown command", "unknown flag", "no command"])
+    def test_unknown_command_or_flag_exits_2(self, argv, capsys, received):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: lwrfem ")
+        assert received == []
+
+    def test_help_lists_the_four_commands(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        assert "{run,conv-space,conv-time,study}" in capsys.readouterr().out

@@ -67,6 +67,16 @@ class TestFilterMatrix:
         with pytest.raises(SingularMatrixError, match=re.escape(message)):
             build_filter_context(ops, delta=delta, deconv_order=1)
 
+    @pytest.mark.parametrize("delta", [5e5, 1e9, 3e9])
+    def test_factor_without_precision_is_singular(self, delta):
+        # pbtrf accepts these factors (each pivot is positive), but the
+        # smallest pivot U_ii^2 lies below 1e-14 of A's largest entry
+        ops = assemble(build_mesh(0.0, 1.0, 128, 1, DIRICHLET))
+        message = f"filter matrix M + delta^2 S is singular at delta = {delta:g} (pivot "
+        with pytest.raises(SingularMatrixError, match=re.escape(message) + r"\S+ below threshold"):
+            build_filter_context(ops, delta=delta, deconv_order=0)
+        build_filter_context(ops, delta=1e4, deconv_order=0)  # still factors
+
 
 class TestApplyFilter:
     def test_preserves_constants_periodic(self, setup, oracle):

@@ -47,9 +47,9 @@ class TestBuildMesh:
     @pytest.mark.parametrize("n", [2, 3, 9])
     def test_band_scatter_matches_dense_assembly(self, degree, kind, n, rng):
         mesh = build_mesh(0.0, 1.0, n, degree, kind)
-        local = rng.standard_normal((n, degree + 1, degree + 1))
+        local = rng.standard_normal((degree + 1, degree + 1, n))
         expected = np.zeros((mesh.n_dofs, mesh.n_dofs))
-        np.add.at(expected, (mesh.cell_dofs[:, :, None], mesh.cell_dofs[:, None, :]), local)
+        np.add.at(expected, (mesh.cell_dofs[:, None, :], mesh.cell_dofs[None, :, :]), local)
         assert np.allclose(dense(scatter_band(mesh, local)), expected, atol=1e-14)
         assert mesh.half_band == (degree if kind == DIRICHLET else min(2 * degree,
                                                                          mesh.n_dofs - 1))

@@ -34,8 +34,8 @@ def quadrature_b_jacobian(mesh, rho):
     rule = ASSEMBLY_RULE
     basis, dbasis = rule.values[mesh.degree], rule.derivatives[mesh.degree]
     uq, duq = element_values(mesh, rho, rule)
-    local = mesh.h * np.einsum("q,eq,qj,qi->eij", rule.weights, uq, dbasis / mesh.h, basis)
-    local += mesh.h * np.einsum("q,eq,qj,qi->eij", rule.weights, duq, basis, basis)
+    local = mesh.h * np.einsum("q,eq,qj,qi->ije", rule.weights, uq, dbasis / mesh.h, basis)
+    local += mesh.h * np.einsum("q,eq,qj,qi->ije", rule.weights, duq, basis, basis)
     return scatter_band(mesh, local)
 
 

@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 from lwrfem.filtering import build_filter_context, stabilization_matrix
 from lwrfem.linalg import band_matvec
 from lwrfem.mesh import DIRICHLET, PERIODIC, build_mesh
-from lwrfem.operators import assemble, b_jacobian, b_residual, forcing_vector
+from lwrfem.operators import assemble, b_jacobian, b_residual, forcing_vector, l2_project
 from lwrfem.scenarios import LEFT, RIGHT, Scenario, manufactured, shock
 from lwrfem.stepping import (
     NEWTON_MAX_ITER, ModelParams, Stepper, TimeGrid, be_step, run_time_filtered,
@@ -101,6 +101,46 @@ def test_filter_operator_symmetric_positive_definite(degree, n, kind, delta):
     floor = np.linalg.eigvalsh(mass).min()
     assert floor > 0.0
     assert np.linalg.eigvalsh(matrix).min() >= floor * (1.0 - 1e-10)
+
+
+# The mesh on which the stabilization meets its continuum symbol, by degree,
+# and the rule's constant c_p below
+SYMBOL_MESH = {1: 2000, 2: 400}
+OPTICAL_CONSTANT = {1: 0.0, 2: 4.7e-4}
+
+
+@PROPERTY_SETTINGS
+@given(degree=degrees, k=st.integers(min_value=1, max_value=3), order=deconv_orders,
+       delta=st.floats(min_value=0.03, max_value=0.1), chi=st.floats(min_value=0.1, max_value=2.0))
+def test_stabilization_matches_its_continuum_symbol(degree, k, order, delta, chi):
+    # On u = sin(kappa x), kappa = 2 pi k, the continuum I - F has symbol
+    # s = delta^2 kappa^2 / (1 + delta^2 kappa^2), so Pi = s^{N+1} and
+    # u . K u = chi delta^2 kappa^2 s^{2N+2} ||u||_M^2.  Rule for the relative
+    # defect of the L2 projection of u on a periodic mesh of width h:
+    #   (2N + 3) e_p + c_p (kappa h)^6 / s^{2N+2}.
+    # e_p is the relative error of the discrete eigenvalue of M^-1 S,
+    # (kappa h)^2 / 12 for P1 and (kappa h)^4 / 720 for P2; it moves the
+    # symbol s by e_p / (1 + delta^2 kappa^2) and S by e_p, so the value by
+    # (2N + 3) e_p at most.  The second term is the projection's component on
+    # the P2 optical branch, where the symbol is near 1 and is not damped;
+    # c_2 = 4.7e-4 is fitted to two P2 measurements at k = 1, N = 2,
+    # delta = 0.03, where it dominates: 1.8e-2 at n = 100 and 4.5e-6 at
+    # n = 400.  On P1 the projection of a mode is an eigenvector, c_1 = 0.
+    # Asserted to a factor 2.  Below delta = 0.03 (at N = 3) the value nears
+    # the rounding level of the filter chain.
+    n = SYMBOL_MESH[degree]
+    mesh = build_mesh(0.0, 1.0, n, degree, PERIODIC)
+    ops = assemble(mesh)
+    stab = stabilization_matrix(build_filter_context(ops, delta, order), chi)
+    kappa = 2 * np.pi * k
+    u = l2_project(lambda x: np.sin(kappa * x), mesh)
+    s = (delta * kappa) ** 2 / (1 + (delta * kappa) ** 2)
+    expected = chi * (delta * kappa) ** 2 * s ** (2 * order + 2) * (u @ band_matvec(ops.mass, u))
+    kh = kappa / n
+    eigenvalue_error = kh**2 / 12 if degree == 1 else kh**4 / 720
+    rule = ((2 * order + 3) * eigenvalue_error
+            + OPTICAL_CONSTANT[degree] * kh**6 / s ** (2 * order + 2))
+    assert abs(u @ stab(u) / expected - 1) <= 2 * rule
 
 
 def _fourier_series(seed, n_modes=3, amplitude=0.2):
