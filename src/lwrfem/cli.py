@@ -19,15 +19,19 @@ significant digits so repeated runs are bit-identical.
 Exit codes: 0 success, 1 if the run or any ladder rung or sweep member
 failed (a step whose Newton iteration fails or meets a singular matrix,
 or a filter matrix M + delta^2 S that cannot be factored), 2 on a
-ConfigError: among them a newton_tol outside (0, 1), and a ladder
-without an exact solution (v_f or rho_m other than 1, or a scenario with
-nonzero inflow data on a periodic mesh).
+ConfigError: among them a newton_tol outside (0, 1), a ladder without an
+exact solution (v_f or rho_m other than 1, or a scenario with nonzero
+inflow data on a periodic mesh), and a command that plans too much.
+Before any mesh, grid or file exists, each command bounds the bytes its
+largest run allocates (``_run_bytes``) and counts the implicit steps of
+all its runs; above MAX_RUN_BYTES or MAX_STEPS it is refused.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
@@ -46,8 +50,16 @@ from .stepping import (
     NoConvergenceError,
     StepRecord,
     TimeGrid,
+    newton_bytes,
     run_time_filtered,
 )
+
+# A command is refused before it allocates when the runs it may hold at
+# once plan more bytes than MAX_RUN_BYTES, or when all its runs together
+# plan more implicit steps than MAX_STEPS (at 0.25 ms a step, the shock's
+# default mesh would take about 7 hours).
+MAX_RUN_BYTES = 2**31
+MAX_STEPS = 10**8
 
 
 class ConfigError(ValueError):
@@ -194,6 +206,45 @@ KEY_PARSERS: dict[str, Callable] = {
 } | {"boundary_kind": _parse_boundary_kind}
 
 
+def _run_bytes(config: RunConfig, n_elements: int) -> int:
+    """Upper bound on the bytes one run of config allocates on n_elements.
+
+    In 8-byte words: the mesh maps with build_mesh's temporaries, 6 per
+    element DOF pair (a space ladder also keeps its coarser rungs' maps,
+    at most as many again); the operator bands, the linear part, the filter
+    factor and the stabilization's Newton blocks with the temporaries of
+    assembly and of a step, 12 per band entry; the quadrature values, 20 per
+    element.  Then the Newton workspace as ``newton_bytes`` states it, and
+    1 MiB for what does not grow with the mesh.
+    """
+    degree, dirichlet = config.degree, config.boundary_kind == DIRICHLET
+    n_dofs = degree * n_elements + dirichlet
+    w = degree if dirichlet else 2 * degree  # the mesh's half band, at most
+    params = config.make_params(1.0 / n_elements)
+    stabilized = params.chi * params.delta**2 != 0.0  # as Stepper.build decides
+    words = 6 * (degree + 1) ** 2 * n_elements + 12 * (2 * w + 1) * n_dofs + 20 * n_elements
+    return (8 * words + newton_bytes(n_dofs, w, params.deconv_order if stabilized else None)
+            + 2**20)
+
+
+def _check_bytes(config: RunConfig, n_elements: int, runs: int) -> None:
+    """Refuse a run of config on n_elements, of which up to `jobs` of `runs` run at once."""
+    at_once = min(config.jobs, runs)
+    size = _run_bytes(config, n_elements) * at_once
+    if size > MAX_RUN_BYTES:
+        what = "a run" if at_once == 1 else f"{at_once} runs at once"
+        raise ConfigError(
+            f"{what} on {n_elements} P{config.degree} elements at N = {config.deconv_order}"
+            f" {'plans' if at_once == 1 else 'plan'} {size / 2**30:.3g} GiB,"
+            f" above the limit of {MAX_RUN_BYTES / 2**30:g} GiB"
+        )
+
+
+def _check_steps(steps: int) -> None:
+    if steps > MAX_STEPS:
+        raise ConfigError(f"the command plans more implicit steps than the limit of {MAX_STEPS:g}")
+
+
 def _time_grid(dt: float, t_final: float) -> TimeGrid:
     try:
         return TimeGrid.to_final_time(dt, t_final)
@@ -324,6 +375,8 @@ def _write_diagnostics(
 def cmd_run(config: RunConfig) -> tuple[list[Path], int]:
     """Single run: final-time profile plus per-step diagnostics."""
     grid = _time_grid(config.dt, config.t_final)
+    _check_steps(grid.n_steps)
+    _check_bytes(config, config.n_elements, 1)
     out = Path(config.output_dir)
     profile, diagnostics = out / "profile.csv", out / "diagnostics.csv"
     mesh = config.make_mesh()
@@ -392,16 +445,25 @@ def _ladder(
 def cmd_convergence_space(config: RunConfig) -> tuple[list[Path], int]:
     """Halving ladder over the mesh width; writes a convergence CSV."""
     grid = _time_grid(config.dt, config.t_final)
-    sizes = [config.space_min_elements * 2**k for k in range(config.space_levels)]
+    _check_steps(config.space_levels * grid.n_steps)
+    sizes = []
+    for k in range(config.space_levels):  # ends at the first rung over the limit
+        sizes.append(config.space_min_elements * 2**k)
+        _check_bytes(config, sizes[-1], config.space_levels)
     rungs = [(1.0 / n, config.make_mesh(n), grid) for n in sizes]
     return _ladder(config, "convergence_space.csv", rungs)
 
 
 def cmd_convergence_time(config: RunConfig) -> tuple[list[Path], int]:
     """Halving ladder over the time step; writes a convergence CSV."""
+    grids, steps = [], 0
+    for k in range(config.time_levels):  # ends at the step limit or where 1 / dt overflows
+        grids.append(_time_grid(math.ldexp(config.dt_max, -k), config.t_final))
+        steps += grids[-1].n_steps
+        _check_steps(steps)
+    _check_bytes(config, config.n_elements, config.time_levels)
     mesh = config.make_mesh()
-    steps = [config.dt_max / 2**k for k in range(config.time_levels)]
-    rungs = [(dt, mesh, _time_grid(dt, config.t_final)) for dt in steps]
+    rungs = [(grid.dt, mesh, grid) for grid in grids]
     return _ladder(config, "convergence_time.csv", rungs)
 
 
@@ -436,6 +498,9 @@ def cmd_scenario_study(config: RunConfig) -> tuple[list[Path], int]:
             if name in labels:
                 raise ConfigError(f"study profiles {labels[name]} and {label} both write {name}")
             labels[name] = label
+    _check_steps(len(members) * grid.n_steps)
+    for member in members:
+        _check_bytes(member, member.n_elements, len(members))
 
     def snapshots(member: RunConfig) -> list:
         mesh = member.make_mesh()

@@ -113,10 +113,29 @@ class NoConvergenceError(RuntimeError):
 
 
 # The largest deconvolution order N.  A Newton matrix carries 2N + 3
-# unknowns per DOF and its LU workspace about (3w + 1)(2N + 3)^2 doubles
-# per DOF (w the mesh's half band): at N = 10, 2.2 MB for P1 on 128
-# elements and 61 MB for P2 on 1024, about 20 times that of N = 1.
+# unknowns per DOF, and its workspace grows like (2N + 3)^2 (newton_bytes):
+# at N = 10, 4.0 MB for P1 on 128 elements and 106 MB for P2 on 1024,
+# about 20 times that of N = 1.
 MAX_DECONV_ORDER = 10
+
+
+def newton_bytes(n_dofs: int, half_band: int, deconv_order: int | None) -> int:
+    """Bytes of a run's Newton workspace, from the mesh's n_dofs and half band.
+
+    deconv_order is None for a run without stabilization, where rho is the
+    one unknown per DOF.  Otherwise each DOF carries 2N + 3 unknowns, and
+    the augmented band has kl = (2N + 3) w + 1 and ku = (2N + 3) w + 2N + 2
+    (``_newton_matrix``).  The workspace is that band, gbtrf's LU storage
+    of 2 kl + ku + 1 rows with its 4-byte pivots (``BandLU``), and a step's
+    two vectors over all unknowns (the lifted right-hand side and the
+    correction).
+    """
+    if deconv_order is None:
+        unknowns, kl, ku = 1, half_band, half_band
+    else:
+        unknowns = 2 * deconv_order + 3
+        kl, ku = unknowns * half_band + 1, unknowns * half_band + unknowns - 1
+    return unknowns * n_dofs * (8 * (kl + ku + 1) + 8 * (2 * kl + ku + 1) + 4 + 2 * 8)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import itertools
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,9 @@ from lwrfem.cli import (
     main,
     parse_config,
 )
-from lwrfem.stepping import MAX_DECONV_ORDER
+from lwrfem.analysis import run_error_inf
+from lwrfem.linalg import band_matvec
+from lwrfem.stepping import MAX_DECONV_ORDER, Stepper, be_step, newton_bytes, run_time_filtered
 
 
 def read_rows(path):
@@ -656,3 +660,71 @@ class TestParser:
             main(["--help"])
         assert exit_info.value.code == 0
         assert "{run,conv-space,conv-time,study}" in capsys.readouterr().out
+
+
+class TestPlan:
+    """A command bounds its largest run's bytes and counts its steps before it allocates."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["run", "--scenario", "shock", "--n_elements", "100000000", "--t_final", "0.0001"],
+         "a run on 100000000 P1 elements at N = 0 plans 119 GiB, above the limit of 2 GiB"),
+        (["conv-time", "--scenario", "manufactured", "--time_levels", "60", "--t_final", "0.1"],
+         "the command plans more implicit steps than the limit of 1e+08"),
+        (["conv-time", "--scenario", "manufactured", "--time_levels", "1000000000"],
+         "the command plans more implicit steps than the limit of 1e+08"),
+        (["conv-space", "--scenario", "manufactured", "--space_levels", "1000000000"],
+         "the command plans more implicit steps than the limit of 1e+08"),
+        (["conv-space", "--scenario", "manufactured", "--space_levels", "1000000000",
+          "--t_final", "0"],
+         "a run on 1572864 P2 elements at N = 1 plans 2.61 GiB, above the limit of 2 GiB"),
+        (["study", "--scenario", "shock", "--n_elements", "25000", "--degree_list", "1,2", "--deconv_list", "0,2",
+          "--chi_list", "0,1", "--jobs", "8", "--study_times", "0.001"],
+         "8 runs at once on 25000 P2 elements at N = 2 plan 2.16 GiB, above the limit of 2 GiB"),
+        (["study", "--scenario", "shock", "--chi_list", "0,1", "--dt", "1e-8", "--study_times", "1"],
+         "the command plans more implicit steps than the limit of 1e+08"),
+    ], ids=["mesh", "ladder", "time_levels", "space_levels", "finest_rung", "jobs", "study"])
+    def test_over_the_plan_exits_2_before_anything_exists(self, tmp_path, capsys, monkeypatch,
+                                                          argv, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a mesh was built or a run started")
+
+        monkeypatch.setattr(cli, "build_mesh", refuse)
+        monkeypatch.setattr(cli, "run_time_filtered", refuse)
+        code = main([*argv, "--output_dir", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"configuration error: {message}\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("boundary_kind", ["dirichlet", "periodic"])
+    @pytest.mark.parametrize("deconv_order", [None, 0, 1, 2], ids=["chi0", "N0", "N1", "N2"])
+    def test_plan_bounds_what_a_run_allocates(self, degree, boundary_kind, deconv_order):
+        config = parse_config(None, {
+            "scenario": "manufactured", "n_elements": "500", "degree": str(degree),
+            "boundary_kind": boundary_kind, "chi": "0" if deconv_order is None else "1",
+            "deconv_order": str(deconv_order or 0), "gamma": "0.5", "t_final": "0.03",
+        })
+        scenario, grid = config.get_scenario(), cli._time_grid(config.dt, config.t_final)
+        # the Newton workspace is the band, gbtrf's storage and pivots, and two vectors
+        mesh = config.make_mesh()
+        stepper = Stepper.build(scenario, config.make_params(mesh.h), grid.dt, mesh)
+        c = np.zeros(mesh.n_dofs)
+        be_step(stepper, c, band_matvec(stepper.operators.mass, c), grid.dt, c,
+                None if stepper.stab is None else stepper.stab(c))
+        columns = stepper.newton.shape[1]
+        assert newton_bytes(mesh.n_dofs, mesh.half_band, deconv_order) == (
+            stepper.newton.nbytes + stepper.factors.lu.nbytes
+            + stepper.factors.pivots.nbytes + 2 * 8 * columns)
+        # a whole run, from its mesh through Stepper.build, its steps and its error
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            mesh = config.make_mesh()
+            steps = run_time_filtered(scenario, config.make_params(mesh.h), grid, mesh)
+            run_error_inf(mesh, itertools.islice(steps, 4), scenario.exact_solution)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= cli._run_bytes(config, config.n_elements)
