@@ -29,12 +29,6 @@ def _error_norm(mesh: Mesh1D, c: np.ndarray, exact_values: np.ndarray) -> float:
     return float(np.sqrt(max(value, 0.0)))
 
 
-def l2_error(mesh: Mesh1D, c: np.ndarray, exact: Callable, t: float) -> float:
-    """||rho_h - exact(., t)|| for the coefficients c of rho_h, by 5-point quadrature."""
-    xq = mesh.quad_points(ERROR_RULE)
-    return _error_norm(mesh, c, sample_function(lambda x: exact(x, t), xq))
-
-
 def run_error_inf(mesh: Mesh1D, steps: Iterable[StepRecord], exact: Callable) -> float:
     """Max error over every iterate of a run's records on mesh, pre-filter states included.
 

@@ -16,15 +16,23 @@ RunConfig's.  All output files are CSV with one leading comment line
 echoing the full effective configuration; floats are printed with 17
 significant digits so repeated runs are bit-identical.
 
+The runs of a command (a ladder's rungs, a study's members) run one
+after the other.  Backward Euler is the time-filtered scheme at
+gamma = 0, so ``--gamma 0`` selects it.  Each header echo holds
+``algorithm=2`` after newton_max_iter and ``jobs=1`` at its end, as
+fixed text: the values every run had when both were keys, kept so that
+each header stays byte-identical for tools that compare it whole.
+
 Exit codes: 0 success, 1 if the run or any ladder rung or sweep member
 failed (a step whose Newton iteration fails or meets a singular matrix,
-or a filter matrix M + delta^2 S that cannot be factored), 2 on a
-ConfigError: among them a newton_tol outside (0, 1), a ladder without an
-exact solution (v_f or rho_m other than 1, or a scenario with nonzero
-inflow data on a periodic mesh), and a command that plans too much.
-Before any mesh, grid or file exists, each command bounds the bytes its
-largest run allocates (``_run_bytes``) and counts the implicit steps of
-all its runs; above MAX_RUN_BYTES or MAX_STEPS it is refused.
+or a filter matrix M + delta^2 S or a Newton band that cannot be
+factored), 2 on a ConfigError: among them a newton_tol outside (0, 1),
+a ladder without an exact solution (v_f or rho_m other than 1, or a
+scenario with nonzero inflow data on a periodic mesh), and a command that
+plans too much.  Before any mesh, grid or file exists, each command
+bounds the bytes its largest run allocates (``_run_bytes``) and counts
+the implicit steps of all its runs; above MAX_RUN_BYTES or MAX_STEPS it
+is refused.
 """
 
 from __future__ import annotations
@@ -33,7 +41,6 @@ import argparse
 import dataclasses
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -54,8 +61,8 @@ from .stepping import (
     run_time_filtered,
 )
 
-# A command is refused before it allocates when the runs it may hold at
-# once plan more bytes than MAX_RUN_BYTES, or when all its runs together
+# A command is refused before it allocates when one of its runs plans
+# more bytes than MAX_RUN_BYTES, or when all its runs together
 # plan more implicit steps than MAX_STEPS (at 0.25 ms a step, the shock's
 # default mesh would take about 7 hours).
 MAX_RUN_BYTES = 2**31
@@ -109,7 +116,6 @@ class RunConfig:
     t_final: float = 1.0
     newton_tol: float = NEWTON_TOL
     newton_max_iter: int = NEWTON_MAX_ITER
-    algorithm: int = 2
     output_dir: str = "out"
     space_min_elements: int = 6
     space_levels: int = 6
@@ -119,17 +125,12 @@ class RunConfig:
     deconv_list: tuple[int, ...] = ()
     degree_list: tuple[int, ...] = ()
     study_times: tuple[float, ...] = (0.5, 1.0)
-    jobs: int = 1
 
     def __post_init__(self) -> None:
         if self.delta_coeff < 0:
             raise ConfigError("delta_coeff must be nonnegative")
         if not 0.0 <= self.delta_exp <= 1.0:
             raise ConfigError("delta_exp must lie in [0, 1]")
-        if self.algorithm not in (1, 2):
-            raise ConfigError(f"algorithm must be 1 or 2, got {self.algorithm}")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be at least 1")
         if min(self.n_elements, self.space_min_elements) < 2:
             raise ConfigError("a mesh needs at least 2 elements")
         if not {self.degree, *self.degree_list} <= {1, 2}:
@@ -179,18 +180,20 @@ class RunConfig:
             chi=self.chi,
             delta=self.delta_for(h),
             deconv_order=self.deconv_order,
-            # backward Euler (algorithm 1) is the unfiltered case
-            gamma=self.gamma if self.algorithm == 2 else 0.0,
+            gamma=self.gamma,
         )
 
     def header_line(self) -> str:
+        """Every key as key=value, with the fixed echoes of the retired algorithm and jobs."""
         parts = []
         for key in KEY_PARSERS:
             value = getattr(self, key)
             if isinstance(value, tuple):
                 value = ",".join(_fmt(v) for v in value)
             parts.append(f"{key}={_fmt(value)}")
-        return "# " + " ".join(parts)
+            if key == "newton_max_iter":
+                parts.append("algorithm=2")
+        return "# " + " ".join(parts) + " jobs=1"
 
 
 _TYPE_PARSERS = {
@@ -227,16 +230,13 @@ def _run_bytes(config: RunConfig, n_elements: int) -> int:
             + 2**20)
 
 
-def _check_bytes(config: RunConfig, n_elements: int, runs: int) -> None:
-    """Refuse a run of config on n_elements, of which up to `jobs` of `runs` run at once."""
-    at_once = min(config.jobs, runs)
-    size = _run_bytes(config, n_elements) * at_once
+def _check_bytes(config: RunConfig, n_elements: int) -> None:
+    """Refuse a run of config on n_elements that plans more than MAX_RUN_BYTES."""
+    size = _run_bytes(config, n_elements)
     if size > MAX_RUN_BYTES:
-        what = "a run" if at_once == 1 else f"{at_once} runs at once"
         raise ConfigError(
-            f"{what} on {n_elements} P{config.degree} elements at N = {config.deconv_order}"
-            f" {'plans' if at_once == 1 else 'plan'} {size / 2**30:.3g} GiB,"
-            f" above the limit of {MAX_RUN_BYTES / 2**30:g} GiB"
+            f"a run on {n_elements} P{config.degree} elements at N = {config.deconv_order}"
+            f" plans {size / 2**30:.3g} GiB, above the limit of {MAX_RUN_BYTES / 2**30:g} GiB"
         )
 
 
@@ -376,12 +376,12 @@ def cmd_run(config: RunConfig) -> tuple[list[Path], int]:
     """Single run: final-time profile plus per-step diagnostics."""
     grid = _time_grid(config.dt, config.t_final)
     _check_steps(grid.n_steps)
-    _check_bytes(config, config.n_elements, 1)
+    _check_bytes(config, config.n_elements)
     out = Path(config.output_dir)
     profile, diagnostics = out / "profile.csv", out / "diagnostics.csv"
     mesh = config.make_mesh()
     steps = _solve(config, mesh, grid)
-    [final] = _guarded_map(partial(_write_diagnostics, diagnostics, config), [steps], 1,
+    [final] = _guarded_map(partial(_write_diagnostics, diagnostics, config), [steps],
                            "run failed")
     if final is None:
         return [], 1
@@ -390,8 +390,8 @@ def cmd_run(config: RunConfig) -> tuple[list[Path], int]:
     return [profile, diagnostics], 0
 
 
-def _guarded_map(fn: Callable, items: Sequence, jobs: int, what: str) -> list:
-    """fn(item) for each item, up to jobs at a time, in the items' order.
+def _guarded_map(fn: Callable, items: Sequence, what: str) -> list:
+    """fn(item) for each item, one after the other, in the items' order.
 
     A call that raises NoConvergenceError is reported on stderr as
     ``what: error`` and gives None; the remaining calls still run.
@@ -404,10 +404,7 @@ def _guarded_map(fn: Callable, items: Sequence, jobs: int, what: str) -> list:
             print(f"{what}: {err}", file=sys.stderr)
             return None
 
-    if jobs == 1:
-        return [guarded(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(guarded, items))
+    return [guarded(item) for item in items]
 
 
 def _write_convergence(
@@ -423,19 +420,25 @@ def _write_convergence(
     return sum(row.error is None for row in rows)
 
 
-def _ladder(
-    config: RunConfig, name: str, rungs: list[tuple[float, Mesh1D, TimeGrid]]
-) -> tuple[list[Path], int]:
-    """Run (resolution, mesh, grid) rungs and write their errors and rates."""
+def _exact_solution(config: RunConfig) -> Callable:
+    """The exact solution a ladder measures its errors against; ConfigError without one."""
     exact = config.get_scenario().exact_solution
     if exact is None:
         raise ConfigError(
             f"{config.scenario!r} has an exact solution only at v_f = rho_m = 1"
             " and, if its Dirichlet data is nonzero, on a Dirichlet mesh"
         )
+    return exact
+
+
+def _ladder(
+    config: RunConfig, name: str, exact: Callable,
+    rungs: list[tuple[float, Mesh1D, TimeGrid]],
+) -> tuple[list[Path], int]:
+    """Run (resolution, mesh, grid) rungs and write their errors against exact, with rates."""
     errors = _guarded_map(
         lambda rung: run_error_inf(rung[1], _solve(config, *rung[1:]), exact),
-        rungs, config.jobs, "rung failed",
+        rungs, "rung failed",
     )
     results = [(resolution, error) for (resolution, _, _), error in zip(rungs, errors)]
     path = Path(config.output_dir) / name
@@ -449,9 +452,10 @@ def cmd_convergence_space(config: RunConfig) -> tuple[list[Path], int]:
     sizes = []
     for k in range(config.space_levels):  # ends at the first rung over the limit
         sizes.append(config.space_min_elements * 2**k)
-        _check_bytes(config, sizes[-1], config.space_levels)
+        _check_bytes(config, sizes[-1])
+    exact = _exact_solution(config)  # before any mesh exists
     rungs = [(1.0 / n, config.make_mesh(n), grid) for n in sizes]
-    return _ladder(config, "convergence_space.csv", rungs)
+    return _ladder(config, "convergence_space.csv", exact, rungs)
 
 
 def cmd_convergence_time(config: RunConfig) -> tuple[list[Path], int]:
@@ -461,10 +465,11 @@ def cmd_convergence_time(config: RunConfig) -> tuple[list[Path], int]:
         grids.append(_time_grid(math.ldexp(config.dt_max, -k), config.t_final))
         steps += grids[-1].n_steps
         _check_steps(steps)
-    _check_bytes(config, config.n_elements, config.time_levels)
+    _check_bytes(config, config.n_elements)
+    exact = _exact_solution(config)
     mesh = config.make_mesh()
     rungs = [(grid.dt, mesh, grid) for grid in grids]
-    return _ladder(config, "convergence_time.csv", rungs)
+    return _ladder(config, "convergence_time.csv", exact, rungs)
 
 
 def _profile_name(member: RunConfig, t: float) -> str:
@@ -500,14 +505,14 @@ def cmd_scenario_study(config: RunConfig) -> tuple[list[Path], int]:
             labels[name] = label
     _check_steps(len(members) * grid.n_steps)
     for member in members:
-        _check_bytes(member, member.n_elements, len(members))
+        _check_bytes(member, member.n_elements)
 
     def snapshots(member: RunConfig) -> list:
         mesh = member.make_mesh()
         kept = {d.n: (mesh, c, d) for c, d, _ in _solve(member, mesh, grid) if d.n in indices}
         return [kept[i] for i in indices]
 
-    outputs = _guarded_map(snapshots, members, config.jobs, "study member failed")
+    outputs = _guarded_map(snapshots, members, "study member failed")
     paths: list[Path] = []
     out = Path(config.output_dir)
     for member, records in zip(members, outputs):

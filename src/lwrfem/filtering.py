@@ -142,7 +142,15 @@ class Stabilization:
 
 
 def stabilization_matrix(ctx: FilterContext, chi: float) -> Stabilization:
-    """Coefficient-space stabilization operator chi delta^2 Pi^T S Pi = chi delta^2 S Pi^2."""
+    """Coefficient-space stabilization operator chi delta^2 Pi^T S Pi = chi delta^2 S Pi^2.
+
+    Raises SingularMatrixError when the band chi delta^2 S, which the
+    Newton matrix holds (``Stabilization.newton_blocks``), overflows.
+    """
     if chi < 0:
         raise ValueError(f"chi must be nonnegative, got {chi}")
-    return Stabilization(ctx=ctx, weight=chi * ctx.delta**2)
+    weight = chi * ctx.delta**2
+    if not np.isfinite(weight * float(np.abs(ctx.stiffness).max())):
+        raise SingularMatrixError(f"the Newton matrix's band chi delta^2 S overflows at "
+                                  f"chi delta^2 = {weight:.3e}")
+    return Stabilization(ctx=ctx, weight=weight)

@@ -40,7 +40,8 @@ from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 
 class SingularMatrixError(ValueError):
-    """A pivot fell below the singularity threshold."""
+    """A matrix that cannot be factored: a pivot below the singularity threshold,
+    a leading minor that is not positive definite, or an entry that overflows."""
 
 
 # Pivot smaller than this fraction of the largest initial entry magnitude

@@ -104,7 +104,6 @@ class Mesh1D:
     h: float
     n_dofs: int
     cell_dofs: np.ndarray  # (degree + 1, n_elements) global indices
-    dof_x: np.ndarray  # coordinate of each DOF
     half_band: int  # largest |i - j| over the DOF pairs an element couples
     band_index: np.ndarray  # (n_loc, n_loc, n_elements) flat (Fortran order) band positions
 
@@ -139,17 +138,15 @@ def build_mesh(
 
     local = np.arange(degree + 1)
     cell_dofs = local[:, None] + degree * np.arange(n_elements)[None, :]
-    position = np.arange(n_dofs)  # left-to-right position of each DOF
     if boundary_kind == PERIODIC:
         cell_dofs = cell_dofs % n_dofs  # last vertex wraps onto the first
         # zig-zag: positions 0, 1, 2, ... become DOFs 0, 2, 4, ..., 5, 3, 1
+        position = np.arange(n_dofs)
         number = np.minimum(2 * position, 2 * (n_dofs - 1 - position) + 1)
         cell_dofs = number[cell_dofs]
-        position = np.argsort(number)
 
     rows, cols = cell_dofs[:, None, :], cell_dofs[None, :, :]
     half_band = int(np.abs(rows - cols).max())
-    dof_x = x_left + position * (h / degree)
     return Mesh1D(
         x_left=float(x_left),
         x_right=float(x_right),
@@ -159,7 +156,6 @@ def build_mesh(
         h=h,
         n_dofs=n_dofs,
         cell_dofs=cell_dofs,
-        dof_x=dof_x,
         half_band=half_band,
         band_index=(half_band + rows - cols) + (2 * half_band + 1) * cols,
     )

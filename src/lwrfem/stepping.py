@@ -159,6 +159,9 @@ class ModelParams:
                              f"got {self.deconv_order}")
         if not np.isfinite(self.delta * self.delta):  # the stabilization's delta^2
             raise ValueError(f"delta^2 overflows for delta = {self.delta:g}")
+        if not np.isfinite(self.chi * (self.delta * self.delta)):  # its weight
+            raise ValueError(f"chi delta^2 overflows for chi = {self.chi:g}, "
+                             f"delta = {self.delta:g}")
         if not np.isfinite(2.0 * self.v_f / self.rho_m):  # the nonlinear coefficient
             raise ValueError(f"2 v_f / rho_m overflows for v_f = {self.v_f:g}, "
                              f"rho_m = {self.rho_m:g}")
@@ -533,7 +536,8 @@ def run_time_filtered(
     From step 2 on, Newton starts at 2 rho^{n-1} - rho^{n-2}, the accepted
     states' extrapolation.  A step whose Newton iteration fails or meets a
     singular matrix raises NoConvergenceError naming the step, and so does
-    a filter matrix that the set-up cannot factor (``Stepper.build``).
+    a filter matrix or a Newton band that the set-up cannot factor
+    (``Stepper.build``).
 
     The loop carries coefficient vectors, and its records are those
     vectors themselves, so rhohat^n is rho^n exactly where no filter

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from lwrfem.mesh import Mesh1D, QuadratureRule, evaluate
+from lwrfem.analysis import _error_norm
+from lwrfem.mesh import ERROR_RULE, Mesh1D, QuadratureRule, evaluate, sample_function
 from lwrfem.filtering import FilterContext, Stabilization
 from lwrfem.linalg import band_matvec
 from lwrfem.operators import REFERENCE, AssembledOperators
@@ -18,10 +19,24 @@ def random_fe(mesh: Mesh1D, rng: np.random.Generator, scale: float = 1.0) -> np.
     return scale * rng.standard_normal(mesh.n_dofs)
 
 
+def dof_x(mesh: Mesh1D) -> np.ndarray:
+    """Coordinate of each DOF, from the DOF map: slot i of element e is node degree e + i."""
+    position = np.empty(mesh.n_dofs)
+    nodes = np.arange(mesh.degree + 1)[:, None] + mesh.degree * np.arange(mesh.n_elements)
+    position[mesh.cell_dofs] = nodes % mesh.n_dofs  # a periodic mesh's last node is its first
+    return mesh.x_left + position * (mesh.h / mesh.degree)
+
+
+def l2_error(mesh: Mesh1D, c: np.ndarray, exact, t: float) -> float:
+    """||rho_h - exact(., t)|| for the coefficients c of rho_h, by the solver's 5-point quadrature."""
+    xq = mesh.quad_points(ERROR_RULE)
+    return _error_norm(mesh, c, sample_function(lambda x: exact(x, t), xq))
+
+
 def smooth_periodic(mesh: Mesh1D, rng: np.random.Generator, n_modes: int = 4) -> np.ndarray:
     """Coefficients of a random low-frequency Fourier combination sampled at the nodes."""
     amps = rng.uniform(-1.0, 1.0, size=(n_modes, 2))
-    x = mesh.dof_x
+    x = dof_x(mesh)
     values = np.zeros_like(x)
     for k in range(1, n_modes + 1):
         values += amps[k - 1, 0] * np.sin(2 * np.pi * k * x)
@@ -91,7 +106,7 @@ def energy(u_n: np.ndarray, u_n1: np.ndarray, operators: AssembledOperators) -> 
 
 def total_variation(mesh: Mesh1D, c: np.ndarray) -> float:
     """Sum of |jumps| between consecutive nodal values (increasing x)."""
-    by_x = c[np.argsort(mesh.dof_x)]  # periodic DOFs zig-zag
+    by_x = c[np.argsort(dof_x(mesh))]  # periodic DOFs zig-zag
     return float(np.abs(np.diff(by_x)).sum())
 
 

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from lwrfem.analysis import convergence_table, l2_error, run_error_inf
+from lwrfem.analysis import convergence_table, run_error_inf
 from lwrfem.filtering import build_filter_context, stabilization_matrix
 from lwrfem.linalg import band_matvec
 from lwrfem.mesh import DIRICHLET, PERIODIC, build_mesh
@@ -22,7 +22,7 @@ from lwrfem.operators import assemble, b_residual, forcing_vector
 from lwrfem.scenarios import manufactured, rarefaction, shock
 from lwrfem.stepping import ModelParams, TimeGrid, run_time_filtered
 from conftest import (
-    b_form, fe_values_on_rule, integrate_elementwise, march, overshoot, random_fe,
+    b_form, fe_values_on_rule, integrate_elementwise, l2_error, march, overshoot, random_fe,
     three_level_ops, total_variation,
 )
 

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from lwrfem import analysis
-from lwrfem.analysis import convergence_table, l2_error, run_error_inf
+from lwrfem.analysis import convergence_table, run_error_inf
 from lwrfem.mesh import DIRICHLET, PERIODIC, build_mesh
 from lwrfem.operators import assemble, l2_project
 from lwrfem.scenarios import manufactured, shock
 from lwrfem.stepping import StepDiagnostics
-from conftest import norm, overshoot, random_fe, total_variation
+from conftest import dof_x, l2_error, norm, overshoot, random_fe, total_variation
 
 
 def make_record(state, t):
@@ -22,7 +22,7 @@ def make_record(state, t):
 class TestL2Error:
     def test_zero_against_own_polynomial(self):
         mesh = build_mesh(0.0, 1.0, 6, 2, DIRICHLET)
-        f = 1.0 + 2.0 * mesh.dof_x**2
+        f = 1.0 + 2.0 * dof_x(mesh)**2
         exact = lambda x, t: 1.0 + 2.0 * np.asarray(x) ** 2
         assert l2_error(mesh, f, exact, 0.0) < 1e-14
 
@@ -138,7 +138,7 @@ class TestOscillationMetrics:
     def test_exact_shock_profile_variation(self):
         sc = shock()
         mesh = build_mesh(0.0, 1.0, 128, 1, DIRICHLET)
-        profile = sc.exact_solution(mesh.dof_x, 1.0)
+        profile = sc.exact_solution(dof_x(mesh), 1.0)
         assert total_variation(mesh, profile) == pytest.approx(1.0 / 12.0, abs=1e-12)
 
     def test_overshoot_measures_exceedance(self):

@@ -104,8 +104,6 @@ class TestParseConfig:
     def test_validation_of_derived_fields(self):
         with pytest.raises(ConfigError, match=r"delta_exp must lie in \[0, 1\]"):
             parse_config(None, {"scenario": "shock", "delta_exp": "1.5"})
-        with pytest.raises(ConfigError, match="algorithm must be 1 or 2, got 3"):
-            parse_config(None, {"scenario": "shock", "algorithm": "3"})
 
 
 class TestCommands:
@@ -228,33 +226,6 @@ class TestCommands:
             assert len(lines) == len(rows)  # one line per failed rung, no traceback
             assert all(line.startswith("rung failed: step 1 to t = ") for line in lines)
 
-    def test_parallel_jobs_produce_identical_data(self, tmp_path):
-        cases = [
-            (cmd_convergence_time, {"scenario": "manufactured", "time_levels": "2",
-                                    "dt_max": "0.05", "t_final": "0.1"}),
-            (cmd_scenario_study, {"scenario": "shock", "chi_list": "0,0.5,1",
-                                  "study_times": "0.01,0.02", "dt": "0.001"}),
-        ]
-        for command, settings in cases:
-            rows = {}
-            for jobs in ("1", "2"):
-                cfg = parse_config(
-                    None,
-                    {
-                        **settings,
-                        "n_elements": "16",
-                        "jobs": jobs,
-                        "output_dir": str(tmp_path / command.__name__ / jobs),
-                    },
-                )
-                files, failures = command(cfg)
-                assert failures == 0
-                # drop the headers: they echo the config, which includes `jobs`
-                rows[jobs] = [
-                    (path.name, path.read_text().splitlines()[1:]) for path in files
-                ]
-            assert rows["1"] == rows["2"]
-
     def test_study_writes_profiles_and_damps_variation(self, tmp_path):
         cfg = parse_config(
             None,
@@ -355,10 +326,14 @@ class TestMain:
         (["run", "--rho_m", "1e-310"], "2 v_f / rho_m overflows"),
         (["run", "--dt", "1e-315", "--t_final", "3.999999994e-315"], "1 / dt overflows"),
         (["study", "--dt", "1e-315", "--study_times", "3.999999994e-315"], "1 / dt overflows"),
+        # the weight chi delta^2 at h = 1, where delta is largest
+        (["run", "--chi", "1e300", "--delta_coeff", "1e5", "--t_final", "0.001"],
+         "chi delta^2 overflows for chi = 1e+300, delta = 100000"),
     ])
+    @pytest.mark.filterwarnings("error")  # a NumPy warning would be a second line
     def test_overflowing_ratios_exit_2(self, tmp_path, capsys, monkeypatch, argv, message):
-        # a step count, a 1 / dt or a nonlinear coefficient beyond the floats is a
-        # configuration error, refused before any run starts
+        # a step count, a 1 / dt, a nonlinear coefficient or a stabilization weight
+        # beyond the floats is a configuration error, refused before any run starts
         def refuse(*args, **kwargs):
             raise AssertionError("a run started")
 
@@ -489,6 +464,18 @@ class TestMain:
         assert captured.out == "" and not list(tmp_path.iterdir())
         assert main([*argv, "--delta_coeff", "1e4", "--output_dir", str(tmp_path / "b")]) == 0
 
+    @pytest.mark.filterwarnings("error")  # a NumPy warning would be a second line
+    def test_overflowing_newton_band_fails_the_set_up(self, tmp_path, capsys):
+        # chi delta^2 = 7.8e305 is finite, but the Newton band chi delta^2 S is not
+        argv = ["run", "--scenario", "shock", "--chi", "1e300", "--delta_coeff", "1e4",
+                "--t_final", "0.001", "--output_dir", str(tmp_path / "out")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("run failed: set-up failed: the Newton matrix's band chi delta^2 S"
+                                " overflows at chi delta^2 = 7.813e+305\n")
+        assert "Traceback" not in captured.err and "Warning" not in captured.err
+        assert captured.out == "" and not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("scenario", ["manufactured", "rarefaction", "shock"])
     def test_zero_newton_iterations_fail_step_1(self, scenario, tmp_path, capsys):
         # step 1 starts Newton at the initial state, which solves no step
@@ -551,20 +538,6 @@ class TestMain:
         out = capsys.readouterr().out
         assert "profile.csv" in out and "diagnostics.csv" in out
 
-    def test_algorithm_1_is_backward_euler_whatever_gamma(self, tmp_path):
-        def rows(*flags):
-            out = tmp_path / "".join(flags)
-            argv = ["run", "--scenario", "manufactured", "--t_final", "0.1",
-                    *flags, "--output_dir", str(out)]
-            assert main(argv) == 0
-            # below the header, which echoes algorithm and gamma
-            return [(out / name).read_text().splitlines()[1:]
-                    for name in ("profile.csv", "diagnostics.csv")]
-
-        backward_euler = rows("--algorithm", "2", "--gamma", "0")
-        assert rows("--algorithm", "1", "--gamma", "0.5") == backward_euler
-        assert rows("--algorithm", "2", "--gamma", "0.5") != backward_euler
-
     def test_periodic_mesh_run(self, tmp_path):
         # periodic boundaries bypass the constrained rows entirely
         code = main(
@@ -602,9 +575,9 @@ class TestParser:
         "boundary_kind": "periodic", "v_f": "2", "rho_m": "3", "chi": "0.5",
         "deconv_order": "2", "gamma": "0.5", "delta_coeff": "0.3", "delta_exp": "0.25",
         "dt": "0.001", "t_final": "0.5", "newton_tol": "1e-9", "newton_max_iter": "7",
-        "algorithm": "1", "output_dir": "elsewhere", "space_min_elements": "3",
-        "space_levels": "2", "dt_max": "0.05", "time_levels": "2", "chi_list": "0.5,2",
-        "deconv_list": "1,2", "degree_list": "1,2", "study_times": "0.25", "jobs": "2",
+        "output_dir": "elsewhere", "space_min_elements": "3", "space_levels": "2",
+        "dt_max": "0.05", "time_levels": "2", "chi_list": "0.5,2", "deconv_list": "1,2",
+        "degree_list": "1,2", "study_times": "0.25",
     }
 
     @pytest.fixture
@@ -655,6 +628,28 @@ class TestParser:
         assert capsys.readouterr().err.startswith("usage: lwrfem ")
         assert received == []
 
+    @pytest.mark.parametrize("argv,config", [
+        (["--jobs", "2"], None),
+        (["--algorithm", "1"], None),
+        ([], "jobs = 2\n"),
+        ([], "algorithm = 1\n"),
+    ], ids=["flag_jobs", "flag_algorithm", "file_jobs", "file_algorithm"])
+    def test_retired_keys_exit_2(self, argv, config, tmp_path, capsys, received):
+        # jobs and algorithm are not keys: runs go one after the other, and
+        # backward Euler is --gamma 0
+        if config is not None:
+            (tmp_path / "case.cfg").write_text(config)
+            argv = ["--config", str(tmp_path / "case.cfg")]
+        out = tmp_path / "out"
+        try:
+            code = main(["run", "--scenario", "shock", *argv, "--output_dir", str(out)])
+        except SystemExit as exit_info:  # argparse refuses an unknown flag
+            code = exit_info.code
+        assert code == 2 and received == [] and not out.exists()
+        err = capsys.readouterr().err
+        assert ("unrecognized arguments" in err if config is None
+                else err == f"configuration error: line 1: unknown key {config.split()[0]!r}\n")
+
     def test_help_lists_the_four_commands(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["--help"])
@@ -677,12 +672,18 @@ class TestPlan:
         (["conv-space", "--scenario", "manufactured", "--space_levels", "1000000000",
           "--t_final", "0"],
          "a run on 1572864 P2 elements at N = 1 plans 2.61 GiB, above the limit of 2 GiB"),
-        (["study", "--scenario", "shock", "--n_elements", "25000", "--degree_list", "1,2", "--deconv_list", "0,2",
-          "--chi_list", "0,1", "--jobs", "8", "--study_times", "0.001"],
-         "8 runs at once on 25000 P2 elements at N = 2 plan 2.16 GiB, above the limit of 2 GiB"),
+        (["study", "--scenario", "shock", "--n_elements", "200000", "--degree_list", "2",
+          "--deconv_list", "2", "--chi_list", "1", "--study_times", "0.001"],
+         "a run on 200000 P2 elements at N = 2 plans 2.16 GiB, above the limit of 2 GiB"),
         (["study", "--scenario", "shock", "--chi_list", "0,1", "--dt", "1e-8", "--study_times", "1"],
          "the command plans more implicit steps than the limit of 1e+08"),
-    ], ids=["mesh", "ladder", "time_levels", "space_levels", "finest_rung", "jobs", "study"])
+        # refused for want of an exact solution before the rungs' 2.1 million elements exist
+        (["conv-space", "--scenario", "rarefaction", "--boundary_kind", "periodic",
+          "--space_min_elements", "300000", "--space_levels", "3", "--t_final", "0"],
+         "'rarefaction' has an exact solution only at v_f = rho_m = 1 and, if its Dirichlet"
+         " data is nonzero, on a Dirichlet mesh"),
+    ], ids=["mesh", "ladder", "time_levels", "space_levels", "finest_rung", "study_member",
+            "study", "no_exact_solution"])
     def test_over_the_plan_exits_2_before_anything_exists(self, tmp_path, capsys, monkeypatch,
                                                           argv, message):
         def refuse(*args, **kwargs):

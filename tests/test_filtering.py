@@ -8,7 +8,7 @@ from lwrfem.linalg import SingularMatrixError, band_matvec
 from lwrfem.mesh import DIRICHLET, PERIODIC, build_mesh
 from lwrfem.operators import assemble, l2_project
 from conftest import (
-    ExtendedBase, FilterOracle, applied_base, dense, dense_stabilization_base,
+    ExtendedBase, FilterOracle, applied_base, dense, dense_stabilization_base, dof_x,
     fe_values_on_rule, integrate_elementwise, norm, operator_matrix, random_fe,
 )
 
@@ -218,7 +218,7 @@ class TestAppliedBase:
         # refinement in extended precision, then y . (S y).
         mesh = build_mesh(0.0, 1.0, 100, 2, DIRICHLET)
         ops = assemble(mesh)
-        c = np.sin(np.pi * mesh.dof_x) ** 4
+        c = np.sin(np.pi * dof_x(mesh)) ** 4
         delta = mesh.h
         extended = ExtendedBase(ops, delta)
         for order in (1, 3):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lwrfem.analysis import l2_error, run_error_inf
+from lwrfem.analysis import run_error_inf
 from lwrfem.mesh import (
     DIRICHLET,
     PERIODIC,
@@ -13,14 +13,14 @@ from lwrfem.mesh import (
 )
 from lwrfem.operators import b_jacobian, b_residual, l2_project, scatter_band
 from lwrfem.stepping import StepDiagnostics
-from conftest import dense, simpson_l2_error
+from conftest import dense, dof_x, l2_error, simpson_l2_error
 
 
 class TestBuildMesh:
     def test_p1_dirichlet_dof_layout(self):
         mesh = build_mesh(0.0, 1.0, 4, 1, DIRICHLET)
         assert mesh.n_dofs == 5
-        assert np.allclose(mesh.dof_x, [0.0, 0.25, 0.5, 0.75, 1.0])
+        assert np.allclose(dof_x(mesh), [0.0, 0.25, 0.5, 0.75, 1.0])
 
     def test_p1_periodic_dof_count(self):
         assert build_mesh(0.0, 1.0, 4, 1, PERIODIC).n_dofs == 4
@@ -28,7 +28,7 @@ class TestBuildMesh:
     def test_p2_dirichlet_dof_count(self):
         mesh = build_mesh(0.0, 1.0, 4, 2, DIRICHLET)
         assert mesh.n_dofs == 9  # vertices plus midpoints
-        assert np.allclose(np.diff(mesh.dof_x), 0.125)
+        assert np.allclose(np.diff(dof_x(mesh)), 0.125)
 
     def test_periodic_wraps_last_vertex(self):
         mesh = build_mesh(0.0, 1.0, 4, 2, PERIODIC)
@@ -37,10 +37,11 @@ class TestBuildMesh:
 
     def test_periodic_dofs_zig_zag_from_both_ends(self):
         mesh = build_mesh(0.0, 1.0, 4, 1, PERIODIC)
-        assert np.allclose(mesh.dof_x, [0.0, 0.75, 0.25, 0.5])
+        assert mesh.cell_dofs.tolist() == [[0, 2, 3, 1], [2, 3, 1, 0]]
+        assert np.allclose(dof_x(mesh), [0.0, 0.75, 0.25, 0.5])
         assert mesh.half_band == 2
         mesh = build_mesh(0.0, 1.0, 4, 2, PERIODIC)
-        assert np.allclose(mesh.dof_x, [0.0, 0.875, 0.125, 0.75, 0.25, 0.625, 0.375, 0.5])
+        assert np.allclose(dof_x(mesh), [0.0, 0.875, 0.125, 0.75, 0.25, 0.625, 0.375, 0.5])
         assert mesh.half_band == 4
 
     @pytest.mark.parametrize("degree,kind", [(1, DIRICHLET), (2, DIRICHLET), (1, PERIODIC), (2, PERIODIC)])
@@ -89,11 +90,11 @@ class TestEvaluate:
 
     def test_p1_reproduces_linears(self):
         mesh = build_mesh(0.0, 1.0, 7, 1, DIRICHLET)
-        assert evaluate(mesh, mesh.dof_x, 0.3) == pytest.approx(0.3, abs=1e-14)
+        assert evaluate(mesh, dof_x(mesh), 0.3) == pytest.approx(0.3, abs=1e-14)
 
     def test_p2_reproduces_quadratics(self):
         mesh = build_mesh(0.0, 1.0, 4, 2, DIRICHLET)
-        assert evaluate(mesh, mesh.dof_x**2, 0.37) == pytest.approx(0.1369, abs=1e-14)
+        assert evaluate(mesh, dof_x(mesh)**2, 0.37) == pytest.approx(0.1369, abs=1e-14)
 
     @pytest.mark.parametrize("degree", [1, 2])
     def test_interpolation_reproduces_basis_degree(self, degree, rng):
@@ -104,7 +105,7 @@ class TestEvaluate:
             return sum(c * np.asarray(x) ** k for k, c in enumerate(coeffs))
 
         xs = rng.uniform(0.0, 1.0, size=40)
-        assert np.abs(np.asarray(evaluate(mesh, poly(mesh.dof_x), xs)) - poly(xs)).max() < 1e-13
+        assert np.abs(np.asarray(evaluate(mesh, poly(dof_x(mesh)), xs)) - poly(xs)).max() < 1e-13
 
     def test_out_of_domain(self):
         mesh = build_mesh(0.0, 1.0, 4, 1, DIRICHLET)
@@ -180,5 +181,5 @@ class TestL2Project:
         mesh = build_mesh(0.0, 1.0, 12, degree, PERIODIC)
         exact = lambda x, t: g(x)
         proj_err = l2_error(mesh, l2_project(g, mesh), exact, 0.0)
-        interp_err = l2_error(mesh, g(mesh.dof_x), exact, 0.0)
+        interp_err = l2_error(mesh, g(dof_x(mesh)), exact, 0.0)
         assert proj_err <= interp_err + 1e-12

@@ -21,7 +21,7 @@ from lwrfem.stepping import (
     NEWTON_MAX_ITER, ModelParams, Stepper, TimeGrid, be_step, run_time_filtered,
 )
 from conftest import (
-    FilterOracle, applied_base, b_form, dense, dense_stabilization_base, march, norm,
+    FilterOracle, applied_base, b_form, dense, dense_stabilization_base, dof_x, march, norm,
     operator_matrix, three_level_ops,
 )
 
@@ -324,8 +324,8 @@ def test_carried_stabilization_lands_on_exact_newton(degree, n, kind, order, chi
     params = ModelParams(chi=chi, delta=delta_coeff * np.sqrt(mesh.h), deconv_order=order)
     stepper = Stepper.build(scenario, params, dt, mesh)
     stab, coeff, t_next = stepper.stab, stepper.nonlinear_coeff, 0.3 + dt
-    prev = 0.3 + _fourier_series(seed)(mesh.dof_x)
-    guess = prev + 0.5 * _fourier_series(seed + 1)(mesh.dof_x)
+    prev = 0.3 + _fourier_series(seed)(dof_x(mesh))
+    guess = prev + 0.5 * _fourier_series(seed + 1)(dof_x(mesh))
     mass_prev = band_matvec(stepper.operators.mass, prev)
     state, _, scale, _ = be_step(stepper, prev, mass_prev, t_next, guess,
                                  None if stab is None else stab(guess))
@@ -413,7 +413,7 @@ def test_dirichlet_flux_balance(degree, n, chi, order, rho_l, rho_r, forced):
 
 def _shock_front(mesh, c, level):
     """Where the state c last crosses level, by linear interpolation between DOFs."""
-    x = mesh.dof_x
+    x = dof_x(mesh)
     k = np.nonzero((c[:-1] - level) * (c[1:] - level) <= 0.0)[0][-1]
     return x[k] + (level - c[k]) / (c[k + 1] - c[k]) * (x[k + 1] - x[k])
 

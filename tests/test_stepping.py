@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lwrfem import filtering, linalg, stepping
-from lwrfem.analysis import l2_error, run_error_inf
+from lwrfem.analysis import run_error_inf
 from lwrfem.cli import parse_config
 from lwrfem.filtering import build_filter_context, stabilization_matrix
 from lwrfem.linalg import SingularMatrixError, band_matvec, lu_solve
@@ -25,8 +25,8 @@ from lwrfem.stepping import (
     time_filter_step,
 )
 from conftest import (
-    ExtendedBase, applied_base, band, dense, energy, march, norm, operator_matrix,
-    smooth_periodic, three_level_ops,
+    ExtendedBase, applied_base, band, dense, dof_x, energy, l2_error, march, norm,
+    operator_matrix, smooth_periodic, three_level_ops,
 )
 
 
@@ -409,8 +409,8 @@ class TestBeStep:
         scenario = dataclasses.replace(manufactured(), dirichlet={LEFT: 0.3})
         stepper = Stepper.build(scenario, params, 0.01, mesh)
         ops, c = stepper.operators, stepper.nonlinear_coeff
-        prev = 0.3 + 0.1 * np.sin(2 * np.pi * mesh.dof_x)
-        guess = 2.0 * prev - (0.3 + 0.1 * np.sin(2 * np.pi * mesh.dof_x - 0.1))
+        prev = 0.3 + 0.1 * np.sin(2 * np.pi * dof_x(mesh))
+        guess = 2.0 * prev - (0.3 + 0.1 * np.sin(2 * np.pi * dof_x(mesh) - 0.1))
         rows = [i for i, _ in stepper.constrained]
         mass_prev = band_matvec(ops.mass, prev)
         scale = max([np.sqrt(prev @ mass_prev)] + [0.3] * len(rows))
@@ -441,8 +441,8 @@ class TestBeStep:
         mesh = build_mesh(0.0, 1.0, 16, 2, DIRICHLET)
         params = ModelParams(chi=1.0, delta=0.1, deconv_order=1)
         stepper = Stepper.build(manufactured(), params, 0.01, mesh)
-        prev = np.sin(np.pi * mesh.dof_x) ** 4 * np.sin(0.5)
-        near = prev + 1e-3 * np.sin(3 * np.pi * mesh.dof_x)
+        prev = np.sin(np.pi * dof_x(mesh)) ** 4 * np.sin(0.5)
+        near = prev + 1e-3 * np.sin(3 * np.pi * dof_x(mesh))
         mass_prev = band_matvec(stepper.operators.mass, prev)
         results = [be_step(stepper, prev, mass_prev, 0.51, guess, stepper.stab(guess))
                    for guess in (prev, near)]

@@ -29,7 +29,9 @@ ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
 
 # name -> the command line after ``lwrfem``: the benchmark's three
-# workloads, the rate ladders, a chi = 0 run and a periodic filtered run
+# workloads, the rate ladders, a chi = 0 run, a periodic filtered run, a
+# short study (the one command that maps over several runs), and three
+# commands that fail before or at set-up
 COMMANDS = {
     "shock-n128": ["run", "--scenario", "shock", "--t_final", "0.1"],
     "shock-n1024": ["run", "--scenario", "shock", "--n_elements", "1024",
@@ -42,6 +44,15 @@ COMMANDS = {
     "periodic-filtered": ["run", "--scenario", "manufactured", "--boundary_kind", "periodic",
                           "--chi", "1", "--deconv_order", "2",
                           "--gamma", "0.6666666666666666", "--t_final", "0.2"],
+    "study": ["study", "--config", str(CONFIGS / "shock_study.cfg"), "--study_times", "0.05,0.1"],
+    "ladder-without-exact-solution": ["conv-space", "--scenario", "rarefaction",
+                                      "--boundary_kind", "periodic",
+                                      "--space_min_elements", "300000", "--space_levels", "3",
+                                      "--t_final", "0"],
+    "weight-overflow": ["run", "--scenario", "shock", "--chi", "1e300", "--delta_coeff", "1e5",
+                        "--t_final", "0.001"],
+    "newton-band-overflow": ["run", "--scenario", "shock", "--chi", "1e300",
+                             "--delta_coeff", "1e4", "--t_final", "0.001"],
 }
 
 ENV = {"PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1",
