@@ -51,7 +51,7 @@ class TableRow:
     label: str
     resolution: float  # h or dt
     error: float | None  # None for a failed rung
-    rate: float | None  # None on the first row and next to a failed rung
+    rate: float | None  # None on the first row and next to a failed or zero-error rung
 
 
 def convergence_table(errors: Sequence[tuple[float, float | None]]) -> tuple[TableRow, ...]:
@@ -60,13 +60,16 @@ def convergence_table(errors: Sequence[tuple[float, float | None]]) -> tuple[Tab
     A row's label is 1/k when its resolution is 1/k for a whole k (to
     1e-9 relative), else the resolution in %g.  An error of None marks a
     failed rung: its row carries no error, and no rate is taken across
-    it.  Raises ValueError for a non-positive error or for resolutions
-    that do not halve, as log2 rates assume.
+    it.  An error of exactly zero (a run that reproduces the exact
+    solution at every quadrature point, such as a projection at t = 0) has
+    its row, but no rate is taken next to it either.  Raises ValueError
+    for a negative error or for resolutions that do not halve, as log2
+    rates assume.
     """
     resolutions = [float(r) for r, _ in errors]
     values = [None if e is None else float(e) for _, e in errors]
-    if any(e <= 0 for e in values if e is not None):
-        raise ValueError("errors must be strictly positive")
+    if any(e < 0 for e in values if e is not None):
+        raise ValueError("errors must be nonnegative")
     for coarse, fine in zip(resolutions, resolutions[1:]):
         if abs(coarse / fine - 2.0) > 1e-6:
             raise ValueError(f"resolutions {coarse} -> {fine} do not halve")
@@ -76,7 +79,7 @@ def convergence_table(errors: Sequence[tuple[float, float | None]]) -> tuple[Tab
         whole = abs(inverse - round(inverse)) < 1e-9 * inverse
         label = f"1/{round(inverse)}" if whole else f"{resolution:g}"
         rate = None
-        if i > 0 and error is not None and values[i - 1] is not None:
+        if i > 0 and error and values[i - 1]:  # neither failed nor zero
             rate = float(np.log2(values[i - 1] / error))
         rows.append(TableRow(label, resolution, error, rate))
     return tuple(rows)

@@ -17,11 +17,15 @@ echoing the full effective configuration; floats are printed with 17
 significant digits so repeated runs are bit-identical.
 
 The runs of a command (a ladder's rungs, a study's members) run one
-after the other.  Backward Euler is the time-filtered scheme at
-gamma = 0, so ``--gamma 0`` selects it.  Each header echo holds
-``algorithm=2`` after newton_max_iter and ``jobs=1`` at its end, as
-fixed text: the values every run had when both were keys, kept so that
-each header stays byte-identical for tools that compare it whole.
+after the other; each builds its own mesh, and a study member writes its
+profiles when it ends, so no run holds another's mesh or states.  Every
+CSV is streamed into ``<name>.partial`` and renamed once complete: a
+write that fails leaves neither file nor the directories made for it.
+Backward Euler is the time-filtered scheme at gamma = 0, so ``--gamma 0``
+selects it.  Each header echo holds ``algorithm=2`` after newton_max_iter
+and ``jobs=1`` at its end, as fixed text: the values every run had when
+both were keys, kept so that each header stays byte-identical for tools
+that compare it whole.
 
 Exit codes: 0 success, 1 if the run or any ladder rung or sweep member
 failed (a step whose Newton iteration fails or meets a singular matrix,
@@ -47,7 +51,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .analysis import convergence_table, run_error_inf
+from .analysis import TableRow, convergence_table, run_error_inf
 from .mesh import DIRICHLET, PERIODIC, Mesh1D, build_mesh, evaluate
 from .scenarios import SCENARIOS, Scenario
 from .stepping import (
@@ -213,12 +217,13 @@ def _run_bytes(config: RunConfig, n_elements: int) -> int:
     """Upper bound on the bytes one run of config allocates on n_elements.
 
     In 8-byte words: the mesh maps with build_mesh's temporaries, 6 per
-    element DOF pair (a space ladder also keeps its coarser rungs' maps,
-    at most as many again); the operator bands, the linear part, the filter
-    factor and the stabilization's Newton blocks with the temporaries of
-    assembly and of a step, 12 per band entry; the quadrature values, 20 per
-    element.  Then the Newton workspace as ``newton_bytes`` states it, and
-    1 MiB for what does not grow with the mesh.
+    element DOF pair (a margin now that a space ladder drops each rung's
+    mesh before it builds the next); the operator bands, the linear
+    part, the filter factor and the stabilization's Newton blocks with the
+    temporaries of assembly and of a step, 12 per band entry; the
+    quadrature values, 20 per element.  Then the Newton workspace as
+    ``newton_bytes`` states it, and 1 MiB for what does not grow with the
+    mesh.
     """
     degree, dirichlet = config.degree, config.boundary_kind == DIRICHLET
     n_dofs = degree * n_elements + dirichlet
@@ -326,9 +331,31 @@ def _solve(config: RunConfig, mesh: Mesh1D, grid: TimeGrid) -> Iterator[StepReco
     )
 
 
-def _write_lines(path: Path, header: str, lines: list[str]) -> None:
+def _write_csv(
+    path: Path, config: RunConfig, columns: str, items: Iterable, row: Callable[..., str]
+):
+    """Write the header echo, columns, and a row(item) line per item as it arrives.
+
+    The lines go to ``<name>.partial``, renamed to path once complete.  On
+    any failure the partial file and every directory made for it are
+    removed and the error propagates.  Returns the last item.
+    """
+    made = [d for d in (path.parent, *path.parent.parents) if not d.exists()]
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+    temporary = path.with_name(path.name + ".partial")
+    item = None
+    try:
+        with temporary.open("w", encoding="utf-8") as out:
+            out.write(f"{config.header_line()}\n{columns}\n")
+            for item in items:
+                out.write(row(item))
+        temporary.replace(path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        for directory in made:
+            directory.rmdir()
+        raise
+    return item
 
 
 def _write_profile(
@@ -341,35 +368,22 @@ def _write_profile(
         if scenario.exact_solution is not None
         else np.full_like(xs, np.nan)
     )
-    lines = ["x,rho_h,rho_exact"]
-    lines += ["%.17g,%.17g,%.17g" % row for row in zip(xs.tolist(), rho.tolist(), exact.tolist())]
-    _write_lines(path, config.header_line(), lines)
+    _write_csv(path, config, "x,rho_h,rho_exact", zip(xs.tolist(), rho.tolist(), exact.tolist()),
+               lambda values: "%.17g,%.17g,%.17g\n" % values)
 
 
 def _write_diagnostics(
     path: Path, config: RunConfig, steps: Iterable[StepRecord]
 ) -> StepRecord:
-    """Write a row per record as it arrives; returns the last record.  A run
-    that fails leaves neither the file nor the directories made for it."""
-    made = [d for d in (path.parent, *path.parent.parents) if not d.exists()]
-    path.parent.mkdir(parents=True, exist_ok=True)
-    partial = path.with_name(path.name + ".partial")  # renamed once complete
-    try:
-        with partial.open("w", encoding="utf-8") as out:
-            out.write(config.header_line() + "\n")
-            out.write("n,t,l2_norm,energy_E,zeta_Z,newton_iters,stab_dissipation\n")
-            for record in steps:
-                d = record[1]
-                out.write("%d,%.17g,%.17g,%.17g,%.17g,%d,%.17g\n" % (
-                    d.n, d.t, d.l2_norm, d.energy_e, d.zeta_z, d.newton_iters,
-                    d.stab_dissipation))
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        for directory in made:
-            directory.rmdir()
-        raise
-    partial.replace(path)
-    return record
+    """Write a row per record as it arrives; returns the last record."""
+
+    def row(record: StepRecord) -> str:
+        d = record[1]
+        return "%d,%.17g,%.17g,%.17g,%.17g,%d,%.17g\n" % (
+            d.n, d.t, d.l2_norm, d.energy_e, d.zeta_z, d.newton_iters, d.stab_dissipation)
+
+    return _write_csv(path, config, "n,t,l2_norm,energy_E,zeta_Z,newton_iters,stab_dissipation",
+                      steps, row)
 
 
 def cmd_run(config: RunConfig) -> tuple[list[Path], int]:
@@ -379,15 +393,15 @@ def cmd_run(config: RunConfig) -> tuple[list[Path], int]:
     _check_bytes(config, config.n_elements)
     out = Path(config.output_dir)
     profile, diagnostics = out / "profile.csv", out / "diagnostics.csv"
-    mesh = config.make_mesh()
-    steps = _solve(config, mesh, grid)
-    [final] = _guarded_map(partial(_write_diagnostics, diagnostics, config), [steps],
-                           "run failed")
-    if final is None:
-        return [], 1
-    final_c, final_diag, _ = final
-    _write_profile(profile, config, mesh, final_c, final_diag.t, config.get_scenario())
-    return [profile, diagnostics], 0
+
+    def run(config: RunConfig) -> list[Path]:
+        mesh = config.make_mesh()
+        c, diag, _ = _write_diagnostics(diagnostics, config, _solve(config, mesh, grid))
+        _write_profile(profile, config, mesh, c, diag.t, config.get_scenario())
+        return [profile, diagnostics]
+
+    [files] = _guarded_map(run, [config], "run failed")
+    return files or [], int(files is None)
 
 
 def _guarded_map(fn: Callable, items: Sequence, what: str) -> list:
@@ -410,38 +424,41 @@ def _guarded_map(fn: Callable, items: Sequence, what: str) -> list:
 def _write_convergence(
     path: Path, config: RunConfig, results: list[tuple[float, float | None]]
 ) -> int:
-    rows = convergence_table(results)
-    lines = ["resolution,h_or_dt,error_linf_l2,rate"]
-    for row in rows:
+    def line(row: TableRow) -> str:
         error = "failed" if row.error is None else _fmt(row.error)
         rate = "" if row.rate is None else _fmt(row.rate)
-        lines.append(f"{row.label},{_fmt(row.resolution)},{error},{rate}")
-    _write_lines(path, config.header_line(), lines)
+        return f"{row.label},{_fmt(row.resolution)},{error},{rate}\n"
+
+    rows = convergence_table(results)
+    _write_csv(path, config, "resolution,h_or_dt,error_linf_l2,rate", rows, line)
     return sum(row.error is None for row in rows)
 
 
-def _exact_solution(config: RunConfig) -> Callable:
-    """The exact solution a ladder measures its errors against; ConfigError without one."""
+def _ladder(
+    config: RunConfig, name: str, rungs: list[tuple[float, int, TimeGrid]]
+) -> tuple[list[Path], int]:
+    """Run (resolution, n_elements, grid) rungs and write their errors, with rates.
+
+    The errors are measured against the scenario's exact solution; a
+    ladder without one is a ConfigError, found before any mesh exists.
+    Each rung builds its own mesh, so a space ladder's finer meshes exist
+    only once the coarser rungs have run and dropped theirs.
+    """
     exact = config.get_scenario().exact_solution
     if exact is None:
         raise ConfigError(
             f"{config.scenario!r} has an exact solution only at v_f = rho_m = 1"
             " and, if its Dirichlet data is nonzero, on a Dirichlet mesh"
         )
-    return exact
 
+    def error(rung: tuple[float, int, TimeGrid]) -> float:
+        _, n_elements, grid = rung
+        mesh = config.make_mesh(n_elements)
+        return run_error_inf(mesh, _solve(config, mesh, grid), exact)
 
-def _ladder(
-    config: RunConfig, name: str, exact: Callable,
-    rungs: list[tuple[float, Mesh1D, TimeGrid]],
-) -> tuple[list[Path], int]:
-    """Run (resolution, mesh, grid) rungs and write their errors against exact, with rates."""
-    errors = _guarded_map(
-        lambda rung: run_error_inf(rung[1], _solve(config, *rung[1:]), exact),
-        rungs, "rung failed",
-    )
-    results = [(resolution, error) for (resolution, _, _), error in zip(rungs, errors)]
+    errors = _guarded_map(error, rungs, "rung failed")
     path = Path(config.output_dir) / name
+    results = [(resolution, e) for (resolution, _, _), e in zip(rungs, errors)]
     return [path], _write_convergence(path, config, results)
 
 
@@ -453,9 +470,7 @@ def cmd_convergence_space(config: RunConfig) -> tuple[list[Path], int]:
     for k in range(config.space_levels):  # ends at the first rung over the limit
         sizes.append(config.space_min_elements * 2**k)
         _check_bytes(config, sizes[-1])
-    exact = _exact_solution(config)  # before any mesh exists
-    rungs = [(1.0 / n, config.make_mesh(n), grid) for n in sizes]
-    return _ladder(config, "convergence_space.csv", exact, rungs)
+    return _ladder(config, "convergence_space.csv", [(1.0 / n, n, grid) for n in sizes])
 
 
 def cmd_convergence_time(config: RunConfig) -> tuple[list[Path], int]:
@@ -466,10 +481,8 @@ def cmd_convergence_time(config: RunConfig) -> tuple[list[Path], int]:
         steps += grids[-1].n_steps
         _check_steps(steps)
     _check_bytes(config, config.n_elements)
-    exact = _exact_solution(config)
-    mesh = config.make_mesh()
-    rungs = [(grid.dt, mesh, grid) for grid in grids]
-    return _ladder(config, "convergence_time.csv", exact, rungs)
+    rungs = [(grid.dt, config.n_elements, grid) for grid in grids]
+    return _ladder(config, "convergence_time.csv", rungs)
 
 
 def _profile_name(member: RunConfig, t: float) -> str:
@@ -507,20 +520,20 @@ def cmd_scenario_study(config: RunConfig) -> tuple[list[Path], int]:
     for member in members:
         _check_bytes(member, member.n_elements)
 
-    def snapshots(member: RunConfig) -> list:
-        mesh = member.make_mesh()
-        kept = {d.n: (mesh, c, d) for c, d, _ in _solve(member, mesh, grid) if d.n in indices}
-        return [kept[i] for i in indices]
-
-    outputs = _guarded_map(snapshots, members, "study member failed")
-    paths: list[Path] = []
     out = Path(config.output_dir)
-    for member, records in zip(members, outputs):
-        for mesh, c, diag in records or ():
-            path = out / _profile_name(member, diag.t)
-            _write_profile(path, member, mesh, c, diag.t, scenario)
-            paths.append(path)
-    return paths, outputs.count(None)
+
+    def profiles(member: RunConfig) -> list[Path]:
+        """Run member to the last time, then write its profiles; a failed run writes none."""
+        mesh = member.make_mesh()
+        kept = {d.n: (c, d) for c, d, _ in _solve(member, mesh, grid) if d.n in indices}
+        paths = []
+        for c, diag in (kept[i] for i in indices):
+            paths.append(out / _profile_name(member, diag.t))
+            _write_profile(paths[-1], member, mesh, c, diag.t, scenario)
+        return paths
+
+    outputs = _guarded_map(profiles, members, "study member failed")
+    return [path for paths in outputs if paths for path in paths], outputs.count(None)
 
 
 COMMANDS = {

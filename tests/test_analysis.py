@@ -112,9 +112,14 @@ class TestConvergenceTable:
         with pytest.raises(ValueError, match=r"resolutions 0\.1 -> 0\.03 do not halve"):
             convergence_table([(0.1, 1e-2), (0.03, 1e-3)])
 
-    def test_positive_errors_required(self):
-        with pytest.raises(ValueError):
-            convergence_table([(0.1, 1e-2), (0.05, 0.0)])
+    def test_nonnegative_errors_required(self):
+        with pytest.raises(ValueError, match="errors must be nonnegative"):
+            convergence_table([(0.1, 1e-2), (0.05, -1e-3)])
+        # a zero error (a projection at t = 0) has its row, without a rate on either side
+        rows = convergence_table([(0.1, 0.0), (0.05, 0.0), (0.025, 1e-3), (0.0125, 2.5e-4)])
+        assert [row.error for row in rows] == [0.0, 0.0, 1e-3, 2.5e-4]
+        assert [row.rate for row in rows[:3]] == [None, None, None]
+        assert rows[3].rate == pytest.approx(2.0, abs=1e-12)
 
     def test_labels(self):
         rows = convergence_table([(0.1, 1.0), (0.05, 0.25)])

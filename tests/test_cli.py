@@ -1,9 +1,15 @@
+import contextlib
+import errno
+import io
 import itertools
+import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lwrfem import cli
 from lwrfem.cli import (
@@ -249,6 +255,110 @@ class TestCommands:
             chi = 0.0 if "chi0_" in path.name else 1.0
             variations[chi] = np.abs(np.diff(values)).sum()
         assert variations[1.0] < variations[0.0]
+
+
+class FullDisk(type(Path())):
+    """A path whose file holds `room` characters; a write past them fails as on a full disk."""
+
+    room = 0
+
+    def open(self, *args, **kwargs):
+        file = super().open(*args, **kwargs)
+        write, left = file.write, [self.room]
+
+        def limited(text):
+            left[0] -= len(text)
+            if left[0] < 0:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return write(text)
+
+        file.write = limited
+        return file
+
+
+class TestOutputs:
+    """Each CSV goes through a temporary file, and each run writes its outputs when it ends."""
+
+    def test_writer_streams_rows_and_a_failure_leaves_nothing(self, tmp_path):
+        cfg = parse_config(None, {"scenario": "shock"})
+        path = tmp_path / "new" / "table.csv"
+
+        def row(item):
+            if item == 2:
+                raise ValueError("no row for 2")
+            return f"{item}\n"
+
+        with pytest.raises(ValueError, match="no row for 2"):
+            cli._write_csv(path, cfg, "k", [1, 2, 3], row)
+        assert not list(tmp_path.iterdir())
+        assert cli._write_csv(path, cfg, "k", iter([1, 3]), row) == 3  # the last item
+        assert path.read_text() == f"{cfg.header_line()}\nk\n1\n3\n"
+        assert list(path.parent.iterdir()) == [path]
+        # the rename fails onto a directory, and the partial file goes too
+        taken = path.with_name("taken.csv")
+        taken.mkdir()
+        with pytest.raises(IsADirectoryError):
+            cli._write_csv(taken, cfg, "k", [1], row)
+        assert sorted(path.parent.iterdir()) == [path, taken]
+
+    @pytest.mark.parametrize("writer", ["profile", "convergence"])
+    def test_a_write_that_fails_mid_file_leaves_nothing(self, writer, tmp_path, monkeypatch):
+        cfg = parse_config(None, {"scenario": "manufactured"})
+        mesh = cfg.make_mesh(8)
+        write = {
+            "profile": lambda path: cli._write_profile(
+                path, cfg, mesh, np.zeros(mesh.n_dofs), 0.0, cfg.get_scenario()),
+            "convergence": lambda path: _write_convergence(
+                path, cfg, [(0.1, 1e-2), (0.05, None), (0.025, 1e-3)]),
+        }[writer]
+        write(tmp_path / "whole.csv")
+        # room for the header echo, the column names and one row: the second row fails
+        header, columns, first = (tmp_path / "whole.csv").read_text().splitlines(True)[:3]
+        monkeypatch.setattr(FullDisk, "room", len(header + columns + first))
+        with pytest.raises(OSError, match="No space left on device"):
+            write(FullDisk(tmp_path / "new" / "dir" / "table.csv"))
+        assert [path.name for path in tmp_path.iterdir()] == ["whole.csv"]
+
+    def test_space_ladder_builds_each_mesh_after_the_coarser_rung_ran(self, tmp_path,
+                                                                       monkeypatch):
+        calls = []
+        build_mesh, run_time_filtered = cli.build_mesh, cli.run_time_filtered
+
+        def mesh(x_left, x_right, n_elements, *args):
+            calls.append(("mesh", n_elements))
+            return build_mesh(x_left, x_right, n_elements, *args)
+
+        def run(*args, **kwargs):
+            n_elements = args[3].n_elements
+            calls.append(("run", n_elements))
+            yield from run_time_filtered(*args, **kwargs)
+            calls.append(("ran", n_elements))
+
+        monkeypatch.setattr(cli, "build_mesh", mesh)
+        monkeypatch.setattr(cli, "run_time_filtered", run)
+        assert main(["conv-space", "--scenario", "manufactured", "--space_min_elements", "4",
+                     "--space_levels", "3", "--dt", "0.01", "--t_final", "0.02",
+                     "--output_dir", str(tmp_path)]) == 0
+        assert calls == [(event, n) for n in (4, 8, 16) for event in ("mesh", "run", "ran")]
+
+    def test_study_writes_each_members_profiles_when_it_ends(self, tmp_path, monkeypatch):
+        # the member at chi = 1e300 fails its set-up (its Newton band overflows)
+        # and writes nothing; the others have written theirs before the next run
+        seen = []
+        run_time_filtered = cli.run_time_filtered
+
+        def run(*args, **kwargs):
+            seen.append(sorted(path.name for path in tmp_path.glob("*.csv")))
+            return run_time_filtered(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_time_filtered", run)
+        assert main(["study", "--scenario", "shock", "--chi_list", "1,1e300,0",
+                     "--delta_coeff", "1e4", "--study_times", "0.001,0.002",
+                     "--output_dir", str(tmp_path)]) == 1
+        chi1 = ["profile_chi1_N0_P1_t0.001.csv", "profile_chi1_N0_P1_t0.002.csv"]
+        chi0 = ["profile_chi0_N0_P1_t0.001.csv", "profile_chi0_N0_P1_t0.002.csv"]
+        assert seen == [[], chi1, chi1]
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(chi0 + chi1)
 
 
 class TestMain:
@@ -523,6 +633,23 @@ class TestMain:
         _, rows = read_rows(out / "convergence_time.csv")
         assert len(rows) == 2 and all(np.isfinite(float(row[2])) for row in rows)
 
+    @pytest.mark.parametrize("argv,name,rungs", [
+        (["conv-time", "--scenario", "manufactured"], "convergence_time.csv", 5),
+        (["conv-space", "--scenario", "manufactured", "--space_levels", "2"],
+         "convergence_space.csv", 2),
+        (["conv-space", "--scenario", "rarefaction", "--space_levels", "2"],
+         "convergence_space.csv", 2),
+    ], ids=["time", "space", "rarefaction"])
+    def test_ladder_with_zero_errors_writes_its_table(self, tmp_path, capsys, argv, name, rungs):
+        # at t = 0 each rung measures its projection, which meets these exact
+        # solutions at every quadrature point: errors of 0, rows without rates
+        assert main([*argv, "--t_final", "0", "--output_dir", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == f"{tmp_path / name}\n"
+        assert captured.err == ""  # no traceback or warning
+        _, rows = read_rows(tmp_path / name)
+        assert [row[2:] for row in rows] == [["0", ""]] * rungs
+
     def test_successful_run_exit_code(self, tmp_path, capsys):
         code = main(
             [
@@ -729,3 +856,75 @@ class TestPlan:
         finally:
             tracemalloc.stop()
         assert peak <= cli._run_bytes(config, config.n_elements)
+
+
+# For every key: values in its domain or on its boundary, then values
+# outside it.  The sizes keep each run to at most 16 elements and 4 steps;
+# a larger value is one the plan refuses before anything exists.
+KEY_VALUES = {
+    "scenario": (["manufactured", "rarefaction", "shock"], ["tsunami"]),
+    "n_elements": (["2", "8", "16"], ["1", "0", "x", "10000000"]),
+    "degree": (["1", "2"], ["0", "3"]),
+    "boundary_kind": (["dirichlet", "periodic"], ["neumann"]),
+    "v_f": (["1", "0.5", "2"], ["0", "-1", "1e308", "nan"]),
+    "rho_m": (["1", "0.5", "2"], ["0", "1e-310"]),
+    "chi": (["0", "1e-3", "1", "1e4"], ["-1", "1e300", "inf"]),
+    "deconv_order": (["0", "1", "2", "10"], ["11", "-1"]),
+    "gamma": (["0", "0.5", "0.6666666666666666"], ["1", "-0.1"]),
+    "delta_coeff": (["0", "0.1", "1", "1e4", "1e6"], ["-1", "1e200"]),
+    "delta_exp": (["0", "0.5", "1"], ["1.5", "-0.5"]),
+    "dt": (["0.01", "0.02"], ["0", "-0.01", "1e-320", "nan"]),
+    "t_final": (["0", "0.01", "0.02", "0.04"], ["0.015", "-0.01", "1e305"]),
+    "newton_tol": (["1e-10", "1e-3", "0.5"], ["0", "1"]),
+    "newton_max_iter": (["0", "1", "25"], ["-1", "1.5"]),
+    "space_min_elements": (["2", "4"], ["1", "10000000"]),
+    "space_levels": (["1", "2", "3"], ["0", "1000000000"]),
+    "dt_max": (["0.02", "0.04"], ["0", "-1"]),
+    "time_levels": (["1", "2", "3"], ["0", "1000000000"]),
+    "chi_list": (["0", "0,1", "1,1e300"], ["", "0.1,0.1000001"]),
+    "deconv_list": (["", "0,1"], ["1,1", "11"]),
+    "degree_list": (["", "1,2"], ["3"]),
+    "study_times": (["0.01", "0,0.02", "0.04"], ["", "-0.01", "0.015"]),
+}
+# keys given in every draw: those that size a run, whose defaults would run long
+SIZES = ("scenario", "n_elements", "dt", "t_final", "space_min_elements", "space_levels",
+         "dt_max", "time_levels", "study_times")
+
+
+@st.composite
+def command_lines(draw):
+    """A command with the size keys and others in their domains, and at most one key outside."""
+    keys = [*SIZES, *draw(st.lists(st.sampled_from(
+        [key for key in KEY_VALUES if key not in SIZES]), unique=True))]
+    values = {key: draw(st.sampled_from(KEY_VALUES[key][0])) for key in keys}
+    wrong = draw(st.none() | st.sampled_from(keys))
+    if wrong is not None:
+        values[wrong] = draw(st.sampled_from(KEY_VALUES[wrong][1]))
+    command = draw(st.sampled_from(list(cli.COMMANDS)))
+    return [command, *(f"--{key}={value}" for key, value in values.items())]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(argv=command_lines())
+def test_every_configuration_ends_in_an_exit_code(argv):
+    with tempfile.TemporaryDirectory() as where, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "MAX_RUN_BYTES", 64 * 2**20)
+        out, err = io.StringIO(), io.StringIO()
+        # a NumPy warning would be an unreported failure; the filter covers
+        # main only, so that Hypothesis reports a falsifying example as usual
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([*argv, f"--output_dir={where}/out"])
+        lines, printed = err.getvalue().splitlines(), out.getvalue().splitlines()
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert len(lines) == 1 and lines[0].startswith("configuration error: ")
+            assert printed == [] and not Path(where, "out").exists()
+        elif code == 1:
+            assert lines and all(line.startswith(("run failed: ", "rung failed: ",
+                                                  "study member failed: ")) for line in lines)
+        else:
+            assert lines == []
+        assert all(Path(path).is_file() for path in printed)
+        assert not list(Path(where).rglob("*.partial"))

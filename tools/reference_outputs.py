@@ -30,8 +30,9 @@ CONFIGS = ROOT / "configs"
 
 # name -> the command line after ``lwrfem``: the benchmark's three
 # workloads, the rate ladders, a chi = 0 run, a periodic filtered run, a
-# short study (the one command that maps over several runs), and three
-# commands that fail before or at set-up
+# short study (the one command that maps over several runs), three
+# commands that fail before or at set-up, three ladders whose errors are
+# exactly zero, and a ladder, a study and a run that each fail part way
 COMMANDS = {
     "shock-n128": ["run", "--scenario", "shock", "--t_final", "0.1"],
     "shock-n1024": ["run", "--scenario", "shock", "--n_elements", "1024",
@@ -53,6 +54,16 @@ COMMANDS = {
                         "--t_final", "0.001"],
     "newton-band-overflow": ["run", "--scenario", "shock", "--chi", "1e300",
                              "--delta_coeff", "1e4", "--t_final", "0.001"],
+    "zero-error-time-ladder": ["conv-time", "--scenario", "manufactured", "--t_final", "0"],
+    "zero-error-space-ladder": ["conv-space", "--scenario", "manufactured", "--t_final", "0",
+                                "--space_levels", "2"],
+    "zero-error-rarefaction-ladder": ["conv-space", "--scenario", "rarefaction",
+                                      "--t_final", "0", "--space_levels", "2"],
+    "ladder-with-failed-rungs": ["conv-time", "--scenario", "manufactured",
+                                 "--newton_max_iter", "4", "--time_levels", "3"],
+    "study-with-failed-member": ["study", "--scenario", "shock", "--chi_list", "1,1e300",
+                                 "--delta_coeff", "1e4", "--study_times", "0.001,0.002"],
+    "failed-run": ["run", "--scenario", "shock", "--newton_max_iter", "0", "--t_final", "0.001"],
 }
 
 ENV = {"PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1",
