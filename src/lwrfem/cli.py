@@ -30,13 +30,15 @@ that compare it whole.
 Exit codes: 0 success, 1 if the run or any ladder rung or sweep member
 failed (a step whose Newton iteration fails or meets a singular matrix,
 or a filter matrix M + delta^2 S or a Newton band that cannot be
-factored), 2 on a ConfigError: among them a newton_tol outside (0, 1),
-a ladder without an exact solution (v_f or rho_m other than 1, or a
-scenario with nonzero inflow data on a periodic mesh), and a command that
-plans too much.  Before any mesh, grid or file exists, each command
-bounds the bytes its largest run allocates (``_run_bytes``) and counts
-the implicit steps of all its runs; above MAX_RUN_BYTES or MAX_STEPS it
-is refused.
+factored) or an output file cannot be written (one ``write failed:``
+line; the command stops there, and ``run`` then removes its diagnostics
+too, so that none stand without their profile), 2 on a ConfigError:
+among them a newton_tol outside (0, 1), a ladder without an exact
+solution (v_f or rho_m other than 1, or a scenario with nonzero inflow
+data on a periodic mesh), and a command that plans too much.  Before
+any mesh, grid or file exists, each command bounds the bytes its largest
+run allocates (``_run_bytes``) and counts the implicit steps of all its
+runs; above MAX_RUN_BYTES or MAX_STEPS it is refused.
 """
 
 from __future__ import annotations
@@ -331,6 +333,11 @@ def _solve(config: RunConfig, mesh: Mesh1D, grid: TimeGrid) -> Iterator[StepReco
     )
 
 
+def _missing_dirs(directory: Path) -> list[Path]:
+    """directory and those of its parents that do not exist, innermost first."""
+    return [d for d in (directory, *directory.parents) if not d.exists()]
+
+
 def _write_csv(
     path: Path, config: RunConfig, columns: str, items: Iterable, row: Callable[..., str]
 ):
@@ -340,7 +347,7 @@ def _write_csv(
     any failure the partial file and every directory made for it are
     removed and the error propagates.  Returns the last item.
     """
-    made = [d for d in (path.parent, *path.parent.parents) if not d.exists()]
+    made = _missing_dirs(path.parent)
     path.parent.mkdir(parents=True, exist_ok=True)
     temporary = path.with_name(path.name + ".partial")
     item = None
@@ -396,8 +403,15 @@ def cmd_run(config: RunConfig) -> tuple[list[Path], int]:
 
     def run(config: RunConfig) -> list[Path]:
         mesh = config.make_mesh()
+        made = _missing_dirs(out)
         c, diag, _ = _write_diagnostics(diagnostics, config, _solve(config, mesh, grid))
-        _write_profile(profile, config, mesh, c, diag.t, config.get_scenario())
+        try:
+            _write_profile(profile, config, mesh, c, diag.t, config.get_scenario())
+        except BaseException:  # no diagnostics without their profile
+            diagnostics.unlink()
+            for directory in made:
+                directory.rmdir()
+            raise
         return [profile, diagnostics]
 
     [files] = _guarded_map(run, [config], "run failed")
@@ -574,6 +588,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
+    except OSError as err:  # an output that cannot be written ends the command
+        print(f"write failed: {err}", file=sys.stderr)
+        return 1
     for path in files:
         print(path)
     return 1 if failures else 0

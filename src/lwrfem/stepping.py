@@ -8,19 +8,24 @@ find rho^n solving
         + chi delta^2 ((rho^n)*_x, v*_x) = (f^n, v)   for all v,
 
 a nonlinear system handled by Newton with the analytic Jacobian.
-Newton starts from the linear extrapolation 2 rho^{n-1} - rho^{n-2} of
-the accepted states (from rho^0 on the first step), with the Dirichlet
-values of the new time level in place, and stops once the residual is
-below tol times the size of the step's data, a threshold that the guess
-cannot move (see ``be_step``).  Each step factors its Jacobian at the
-start iterate and keeps that factor, re-solving with it (a chord step),
-for as long as the last contraction of the residual predicts that one
-more chord step reaches the threshold; otherwise it factors again at the
-current iterate (see ``newton_solve``; Kelley, Solving Nonlinear
-Equations with Newton's Method, SIAM 2003, the chord and Shamanskii
-methods; Hairer and Wanner, Solving Ordinary Differential Equations II,
-IV.8).  No factor outlives its step.  The second scheme post-processes
-each backward Euler step with the time filter
+Newton starts from the accepted states' quadratic extrapolation
+3 rho^{n-1} - 3 rho^{n-2} + rho^{n-3} (from rho^0 on step 1 and the
+linear 2 rho^{n-1} - rho^{n-2} on step 2), with the Dirichlet values of
+the new time level in place, and stops once the residual is below tol
+times the size of the step's data, a threshold that the guess cannot
+move (see ``be_step``).  Newton keeps its factor, re-solving with it (a
+chord step), for as long as the last contraction of the residual
+predicts that one more chord step reaches the threshold; otherwise it
+factors again at the current iterate (see ``newton_solve``; Kelley,
+Solving Nonlinear Equations with Newton's Method, SIAM 2003, the chord
+and Shamanskii methods; Hairer and Wanner, Solving Ordinary Differential
+Equations II, IV.8).  The factor outlives its step when that step
+contracted strongly (it made at most one correction, or its last one cut
+the residual by 1 / KEEP_FACTOR_THETA): the next step's first correction
+then solves with it, and from the quadratic start that one correction
+mostly finishes the step.  A step that fails from the quadratic start
+runs again from the linear one with a fresh factor.  The second scheme
+post-processes each backward Euler step with the time filter
 
     rho^n = rhohat^n - (gamma/2)(rhohat^n - 2 rho^{n-1} + rho^{n-2}),
 
@@ -37,9 +42,9 @@ energy functional E and the curvature functional Z below are the
 quantities that make the filtered scheme's dissipation balance explicit.
 
 Both schemes march in one loop, ``run_time_filtered``, a generator of
-the time levels that keeps only the two states the recurrence reads:
-backward Euler is its gamma = 0 case, where the filter correction
-vanishes.  A state is its coefficient vector, of the mesh's n_dofs
+the time levels that keeps only the three states that the start and the
+recurrence read: backward Euler is its gamma = 0 case, where the filter
+correction vanishes.  A state is its coefficient vector, of the mesh's n_dofs
 entries: the loop, the step, the diagnostics and the records the loop
 yields all hold such vectors, and the mesh travels beside them.  A
 ``Stepper`` holds what a run keeps constant (the operators, the
@@ -58,7 +63,7 @@ from its caller.  The filter chain of K (see ``filtering``) runs once per
 step, at the state c that Newton returns: ``be_step`` returns K c, from
 which the loop forms the step's dissipation c . K c and which it carries
 next to M rho^n.
-Everywhere else K comes by linearity: the guess's from the levels', the
+Everywhere else K comes by linearity: the start's from the levels', the
 filtered state's from the time filter's combination, and each Newton
 iterate's from the last one's plus K d of the correction d, which the
 augmented solve already holds (``be_step``).  So the diagnostics add
@@ -217,6 +222,10 @@ StepRecord = tuple[np.ndarray, StepDiagnostics, np.ndarray]  # rho^n, diag, rhoh
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 25
+# A step whose last Newton correction cut the residual by at least
+# 1 / KEEP_FACTOR_THETA (or that made at most one correction) lets the
+# next step start from its factor.
+KEEP_FACTOR_THETA = 1e-4
 # A Newton correction below this many machine epsilons of its iterate
 # changes nothing that double precision can resolve.
 NEWTON_ROUNDING = 10.0
@@ -230,12 +239,14 @@ def newton_solve(
     scale: float,
     tol: float = NEWTON_TOL,
     max_iter: int = NEWTON_MAX_ITER,
+    reuse: bool = False,
 ) -> tuple[np.ndarray, int]:
     """Newton iteration, its factor kept while predicted to finish; returns (x, iterations).
 
     solve(x, r, refactor) is the correction d with J d = -r, where J is
     the Jacobian of residual factored at x when refactor is true and the
-    factor kept from the last such call otherwise.  Stops once
+    factor kept from the last such call otherwise, which may be a call of
+    an earlier newton_solve.  Stops once
     ||residual(x)|| <= tol * scale, a threshold fixed before the first
     iteration: the caller picks scale from the problem, not from the guess,
     so that a better guess saves iterations without loosening the test
@@ -245,8 +256,10 @@ def newton_solve(
     lie in (0, 1): at 1 or more the test would accept a residual as large
     as the scale itself.
 
-    The first iteration factors at the guess, whatever the norms, so that
-    no factor from an earlier call is used.  Each later one re-solves
+    Unless reuse is true, the first iteration factors at the guess,
+    whatever the norms, so that no factor from an earlier call is used;
+    with reuse it solves with the kept factor, which the caller vouches
+    for.  Each later iteration re-solves
     with the kept factor, a simplified (chord) Newton step (Kelley, the
     chord and Shamanskii methods), when the last contraction predicts
     that one more such step reaches the threshold: with the last two
@@ -286,7 +299,7 @@ def newton_solve(
                 f"no convergence after {max_iter} Newton iterations "
                 f"(residual {norm:.3e})"
             )
-        d = solve(x, r, iters == 0 or norm * norm > threshold * prev_norm)
+        d = solve(x, r, not reuse if iters == 0 else norm * norm > threshold * prev_norm)
         x += d
         iters += 1
         prev_norm = norm
@@ -349,9 +362,9 @@ class Stepper:
     ``newton`` is the run's one band buffer: each factorization
     overwrites its (rho, rho) entries, through the view ``rho_block``, and
     factors it into ``factors``, the run's one LU workspace, which the
-    iterations that keep the factor solve with.  ``bc_entries`` are the
-    DOF-level band positions of the constrained rows and ``bc_values``
-    their identity-row values.
+    iterations that keep the factor solve with, in its step or a later
+    one.  ``bc_entries`` are the DOF-level band positions of the
+    constrained rows and ``bc_values`` their identity-row values.
     """
 
     scenario: Scenario
@@ -360,7 +373,7 @@ class Stepper:
     linear_part: np.ndarray  # M/dt + v_f C, band storage
     newton: np.ndarray  # augmented Newton matrix, band storage
     half_bands: tuple[int, int]  # (kl, ku) of newton
-    factors: BandLU  # LU factors of newton at the step's last factorization
+    factors: BandLU  # LU factors of newton at the last factorization, maybe an earlier step's
     unknowns: int  # Newton unknowns per DOF
     rho_block: np.ndarray  # the (rho, rho) block of newton, DOF-level band storage
     bc_entries: tuple[np.ndarray, np.ndarray]  # (band rows, columns)
@@ -406,8 +419,8 @@ class Stepper:
 
 def be_step(
     stepper: Stepper, c_prev: np.ndarray, mass_prev: np.ndarray, t_next: float,
-    guess: np.ndarray, stab_guess: np.ndarray | None,
-) -> tuple[np.ndarray, int, float, np.ndarray | None]:
+    guess: np.ndarray, stab_guess: np.ndarray | None, reuse: bool = False,
+) -> tuple[np.ndarray, int, float, np.ndarray | None, bool]:
     """One implicit step from the coefficients c_prev to t_next, Newton started at guess.
 
     mass_prev is M c_prev, which the caller has formed once for its
@@ -424,8 +437,16 @@ def be_step(
     Dirichlet values |g|.  It is the same on every mesh that resolves the
     state, and the guess cannot move it.  Neither dt nor the forcing enters
     it: a scale that grew with dt f would, at dt = 1e20, accept a guess
-    that solves nothing.  Returns the new coefficients c, the Newton
-    iterations, the scale and K c (None without stabilization).
+    that solves nothing.
+
+    With reuse, Newton's first iteration solves with the factor that
+    ``Stepper.factors`` kept from an earlier step, if it holds one
+    (``newton_solve``).  Returns the new coefficients c, the Newton
+    iterations, the scale, K c (None without stabilization) and whether
+    the next step may start from this step's factor: when the step made at
+    most one correction, or its last correction cut the residual norm by
+    at least 1 / KEEP_FACTOR_THETA (Hairer and Wanner, IV.8, keep the
+    Jacobian after a step that contracted strongly).
 
     Newton runs no filter chain: each residual after the first takes
     K x_{k+1} = K x_k + K d_k, where K d_k = chi delta^2 S y_{2N+2} comes
@@ -454,7 +475,10 @@ def be_step(
     stab_x = None if stab is None else stab_guess + sum(
         shift * column for shift, column in zip(shifts, stepper.bc_stab))
 
+    r_before = r_after = None  # the residuals on either side of the last correction
+
     def residual(x: np.ndarray) -> np.ndarray:
+        nonlocal r_after
         r = band_matvec(linear_part, x)
         if stab is not None:
             r += stab_x
@@ -462,11 +486,13 @@ def be_step(
         r -= rhs
         for i, value in stepper.constrained:
             r[i] = x[i] - value
+        r_after = r
         return r
 
     def solve(x: np.ndarray, r: np.ndarray, refactor: bool) -> np.ndarray:
         # newton_solve adds the correction to x, so K x follows it here
-        nonlocal stab_x
+        nonlocal stab_x, r_before
+        r_before = r
         lifted = np.zeros(stepper.newton.shape[1])
         lifted[::unknowns] = -r
         if refactor:
@@ -481,8 +507,9 @@ def be_step(
         return d[::unknowns]
 
     c, iters = newton_solve(residual, solve, start, scale, stepper.newton_tol,
-                            stepper.newton_max_iter)
-    return c, iters, scale, None if stab is None else stab(c)
+                            stepper.newton_max_iter, reuse and stepper.factors.pivots is not None)
+    keep = iters <= 1 or norm2(r_after) <= KEEP_FACTOR_THETA * norm2(r_before)
+    return c, iters, scale, None if stab is None else stab(c), keep
 
 
 def time_filter_step(hat: np.ndarray, n1: np.ndarray, n2: np.ndarray, gamma: float) -> np.ndarray:
@@ -491,6 +518,20 @@ def time_filter_step(hat: np.ndarray, n1: np.ndarray, n2: np.ndarray, gamma: flo
     Linear in the levels, so it serves both the states and their K.
     """
     return hat - 0.5 * gamma * (hat - 2.0 * n1 + n2)
+
+
+def _extrapolated(n1: np.ndarray, n2: np.ndarray | None, n3: np.ndarray | None = None
+                  ) -> np.ndarray:
+    """Newton's start from the last levels' vectors: n1 alone, else linear, else quadratic.
+
+    2 n1 - n2 and 3 (n1 - n2) + n3 are linear in the levels, so they serve
+    both the states and their K.
+    """
+    if n2 is None:
+        return n1
+    if n3 is None:
+        return 2.0 * n1 - n2
+    return 3.0 * (n1 - n2) + n3
 
 
 def mass_norm(c: np.ndarray, mass_c: np.ndarray) -> float:
@@ -533,18 +574,26 @@ def run_time_filtered(
     the startup step, and gamma = 0, where the correction vanishes and this
     one loop marches plain backward Euler.  Level 0 is the projected
     initial condition, recorded like a step that took no Newton iterations.
-    From step 2 on, Newton starts at 2 rho^{n-1} - rho^{n-2}, the accepted
-    states' extrapolation.  A step whose Newton iteration fails or meets a
-    singular matrix raises NoConvergenceError naming the step, and so does
-    a filter matrix or a Newton band that the set-up cannot factor
-    (``Stepper.build``).
+    Newton starts step 1 at rho^0, step 2 at 2 rho^{n-1} - rho^{n-2} and
+    every later step at 3 rho^{n-1} - 3 rho^{n-2} + rho^{n-3}, the
+    accepted states' extrapolations.  Whether a step may start from the
+    last step's factor is the run's own state, here in the loop: yes after
+    a step that contracted strongly (``be_step``), and never on steps 1 and
+    2 or on a step run again.  A step that fails from the quadratic start
+    (NoConvergenceError or SingularMatrixError) runs again as step 2 runs,
+    from the linear extrapolation with a fresh factor, and the records
+    count the iterations of the run that converged.  A step that fails
+    there too, or on step 1 or 2, raises NoConvergenceError naming the
+    step, and so does a filter matrix or a Newton band that the set-up
+    cannot factor (``Stepper.build``).
 
     The loop carries coefficient vectors, and its records are those
     vectors themselves, so rhohat^n is rho^n exactly where no filter
     applies.  With stabilization it carries K rho^n next to
     M rho^n: K rhohat^n comes from the one filter chain of its step (level
     0 runs its own), the time filter acts on it by linearity, and the
-    guess's K is 2 K rho^{n-1} - K rho^{n-2}.  A level's dissipation is
+    start's K is the same extrapolation of the levels' K, such as
+    3 (K rho^{n-1} - K rho^{n-2}) + K rho^{n-3}.  A level's dissipation is
     c . K c at c = rhohat^n.
     """
     try:
@@ -552,21 +601,31 @@ def run_time_filtered(
     except SingularMatrixError as err:
         raise NoConvergenceError(f"set-up failed: {err}") from err
     mass, stab = stepper.operators.mass, stepper.stab
-    # rho^{n-1}, rho^{n-2}, M rho^{n-1}, K rho^{n-1} and K rho^{n-2};
+    # rho^{n-1}, rho^{n-2}, rho^{n-3}, M rho^{n-1} and the three levels' K;
     # level 0 is its own predecessor
-    c_n1, c_n2 = l2_project(scenario.initial_condition, mesh), None
+    c_n1, c_n2, c_n3 = l2_project(scenario.initial_condition, mesh), None, None
     mass_n1 = band_matvec(mass, c_n1)
-    stab_n1 = stab_n2 = None
+    stab_n1 = stab_n2 = stab_n3 = None
+    reuse = False  # whether this step may start from the last step's factor
     for n in range(grid.n_steps + 1):
         t = n * grid.dt
-        if n:  # step 1 starts at rho^0, later steps at 2 rho^{n-1} - rho^{n-2}
-            guess = c_n1 if c_n2 is None else 2.0 * c_n1 - c_n2
-            stab_guess = stab_n1 if stab_n2 is None else 2.0 * stab_n1 - stab_n2
-            try:
-                hat, iters, scale, stab_hat = be_step(stepper, c_n1, mass_n1, t, guess,
-                                                      stab_guess)
-            except (NoConvergenceError, SingularMatrixError) as err:
-                raise NoConvergenceError(f"step {n} to t = {t:.6g} failed: {err}") from err
+        if n:
+            hat = None
+            if c_n3 is not None:  # the quadratic start, with the kept factor if it may
+                try:
+                    hat, iters, scale, stab_hat, reuse = be_step(
+                        stepper, c_n1, mass_n1, t, _extrapolated(c_n1, c_n2, c_n3),
+                        None if stab is None else _extrapolated(stab_n1, stab_n2, stab_n3),
+                        reuse)
+                except (NoConvergenceError, SingularMatrixError):
+                    pass  # run the step again as steps 1 and 2 run
+            if hat is None:  # from rho^0 or the linear start, with a fresh factor
+                try:
+                    hat, iters, scale, stab_hat, reuse = be_step(
+                        stepper, c_n1, mass_n1, t, _extrapolated(c_n1, c_n2),
+                        None if stab is None else _extrapolated(stab_n1, stab_n2))
+                except (NoConvergenceError, SingularMatrixError) as err:
+                    raise NoConvergenceError(f"step {n} to t = {t:.6g} failed: {err}") from err
         else:
             hat, iters, scale = c_n1, 0, 1.0
             stab_hat = None if stab is None else stab(hat)
@@ -587,6 +646,6 @@ def run_time_filtered(
             zeta_z=0.0 if c_n2 is None else energy_z(c, c_n1, c_n2, mass),
             newton_iters=iters, stab_dissipation=dissipation, residual_scale=scale,
         )
-        c_n1, c_n2, mass_n1 = c, (c_n1 if n else None), mass_n
-        stab_n1, stab_n2 = stab_n, stab_n1
+        c_n1, c_n2, c_n3, mass_n1 = c, (c_n1 if n else None), c_n2, mass_n
+        stab_n1, stab_n2, stab_n3 = stab_n, stab_n1, stab_n2
         yield c, diag, hat

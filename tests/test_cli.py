@@ -536,6 +536,33 @@ class TestMain:
             assert captured.err.count("\n") == 1
             assert captured.out == "" and not list(tmp_path.iterdir())
 
+    def test_an_output_that_cannot_be_written_exits_1_with_one_line(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        # the profile's path is a directory: run leaves no diagnostics behind
+        out = tmp_path / "od"
+        (out / "profile.csv").mkdir(parents=True)
+        run = ["run", "--scenario", "shock", "--t_final", "0.001", "--output_dir"]
+        assert main([*run, str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("write failed: [Errno 21] Is a directory: ")
+        assert list(out.iterdir()) == [out / "profile.csv"]
+        # a profile that fails on a full disk takes the directories the run made too
+        def full(path, *args):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli, "_write_profile", full)
+        assert main([*run, str(tmp_path / "new" / "dir")]) == 1
+        assert capsys.readouterr().err == "write failed: [Errno 28] No space left on device\n"
+        assert list(tmp_path.iterdir()) == [out]
+        # a ladder whose table cannot be written
+        (out / "convergence_time.csv").mkdir()
+        assert main(["conv-time", "--scenario", "manufactured", "--t_final", "0.2",
+                     "--time_levels", "2", "--output_dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("write failed: [Errno 21] Is a directory: ")
+
     @pytest.mark.filterwarnings("error")
     def test_unfactorable_filter_matrix_fails_the_run(self, tmp_path, capsys):
         # at delta = 1e6, delta^2 S swamps M and the Cholesky factorization

@@ -327,8 +327,8 @@ def test_carried_stabilization_lands_on_exact_newton(degree, n, kind, order, chi
     prev = 0.3 + _fourier_series(seed)(dof_x(mesh))
     guess = prev + 0.5 * _fourier_series(seed + 1)(dof_x(mesh))
     mass_prev = band_matvec(stepper.operators.mass, prev)
-    state, _, scale, _ = be_step(stepper, prev, mass_prev, t_next, guess,
-                                 None if stab is None else stab(guess))
+    state, _, scale, *_ = be_step(stepper, prev, mass_prev, t_next, guess,
+                                  None if stab is None else stab(guess))
 
     rhs = mass_prev / dt + forcing_vector(scenario.forcing, t_next, mesh)
     linear = dense(stepper.linear_part)

@@ -48,10 +48,14 @@ def step_from(stepper, mesh, c, t_next):
     return be_step(stepper, c, mass_prev, t_next, c, stab_c)
 
 
-def time_rates_rung(chi):
-    """(scenario, params, grid, mesh) of the coarsest rung of configs/time_rates.cfg."""
+def time_rates_rung(chi, dt_max=0.1):
+    """(scenario, params, grid, mesh) of the coarsest rung of configs/time_rates.cfg.
+
+    dt_max = 0.1 is the file's own; a larger one gives a rung that the
+    ladder does not run.
+    """
     config = parse_config(Path(__file__).resolve().parents[1] / "configs" / "time_rates.cfg",
-                          {"chi": str(chi)})
+                          {"chi": str(chi), "dt_max": str(dt_max)})
     mesh = config.make_mesh()
     grid = TimeGrid.to_final_time(config.dt_max, config.t_final)
     return config.get_scenario(), config.make_params(mesh.h), grid, mesh
@@ -244,6 +248,27 @@ class TestNewtonSolve:
         x, iters = newton_solve(lambda x: x**2 - 4.0, recorded, np.array([3.0]), 0.0)
         assert abs(x[0] - 2.0) <= 1e-15 and flags == [True] * iters and iters >= 4
 
+    def test_reuse_solves_first_with_the_kept_factor(self):
+        # the half-gap solve of the test above: with reuse the first
+        # iteration re-solves with the kept factor, and every later one
+        # follows the same prediction, so the same nine factorizations
+        # follow it; reuse=False is the default contract
+        for reuse, first in ((True, False), (False, True)):
+            flags = []
+
+            def solve(x, r, refactor):
+                flags.append(refactor)
+                return -0.5 * r
+
+            x, iters = newton_solve(lambda x: x - 1.0, solve, np.array([2.0]), 1.0, tol=1e-3,
+                                    reuse=reuse)
+            assert iters == 10 and flags == [first] + [True] * 8 + [False]
+        # a kept factor that solves exactly finishes without a factorization
+        flags.clear()
+        x, iters = newton_solve(lambda x: x - 0.5, lambda x, r, refactor: flags.append(refactor)
+                                or -r, np.zeros(1), 1.0, reuse=True)
+        assert iters == 1 and flags == [False] and x[0] == 0.5
+
     @pytest.mark.parametrize("root,scale", [(0.5, 1.0), (1e-160, 1e-200), (1e-160, 0.0)])
     def test_the_first_iteration_always_factors(self, root, scale):
         # the prediction r^2 / r_prev <= tol * scale has no r_prev before the
@@ -431,8 +456,8 @@ class TestBeStep:
         start = guess.copy()
         start[rows] = 0.3  # be_step starts on the step's Dirichlet values
         expected, expected_iters = newton_solve(residual, dense_solve(jacobian), start, scale)
-        state, iters, step_scale, _ = be_step(stepper, prev, mass_prev, 0.01, guess,
-                                              stepper.stab(guess))
+        state, iters, step_scale, *_ = be_step(stepper, prev, mass_prev, 0.01, guess,
+                                               stepper.stab(guess))
         assert step_scale == scale
         assert iters == expected_iters
         assert np.abs(state - expected).max() <= 1e-12
@@ -473,10 +498,12 @@ class TestBeStep:
 
     @pytest.mark.parametrize("chi", [0.0, 1.0])
     def test_every_step_factors_at_least_once(self, chi, monkeypatch):
-        # a factor never outlives its step: each step that iterates factors
-        # at its start iterate (through stepping.lu_solve, once per
-        # factorization), and on the time ladder's coarsest rung the kept
-        # factors leave fewer factorizations than iterations
+        # on the time ladder's coarsest rung each step that iterates
+        # factors (through stepping.lu_solve, once per factorization): the
+        # steps that start from the last step's factor do not finish with
+        # it, and factor again once its first correction misses the
+        # prediction; the kept factors leave fewer factorizations than
+        # iterations
         calls = []
         solve = stepping.lu_solve
         monkeypatch.setattr(stepping, "lu_solve", lambda *a, **k: calls.append(1) or solve(*a, **k))
@@ -490,13 +517,13 @@ class TestBeStep:
         assert sum(factorizations) < sum(iterations)
 
     def test_the_rung_where_plain_chord_stalls_converges(self, monkeypatch):
-        # on the chi = 0 coarsest rung of the time ladder (P2, n = 100,
-        # dt = 0.1) every step converges within 5 iterations (exact Newton
-        # takes 0, 5, 2, 3, 3, 3, 3, 3, 4, 4, 4)
-        rung = time_rates_rung(0.0)
-        assert max(diag.newton_iters for _, diag in march(*rung)) <= 5
+        # on the chi = 1 time ladder rung at dt_max = 0.2 (P2, n = 100,
+        # 5 steps) every step converges within 7 iterations (exact Newton
+        # takes 0, 6, 3, 4, 6, 7)
+        rung = time_rates_rung(1.0, 0.2)
+        assert max(diag.newton_iters for _, diag in march(*rung)) <= 7
         # plain chord, the start iterate's factor kept for the whole step,
-        # stalls on it
+        # stalls on it at step 1
         newton = stepping.newton_solve
 
         def plain_chord(residual, solve, *args):
@@ -509,8 +536,85 @@ class TestBeStep:
             return newton(residual, factor_once, *args)
 
         monkeypatch.setattr(stepping, "newton_solve", plain_chord)
-        with pytest.raises(NoConvergenceError, match="no convergence after 25 Newton"):
+        with pytest.raises(NoConvergenceError, match="^step 1 .* no convergence after 25 Newton"):
             march(*rung)
+
+    def test_a_step_that_fails_from_the_quadratic_start_runs_again(self, monkeypatch):
+        # on the same rung Newton from 3 rho^4 - 3 rho^3 + rho^2 diverges at
+        # step 5, with the kept factor; the step runs again as steps 1 and 2
+        # run, from 2 rho^4 - rho^3 with a fresh factor, and converges
+        attempts = []
+        step = stepping.be_step
+
+        def recorded(stepper, c_prev, mass_prev, t_next, guess, stab_guess, reuse=False):
+            attempts.append((round(t_next / 0.2), guess, reuse, None))
+            try:
+                out = step(stepper, c_prev, mass_prev, t_next, guess, stab_guess, reuse)
+            except NoConvergenceError as err:
+                attempts[-1] = attempts[-1][:3] + (err,)
+                raise
+            return out
+
+        monkeypatch.setattr(stepping, "be_step", recorded)
+        records = march(*time_rates_rung(1.0, 0.2))
+        assert [n for n, *_ in attempts] == [1, 2, 3, 4, 5, 5]
+        failed = [(n, err) for n, _, _, err in attempts if err is not None]
+        assert len(failed) == 1 and failed[0][0] == 5
+        assert "no convergence after 25 Newton" in str(failed[0][1])
+        c = [state for state, _ in records]
+        (_, first, reused, _), (_, second, fresh, _) = attempts[-2:]
+        assert np.array_equal(first, 3.0 * (c[4] - c[3]) + c[2]) and reused
+        assert np.array_equal(second, 2.0 * c[4] - c[3]) and not fresh
+        assert len(records) == 6 and records[-1][1].newton_iters <= 7
+
+    def test_the_kept_factor_serves_the_next_steps(self, monkeypatch):
+        # the shock run at its defaults (P1, n = 128, chi = 1, N = 0,
+        # dt = 1e-4, 1000 steps): from step 3 on, Newton starts at the
+        # quadratic extrapolation, whose residual one correction with the
+        # last step's factor brings under the threshold, so most steps
+        # factor nothing (53 factorizations; 1002 with a factor per step)
+        calls = []
+        solve = stepping.lu_solve
+        monkeypatch.setattr(stepping, "lu_solve",
+                            lambda *a, **k: calls.append(1) or solve(*a, **k))
+        mesh = build_mesh(0.0, 1.0, 128, 1, DIRICHLET)
+        params = ModelParams(chi=1.0, delta=np.sqrt(mesh.h))
+        records = march(shock(), params, TimeGrid(1e-4, 1000), mesh)
+        iterations = sum(diag.newton_iters for _, diag in records)
+        assert len(calls) <= 100 and iterations <= 1.15 * 1000
+
+    def test_a_run_without_a_factor_yet_factors_when_it_may_reuse(self):
+        # a steady state until the forcing starts after step 2: steps 1 and
+        # 2 take no iteration, so step 3 may start from the last step's
+        # factor while the Stepper holds none, and it factors instead
+        mesh = build_mesh(0.0, 1.0, 16, 2, PERIODIC)
+        scenario = dataclasses.replace(
+            manufactured(), initial_condition=lambda x: np.full_like(np.asarray(x), 0.42),
+            forcing=lambda x, t: (t > 0.025) * np.sin(2 * np.pi * np.asarray(x)))
+        params = ModelParams(chi=1.0, delta=0.1, deconv_order=1)
+        records = march(scenario, params, TimeGrid(0.01, 4), mesh)
+        iterations = [diag.newton_iters for _, diag in records]
+        assert iterations[:3] == [0, 0, 0] and min(iterations[3:]) >= 1
+
+    def test_interleaved_runs_do_not_share_a_factor(self):
+        # two runs on different meshes and parameters, advanced in turn,
+        # each yield what they yield alone: whether a step may start from
+        # the last step's factor is state of its own run
+        runs = [
+            (shock(), ModelParams(chi=1.0, delta=0.1), TimeGrid(1e-3, 30),
+             build_mesh(0.0, 1.0, 48, 1, DIRICHLET)),
+            (manufactured(), ModelParams(chi=1.0, delta=0.05, deconv_order=1, gamma=2.0 / 3.0),
+             TimeGrid(0.02, 30), build_mesh(0.0, 1.0, 20, 2, DIRICHLET)),
+        ]
+        alone = [list(run_time_filtered(*run)) for run in runs]
+        together = [[], []]
+        for a, b in zip(*(run_time_filtered(*run) for run in runs)):
+            together[0].append(a)
+            together[1].append(b)
+        for solo, mixed in zip(alone, together):
+            assert len(solo) == len(mixed) == 31
+            for (c, diag, hat), (c2, diag2, hat2) in zip(solo, mixed):
+                assert np.array_equal(c, c2) and np.array_equal(hat, hat2) and diag == diag2
 
     def test_huge_step_still_meets_a_singular_matrix(self):
         # the periodic P1 Newton matrix M/dt + C is singular at dt = 1e20;
@@ -614,13 +718,14 @@ class TestBeStep:
         assert bands and all(ab.flags.f_contiguous for ab in bands)
 
     @pytest.mark.parametrize("gamma", [0.0, 2.0 / 3.0])
-    def test_stream_keeps_two_levels(self, gamma):
+    def test_stream_keeps_three_levels(self, gamma):
         mesh = build_mesh(0.0, 1.0, 10, 1, DIRICHLET)
         params = ModelParams(delta=0.1 * np.sqrt(mesh.h), gamma=gamma)
         steps = run_time_filtered(manufactured(), params, TimeGrid(0.1, 5), mesh)
         level_0 = weakref.ref(next(steps)[0])
         next(steps)
-        assert level_0() is not None  # rho^{n-2} of the step to level 2
+        next(steps)
+        assert level_0() is not None  # rho^{n-3} of the step to level 3
         next(steps)
         assert level_0() is None
 

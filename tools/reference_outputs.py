@@ -32,7 +32,9 @@ CONFIGS = ROOT / "configs"
 # workloads, the rate ladders, a chi = 0 run, a periodic filtered run, a
 # short study (the one command that maps over several runs), three
 # commands that fail before or at set-up, three ladders whose errors are
-# exactly zero, and a ladder, a study and a run that each fail part way
+# exactly zero, a ladder, a study and a run that each fail part way, and
+# two-rung time ladders at dt_max = 0.2 and 0.25, where Newton is pushed
+# hardest (some of their rungs fail)
 COMMANDS = {
     "shock-n128": ["run", "--scenario", "shock", "--t_final", "0.1"],
     "shock-n1024": ["run", "--scenario", "shock", "--n_elements", "1024",
@@ -64,6 +66,9 @@ COMMANDS = {
     "study-with-failed-member": ["study", "--scenario", "shock", "--chi_list", "1,1e300",
                                  "--delta_coeff", "1e4", "--study_times", "0.001,0.002"],
     "failed-run": ["run", "--scenario", "shock", "--newton_max_iter", "0", "--t_final", "0.001"],
+    **{f"time-rates-chi{chi}-dt{dt}": ["conv-time", "--config", str(CONFIGS / "time_rates.cfg"),
+                                       "--time_levels", "2", "--chi", chi, "--dt_max", dt]
+       for chi in ("0", "1") for dt in ("0.2", "0.25")},
 }
 
 ENV = {"PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1",
