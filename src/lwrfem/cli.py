@@ -231,9 +231,8 @@ def _run_bytes(config: RunConfig, n_elements: int) -> int:
     n_dofs = degree * n_elements + dirichlet
     w = degree if dirichlet else 2 * degree  # the mesh's half band, at most
     params = config.make_params(1.0 / n_elements)
-    stabilized = params.chi * params.delta**2 != 0.0  # as Stepper.build decides
     words = 6 * (degree + 1) ** 2 * n_elements + 12 * (2 * w + 1) * n_dofs + 20 * n_elements
-    return (8 * words + newton_bytes(n_dofs, w, params.deconv_order if stabilized else None)
+    return (8 * words + newton_bytes(n_dofs, w, params.deconv_order if params.stabilized else None)
             + 2**20)
 
 

@@ -14,9 +14,10 @@ a factor it has already built (see ``stepping.newton_solve``).  A
 ``BandLU`` holds the factors in storage that it reuses for every later
 factorization of a band of the same shape; gbtrf followed by gbtrs
 gives the same bits as gbsv.  Every check is made at factor time and
-takes no scratch: the band's shape, its entries (max(max ab, -min ab)
-is the largest entry magnitude, finite only if every entry is), the
-zero matrix and the pivot threshold.  ``lu_solve`` is one factorization
+takes no band-sized scratch: the band's shape, its entries
+(max(max ab, -min ab) is the largest entry magnitude, finite only if
+every entry is), the zero matrix and the pivot threshold, with its
+per-column fallback.  ``lu_solve`` is one factorization
 and one solve.
 
 The product is one BLAS gbmv call, which reads the same storage.  Bands
@@ -72,7 +73,15 @@ class BandLU:
         Raises ValueError for a band of other than kl + ku + 1 rows or with
         non-finite entries, and SingularMatrixError when a pivot magnitude
         (the diagonal of U) falls below PIVOT_RTOL times the largest entry
-        magnitude of A.  A failed factorization leaves nothing to solve with.
+        magnitude of A and the column test fails too: a pivot is zero, or
+        below PIVOT_RTOL times the largest magnitude of its own column.
+        Scaling a column scales its pivot alike, so the column test does
+        not see column scales, such as the M/dt of a Newton band's rho
+        columns at a tiny dt.  Every matrix that passes the first test
+        passes the column test, which therefore runs only after the first
+        fails; the message gives the first test's figures.  No comparison
+        divides, so a zero column raises without a NumPy warning.  A failed
+        factorization leaves nothing to solve with.
         """
         self.pivots = None
         ab = np.asarray(ab, dtype=float)
@@ -92,11 +101,12 @@ class BandLU:
         self.lu[kl:] = ab
         _, pivots, _ = _GBTRF(self.lu, kl, ku, overwrite_ab=True)
         # an exactly zero pivot (gbtrf's info > 0) is caught here too
-        smallest = np.abs(self.lu[kl + ku]).min()
-        if smallest < PIVOT_RTOL * scale:
-            raise SingularMatrixError(
-                f"pivot {smallest:.3e} below threshold {PIVOT_RTOL * scale:.3e}"
-            )
+        diagonal = np.abs(self.lu[kl + ku])
+        smallest = diagonal.min()
+        if smallest < PIVOT_RTOL * scale and (smallest == 0.0 or np.any(
+                diagonal < PIVOT_RTOL * np.maximum(ab.max(axis=0), -ab.min(axis=0)))):
+            raise SingularMatrixError(f"pivot {smallest:.3e} below threshold "
+                                      f"{PIVOT_RTOL * scale:.3e}")
         self.pivots = pivots
 
     def solve(self, b: np.ndarray) -> np.ndarray:

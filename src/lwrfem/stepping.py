@@ -21,10 +21,12 @@ Solving Nonlinear Equations with Newton's Method, SIAM 2003, the chord
 and Shamanskii methods; Hairer and Wanner, Solving Ordinary Differential
 Equations II, IV.8).  The factor outlives its step when that step
 contracted strongly (it made at most one correction, or its last one cut
-the residual by 1 / KEEP_FACTOR_THETA): the next step's first correction
-then solves with it, and from the quadratic start that one correction
-mostly finishes the step.  A step that fails from the quadratic start
-runs again from the linear one with a fresh factor.  The second scheme
+the residual by 1 / KEEP_FACTOR_THETA), a rule that ``newton_solve``
+applies and reports: the next step's first correction then solves with
+it, and from the quadratic start that one correction mostly finishes
+the step.  A step that fails from the quadratic start runs again from
+the linear one with a fresh factor; the loop tries a step's starts in
+turn, and its record counts the iterations of both.  The second scheme
 post-processes each backward Euler step with the time filter
 
     rho^n = rhohat^n - (gamma/2)(rhohat^n - 2 rho^{n-1} + rho^{n-2}),
@@ -114,7 +116,10 @@ from .scenarios import LEFT, Scenario
 
 
 class NoConvergenceError(RuntimeError):
-    """Newton iteration failed to reach its tolerance."""
+    """Newton iteration failed to reach its tolerance.
+
+    One that ``newton_solve`` raises carries the iterations it made as iters.
+    """
 
 
 # The largest deconvolution order N.  A Newton matrix carries 2N + 3
@@ -153,6 +158,11 @@ class ModelParams:
     delta: float = 0.0
     deconv_order: int = 0
     gamma: float = 0.0
+
+    @property
+    def stabilized(self) -> bool:
+        """Whether chi delta^2 != 0: a run with the stabilization and its filter unknowns."""
+        return self.chi * self.delta**2 != 0.0
 
     def __post_init__(self) -> None:
         if not (self.v_f > 0 and self.rho_m > 0):
@@ -240,8 +250,8 @@ def newton_solve(
     tol: float = NEWTON_TOL,
     max_iter: int = NEWTON_MAX_ITER,
     reuse: bool = False,
-) -> tuple[np.ndarray, int]:
-    """Newton iteration, its factor kept while predicted to finish; returns (x, iterations).
+) -> tuple[np.ndarray, int, bool]:
+    """Newton iteration, its factor kept while predicted to finish; returns (x, iterations, keep).
 
     solve(x, r, refactor) is the correction d with J d = -r, where J is
     the Jacobian of residual factored at x when refactor is true and the
@@ -275,7 +285,15 @@ def newton_solve(
     Every norm is ``norm2``, which neither underflows nor overflows, so a
     residual of 1e-170 counts as nonzero and one of 1e200 as finite; a
     residual holding NaN or inf, at the guess or after any update, raises
-    NoConvergenceError.
+    NoConvergenceError.  An error raised while iterating, that one or a
+    SingularMatrixError of solve, carries the iterations made before it as
+    its attribute iters.
+
+    keep tells whether a later call may start from the last factor (reuse):
+    yes when the iteration made at most one correction, or when its last
+    correction cut the residual norm by at least 1 / KEEP_FACTOR_THETA
+    (Hairer and Wanner, IV.8, keep the Jacobian after a step that
+    contracted strongly).
     """
     if not 0 < tol < 1:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
@@ -289,24 +307,28 @@ def newton_solve(
     threshold = tol * scale
     iters, settled = 0, False  # settled: the last correction was at rounding level
     prev_norm = 0.0  # the residual norm before the last correction
-    while not np.isfinite(norm) or (norm > threshold and not settled):
-        if not np.isfinite(norm):
-            raise NoConvergenceError(
-                f"non-finite Newton residual ({norm}) after {iters} iterations"
-            )
-        if iters >= max_iter:
-            raise NoConvergenceError(
-                f"no convergence after {max_iter} Newton iterations "
-                f"(residual {norm:.3e})"
-            )
-        d = solve(x, r, not reuse if iters == 0 else norm * norm > threshold * prev_norm)
-        x += d
-        iters += 1
-        prev_norm = norm
-        r = residual(x)
-        norm = norm2(r)
-        settled = norm2(d) <= NEWTON_ROUNDING * _EPS * norm2(x)
-    return x, iters
+    try:
+        while not np.isfinite(norm) or (norm > threshold and not settled):
+            if not np.isfinite(norm):
+                raise NoConvergenceError(
+                    f"non-finite Newton residual ({norm}) after {iters} iterations"
+                )
+            if iters >= max_iter:
+                raise NoConvergenceError(
+                    f"no convergence after {max_iter} Newton iterations "
+                    f"(residual {norm:.3e})"
+                )
+            d = solve(x, r, not reuse if iters == 0 else norm * norm > threshold * prev_norm)
+            x += d
+            iters += 1
+            prev_norm = norm
+            r = residual(x)
+            norm = norm2(r)
+            settled = norm2(d) <= NEWTON_ROUNDING * _EPS * norm2(x)
+    except (NoConvergenceError, SingularMatrixError) as err:
+        err.iters = iters
+        raise
+    return x, iters, iters <= 1 or norm <= KEEP_FACTOR_THETA * prev_norm
 
 
 def _block(ab: np.ndarray, ku: int, unknowns: int, w: int, row: int, col: int) -> np.ndarray:
@@ -391,10 +413,8 @@ class Stepper:
         newton_tol: float = NEWTON_TOL, newton_max_iter: int = NEWTON_MAX_ITER,
     ) -> "Stepper":
         ops = assemble(mesh)
-        stab = None  # a zero operator: no filter solve, no filter unknowns
-        if params.chi * params.delta**2 != 0.0:
-            ctx = build_filter_context(ops, params.delta, params.deconv_order)
-            stab = stabilization_matrix(ctx, params.chi)
+        stab = stabilization_matrix(build_filter_context(
+            ops, params.delta, params.deconv_order), params.chi) if params.stabilized else None
         dirichlet = scenario.dirichlet if mesh.boundary_kind == "dirichlet" else {}
         constrained = tuple(
             (0 if end == LEFT else mesh.n_dofs - 1, g) for end, g in dirichlet.items()
@@ -443,10 +463,8 @@ def be_step(
     ``Stepper.factors`` kept from an earlier step, if it holds one
     (``newton_solve``).  Returns the new coefficients c, the Newton
     iterations, the scale, K c (None without stabilization) and whether
-    the next step may start from this step's factor: when the step made at
-    most one correction, or its last correction cut the residual norm by
-    at least 1 / KEEP_FACTOR_THETA (Hairer and Wanner, IV.8, keep the
-    Jacobian after a step that contracted strongly).
+    the next step may start from this step's factor, as ``newton_solve``
+    decides it.
 
     Newton runs no filter chain: each residual after the first takes
     K x_{k+1} = K x_k + K d_k, where K d_k = chi delta^2 S y_{2N+2} comes
@@ -475,10 +493,7 @@ def be_step(
     stab_x = None if stab is None else stab_guess + sum(
         shift * column for shift, column in zip(shifts, stepper.bc_stab))
 
-    r_before = r_after = None  # the residuals on either side of the last correction
-
     def residual(x: np.ndarray) -> np.ndarray:
-        nonlocal r_after
         r = band_matvec(linear_part, x)
         if stab is not None:
             r += stab_x
@@ -486,13 +501,11 @@ def be_step(
         r -= rhs
         for i, value in stepper.constrained:
             r[i] = x[i] - value
-        r_after = r
         return r
 
     def solve(x: np.ndarray, r: np.ndarray, refactor: bool) -> np.ndarray:
         # newton_solve adds the correction to x, so K x follows it here
-        nonlocal stab_x, r_before
-        r_before = r
+        nonlocal stab_x
         lifted = np.zeros(stepper.newton.shape[1])
         lifted[::unknowns] = -r
         if refactor:
@@ -506,9 +519,9 @@ def be_step(
             stab_x = stab_x + stab.from_pi2(d[unknowns - 1::unknowns])
         return d[::unknowns]
 
-    c, iters = newton_solve(residual, solve, start, scale, stepper.newton_tol,
-                            stepper.newton_max_iter, reuse and stepper.factors.pivots is not None)
-    keep = iters <= 1 or norm2(r_after) <= KEEP_FACTOR_THETA * norm2(r_before)
+    c, iters, keep = newton_solve(residual, solve, start, scale, stepper.newton_tol,
+                                  stepper.newton_max_iter,
+                                  reuse and stepper.factors.pivots is not None)
     return c, iters, scale, None if stab is None else stab(c), keep
 
 
@@ -520,18 +533,19 @@ def time_filter_step(hat: np.ndarray, n1: np.ndarray, n2: np.ndarray, gamma: flo
     return hat - 0.5 * gamma * (hat - 2.0 * n1 + n2)
 
 
-def _extrapolated(n1: np.ndarray, n2: np.ndarray | None, n3: np.ndarray | None = None
-                  ) -> np.ndarray:
-    """Newton's start from the last levels' vectors: n1 alone, else linear, else quadratic.
+def _extrapolated(n1: np.ndarray | None, n2: np.ndarray | None, n3: np.ndarray | None,
+                  quadratic: bool) -> np.ndarray | None:
+    """Newton's start from the last levels' vectors: n1 alone, else quadratic or linear.
 
-    2 n1 - n2 and 3 (n1 - n2) + n3 are linear in the levels, so they serve
-    both the states and their K.
+    n1 alone where n2 is None (so None where a run without stabilization
+    has no K), else 3 (n1 - n2) + n3 if quadratic, else 2 n1 - n2.  Both
+    are linear in the levels, so they serve both the states and their K.
     """
     if n2 is None:
         return n1
-    if n3 is None:
-        return 2.0 * n1 - n2
-    return 3.0 * (n1 - n2) + n3
+    if quadratic:
+        return 3.0 * (n1 - n2) + n3
+    return 2.0 * n1 - n2
 
 
 def mass_norm(c: np.ndarray, mass_c: np.ndarray) -> float:
@@ -578,13 +592,14 @@ def run_time_filtered(
     every later step at 3 rho^{n-1} - 3 rho^{n-2} + rho^{n-3}, the
     accepted states' extrapolations.  Whether a step may start from the
     last step's factor is the run's own state, here in the loop: yes after
-    a step that contracted strongly (``be_step``), and never on steps 1 and
-    2 or on a step run again.  A step that fails from the quadratic start
-    (NoConvergenceError or SingularMatrixError) runs again as step 2 runs,
-    from the linear extrapolation with a fresh factor, and the records
-    count the iterations of the run that converged.  A step that fails
-    there too, or on step 1 or 2, raises NoConvergenceError naming the
-    step, and so does a filter matrix or a Newton band that the set-up
+    a step that contracted strongly (``newton_solve``), and never on steps
+    1 and 2 or on a step run again.  One loop tries a step's starts: a
+    step that fails from the quadratic start (NoConvergenceError or
+    SingularMatrixError) runs again as step 2 runs, from the linear
+    extrapolation with a fresh factor, and the step's record counts every
+    iteration of both attempts, the failed one's included.  A step that
+    fails there too, or on step 1 or 2, raises NoConvergenceError naming
+    the step, and so does a filter matrix or a Newton band that the set-up
     cannot factor (``Stepper.build``).
 
     The loop carries coefficient vectors, and its records are those
@@ -610,22 +625,18 @@ def run_time_filtered(
     for n in range(grid.n_steps + 1):
         t = n * grid.dt
         if n:
-            hat = None
-            if c_n3 is not None:  # the quadratic start, with the kept factor if it may
+            iters = 0  # of every start tried
+            for quadratic in (True, False) if c_n3 is not None else (False,):
                 try:
-                    hat, iters, scale, stab_hat, reuse = be_step(
-                        stepper, c_n1, mass_n1, t, _extrapolated(c_n1, c_n2, c_n3),
-                        None if stab is None else _extrapolated(stab_n1, stab_n2, stab_n3),
-                        reuse)
-                except (NoConvergenceError, SingularMatrixError):
-                    pass  # run the step again as steps 1 and 2 run
-            if hat is None:  # from rho^0 or the linear start, with a fresh factor
-                try:
-                    hat, iters, scale, stab_hat, reuse = be_step(
-                        stepper, c_n1, mass_n1, t, _extrapolated(c_n1, c_n2),
-                        None if stab is None else _extrapolated(stab_n1, stab_n2))
+                    hat, tried, scale, stab_hat, reuse = be_step(
+                        stepper, c_n1, mass_n1, t, _extrapolated(c_n1, c_n2, c_n3, quadratic),
+                        _extrapolated(stab_n1, stab_n2, stab_n3, quadratic), reuse and quadratic)
+                    iters += tried
+                    break
                 except (NoConvergenceError, SingularMatrixError) as err:
-                    raise NoConvergenceError(f"step {n} to t = {t:.6g} failed: {err}") from err
+                    iters += err.iters
+                    if not quadratic:
+                        raise NoConvergenceError(f"step {n} to t = {t:.6g} failed: {err}") from err
         else:
             hat, iters, scale = c_n1, 0, 1.0
             stab_hat = None if stab is None else stab(hat)

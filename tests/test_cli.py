@@ -601,6 +601,19 @@ class TestMain:
         assert captured.out == "" and not list(tmp_path.iterdir())
         assert main([*argv, "--delta_coeff", "1e4", "--output_dir", str(tmp_path / "b")]) == 0
 
+    @pytest.mark.filterwarnings("error")
+    def test_a_tiny_step_is_not_called_singular(self, tmp_path, capsys):
+        # at dt = 1e-16 the rho columns of the Newton band hold M/dt, about
+        # 5e13, and the filter unknowns' columns entries of order 1: their
+        # pivots fall below 1e-14 of the largest entry, but not below 1e-14
+        # of their own columns' largest, and the run goes through
+        argv = ["run", "--scenario", "shock", "--dt", "1e-16", "--t_final", "1e-15",
+                "--output_dir", str(tmp_path)]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        _, rows = read_rows(tmp_path / "diagnostics.csv")
+        assert len(rows) == 11 and all(np.isfinite(float(value)) for value in rows[-1])
+
     @pytest.mark.filterwarnings("error")  # a NumPy warning would be a second line
     def test_overflowing_newton_band_fails_the_set_up(self, tmp_path, capsys):
         # chi delta^2 = 7.8e305 is finite, but the Newton band chi delta^2 S is not

@@ -72,9 +72,16 @@ ATTEMPTS = (
 
 def test_singular_matrix_raises():
     a = np.array([[1.0, 2.0], [2.0, 4.0]])  # rank 1
+    # rank deficient beside a large column, and a zero column: the
+    # per-column test, too, finds a pivot at rounding level or zero, and it
+    # divides by no column's size, so a zero column warns of nothing
+    beside_large = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1e15]])
+    zero_column = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
     for attempt in ATTEMPTS:
-        with pytest.raises(SingularMatrixError, match="below threshold"):
-            attempt(band(a, 1, 1), 1, 1)
+        for singular in (a, beside_large, zero_column):
+            with np.errstate(all="raise"), pytest.raises(SingularMatrixError,
+                                                         match="below threshold"):
+                attempt(band(singular, 1, 1), 1, 1)
         with pytest.raises(SingularMatrixError, match="zero matrix"):
             attempt(np.zeros((3, 3)), 1, 1)
 
@@ -86,6 +93,20 @@ def test_small_pivot_on_the_diagonal_band_row_raises():
     for attempt in ATTEMPTS:
         with pytest.raises(SingularMatrixError, match="below threshold"):
             attempt(band(a, 1, 1), 1, 1)
+
+
+def test_columns_of_different_scales_factor(rng):
+    # a well-conditioned matrix whose columns are then scaled by 1 and
+    # 1e14 in turn: its smallest pivot lies far below PIVOT_RTOL times the
+    # largest entry, but each pivot is of its own column's size, so the
+    # factorization stands, and it solves as the unscaled matrix does
+    a = np.diag(rng.uniform(2.0, 3.0, 6)) + np.diag(np.ones(5), 1) + np.diag(np.ones(5), -1)
+    scales = np.array([1.0, 1e14] * 3)
+    b = rng.standard_normal(6)
+    for attempt in ATTEMPTS:
+        attempt(band(a * scales, 1, 1), 1, 1)
+    x = lu_solve(band(a * scales, 1, 1), b, 1, 1)
+    assert np.allclose(x * scales, np.linalg.solve(a, b), rtol=1e-12)
 
 
 def test_non_finite_entries_rejected():

@@ -122,19 +122,19 @@ class TestNewtonSolve:
     def test_linear_system_one_iteration(self, rng):
         a = rng.standard_normal((6, 6)) + 4.0 * np.eye(6)
         b = rng.standard_normal(6)
-        x, iters = newton_solve(lambda x: a @ x - b, dense_solve(lambda x: a), np.zeros(6), 1.0)
+        x, iters, _ = newton_solve(lambda x: a @ x - b, dense_solve(lambda x: a), np.zeros(6), 1.0)
         assert iters == 1
         assert np.linalg.norm(a @ x - b) < 1e-9
 
     def test_root_guess_zero_iterations(self):
-        x, iters = newton_solve(
+        x, iters, _ = newton_solve(
             lambda x: x**2 - 4.0, dense_solve(lambda x: np.diag(2.0 * x)), np.array([2.0]), 1.0
         )
         assert iters == 0
         assert x[0] == 2.0
 
     def test_scalar_quadratic(self):
-        x, iters = newton_solve(
+        x, iters, _ = newton_solve(
             lambda x: x**2 - 4.0, dense_solve(lambda x: np.diag(2.0 * x)), np.array([3.0]), 1.0
         )
         assert iters <= 6
@@ -170,7 +170,8 @@ class TestNewtonSolve:
         # a norm that squares first reads the residual 1e-170 as 0 and 1e200
         # as inf: the first would return the guess unsolved, the second fail
         # as non-finite
-        x, iters = newton_solve(lambda x: x - root, lambda x, r, refactor: -r, np.zeros(1), scale)
+        x, iters, _ = newton_solve(lambda x: x - root, lambda x, r, refactor: -r, np.zeros(1),
+                                   scale)
         assert iters == 1 and x[0] == root
 
     @pytest.mark.parametrize("tol", [0.0, 1.0, 2.0])
@@ -202,7 +203,7 @@ class TestNewtonSolve:
             evaluations.append(x)
             return 1e12 * (x - 0.5) + 1e-4 * (-1) ** len(evaluations)
 
-        x, iters = newton_solve(residual, lambda x, r, refactor: -r / 1e12, np.zeros(1), 1.0)
+        x, iters, _ = newton_solve(residual, lambda x, r, refactor: -r / 1e12, np.zeros(1), 1.0)
         assert iters == 2 and abs(x[0] - 0.5) <= 1e-15
         # a correction that stays large never ends it
         with pytest.raises(NoConvergenceError):
@@ -235,7 +236,7 @@ class TestNewtonSolve:
                 points.append(x[0])
             return -0.5 * r
 
-        x, iters = newton_solve(lambda x: x - 1.0, solve, np.array([2.0]), 1.0, tol=1e-3)
+        x, iters, _ = newton_solve(lambda x: x - 1.0, solve, np.array([2.0]), 1.0, tol=1e-3)
         assert iters == 10 and flags == [True] * 9 + [False] and points[0] == 2.0
         assert points == [1.0 + 2.0**-k for k in range(9)]  # each at the current iterate
         # at scale 0 no prediction holds: every iteration factors, exact Newton
@@ -245,7 +246,7 @@ class TestNewtonSolve:
             flags.append(refactor)
             return exact(x, r, refactor)
 
-        x, iters = newton_solve(lambda x: x**2 - 4.0, recorded, np.array([3.0]), 0.0)
+        x, iters, _ = newton_solve(lambda x: x**2 - 4.0, recorded, np.array([3.0]), 0.0)
         assert abs(x[0] - 2.0) <= 1e-15 and flags == [True] * iters and iters >= 4
 
     def test_reuse_solves_first_with_the_kept_factor(self):
@@ -260,14 +261,52 @@ class TestNewtonSolve:
                 flags.append(refactor)
                 return -0.5 * r
 
-            x, iters = newton_solve(lambda x: x - 1.0, solve, np.array([2.0]), 1.0, tol=1e-3,
-                                    reuse=reuse)
+            x, iters, _ = newton_solve(lambda x: x - 1.0, solve, np.array([2.0]), 1.0, tol=1e-3,
+                                       reuse=reuse)
             assert iters == 10 and flags == [first] + [True] * 8 + [False]
         # a kept factor that solves exactly finishes without a factorization
         flags.clear()
-        x, iters = newton_solve(lambda x: x - 0.5, lambda x, r, refactor: flags.append(refactor)
-                                or -r, np.zeros(1), 1.0, reuse=True)
+        x, iters, _ = newton_solve(lambda x: x - 0.5, lambda x, r, refactor: flags.append(refactor)
+                                   or -r, np.zeros(1), 1.0, reuse=True)
         assert iters == 1 and flags == [False] and x[0] == 0.5
+
+    @pytest.mark.parametrize("cuts,guess,scale,iters,keep", [
+        ((), 1.0, 1.0, 0, True),  # the guess is a root: no correction
+        ((0.5,), 3.0, 1e3, 1, True),  # one correction, which halved the residual
+        ((0.5, 9e-5), 2.0, 1.0, 2, True),  # the last correction cut it by more than 1e4
+        ((0.5, 1.1e-4), 2.0, 1.0, 2, False),  # by a little less
+        ((0.5, 1e-3), 2.0, 1.0, 2, False),
+    ])
+    def test_the_factor_may_be_kept_after_a_strong_last_contraction(self, cuts, guess, scale,
+                                                                     iters, keep):
+        # x - 1 = 0 with a solve whose k-th correction leaves the fraction
+        # cuts[k] of the residual, stopped at 1e-3 scale: the factor may
+        # serve a later call after at most one correction, or when the last
+        # one cut the residual by 1 / KEEP_FACTOR_THETA = 1e4 or more
+        fractions = iter(cuts)
+        _, made, kept = newton_solve(lambda x: x - 1.0,
+                                     lambda x, r, refactor: -(1.0 - next(fractions)) * r,
+                                     np.array([guess]), scale, tol=1e-3)
+        assert (made, kept) == (iters, keep) and stepping.KEEP_FACTOR_THETA == 1e-4
+
+    def test_an_error_carries_the_iterations_made_before_it(self):
+        # NoConvergenceError at max_iter, and a singular matrix met by the
+        # third solve, after two corrections
+        with pytest.raises(NoConvergenceError) as failed:
+            newton_solve(lambda x: np.ones(1), lambda x, r, refactor: -r, np.zeros(1), 1.0,
+                         max_iter=5)
+        assert failed.value.iters == 5
+        calls = []
+
+        def solve(x, r, refactor):
+            calls.append(1)
+            if len(calls) == 3:
+                raise SingularMatrixError("pivot 0.000e+00 below threshold 1.000e-14")
+            return -0.5 * r
+
+        with pytest.raises(SingularMatrixError) as singular:
+            newton_solve(lambda x: x - 1.0, solve, np.zeros(1), 1.0)
+        assert singular.value.iters == 2
 
     @pytest.mark.parametrize("root,scale", [(0.5, 1.0), (1e-160, 1e-200), (1e-160, 0.0)])
     def test_the_first_iteration_always_factors(self, root, scale):
@@ -281,7 +320,7 @@ class TestNewtonSolve:
             flags.append(refactor)
             return -r
 
-        x, iters = newton_solve(lambda x: x - root, solve, np.zeros(1), scale)
+        x, iters, _ = newton_solve(lambda x: x - root, solve, np.zeros(1), scale)
         assert iters == 1 and flags == [True] and x[0] == root
 
     def test_negative_max_iter_rejected(self):
@@ -455,7 +494,7 @@ class TestBeStep:
 
         start = guess.copy()
         start[rows] = 0.3  # be_step starts on the step's Dirichlet values
-        expected, expected_iters = newton_solve(residual, dense_solve(jacobian), start, scale)
+        expected, expected_iters, _ = newton_solve(residual, dense_solve(jacobian), start, scale)
         state, iters, step_scale, *_ = be_step(stepper, prev, mass_prev, 0.01, guess,
                                                stepper.stab(guess))
         assert step_scale == scale
@@ -519,9 +558,11 @@ class TestBeStep:
     def test_the_rung_where_plain_chord_stalls_converges(self, monkeypatch):
         # on the chi = 1 time ladder rung at dt_max = 0.2 (P2, n = 100,
         # 5 steps) every step converges within 7 iterations (exact Newton
-        # takes 0, 6, 3, 4, 6, 7)
+        # takes 0, 6, 3, 4, 6, 7); step 5's record also counts the 25
+        # iterations that fail from the quadratic start (see the next test)
         rung = time_rates_rung(1.0, 0.2)
-        assert max(diag.newton_iters for _, diag in march(*rung)) <= 7
+        iterations = [diag.newton_iters for _, diag in march(*rung)]
+        assert max(iterations[:5]) <= 7 and iterations[5] <= 25 + 7
         # plain chord, the start iterate's factor kept for the whole step,
         # stalls on it at step 1
         newton = stepping.newton_solve
@@ -542,8 +583,9 @@ class TestBeStep:
     def test_a_step_that_fails_from_the_quadratic_start_runs_again(self, monkeypatch):
         # on the same rung Newton from 3 rho^4 - 3 rho^3 + rho^2 diverges at
         # step 5, with the kept factor; the step runs again as steps 1 and 2
-        # run, from 2 rho^4 - rho^3 with a fresh factor, and converges
-        attempts = []
+        # run, from 2 rho^4 - rho^3 with a fresh factor, and converges; its
+        # record counts the 25 failed iterations and the retry's
+        attempts, returned = [], []
         step = stepping.be_step
 
         def recorded(stepper, c_prev, mass_prev, t_next, guess, stab_guess, reuse=False):
@@ -553,6 +595,7 @@ class TestBeStep:
             except NoConvergenceError as err:
                 attempts[-1] = attempts[-1][:3] + (err,)
                 raise
+            returned.append(out[1])
             return out
 
         monkeypatch.setattr(stepping, "be_step", recorded)
@@ -565,7 +608,37 @@ class TestBeStep:
         (_, first, reused, _), (_, second, fresh, _) = attempts[-2:]
         assert np.array_equal(first, 3.0 * (c[4] - c[3]) + c[2]) and reused
         assert np.array_equal(second, 2.0 * c[4] - c[3]) and not fresh
-        assert len(records) == 6 and records[-1][1].newton_iters <= 7
+        assert len(records) == 6 and failed[0][1].iters == 25 and returned[-1] <= 7
+        assert records[-1][1].newton_iters == 25 + returned[-1]
+
+    def test_a_start_that_meets_a_singular_matrix_counts_its_iterations(self, monkeypatch):
+        # step 3's quadratic start makes one correction, of half the Newton
+        # step, and then meets a singular matrix: the step runs again from
+        # the linear start, and its record counts both attempts' iterations
+        newton, made = stepping.newton_solve, []
+
+        def failing_once(residual, solve, *args):
+            attempt, calls = len(made), []
+
+            def solve_or_fail(x, r, refactor):
+                calls.append(1)
+                if attempt == 2 and len(calls) == 2:
+                    raise SingularMatrixError("pivot 0.000e+00 below threshold 1.000e-14")
+                return (0.5 if attempt == 2 else 1.0) * solve(x, r, refactor)
+
+            try:
+                out = newton(residual, solve_or_fail, *args)
+            except SingularMatrixError as err:
+                made.append(err.iters)
+                raise
+            made.append(out[1])
+            return out
+
+        monkeypatch.setattr(stepping, "newton_solve", failing_once)
+        records = march(*time_rates_rung(1.0))
+        assert len(made) == len(records) and made[2] == 1  # step 3 runs twice
+        assert [diag.newton_iters for _, diag in records] == [0, made[0], made[1],
+                                                              made[2] + made[3], *made[4:]]
 
     def test_the_kept_factor_serves_the_next_steps(self, monkeypatch):
         # the shock run at its defaults (P1, n = 128, chi = 1, N = 0,

@@ -34,7 +34,9 @@ CONFIGS = ROOT / "configs"
 # commands that fail before or at set-up, three ladders whose errors are
 # exactly zero, a ladder, a study and a run that each fail part way, and
 # two-rung time ladders at dt_max = 0.2 and 0.25, where Newton is pushed
-# hardest (some of their rungs fail)
+# hardest (some of their rungs fail), a filtered run whose step 5 fails
+# from the quadratic start and runs again, and a run at a step so small
+# that M/dt outweighs the filter unknowns' columns by about 1e13
 COMMANDS = {
     "shock-n128": ["run", "--scenario", "shock", "--t_final", "0.1"],
     "shock-n1024": ["run", "--scenario", "shock", "--n_elements", "1024",
@@ -69,6 +71,9 @@ COMMANDS = {
     **{f"time-rates-chi{chi}-dt{dt}": ["conv-time", "--config", str(CONFIGS / "time_rates.cfg"),
                                        "--time_levels", "2", "--chi", chi, "--dt_max", dt]
        for chi in ("0", "1") for dt in ("0.2", "0.25")},
+    "retried-step": ["run", "--scenario", "manufactured", "--chi", "1",
+                     "--gamma", "0.6666666666666666", "--dt", "0.2", "--t_final", "1"],
+    "tiny-dt": ["run", "--scenario", "shock", "--dt", "1e-16", "--t_final", "1e-15"],
 }
 
 ENV = {"PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1",
